@@ -8,6 +8,7 @@
 #include "cpu/core.hh"
 #include "driver/options.hh"
 #include "exp/json.hh"
+#include "exp/point.hh"
 #include "obs/obs.hh"
 #include "sampling/functional.hh"
 #include "sampling/sampled.hh"
@@ -41,29 +42,33 @@ fnv1aHex(const std::string &s)
     return buf;
 }
 
-cpu::CoreConfig
-configFor(const BenchPoint &p, const BenchConfig &bench)
+/**
+ * The experiment point a bench point measures (4-wide core, the
+ * paper's baseline). `functional-switch` is the functional point run
+ * on the reference opcode-switch dispatch (the PBS_FUNC_DISPATCH=switch
+ * escape hatch): keeping both as bench points makes the superblock
+ * speedup a tracked number.
+ */
+exp::ExpPoint
+expPointFor(const BenchPoint &p, const BenchConfig &bench)
 {
-    cpu::CoreConfig cfg;  // 4-wide timing core, the paper's baseline
-    cfg.predictor = p.predictor;
-    cfg.pbsEnabled = p.pbs;
-    if (p.mode == "legacy") {
-        cfg.execMode = cpu::ExecMode::Legacy;
-        cfg.execPath = cpu::ExecPath::LegacyProgram;
-    } else if (p.mode == "functional") {
-        cfg.execMode = cpu::ExecMode::Functional;
-    } else if (p.mode == "functional-switch") {
-        // Same engine forced onto the reference opcode-switch dispatch
-        // (the PBS_FUNC_DISPATCH=switch escape hatch): keeping both as
-        // bench points makes the superblock speedup a tracked number.
-        cfg.execMode = cpu::ExecMode::Functional;
-    } else if (p.mode == "sampled") {
-        cfg.execMode = cpu::ExecMode::Sampled;
-        cfg.sample = bench.sample;
-    } else if (p.mode == "mpki") {
-        cfg.mode = cpu::SimMode::Functional;
+    exp::ExpPoint pt;
+    pt.workload = p.workload;
+    pt.predictor = p.predictor;
+    pt.pbs = p.pbs;
+    if (p.mode == "mpki")
+        pt.functional = true;
+    else
+        pt.mode = p.mode == "functional-switch" ? "functional" : p.mode;
+    if (pt.mode == "sampled") {
+        pt.sampleInterval = bench.sample.interval;
+        pt.sampleWarmup = bench.sample.warmup;
+        pt.sampleMeasure = bench.sample.measure;
     }
-    return cfg;
+    pt.scale = exp::resolvedScale(
+        workloads::benchmarkByName(p.workload), std::max(1u, bench.divisor));
+    pt.seed = bench.seed;
+    return pt;
 }
 
 const char *const kBenchModes[] = {"detailed", "legacy", "functional",
@@ -240,11 +245,8 @@ runBench(const std::vector<BenchPoint> &points, const BenchConfig &cfg)
         [&](size_t i) {
             const BenchPoint &pt = points[i];
             const auto &b = workloads::benchmarkByName(pt.workload);
-            workloads::WorkloadParams wp;
-            wp.seed = cfg.seed;
-            wp.scale = std::max<uint64_t>(
-                1, b.defaultScale / std::max(1u, cfg.divisor));
-            const cpu::CoreConfig coreCfg = configFor(pt, cfg);
+            const exp::ExpPoint ept = expPointFor(pt, cfg);
+            const cpu::CoreConfig coreCfg = exp::pointCoreConfig(ept);
 
             BenchResult r;
             r.point = pt;
@@ -262,8 +264,8 @@ runBench(const std::vector<BenchPoint> &points, const BenchConfig &cfg)
                 // the exception: its per-sample core construction and
                 // checkpointing are intrinsic per-run costs, so its
                 // timed region is the whole sampled simulation.
-                isa::Program prog =
-                    b.build(wp, workloads::Variant::Marked);
+                isa::Program prog = b.build(exp::pointParams(ept),
+                                            workloads::Variant::Marked);
                 double ms;
                 cpu::CoreStats s;
                 if (coreCfg.execMode == cpu::ExecMode::Functional) {
@@ -388,11 +390,8 @@ compareBaseline(const std::vector<BenchResult> &results,
     if (!exp::parseJson(baselineJson, root, err))
         throw std::invalid_argument("baseline: malformed JSON: " + err);
     const exp::JsonValue *schema = root.find("schema");
-    if (!schema || (schema->asString() != "pbs-bench-v1" &&
-                    schema->asString() != "pbs-bench-v2")) {
-        throw std::invalid_argument(
-            "baseline: not a pbs-bench-v1/v2 file");
-    }
+    if (!schema || schema->asString() != "pbs-bench-v2")
+        throw std::invalid_argument("baseline: not a pbs-bench-v2 file");
     const exp::JsonValue *points = root.find("points");
     if (!points)
         throw std::invalid_argument("baseline: missing points");
@@ -403,13 +402,10 @@ compareBaseline(const std::vector<BenchResult> &results,
             const auto *pr = p.find("predictor");
             const auto *pb = p.find("pbs");
             const auto *m = p.find("mips");
-            // v1 baselines predate per-point modes: every point was a
-            // detailed-mode measurement.
             const auto *md = p.find("mode");
-            const std::string mode = md ? md->asString() : "detailed";
-            if (w && pr && pb && m && w->asString() == pt.workload &&
+            if (w && pr && pb && m && md && w->asString() == pt.workload &&
                 pr->asString() == pt.predictor &&
-                pb->asBool() == pt.pbs && mode == pt.mode) {
+                pb->asBool() == pt.pbs && md->asString() == pt.mode) {
                 return m->asDouble();
             }
         }

@@ -3,8 +3,9 @@
  * The throughput-benchmark subsystem behind `pbs_bench`: times
  * simulated-MIPS for workload x predictor x mode points over the
  * deterministic thread pool and renders the canonical `pbs-bench-v2`
- * artifact (per-point `mode` field; the baseline gate still reads the
- * checked-in v1 format, whose points are all mode "detailed").
+ * artifact (per-point `mode` field). Each point's core configuration
+ * comes from the exp::ExpPoint it describes (exp::pointCoreConfig), the
+ * same mapping every sweep uses.
  *
  * Determinism contract (mirrors the experiment engine's rules): the
  * artifact's *content-hashed body* contains only deterministic
@@ -125,9 +126,7 @@ std::string benchJson(const std::vector<BenchResult> &results,
                       const BenchConfig &cfg);
 
 /**
- * Compare @p results against a baseline artifact. Accepts both the
- * checked-in `pbs-bench-v1` format (no per-point mode; such points
- * are treated as mode "detailed") and the current `pbs-bench-v2`.
+ * Compare @p results against a `pbs-bench-v2` baseline artifact.
  * A point regresses when its MIPS falls below (1 - maxRegress) x the
  * baseline MIPS of the same (workload, predictor, pbs, mode) point;
  * points missing from the baseline are skipped.

@@ -15,8 +15,7 @@
  * `pbs-bench-v2` JSON artifact (see src/bench/bench.hh for the
  * determinism contract). With --baseline, exits non-zero when any
  * point regresses more than --max-regress (default 0.20) below the
- * baseline MIPS; v1 baselines (the checked-in bench/baseline.json)
- * are read as all-detailed.
+ * baseline MIPS.
  *
  * Refreshing the checked-in baseline after an intentional perf change:
  *   ./build/pbs_bench --quick --write-baseline bench/baseline.json
@@ -137,8 +136,12 @@ main(int argc, char **argv)
             }
         } else if ((r = driver::takeOptionValue(args, i,
                                                 "--sample-warmup", v))) {
-            if (r < 0 || !driver::parseU64Arg(v, cfg.sample.warmup))
+            // 0 is not a warmup length: an ExpPoint reads it as
+            // "subsystem default".
+            if (r < 0 || !driver::parseU64Arg(v, cfg.sample.warmup) ||
+                cfg.sample.warmup == 0) {
                 return usage("bad --sample-warmup");
+            }
         } else if ((r = driver::takeOptionValue(args, i,
                                                 "--sample-measure",
                                                 v))) {

@@ -54,10 +54,9 @@ enum class SimMode {
 /**
  * Which execution engine runs the program (the driver-level `--mode`).
  *
- *  - Detailed: the cpu::Core (SimMode selects its fidelity; the
- *    legacy `--functional` flag maps to SimMode::Functional — the
- *    "mpki" fidelity that still updates predictors and the PBS engine
- *    but models no timing).
+ *  - Detailed: the cpu::Core (SimMode selects its fidelity; `--mode
+ *    mpki` maps to SimMode::Functional — the fidelity that still
+ *    updates predictors and the PBS engine but models no timing).
  *  - Legacy: the cpu::Core interpreting the isa::Program directly
  *    (ExecPath::LegacyProgram), the differential-testing reference.
  *  - Functional: the sampling subsystem's FunctionalEngine —
@@ -111,8 +110,9 @@ struct CoreConfig
 
     /**
      * Driver-level engine selection. The cpu::Core ignores this field
-     * (it is resolved above the cpu layer: driver::runSim dispatches
-     * Functional/Sampled configurations to the sampling subsystem).
+     * (it is resolved above the cpu layer: the experiment engine
+     * dispatches Functional/Sampled configurations to the sampling
+     * subsystem).
      */
     ExecMode execMode = ExecMode::Detailed;
 

@@ -129,23 +129,16 @@ parseArgs(const std::vector<std::string> &args)
             o.pbs = false;
         } else if (arg == "--wide") {
             o.wide = true;
-        } else if (arg == "--functional") {
-            o.functional = true;
-        } else if (arg == "--timing") {
-            o.functional = false;
         } else if (arg == "--no-stall") {
             o.noStall = true;
         } else if (arg == "--no-context") {
             o.noContext = true;
         } else if (arg == "--no-guard") {
             o.noGuard = true;
-        } else if (arg == "--prob-trace") {
-            o.probTrace = true;
         } else if ((m = takeValue(arg, "--trace")) != 0) {
             if (m < 0 || v.empty())
                 return fail("--trace needs an output file (the span "
-                            "timeline; --prob-trace records the "
-                            "probabilistic-branch trace)");
+                            "timeline)");
             o.traceFile = v;
         } else if ((m = takeValue(arg, "--metrics")) != 0) {
             if (m < 0 || v.empty())
@@ -173,20 +166,18 @@ parseArgs(const std::vector<std::string> &args)
             if (m < 0)
                 return fail(arg + " needs a value");
             o.predictor = v;
-        } else if ((m = takeValue(arg, "--report")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            o.report = v;
         } else if ((m = takeValue(arg, "--mode")) != 0) {
             if (m < 0)
                 return fail(arg + " needs a value");
             if (v == "mpki") {
-                // Alias: the old predictor-functional fidelity.
+                // The detailed core without timing (predictors and PBS
+                // still update).
                 o.mode = "detailed";
                 o.functional = true;
             } else if (v == "detailed" || v == "legacy" ||
                        v == "functional" || v == "sampled") {
                 o.mode = v;
+                o.functional = false;  // the last --mode wins
             } else {
                 return fail("unknown mode: " + v + " (expected "
                             "detailed, legacy, functional, sampled "
@@ -205,34 +196,6 @@ parseArgs(const std::vector<std::string> &args)
                 o.sampleMeasure == 0) {
                 return fail("bad --sample-measure value");
             }
-        } else if ((m = takeValue(arg, "--sample-max")) != 0) {
-            if (m < 0 || !parseU64Arg(v, o.sampleMax))
-                return fail("bad --sample-max value");
-        } else if ((m = takeValue(arg, "--save-checkpoints")) != 0) {
-            if (m < 0 || v.empty())
-                return fail(arg + " needs a directory");
-            o.saveCheckpoints = v;
-        } else if ((m = takeValue(arg, "--load-checkpoints")) != 0) {
-            if (m < 0 || v.empty())
-                return fail(arg + " needs a directory");
-            o.loadCheckpoints = v;
-        } else if ((m = takeValue(arg, "--shard")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            const size_t slash = v.find('/');
-            uint64_t k = 0, n = 0;
-            if (slash == std::string::npos ||
-                !parseU64Arg(v.substr(0, slash), k) ||
-                !parseU64Arg(v.substr(slash + 1), n)) {
-                return fail("bad --shard value: " + v +
-                            " (expected K/N, e.g. 1/2)");
-            }
-            if (n == 0 || k == 0 || k > n || n > 0xffffffffull) {
-                return fail("--shard index out of range: " + v +
-                            " (need 1 <= K <= N)");
-            }
-            o.shardIndex = unsigned(k);
-            o.shardCount = unsigned(n);
         } else if ((m = takeValue(arg, "--variant")) != 0) {
             if (m < 0)
                 return fail(arg + " needs a value");
@@ -277,7 +240,7 @@ parseArgs(const std::vector<std::string> &args)
                             " (expected text or json)");
             o.format = v;
         } else if (!arg.empty() && arg[0] != '-' && o.workload.empty()) {
-            // Positional benchmark name (pbs_run compatibility).
+            // Positional benchmark name.
             o.workload = arg;
         } else {
             return fail("unknown option: " + arg);
@@ -289,72 +252,29 @@ parseArgs(const std::vector<std::string> &args)
         return r;
     }
 
-    if (o.format == "json" && !o.report.empty())
-        return fail("--format json applies to --workload batch runs");
-
-    if (o.report.empty() && o.workload.empty())
-        return fail("one of --workload or --report is required");
-    if (!o.report.empty() && !o.workload.empty())
-        return fail("--workload and --report are mutually exclusive");
-
-    if (o.functional && o.mode != "detailed") {
-        return fail("--functional (the mpki fidelity) only applies to "
-                    "--mode detailed");
+    if (o.workload.empty()) {
+        return fail("--workload is required (the fig/table reports "
+                    "render through pbs_exp --report)");
     }
+
     if (o.pbs && o.mode == "functional") {
         return fail("--mode functional executes architecturally only "
                     "(PBS-off semantics); drop --pbs or use --mode "
                     "sampled/detailed");
     }
     if (o.mode != "sampled" &&
-        (o.sampleInterval || o.sampleWarmup || o.sampleMeasure ||
-         o.sampleMax)) {
+        (o.sampleInterval || o.sampleWarmup || o.sampleMeasure)) {
         return fail("--sample-* options require --mode sampled");
     }
-    if (o.mode == "sampled" && o.probTrace)
-        return fail("--prob-trace is not available in sampled mode");
 
-    const bool store = !o.saveCheckpoints.empty() ||
-                       !o.loadCheckpoints.empty() || o.shardCount;
-    if (store) {
-        if (o.mode != "sampled") {
-            return fail("--save-checkpoints/--load-checkpoints/--shard "
-                        "require --mode sampled");
-        }
-        if (!o.report.empty())
-            return fail("checkpoint-store options apply to --workload "
-                        "runs, not reports");
-        if (o.seeds != 1) {
-            return fail("checkpoint sets are per-seed; use --seeds 1 "
-                        "(run one set per seed)");
-        }
-        if (!o.saveCheckpoints.empty() && !o.loadCheckpoints.empty()) {
-            return fail("--save-checkpoints and --load-checkpoints are "
-                        "mutually exclusive (save captures a fresh "
-                        "set)");
-        }
-    }
-    if (o.shardCount) {
-        if (o.loadCheckpoints.empty()) {
-            return fail("--shard needs --load-checkpoints (shards claim "
-                        "slices of a persisted set)");
-        }
-        if (o.format != "json") {
-            return fail("--shard emits a pbs-shard-v1 partial result; "
-                        "use --format json");
-        }
-    }
-
-    if (o.report.empty()) {
-        const std::string canon = canonicalPredictor(o.predictor);
-        if (canon.empty())
-            return fail("unknown predictor: " + o.predictor);
-        o.predictor = canon;
-        try {
-            workloads::benchmarkByName(o.workload);
-        } catch (const std::invalid_argument &e) {
-            return fail(e.what());
-        }
+    const std::string canon = canonicalPredictor(o.predictor);
+    if (canon.empty())
+        return fail("unknown predictor: " + o.predictor);
+    o.predictor = canon;
+    try {
+        workloads::benchmarkByName(o.workload);
+    } catch (const std::invalid_argument &e) {
+        return fail(e.what());
     }
 
     r.ok = true;
@@ -367,7 +287,6 @@ usageText()
     std::ostringstream os;
     os <<
         "usage: pbs_sim --workload <name> [options]\n"
-        "       pbs_sim --report <name> [--div N]\n"
         "       pbs_sim --list\n"
         "\n"
         "Simulation options:\n"
@@ -384,25 +303,12 @@ usageText()
         "  --mode <m>           detailed (default) | legacy |\n"
         "                       functional | sampled | mpki\n"
         "                       (see README \"Simulation modes\")\n"
-        "  --functional         alias for --mode mpki (predictor/PBS\n"
-        "                       updates without timing; MPKI sweeps)\n"
-        "  --timing             undo --functional (timing fidelity)\n"
         "  --sample-interval <n>  sampled: insts between measurements\n"
         "  --sample-warmup <n>    sampled: detailed warmup per sample\n"
         "  --sample-measure <n>   sampled: measured insts per sample\n"
-        "  --sample-max <n>       sampled: cap on measured samples\n"
-        "  --save-checkpoints <dir>  sampled: persist the checkpoint\n"
-        "                       set for cross-process fan-out\n"
-        "  --load-checkpoints <dir>  sampled: replay from a persisted\n"
-        "                       set instead of fast-forwarding\n"
-        "  --shard <k/n>        sampled: claim shard k of n over the\n"
-        "                       loaded set and emit a pbs-shard-v1\n"
-        "                       partial result (merge the parts with\n"
-        "                       pbs_exp --merge); needs --format json\n"
         "  --variant <v>        marked | predicated | cfd\n"
         "  --scale <n>          iteration count (0 = workload default)\n"
         "  --div <n>            divide the default scale by n\n"
-        "  --prob-trace         record the probabilistic-branch trace\n"
         "\n"
         "Observability (docs/observability.md):\n"
         "  --trace <file>       write a pbs-trace-v1 span timeline\n"
@@ -427,57 +333,8 @@ usageText()
         "  --format <f>         batch output: text (default) or json\n"
         "                       (the pbs-batch-v2 schema; see README)\n"
         "\n"
-        "Reports (the paper's fig/table harnesses):\n"
-        "  --report <name>      render one report (see --list)\n"
-        "  --div <n>            quick-look scale divisor\n"
-        "  --jobs <n>           worker threads for the report's sweep\n";
+        "The paper's fig/table reports: pbs_exp --report <name>.\n";
     return os.str();
-}
-
-cpu::CoreConfig
-coreConfig(const DriverOptions &opts)
-{
-    cpu::CoreConfig cfg = opts.wide ? cpu::CoreConfig::eightWide()
-                                    : cpu::CoreConfig::fourWide();
-    if (opts.mode == "legacy") {
-        cfg.execMode = cpu::ExecMode::Legacy;
-        cfg.execPath = cpu::ExecPath::LegacyProgram;
-    } else if (opts.mode == "functional") {
-        cfg.execMode = cpu::ExecMode::Functional;
-    } else if (opts.mode == "sampled") {
-        cfg.execMode = cpu::ExecMode::Sampled;
-    }
-    if (opts.sampleInterval)
-        cfg.sample.interval = opts.sampleInterval;
-    if (opts.sampleWarmup)
-        cfg.sample.warmup = opts.sampleWarmup;
-    if (opts.sampleMeasure)
-        cfg.sample.measure = opts.sampleMeasure;
-    if (opts.sampleMax)
-        cfg.sample.maxSamples = opts.sampleMax;
-    if (opts.functional)
-        cfg.mode = cpu::SimMode::Functional;
-    cfg.predictor = opts.predictor;
-    cfg.pbsEnabled = opts.pbs;
-    cfg.pbs.stallOnBusy = !opts.noStall;
-    cfg.pbs.contextSupport = !opts.noContext;
-    cfg.pbs.constValGuard = !opts.noGuard;
-    cfg.traceProbBranches = opts.probTrace;
-    return cfg;
-}
-
-workloads::WorkloadParams
-workloadParams(const DriverOptions &opts, uint64_t seed)
-{
-    workloads::WorkloadParams p;
-    p.seed = seed;
-    if (opts.scale) {
-        p.scale = opts.scale;
-    } else {
-        const auto &b = workloads::benchmarkByName(opts.workload);
-        p.scale = std::max<uint64_t>(1, b.defaultScale / opts.divisor);
-    }
-    return p;
 }
 
 }  // namespace pbs::driver

@@ -5,8 +5,10 @@
  * One CLI selects the workload (from workloads::registry), the direction
  * predictor, the core width and simulation fidelity, the scale, and the
  * seed(s); `--seeds N --jobs M` batch-runs N consecutive seeds on an
- * M-thread pool. `--report <name>` instead renders one of the paper's
- * fig/table harnesses (the bench/ binaries are thin shims over this).
+ * M-thread pool. The parsed options expand into one exp::ExpPoint per
+ * seed (driver/runner.hh), so `pbs_sim` and `pbs_exp` share one config
+ * type and one runner. The fig/table reports live behind
+ * `pbs_exp --report`.
  */
 
 #ifndef PBS_DRIVER_OPTIONS_HH
@@ -16,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "cpu/core_config.hh"
 #include "workloads/common.hh"
 
 namespace pbs::driver {
@@ -26,8 +27,7 @@ struct DriverOptions
 {
     // What to run.
     std::string workload;            ///< benchmark name (registry)
-    std::string report;              ///< fig/table report name
-    bool list = false;               ///< print workloads/predictors/reports
+    bool list = false;               ///< print workloads/predictors
     bool help = false;
 
     // Simulated machine.
@@ -36,39 +36,22 @@ struct DriverOptions
 
     /**
      * Execution mode: detailed | legacy | functional | sampled (the
-     * CLI also accepts "mpki" as an alias that sets `functional`).
+     * CLI also accepts "mpki", which sets `functional`).
      */
     std::string mode = "detailed";
 
     /** The mpki fidelity: SimMode::Functional on the detailed core
-     *  (predictor/PBS updates without timing; `--functional`). */
+     *  (predictor/PBS updates without timing; `--mode mpki`). */
     bool functional = false;
     bool pbs = false;                ///< Probabilistic Branch Support
     bool noStall = false;            ///< pbs.stallOnBusy = false
     bool noContext = false;          ///< pbs.contextSupport = false
     bool noGuard = false;            ///< pbs.constValGuard = false
-    bool probTrace = false;          ///< record the prob-branch trace
 
     // Sampling parameters (mode == "sampled"; 0 = subsystem default).
     uint64_t sampleInterval = 0;     ///< insts between measurements
     uint64_t sampleWarmup = 0;       ///< detailed warmup per sample
     uint64_t sampleMeasure = 0;      ///< measured insts per sample
-    uint64_t sampleMax = 0;          ///< cap on samples (0 = all)
-
-    // Persistent checkpoint store (mode == "sampled", single seed;
-    // see docs/sampling.md for the on-disk format).
-    std::string saveCheckpoints;     ///< capture and persist a set here
-    std::string loadCheckpoints;     ///< replay from the set stored here
-    unsigned shardIndex = 0;         ///< 1-based shard (--shard K/N)
-    unsigned shardCount = 0;         ///< total shards (0 = no sharding)
-
-    /**
-     * Code-version salt baked into checkpoint-set keys. The pbs_sim
-     * binary fills this with exp::versionSalt() before dispatching, so
-     * a set captured by different code is rejected at load. Tests may
-     * set their own value (it is just a string compared on load).
-     */
-    std::string storeSalt;
 
     // Workload parameters.
     workloads::Variant variant = workloads::Variant::Marked;
@@ -132,13 +115,6 @@ std::string canonicalPredictor(const std::string &name);
 
 /** All predictor names accepted by bpred::makePredictor. */
 const std::vector<std::string> &predictorNames();
-
-/** Build the core configuration an options set describes. */
-cpu::CoreConfig coreConfig(const DriverOptions &opts);
-
-/** Workload parameters for one seed of an options set. */
-workloads::WorkloadParams workloadParams(const DriverOptions &opts,
-                                         uint64_t seed);
 
 }  // namespace pbs::driver
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * pbs_sim: the unified simulation driver.
+ * pbs_sim: single runs and multi-seed batches, a thin front end over
+ * the experiment engine (driver/runner.hh).
  *
  *   pbs_sim --workload pi --predictor tage_scl --seeds 8 --jobs 4
- *   pbs_sim --report fig07 --div 10
  *   pbs_sim --list
  */
 
@@ -11,11 +11,8 @@
 #include <exception>
 
 #include "driver/options.hh"
-#include "driver/reports.hh"
 #include "driver/runner.hh"
-#include "exp/artifact.hh"
 #include "exp/cache.hh"
-#include "exp/merge.hh"
 #include "obs/manifest.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
@@ -45,7 +42,7 @@ writeObsArtifacts(const driver::DriverOptions &opts)
                      opts.metricsFile.c_str());
     }
     if (!opts.manifestFile.empty()) {
-        obs::manifestSetSalt(opts.storeSalt);
+        obs::manifestSetSalt(exp::versionSalt());
         obs::manifestSetJobs(pool::TaskPool::instance().jobs());
         obs::manifestSetPolicy(pool::TaskPool::instance().policy() ==
                                        pool::Policy::Static
@@ -69,9 +66,6 @@ printLists()
     std::printf("predictors:\n");
     for (const auto &p : driver::predictorNames())
         std::printf("  %s\n", p.c_str());
-    std::printf("reports:\n");
-    for (const auto &r : driver::allReports())
-        std::printf("  %-10s %s\n", r.name.c_str(), r.title.c_str());
 }
 
 }  // namespace
@@ -86,10 +80,7 @@ main(int argc, char **argv)
                      driver::usageText().c_str());
         return 2;
     }
-    driver::DriverOptions opts = parsed.opts;
-    // Checkpoint-set keys carry the same code-version salt as the
-    // experiment cache, so stale sets are rejected, never replayed.
-    opts.storeSalt = exp::versionSalt();
+    const driver::DriverOptions &opts = parsed.opts;
 
     if (opts.help) {
         std::printf("%s", driver::usageText().c_str());
@@ -116,21 +107,15 @@ main(int argc, char **argv)
     }
 
     try {
-        int rc;
-        if (!opts.report.empty()) {
-            rc = driver::runReport(opts.report, opts.divisor, opts.jobs);
-        } else if (opts.shardCount) {
-            std::printf("%s", exp::runShard(opts).c_str());
-            rc = 0;
-        } else if (opts.format == "json") {
-            auto results = driver::runBatch(opts);
-            std::printf("%s", exp::batchJson(opts, results).c_str());
-            rc = 0;
+        if (opts.format == "json") {
+            std::printf("%s", driver::batchJson(
+                                  opts, driver::measureBatch(opts))
+                                  .c_str());
         } else {
-            rc = driver::runWorkload(opts);
+            driver::runWorkload(opts);
         }
         writeObsArtifacts(opts);
-        return rc;
+        return 0;
     } catch (const std::exception &e) {
         // Join the sampler before static destruction tears down its
         // state under a live thread.

@@ -1,7 +1,6 @@
 #include "driver/reports.hh"
 
 #include <cstdio>
-#include <cstdlib>
 
 namespace pbs::driver {
 
@@ -36,28 +35,6 @@ runReport(const std::string &name, ReportContext &ctx)
     }
     std::fprintf(stderr, "unknown report: %s\n", name.c_str());
     return 2;
-}
-
-int
-runReport(const std::string &name, unsigned divisor, unsigned jobs)
-{
-    exp::EngineConfig ecfg;
-    ecfg.jobs = jobs;
-    exp::Engine engine(ecfg);
-    ReportContext ctx{engine, divisor};
-    return runReport(name, ctx);
-}
-
-int
-reportMain(const std::string &name, int argc, char **argv)
-{
-    unsigned divisor = 1;
-    if (argc > 1) {
-        int d = std::atoi(argv[1]);
-        if (d >= 1)
-            divisor = static_cast<unsigned>(d);
-    }
-    return runReport(name, divisor);
 }
 
 exp::ExpPoint

@@ -1,8 +1,7 @@
 /**
  * @file
- * Registry of the paper's fig/table reports. Each bench/ binary is a
- * thin shim calling reportMain(); `pbs_sim --report <name>` and
- * `pbs_exp --report <name>` reach the same implementations.
+ * Registry of the paper's fig/table reports, rendered by
+ * `pbs_exp --report <name>`.
  *
  * Every report is a sweep spec + a formatter: it declares its grid of
  * ExpPoints, warms them through the experiment engine (parallel,
@@ -14,6 +13,9 @@
 #ifndef PBS_DRIVER_REPORTS_HH
 #define PBS_DRIVER_REPORTS_HH
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -42,24 +44,33 @@ struct Report
 const std::vector<Report> &allReports();
 
 /**
- * Run report @p name against an in-memory engine with @p jobs workers
- * (the classic `pbs_sim --report` path: no disk cache).
+ * Run report @p name against @p ctx's engine.
  * @return the report's exit code; 2 when the name is unknown.
  */
-int runReport(const std::string &name, unsigned divisor,
-              unsigned jobs = 1);
-
-/** Run report @p name against a caller-provided engine (pbs_exp). */
 int runReport(const std::string &name, ReportContext &ctx);
 
-/**
- * Entry point for the bench/ shims: parses the harnesses' traditional
- * optional first argument (an integer scale divisor) and dispatches.
- */
-int reportMain(const std::string &name, int argc, char **argv);
+/** Workload parameters at a harness scale divisor. */
+inline workloads::WorkloadParams
+paramsFor(const workloads::BenchmarkDesc &b, unsigned divisor,
+          uint64_t seed = 12345)
+{
+    workloads::WorkloadParams p;
+    p.seed = seed;
+    p.scale = std::max<uint64_t>(1, b.defaultScale / divisor);
+    return p;
+}
 
-// Point builders mirroring the classic harness configurations
-// (runner.hh's timingConfig/functionalConfig + paramsFor).
+/** Print a standard harness banner. */
+inline void
+banner(const std::string &title, unsigned divisor)
+{
+    std::printf("=== %s ===\n", title.c_str());
+    if (divisor != 1)
+        std::printf("(workload scales divided by %u)\n", divisor);
+    std::printf("\n");
+}
+
+// Point builders for the harness configurations.
 
 /** Timing-model point at a harness scale divisor. */
 exp::ExpPoint timingPoint(const workloads::BenchmarkDesc &b,

@@ -15,7 +15,8 @@
  */
 
 #include "driver/reports.hh"
-#include "driver/runner.hh"
+#include "stats/stats.hh"
+#include "stats/table.hh"
 
 namespace pbs::driver {
 

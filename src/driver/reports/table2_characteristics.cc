@@ -5,7 +5,7 @@
  */
 
 #include "driver/reports.hh"
-#include "driver/runner.hh"
+#include "stats/table.hh"
 
 namespace pbs::driver {
 

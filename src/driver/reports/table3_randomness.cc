@@ -20,7 +20,8 @@
 #include <algorithm>
 
 #include "driver/reports.hh"
-#include "driver/runner.hh"
+#include "stats/stats.hh"
+#include "stats/table.hh"
 
 namespace pbs::driver {
 

@@ -1,174 +1,78 @@
 #include "driver/runner.hh"
 
-#include <algorithm>
-
-#include "obs/metrics.hh"
-#include "obs/obs.hh"
-#include "sampling/functional.hh"
-#include "util/task_pool.hh"
+#include "driver/reports.hh"
+#include "exp/cache.hh"
+#include "exp/engine.hh"
+#include "stats/stats.hh"
+#include "stats/table.hh"
 
 namespace pbs::driver {
 
-RunResult
-runSim(const workloads::BenchmarkDesc &b,
-       const workloads::WorkloadParams &p, const cpu::CoreConfig &cfg,
-       workloads::Variant variant)
-{
-    RunResult r;
-    switch (cfg.execMode) {
-      case cpu::ExecMode::Functional: {
-        obs::Span span("ff", "functional");
-        sampling::FunctionalEngine engine(b.build(p, variant),
-                                          cfg.maxInstructions);
-        engine.run();
-        r.stats = engine.stats();
-        r.outputs = b.simOutput(engine.memory());
-        obs::counterAdd("insts.ff", r.stats.instructions);
-        return r;
-      }
-      case cpu::ExecMode::Sampled: {
-        sampling::SampledRun s =
-            sampling::runSampled(b.build(p, variant), cfg);
-        r.stats = s.stats;
-        r.sampled = true;
-        r.estimate = s.est;
-        r.outputs = b.simOutput(s.finalState.mem);
-        return r;
-      }
-      case cpu::ExecMode::Detailed:
-      case cpu::ExecMode::Legacy:
-        break;
-    }
-
-    obs::Span span("measure", "detailed");
-    cpu::Core core(b.build(p, variant), cfg);
-    core.run();
-    r.stats = core.stats();
-    r.pbs = core.pbs().stats();
-    r.outputs = b.simOutput(core.memory());
-    r.trace = core.probTrace();
-    obs::counterAdd("insts.measure", r.stats.instructions);
-    return r;
-}
-
-const char *
-variantOptionName(workloads::Variant v)
-{
-    switch (v) {
-      case workloads::Variant::Predicated: return "predicated";
-      case workloads::Variant::Cfd: return "cfd";
-      default: return "marked";
-    }
-}
-
-sampling::StoreKey
-checkpointStoreKey(const DriverOptions &opts)
-{
-    const cpu::CoreConfig cfg = coreConfig(opts);
-    sampling::StoreKey key;
-    key.workload = opts.workload;
-    key.variant = variantOptionName(opts.variant);
-    key.scale = workloadParams(opts, opts.seed).scale;
-    key.seed = opts.seed;
-    key.maxInstructions = cfg.maxInstructions;
-    key.interval = cfg.sample.interval;
-    key.warmup = cfg.sample.warmup;
-    key.maxSamples = cfg.sample.maxSamples;
-    key.salt = opts.storeSalt;
-    return key;
-}
-
-namespace {
-
-/**
- * One store-backed sampled run: capture-and-save or load, then fan out
- * and aggregate. Bit-identical to the store-less runSampled() path —
- * the store round trip is exact by construction.
- */
-RunResult
-runSampledStored(const workloads::BenchmarkDesc &b,
-                 const DriverOptions &opts, const cpu::CoreConfig &cfg)
-{
-    const isa::Program prog =
-        b.build(workloadParams(opts, opts.seed), opts.variant);
-
-    sampling::CheckpointSet set;
-    if (!opts.loadCheckpoints.empty()) {
-        set = sampling::loadCheckpointSet(opts.loadCheckpoints,
-                                          checkpointStoreKey(opts));
-    } else {
-        set = sampling::captureCheckpoints(prog, cfg);
-        sampling::saveCheckpointSet(opts.saveCheckpoints,
-                                    checkpointStoreKey(opts), set);
-    }
-    sampling::SampledRun s = sampling::runSampledOnSet(prog, cfg, set);
-
-    RunResult r;
-    r.stats = s.stats;
-    r.sampled = true;
-    r.estimate = s.est;
-    r.outputs = b.simOutput(s.finalState.mem);
-    return r;
-}
-
-}  // namespace
-
-std::vector<SeedResult>
-runBatch(const DriverOptions &opts)
+std::vector<exp::ExpPoint>
+batchPoints(const DriverOptions &opts)
 {
     const auto &b = workloads::benchmarkByName(opts.workload);
-    cpu::CoreConfig cfg = coreConfig(opts);
-    const unsigned n = opts.seeds;
+    exp::ExpPoint pt;
+    pt.workload = opts.workload;
+    pt.predictor = opts.predictor;
+    pt.variant = exp::variantName(opts.variant);
+    pt.wide = opts.wide;
+    pt.mode = opts.mode;
+    pt.functional = opts.functional;
+    pt.pbs = opts.pbs;
+    pt.sampleInterval = opts.sampleInterval;
+    pt.sampleWarmup = opts.sampleWarmup;
+    pt.sampleMeasure = opts.sampleMeasure;
+    pt.stallOnBusy = !opts.noStall;
+    pt.contextSupport = !opts.noContext;
+    pt.constValGuard = !opts.noGuard;
+    pt.scale = opts.scale ? opts.scale
+                          : exp::resolvedScale(b, opts.divisor);
 
-    // Seed tasks and each seed's nested checkpoint fan-out share one
-    // scheduler: no more choosing which level gets the threads.
-    pool::TaskPool::instance().configure(std::max(1u, opts.jobs));
+    std::vector<exp::ExpPoint> points(opts.seeds, pt);
+    for (unsigned i = 0; i < opts.seeds; i++)
+        points[i].seed = opts.seed + i;
+    return points;
+}
 
-    if (!opts.saveCheckpoints.empty() || !opts.loadCheckpoints.empty()) {
-        // Parse-time validation pins mode == sampled and seeds == 1.
-        std::vector<SeedResult> results(1);
-        results[0].seed = opts.seed;
-        results[0].run = runSampledStored(b, opts, cfg);
-        return results;
-    }
+std::vector<exp::Measurement>
+measureBatch(const DriverOptions &opts)
+{
+    exp::EngineConfig ecfg;
+    ecfg.jobs = opts.jobs;
+    exp::Engine engine(ecfg);
 
-    std::vector<SeedResult> results(n);
-    pool::TaskPool::instance().parallelFor(
-        n,
-        [&](size_t i) {
-            const uint64_t seed = opts.seed + i;
-            results[i].seed = seed;
-            obs::Span span("point",
-                           opts.workload + " seed " +
-                               std::to_string(seed));
-            results[i].run =
-                runSim(b, workloadParams(opts, seed), cfg, opts.variant);
-        },
-        "batch");
-    return results;
+    const std::vector<exp::ExpPoint> points = batchPoints(opts);
+    engine.runAll(points);
+    std::vector<exp::Measurement> runs;
+    runs.reserve(points.size());
+    for (const auto &pt : points)
+        runs.push_back(engine.measure(pt));
+    return runs;
 }
 
 namespace {
 
 /** Batch table for sampled-mode runs: estimates with their CIs. */
 std::string
-formatSampledBatch(const std::vector<SeedResult> &results)
+formatSampledBatch(const DriverOptions &opts,
+                   const std::vector<exp::Measurement> &runs)
 {
     stats::TextTable table;
     table.header({"seed", "instructions", "samples", "detail%",
                   "ipc", "+/-95%", "mpki", "+/-95%", "output[0]"});
 
     stats::RunningStat ipc, mpki;
-    for (const auto &r : results) {
-        const auto &s = r.run.stats;
-        const auto &e = r.run.estimate;
+    for (size_t i = 0; i < runs.size(); i++) {
+        const auto &s = runs[i].stats;
+        const auto &e = runs[i].sampling;
         double detailPct = s.instructions
             ? 100.0 * double(e.detailedInstructions) /
                   double(s.instructions)
             : 0.0;
         ipc.push(e.ipc);
         mpki.push(e.mpki);
-        table.row({std::to_string(r.seed),
+        table.row({std::to_string(opts.seed + i),
                    std::to_string(s.instructions),
                    e.exact ? "exact" : std::to_string(e.intervals),
                    stats::TextTable::num(detailPct, 1),
@@ -176,64 +80,100 @@ formatSampledBatch(const std::vector<SeedResult> &results)
                    stats::TextTable::num(e.ipcCi95, 3),
                    stats::TextTable::num(e.mpki, 2),
                    stats::TextTable::num(e.mpkiCi95, 2),
-                   r.run.outputs.empty()
+                   runs[i].outputs.empty()
                        ? "-"
-                       : stats::TextTable::num(r.run.outputs[0], 5)});
+                       : stats::TextTable::num(runs[i].outputs[0], 5)});
     }
 
     std::string out = table.render();
-    if (results.size() > 1) {
+    if (runs.size() > 1) {
         char buf[160];
         std::snprintf(buf, sizeof(buf),
                       "\n%zu seeds: ipc %.3f +/- %.3f, mpki %.2f +/- "
                       "%.2f (across-seed 95%% CI)\n",
-                      results.size(), ipc.mean(), ipc.ci95HalfWidth(),
+                      runs.size(), ipc.mean(), ipc.ci95HalfWidth(),
                       mpki.mean(), mpki.ci95HalfWidth());
         out += buf;
     }
     return out;
 }
 
+/** The batch `config` object: the options with every default resolved. */
+void
+writeBatchConfig(exp::JsonWriter &w, const DriverOptions &opts,
+                 const exp::ExpPoint &pt)
+{
+    w.beginObject();
+    w.key("workload").value(opts.workload);
+    w.key("predictor").value(opts.predictor);
+    w.key("variant").value(pt.variant);
+    w.key("wide").value(opts.wide);
+    w.key("mode").value(opts.mode);
+    w.key("functional").value(opts.functional);
+    w.key("pbs").value(opts.pbs);
+    if (opts.mode == "sampled") {
+        // Echo the *effective* parameters (defaults resolved), so the
+        // run is reproducible from the artifact alone.
+        const cpu::SampleParams sp = exp::pointCoreConfig(pt).sample;
+        w.key("sample_interval").value(sp.interval);
+        w.key("sample_warmup").value(sp.warmup);
+        w.key("sample_measure").value(sp.measure);
+        w.key("sample_max").value(sp.maxSamples);
+        if (opts.seeds == 1) {
+            w.key("ckpt_set").value(sampling::storeSetHash(
+                exp::checkpointStoreKey(pt, exp::versionSalt())));
+        }
+    }
+    w.key("stall").value(!opts.noStall);
+    w.key("context").value(!opts.noContext);
+    w.key("guard").value(!opts.noGuard);
+    w.key("scale").value(pt.scale);
+    w.key("div").value(opts.divisor);
+    w.key("seed").value(opts.seed);
+    w.key("seeds").value(opts.seeds);
+    w.endObject();
+}
+
 }  // namespace
 
 std::string
-formatBatch(const DriverOptions &,
-            const std::vector<SeedResult> &results)
+formatBatch(const DriverOptions &opts,
+            const std::vector<exp::Measurement> &runs)
 {
-    if (!results.empty() && results.front().run.sampled)
-        return formatSampledBatch(results);
+    if (!runs.empty() && runs.front().hasSampling)
+        return formatSampledBatch(opts, runs);
 
     stats::TextTable table;
     table.header({"seed", "instructions", "cycles", "ipc", "mpki",
                   "prob-branches", "steered", "output[0]"});
 
     stats::RunningStat ipc, mpki, steered;
-    for (const auto &r : results) {
-        const auto &s = r.run.stats;
+    for (size_t i = 0; i < runs.size(); i++) {
+        const auto &s = runs[i].stats;
         double steeredFrac = s.probBranches
             ? double(s.steeredBranches) / double(s.probBranches) : 0.0;
         ipc.push(s.ipc());
         mpki.push(s.mpki());
         steered.push(steeredFrac);
-        table.row({std::to_string(r.seed),
+        table.row({std::to_string(opts.seed + i),
                    std::to_string(s.instructions),
                    std::to_string(s.cycles),
                    stats::TextTable::num(s.ipc(), 3),
                    stats::TextTable::num(s.mpki(), 2),
                    std::to_string(s.probBranches),
                    stats::TextTable::pct(steeredFrac),
-                   r.run.outputs.empty()
+                   runs[i].outputs.empty()
                        ? "-"
-                       : stats::TextTable::num(r.run.outputs[0], 5)});
+                       : stats::TextTable::num(runs[i].outputs[0], 5)});
     }
 
     std::string out = table.render();
-    if (results.size() > 1) {
+    if (runs.size() > 1) {
         char buf[160];
         std::snprintf(buf, sizeof(buf),
                       "\n%zu seeds: ipc %.3f +/- %.3f, mpki %.2f +/- "
                       "%.2f, steered %.1f%%\n",
-                      results.size(), ipc.mean(), ipc.ci95HalfWidth(),
+                      runs.size(), ipc.mean(), ipc.ci95HalfWidth(),
                       mpki.mean(), mpki.ci95HalfWidth(),
                       steered.mean() * 100.0);
         out += buf;
@@ -241,7 +181,38 @@ formatBatch(const DriverOptions &,
     return out;
 }
 
-int
+std::string
+batchJson(const DriverOptions &opts,
+          const std::vector<exp::Measurement> &runs)
+{
+    exp::JsonWriter w;
+    w.beginObject();
+    w.key("schema").value("pbs-batch-v2");
+
+    w.key("config");
+    writeBatchConfig(w, opts, batchPoints(opts).front());
+
+    w.key("runs").beginArray();
+    for (size_t i = 0; i < runs.size(); i++) {
+        w.newline();
+        w.beginObject();
+        w.key("seed").value(opts.seed + i);
+        w.key("result");
+        exp::writeMeasurement(w, exp::PointKind::Sim, runs[i]);
+        w.key("derived").beginObject();
+        w.key("ipc").value(runs[i].stats.ipc());
+        w.key("mpki").value(runs[i].stats.mpki());
+        w.endObject();
+        w.endObject();
+    }
+    w.newline();
+    w.endArray();
+    w.endObject();
+    w.newline();
+    return w.str();
+}
+
+void
 runWorkload(const DriverOptions &opts)
 {
     char title[128];
@@ -252,9 +223,7 @@ runWorkload(const DriverOptions &opts)
                   opts.wide ? ", 8-wide" : "");
     banner(title, opts.divisor);
 
-    const auto results = runBatch(opts);
-    std::printf("%s\n", formatBatch(opts, results).c_str());
-    return 0;
+    std::printf("%s\n", formatBatch(opts, measureBatch(opts)).c_str());
 }
 
 }  // namespace pbs::driver

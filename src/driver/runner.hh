@@ -1,124 +1,54 @@
 /**
  * @file
- * The simulation runner behind `pbs_sim` and every fig/table harness:
- * single-run helpers (formerly bench/harness.hh) plus a deterministic
- * multi-seed batch runner with a `--jobs` thread pool.
+ * The `pbs_sim` front end over the experiment engine: a parsed options
+ * set expands into one exp::ExpPoint per seed, an exp::Engine measures
+ * them on its `--jobs` pool (in-memory only, no result cache), and the
+ * resulting Measurements render as the per-seed text table or the
+ * `pbs-batch-v2` document. There is no second runner: a `pbs_sim` run
+ * and the same point in a `pbs_exp` sweep are one computation.
  */
 
 #ifndef PBS_DRIVER_RUNNER_HH
 #define PBS_DRIVER_RUNNER_HH
 
-#include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
-#include "cpu/core.hh"
 #include "driver/options.hh"
-#include "sampling/sampled.hh"
-#include "sampling/store.hh"
-#include "stats/stats.hh"
-#include "stats/table.hh"
-#include "workloads/common.hh"
+#include "exp/point.hh"
 
 namespace pbs::driver {
 
-/** Result of one simulated run. */
-struct RunResult
-{
-    cpu::CoreStats stats;
-    core::PbsStats pbs;
-    std::vector<double> outputs;
-    std::vector<cpu::ProbTraceEntry> trace;
-
-    /** Sampled-mode extras (valid when sampled is true). */
-    bool sampled = false;
-    sampling::SampleEstimate estimate{};
-};
-
-/** Workload parameters at a harness scale divisor. */
-inline workloads::WorkloadParams
-paramsFor(const workloads::BenchmarkDesc &b, unsigned divisor,
-          uint64_t seed = 12345)
-{
-    workloads::WorkloadParams p;
-    p.seed = seed;
-    p.scale = std::max<uint64_t>(1, b.defaultScale / divisor);
-    return p;
-}
-
-/** Run one benchmark under one configuration. */
-RunResult runSim(const workloads::BenchmarkDesc &b,
-                 const workloads::WorkloadParams &p,
-                 const cpu::CoreConfig &cfg,
-                 workloads::Variant variant = workloads::Variant::Marked);
-
-/** Timing config matching the paper's setup. */
-inline cpu::CoreConfig
-timingConfig(const std::string &predictor, bool pbs, bool wide = false)
-{
-    cpu::CoreConfig cfg =
-        wide ? cpu::CoreConfig::eightWide() : cpu::CoreConfig::fourWide();
-    cfg.predictor = predictor;
-    cfg.pbsEnabled = pbs;
-    return cfg;
-}
-
-/** Fast functional config (MPKI-only experiments). */
-inline cpu::CoreConfig
-functionalConfig(const std::string &predictor, bool pbs)
-{
-    cpu::CoreConfig cfg;
-    cfg.mode = cpu::SimMode::Functional;
-    cfg.predictor = predictor;
-    cfg.pbsEnabled = pbs;
-    return cfg;
-}
-
-/** Print a standard harness banner. */
-inline void
-banner(const std::string &title, unsigned divisor)
-{
-    std::printf("=== %s ===\n", title.c_str());
-    if (divisor != 1)
-        std::printf("(workload scales divided by %u)\n", divisor);
-    std::printf("\n");
-}
-
-/** One row of a batch: the seed it ran and what came out. */
-struct SeedResult
-{
-    uint64_t seed = 0;
-    RunResult run;
-};
+/**
+ * The points a batch describes: seeds opts.seed .. opts.seed +
+ * opts.seeds - 1 of opts.workload, in seed order, with the scale
+ * resolved (--scale, else the workload default over --div).
+ */
+std::vector<exp::ExpPoint> batchPoints(const DriverOptions &opts);
 
 /**
- * Run seeds opts.seed .. opts.seed+opts.seeds-1 of opts.workload on an
- * opts.jobs-thread pool. Results are ordered by seed regardless of the
- * worker interleaving, so a batch is bit-identical across jobs counts.
- * Sampled runs with --save-checkpoints / --load-checkpoints go through
- * the persistent checkpoint store (single seed, enforced at parse
- * time) and are bit-identical to store-less runs.
+ * Measure every point of batchPoints(opts) through an exp::Engine with
+ * opts.jobs workers. Results are in seed order regardless of the
+ * schedule, so a batch is bit-identical across jobs counts.
  */
-std::vector<SeedResult> runBatch(const DriverOptions &opts);
-
-/** The canonical spelling of a workload variant. */
-const char *variantOptionName(workloads::Variant v);
-
-/**
- * The persistent-store key a sampled options set describes: workload
- * identity, resolved scale, seed, instruction cap, capture-shaping
- * sampling parameters, and opts.storeSalt. Only meaningful for
- * mode == "sampled" with a single seed.
- */
-sampling::StoreKey checkpointStoreKey(const DriverOptions &opts);
+std::vector<exp::Measurement> measureBatch(const DriverOptions &opts);
 
 /** Render the per-seed + aggregate table `pbs_sim` prints for a batch. */
 std::string formatBatch(const DriverOptions &opts,
-                        const std::vector<SeedResult> &results);
+                        const std::vector<exp::Measurement> &runs);
 
-/** The `pbs_sim --workload ...` entry point. @return exit code. */
-int runWorkload(const DriverOptions &opts);
+/**
+ * The `pbs_sim --format json` document (`pbs-batch-v2`): the resolved
+ * configuration plus per-seed metrics in the sweep artifacts' metric
+ * schema. Single-seed sampled configurations also carry `ckpt_set`,
+ * the content hash of the checkpoint set the run corresponds to (the
+ * identity campaign mode stores it under).
+ */
+std::string batchJson(const DriverOptions &opts,
+                      const std::vector<exp::Measurement> &runs);
+
+/** Print the banner and batch table of a `pbs_sim --workload` run. */
+void runWorkload(const DriverOptions &opts);
 
 }  // namespace pbs::driver
 

@@ -7,20 +7,6 @@ namespace pbs::exp {
 
 namespace {
 
-/** Convert a driver RunResult to the engine's measurement type. */
-Measurement
-toMeasurement(const driver::RunResult &r)
-{
-    Measurement m;
-    m.stats = r.stats;
-    m.pbs = r.pbs;
-    m.outputs = r.outputs;
-    m.hasSampling = r.sampled;
-    if (r.sampled)
-        m.sampling = r.estimate;
-    return m;
-}
-
 void
 writeEntry(JsonWriter &w, const ExpPoint &pt, const Measurement &m)
 {
@@ -128,75 +114,6 @@ sweepCsv(const std::vector<ExpPoint> &points, Engine &engine)
         }
     }
     return out;
-}
-
-void
-writeBatchConfig(JsonWriter &w, const driver::DriverOptions &opts)
-{
-    w.beginObject();
-    w.key("workload").value(opts.workload);
-    w.key("predictor").value(opts.predictor);
-    w.key("variant").value(variantName(opts.variant));
-    w.key("wide").value(opts.wide);
-    w.key("mode").value(opts.mode);
-    w.key("functional").value(opts.functional);
-    w.key("pbs").value(opts.pbs);
-    if (opts.mode == "sampled") {
-        // Echo the *effective* parameters (defaults resolved), so the
-        // run is reproducible from the artifact alone.
-        const cpu::SampleParams sp = driver::coreConfig(opts).sample;
-        w.key("sample_interval").value(sp.interval);
-        w.key("sample_warmup").value(sp.warmup);
-        w.key("sample_measure").value(sp.measure);
-        w.key("sample_max").value(sp.maxSamples);
-        if (opts.seeds == 1) {
-            // The checkpoint-set identity this run corresponds to
-            // (what the persistent store keys on), whether or not a
-            // store was actually used.
-            w.key("ckpt_set").value(sampling::storeSetHash(
-                driver::checkpointStoreKey(opts)));
-        }
-    }
-    w.key("stall").value(!opts.noStall);
-    w.key("context").value(!opts.noContext);
-    w.key("guard").value(!opts.noGuard);
-    // The effective per-run iteration count (0/"default" resolved).
-    w.key("scale").value(driver::workloadParams(opts, opts.seed).scale);
-    w.key("div").value(opts.divisor);
-    w.key("seed").value(opts.seed);
-    w.key("seeds").value(opts.seeds);
-    w.endObject();
-}
-
-std::string
-batchJson(const driver::DriverOptions &opts,
-          const std::vector<driver::SeedResult> &results)
-{
-    JsonWriter w;
-    w.beginObject();
-    w.key("schema").value("pbs-batch-v2");
-
-    w.key("config");
-    writeBatchConfig(w, opts);
-
-    w.key("runs").beginArray();
-    for (const auto &r : results) {
-        w.newline();
-        w.beginObject();
-        w.key("seed").value(r.seed);
-        w.key("result");
-        writeMeasurement(w, PointKind::Sim, toMeasurement(r.run));
-        w.key("derived").beginObject();
-        w.key("ipc").value(r.run.stats.ipc());
-        w.key("mpki").value(r.run.stats.mpki());
-        w.endObject();
-        w.endObject();
-    }
-    w.newline();
-    w.endArray();
-    w.endObject();
-    w.newline();
-    return w.str();
 }
 
 std::string

@@ -1,7 +1,7 @@
 /**
  * @file
- * Artifact export: canonical JSON and CSV renderings of sweep results,
- * plus the JSON form of a plain `pbs_sim` seed batch.
+ * Artifact export: canonical JSON and CSV renderings of sweep results
+ * and the volatile run summary.
  *
  * Artifacts contain only deterministic simulation data — never wall
  * times or cache counters — so the same sweep produces byte-identical
@@ -16,8 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "driver/options.hh"
-#include "driver/runner.hh"
 #include "exp/engine.hh"
 #include "exp/point.hh"
 
@@ -34,26 +32,6 @@ std::string sweepJson(const std::vector<ExpPoint> &points,
 
 /** CSV artifact: one header row + one row per point. */
 std::string sweepCsv(const std::vector<ExpPoint> &points, Engine &engine);
-
-/**
- * JSON form of a `pbs_sim --workload ... --format json` batch
- * (`pbs-batch-v2`): the resolved configuration plus per-seed metrics
- * (same metric schema as sweep artifacts). Single-seed sampled
- * configurations additionally carry `ckpt_set`, the content hash of
- * the checkpoint set the run corresponds to — the same identity the
- * persistent store records in its manifest, so a merged shard run and
- * a single-process run of the same configuration produce this
- * document byte-identically.
- */
-std::string batchJson(const driver::DriverOptions &opts,
-                      const std::vector<driver::SeedResult> &results);
-
-/**
- * The batch `config` object alone, exactly as batchJson embeds it.
- * Shard partial results echo it so `pbs_exp --merge` can reconstruct
- * the batch document byte-identically.
- */
-void writeBatchConfig(JsonWriter &w, const driver::DriverOptions &opts);
 
 /** Volatile run summary (counters, timings) for stdout/CI. */
 std::string runSummaryJson(const EngineCounters &counters,

@@ -15,8 +15,8 @@
  *  - per-interval partials (`partials/<hash>.json`): one integer
  *    IntervalSample of one sampled point at one interval index — the
  *    unit of work campaign scheduling computes, resumes, and shares
- *    with `pbs_exp --merge`;
- *  - checkpoint sets (`ckpt/<set-hash>/`): persistent PR-5 checkpoint
+ *    between processes (`pbs_exp --campaign --shard K/N`);
+ *  - checkpoint sets (`ckpt/<set-hash>/`): persistent checkpoint
  *    stores (sampling/store.hh) keyed by their own salted manifest, so
  *    a campaign captures each (workload, scale, seed, interval) once
  *    per code generation, ever.

@@ -5,11 +5,12 @@
 #include <cstdio>
 #include <map>
 
-#include "driver/runner.hh"
+#include "cpu/core.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "obs/sink.hh"
 #include "randtest/battery.hh"
+#include "sampling/functional.hh"
 #include "sampling/store.hh"
 #include "util/clock.hh"
 #include "util/task_pool.hh"
@@ -40,19 +41,53 @@ extractUniformStream(const cpu::Core &core,
     return out;
 }
 
+/**
+ * One Sim point on the engine its mode selects: the functional
+ * fast-forward engine, the sampled simulator, or the detailed core
+ * (detailed, legacy and mpki fidelities).
+ */
 Measurement
 computeSim(const ExpPoint &pt)
 {
     const auto &b = workloads::benchmarkByName(pt.workload);
-    auto r = driver::runSim(b, pointParams(pt), pointCoreConfig(pt),
-                            variantFromName(pt.variant));
+    const cpu::CoreConfig cfg = pointCoreConfig(pt);
+    // A temporary per engine: Core and FunctionalEngine keep their own
+    // decoded copy, so the program is freed before they run.
+    auto build = [&] {
+        return b.build(pointParams(pt), variantFromName(pt.variant));
+    };
+
     Measurement m;
-    m.stats = r.stats;
-    m.pbs = r.pbs;
-    m.outputs = std::move(r.outputs);
-    m.hasSampling = r.sampled;
-    if (r.sampled)
-        m.sampling = r.estimate;
+    switch (cfg.execMode) {
+      case cpu::ExecMode::Functional: {
+        obs::Span span("ff", "functional");
+        sampling::FunctionalEngine engine(build(), cfg.maxInstructions);
+        engine.run();
+        m.stats = engine.stats();
+        m.outputs = b.simOutput(engine.memory());
+        obs::counterAdd("insts.ff", m.stats.instructions);
+        return m;
+      }
+      case cpu::ExecMode::Sampled: {
+        sampling::SampledRun s = sampling::runSampled(build(), cfg);
+        m.stats = s.stats;
+        m.hasSampling = true;
+        m.sampling = s.est;
+        m.outputs = b.simOutput(s.finalState.mem);
+        return m;
+      }
+      case cpu::ExecMode::Detailed:
+      case cpu::ExecMode::Legacy:
+        break;
+    }
+
+    obs::Span span("measure", "detailed");
+    cpu::Core core(build(), cfg);
+    core.run();
+    m.stats = core.stats();
+    m.pbs = core.pbs().stats();
+    m.outputs = b.simOutput(core.memory());
+    obs::counterAdd("insts.measure", m.stats.instructions);
     return m;
 }
 
@@ -265,6 +300,15 @@ Engine::runAll(const std::vector<ExpPoint> &points)
             jobs.push_back({pt, std::move(key), pointCost(pt)});
         }
     }
+    const auto isSampled = [](const PendingPoint &job) {
+        return job.pt.kind == PointKind::Sim && job.pt.mode == "sampled";
+    };
+    // A campaign shard measures interval slices only; every other
+    // point is left to the unsharded run.
+    if (cfg_.campaign && cfg_.shardCount)
+        std::erase_if(jobs, [&](const PendingPoint &job) {
+            return !isSampled(job);
+        });
     if (jobs.empty())
         return;
     armHeartbeat(jobs);
@@ -275,13 +319,8 @@ Engine::runAll(const std::vector<ExpPoint> &points)
         // the ordinary pool. Both paths land in the same memo/cache,
         // so artifacts are byte-identical either way.
         std::vector<PendingPoint> sampled, rest;
-        for (auto &job : jobs) {
-            auto &dst = (job.pt.kind == PointKind::Sim &&
-                         job.pt.mode == "sampled")
-                            ? sampled
-                            : rest;
-            dst.push_back(std::move(job));
-        }
+        for (auto &job : jobs)
+            (isSampled(job) ? sampled : rest).push_back(std::move(job));
         runCampaign(std::move(sampled));
         runPool(std::move(rest));
         return;
@@ -410,8 +449,9 @@ Engine::runCampaign(std::vector<PendingPoint> jobs)
         }
 
         // Partial pre-pass (serial): resume every (config, interval)
-        // the cache already holds; only the gaps hit the pool. A set
-        // too small to sample (< 2 intervals) measures nothing — every
+        // the cache already holds; only the gaps hit the pool. A shard
+        // considers only its own slice of the intervals. A set too
+        // small to sample (< 2 intervals) measures nothing — every
         // configuration takes the exact-detailed fallback below, just
         // as runSampledOnSet() would.
         struct Task
@@ -422,6 +462,9 @@ Engine::runCampaign(std::vector<PendingPoint> jobs)
         std::vector<Task> tasks;
         for (size_t c = 0; intervals >= 2 && c < works.size(); c++) {
             for (size_t i = 0; i < intervals; i++) {
+                if (cfg_.shardCount &&
+                    i % cfg_.shardCount != cfg_.shardIndex - 1)
+                    continue;
                 const std::string pk =
                     partialKey(works[c].job->pt, i);
                 if (cache_.loadPartial(pk, works[c].samples[i])) {
@@ -465,9 +508,14 @@ Engine::runCampaign(std::vector<PendingPoint> jobs)
 
         // Aggregate each configuration — bit-identical to the
         // per-point runSampled() path, including the exact-detailed
-        // fallback for sets too small to sample.
+        // fallback for sets too small to sample. A shard holds only
+        // its slice, so it leaves aggregation to the unsharded run.
         size_t done = 0;
         for (ConfigWork &cw : works) {
+            if (cfg_.shardCount) {
+                noteHeartbeat(cw.job->cost);
+                continue;
+            }
             sampling::SampledRun run;
             if (intervals < 2 ||
                 !sampling::aggregateSamples(set.totals, set.finalState,

@@ -19,6 +19,12 @@
  * content-addressed cache partials, so an interrupted campaign resumes
  * with zero re-simulation and concurrent campaigns compose through the
  * shared cache. Results are byte-identical to the per-point path.
+ *
+ * A sharded campaign (EngineConfig::shardCount > 0) is the
+ * cross-process fan-out: shard K of N measures only the intervals
+ * i with i mod N == K-1, stores them as partials, and aggregates
+ * nothing; an unsharded campaign over the same cache then assembles
+ * every result from the partials with zero re-simulation.
  */
 
 #ifndef PBS_EXP_ENGINE_HH
@@ -44,6 +50,15 @@ struct EngineConfig
     bool progress = false;    ///< per-point progress lines on stderr
     bool campaign = false;    ///< group sampled points by ckpt set
     bool heartbeat = false;   ///< ~1 Hz done/total + ETA summary line
+
+    /**
+     * Campaign shard K of N (1-based; 0 = unsharded). A shard measures
+     * and stores its slice of every sampled point's intervals and
+     * produces no results; non-sampled points are left to the
+     * unsharded run.
+     */
+    unsigned shardIndex = 0;
+    unsigned shardCount = 0;
 };
 
 /** Cache/compute counters for one engine lifetime. */
@@ -80,7 +95,8 @@ class Engine
 
     /**
      * Warm every point of a grid, cost-ordered on the thread pool.
-     * Subsequent measure() calls on these points are memo hits.
+     * Subsequent measure() calls on these points are memo hits (except
+     * in a sharded campaign, which only stores partials).
      */
     void runAll(const std::vector<ExpPoint> &points);
 

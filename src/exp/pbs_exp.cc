@@ -19,7 +19,6 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,7 +27,6 @@
 #include "exp/artifact.hh"
 #include "exp/cache.hh"
 #include "exp/engine.hh"
-#include "exp/merge.hh"
 #include "exp/pareto.hh"
 #include "exp/spec.hh"
 #include "obs/manifest.hh"
@@ -54,20 +52,22 @@ struct ExpCliOptions
     unsigned divisor = 1;
     unsigned jobs = 1;
     std::string cacheDir = exp::kDefaultCacheDir;
+    bool cacheDirSet = false;             ///< --cache-dir given
     bool noCache = false;
     bool campaign = false;
+    unsigned shardIndex = 0;              ///< --shard K/N (1-based K)
+    unsigned shardCount = 0;              ///< 0 = unsharded
     bool gc = false;
     bool gcAll = false;
     uint64_t gcGrace = exp::kDefaultGcGraceSeconds;
+    bool gcGraceSet = false;              ///< --grace given
     bool quiet = false;
     bool list = false;
     bool help = false;
 
-    bool merge = false;
-    std::vector<std::string> mergeFiles;  ///< positional, after --merge
-
     bool pareto = false;
     unsigned repeats = 1;                 ///< --pareto timing repeats
+    bool repeatsSet = false;              ///< --repeats given
 
     std::string traceFile;                ///< pbs-trace-v1 output
     std::string metricsFile;              ///< pbs-metrics-v1 output
@@ -82,7 +82,7 @@ const char *kUsage =
     "usage: pbs_exp --spec <file> [axis flags] [output flags]\n"
     "       pbs_exp --workloads <w1,w2,...> [axis flags] [output flags]\n"
     "       pbs_exp --pareto --workloads <list> [axis flags] [--csv F]\n"
-    "       pbs_exp --merge <part1.json> <part2.json> ... [--out F]\n"
+    "       pbs_exp --campaign --shard <k/n> [axis flags] [--cache-dir D]\n"
     "       pbs_exp --report <name> [--div N]\n"
     "       pbs_exp --gc [--all] [--grace <seconds>]\n"
     "       pbs_exp --list\n"
@@ -118,6 +118,11 @@ const char *kUsage =
     "                       seed, interval) once, fan every config out\n"
     "                       over the shared set, and resume from\n"
     "                       per-interval cache partials\n"
+    "  --shard <k/n>        with --campaign: measure only intervals\n"
+    "                       i mod n == k-1 into the cache as partials\n"
+    "                       and aggregate nothing; a later unsharded\n"
+    "                       campaign over the same cache assembles the\n"
+    "                       artifact without re-simulating\n"
     "  --quiet              suppress per-point progress on stderr\n"
     "  --progress           ~1 Hz heartbeat line on stderr (points\n"
     "                       done/total + cost-model ETA; composes with\n"
@@ -137,11 +142,7 @@ const char *kUsage =
     "                       pool stats, RSS) while the run is in flight\n"
     "  --telemetry-interval <ms>  sampler tick period (default 1000)\n"
     "\n"
-    "Sampling fan-out and Pareto:\n"
-    "  --merge <files...>   merge pbs-shard-v1 partial results (from\n"
-    "                       pbs_sim --shard K/N) into the pbs-batch-v2\n"
-    "                       document of the equivalent single-process\n"
-    "                       run, byte-identical\n"
+    "Sampling Pareto sweep (serial and uncached, for clean timing):\n"
     "  --pareto             error-vs-MIPS sweep over the sample grid\n"
     "                       (sampled vs detailed reference; table to\n"
     "                       stdout, --csv for the artifact)\n"
@@ -153,7 +154,7 @@ const char *kUsage =
     "  --grace <seconds>    --gc: spare anything modified this recently\n"
     "                       (default 300; 0 prunes unconditionally)\n"
     "  --report <name>      render a fig/table report through the\n"
-    "                       cached engine (identical output to pbs_sim)\n"
+    "                       cached engine\n"
     "  --list               list workloads, predictors, reports\n";
 
 int
@@ -182,6 +183,50 @@ writeFileOrComplain(const std::string &path, const std::string &text,
     }
     obs::manifestAddArtifact(path, text, schema);
     return true;
+}
+
+/**
+ * Reject flags the chosen action would silently ignore (exit 2, naming
+ * the flag).
+ */
+int
+validateCli(const ExpCliOptions &o)
+{
+    if (o.help || o.list)
+        return 0;
+    if (o.pareto) {
+        // The Pareto sweep times every point serially and uncached.
+        if (o.jobs > 1)
+            return fail("--jobs has no effect with --pareto (points run "
+                        "serially so their wall times are clean)");
+        if (o.campaign)
+            return fail("--campaign has no effect with --pareto");
+        if (o.cacheDirSet || o.noCache)
+            return fail(std::string(o.noCache ? "--no-cache"
+                                              : "--cache-dir") +
+                        " has no effect with --pareto (the Pareto "
+                        "sweep never uses the result cache)");
+    } else if (o.repeatsSet) {
+        return fail("--repeats applies only to --pareto");
+    }
+    if (!o.gc && (o.gcAll || o.gcGraceSet))
+        return fail(std::string(o.gcAll ? "--all" : "--grace") +
+                    " applies only to --gc");
+    if (o.shardCount) {
+        if (!o.campaign)
+            return fail("--shard applies only to --campaign sweeps");
+        if (!o.out.empty() || !o.csv.empty())
+            return fail(std::string(o.out.empty() ? "--csv" : "--out") +
+                        " has no effect with --shard (a shard stores "
+                        "partials and aggregates nothing; run the "
+                        "unsharded campaign for the artifact)");
+        if (o.noCache)
+            return fail("--no-cache has no effect with --shard (a shard "
+                        "exists to fill the shared cache)");
+        if (!o.report.empty())
+            return fail("--shard applies to sweeps, not --report");
+    }
+    return 0;
 }
 
 int
@@ -229,10 +274,6 @@ parseCli(int argc, char **argv, ExpCliOptions &o)
             o.gc = true;
             continue;
         }
-        if (arg == "--merge") {
-            o.merge = true;
-            continue;
-        }
         if (arg == "--pareto") {
             o.pareto = true;
             continue;
@@ -241,10 +282,7 @@ parseCli(int argc, char **argv, ExpCliOptions &o)
             if (m < 0 || !driver::parseUnsignedArg(v, o.repeats) ||
                 o.repeats == 0)
                 return fail("bad --repeats value");
-            continue;
-        }
-        if (o.merge && !arg.empty() && arg[0] != '-') {
-            o.mergeFiles.push_back(arg);
+            o.repeatsSet = true;
             continue;
         }
         if (arg == "--all") {
@@ -259,11 +297,31 @@ parseCli(int argc, char **argv, ExpCliOptions &o)
             o.campaign = true;
             continue;
         }
+        if ((m = takeValue(arg, "--shard")) != 0) {
+            if (m < 0)
+                return fail(arg + " needs a value");
+            const size_t slash = v.find('/');
+            uint64_t k = 0, n = 0;
+            if (slash == std::string::npos ||
+                !driver::parseU64Arg(v.substr(0, slash), k) ||
+                !driver::parseU64Arg(v.substr(slash + 1), n)) {
+                return fail("--shard value must be K/N (e.g. 1/2): " +
+                            v);
+            }
+            if (n == 0 || k == 0 || k > n || n > 0xffffffffull) {
+                return fail("--shard index out of range: " + v +
+                            " (need 1 <= K <= N)");
+            }
+            o.shardIndex = unsigned(k);
+            o.shardCount = unsigned(n);
+            continue;
+        }
         if ((m = takeValue(arg, "--grace")) != 0) {
             if (m < 0)
                 return fail(arg + " needs a value");
             if (!driver::parseU64Arg(v, o.gcGrace))
                 return fail("bad --grace value: " + v);
+            o.gcGraceSet = true;
             continue;
         }
         if (arg == "--quiet") {
@@ -336,6 +394,7 @@ parseCli(int argc, char **argv, ExpCliOptions &o)
             if (m < 0)
                 return fail(arg + " needs a value");
             o.cacheDir = v;
+            o.cacheDirSet = true;
             continue;
         }
         if ((m = takeValue(arg, "--jobs")) != 0) {
@@ -374,7 +433,7 @@ parseCli(int argc, char **argv, ExpCliOptions &o)
         if (!matched)
             return fail("unknown option: " + arg);
     }
-    return 0;
+    return validateCli(o);
 }
 
 void
@@ -429,20 +488,6 @@ writeObsArtifacts(const ExpCliOptions &o, const exp::Engine *engine)
     }
 }
 
-bool
-readFileOrComplain(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "pbs_exp: cannot read %s\n", path.c_str());
-        return false;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    out = ss.str();
-    return true;
-}
-
 }  // namespace
 
 int
@@ -495,44 +540,14 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (o.merge) {
-        if (!o.specFile.empty() || !o.axes.empty() ||
-            !o.report.empty() || !o.csv.empty() || o.pareto) {
-            return fail("--merge only combines shard files (--out "
-                        "writes the merged document)");
-        }
-        if (o.mergeFiles.empty())
-            return fail("--merge needs at least one pbs-shard-v1 file");
-        std::vector<std::string> docs;
-        for (const auto &path : o.mergeFiles) {
-            std::string text;
-            if (!readFileOrComplain(path, text))
-                return 1;
-            docs.push_back(std::move(text));
-        }
-        try {
-            const exp::ResultCache cache(cacheDir);
-            const std::string merged = exp::mergeShards(docs, &cache);
-            if (!o.out.empty()) {
-                if (!writeFileOrComplain(o.out, merged, "pbs-batch-v2"))
-                    return 1;
-            } else {
-                std::printf("%s", merged.c_str());
-            }
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "pbs_exp: %s\n", e.what());
-            return 1;
-        }
-        writeObsArtifacts(o, nullptr);
-        return 0;
-    }
-
     exp::EngineConfig ecfg;
     ecfg.cacheDir = cacheDir;
     ecfg.jobs = o.jobs;
     ecfg.progress = !o.quiet;
     ecfg.campaign = o.campaign;
     ecfg.heartbeat = o.progress;
+    ecfg.shardIndex = o.shardIndex;
+    ecfg.shardCount = o.shardCount;
     exp::Engine engine(ecfg);
 
     try {
@@ -559,7 +574,7 @@ main(int argc, char **argv)
         }
 
         if (o.specFile.empty() && o.axes.empty())
-            return fail("one of --spec, axis flags, --pareto, --merge, "
+            return fail("one of --spec, axis flags, --pareto, "
                         "--report, or --gc is required");
 
         exp::SweepSpec spec;

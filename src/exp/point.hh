@@ -150,11 +150,7 @@ void writeMeasurement(JsonWriter &w, PointKind kind,
 bool readMeasurement(const JsonValue &v, PointKind kind,
                      Measurement &out);
 
-/**
- * Canonical JSON of one per-interval sample — the shared body of
- * shard documents and cache partials (field names match pbs-shard-v1
- * sample objects, minus the index, which lives beside it).
- */
+/** Canonical JSON of one per-interval sample (a cache partial's body). */
 void writeIntervalSample(JsonWriter &w,
                          const sampling::IntervalSample &s);
 bool readIntervalSample(const JsonValue &v,

@@ -135,7 +135,7 @@ measureInterval(const isa::Program &prog, const cpu::CoreConfig &detCfg,
 
 std::vector<IntervalSample>
 measureIntervals(const isa::Program &prog, const cpu::CoreConfig &cfg,
-                 CheckpointSet &set, const std::vector<size_t> &indices)
+                 CheckpointSet &set)
 {
     const cpu::SampleParams &sp = cfg.sample;
     validateParams(sp);
@@ -145,11 +145,11 @@ measureIntervals(const isa::Program &prog, const cpu::CoreConfig &cfg,
     // point at the tail of a sweep decomposes into these and fills
     // otherwise-idle workers. Samples land in index-keyed slots, so
     // worker count and steal order cannot change a byte.
-    std::vector<IntervalSample> samples(indices.size());
+    std::vector<IntervalSample> samples(set.checkpoints.size());
     pool::TaskPool::instance().parallelFor(
-        indices.size(),
+        samples.size(),
         [&](size_t i) {
-            cpu::ArchState &chk = set.checkpoints.at(indices[i]);
+            cpu::ArchState &chk = set.checkpoints[i];
             samples[i] = measureInterval(prog, detCfg, chk, sp.warmup,
                                          sp.measure);
             // Each checkpoint feeds exactly one sample: release its
@@ -233,10 +233,7 @@ runSampledOnSet(const isa::Program &prog, const cpu::CoreConfig &cfg,
     if (set.checkpoints.size() < 2)
         return runExactDetailed(prog, detCfg);
 
-    std::vector<size_t> all(set.checkpoints.size());
-    for (size_t i = 0; i < all.size(); i++)
-        all[i] = i;
-    const auto samples = measureIntervals(prog, cfg, set, all);
+    const auto samples = measureIntervals(prog, cfg, set);
 
     SampledRun r;
     if (!aggregateSamples(set.totals, set.finalState, samples, r))

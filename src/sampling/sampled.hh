@@ -98,16 +98,17 @@ SampledRun runSampled(const isa::Program &prog,
 
 // ---------------------------------------------------------------------
 // The three phases of a sampled run, exposed individually so the
-// checkpoint store (store.hh) can persist phase 1, independent
-// processes can each run a slice of phase 2 (`pbs_sim --shard K/N`),
-// and `pbs_exp --merge` can re-run phase 3 over the concatenated
-// per-interval samples — bit-identical to a single-process run.
+// checkpoint store (store.hh) can persist phase 1 and the experiment
+// engine's campaign mode can schedule phase 2 one interval at a time
+// (across processes, through cache partials) and re-run phase 3 over
+// the collected per-interval samples — bit-identical to a
+// single-process run.
 // ---------------------------------------------------------------------
 
 /**
- * Integer deltas of one measured interval: the unit of work a shard
- * emits and the merge step aggregates. All counters are exact, so
- * partial results from different processes combine without any
+ * Integer deltas of one measured interval: the unit of work a campaign
+ * stores as a cache partial and aggregates. All counters are exact, so
+ * samples measured by different processes combine without any
  * floating-point order sensitivity.
  */
 struct IntervalSample
@@ -174,15 +175,14 @@ IntervalSample measureInterval(const isa::Program &prog,
                                uint64_t warmup, uint64_t measure);
 
 /**
- * Phase 2 for a slice: measure the checkpoints named by @p indices as
- * tasks on the shared scheduler (pool::TaskPool), returning one sample
- * per index (in @p indices order). Consumed checkpoints have their
- * memory pages released. @p indices must be valid positions in
- * set.checkpoints.
+ * Phase 2 for a whole set: measure every checkpoint as a task on the
+ * shared scheduler (pool::TaskPool), returning one sample per interval
+ * in interval order. Consumed checkpoints have their memory pages
+ * released.
  */
 std::vector<IntervalSample>
 measureIntervals(const isa::Program &prog, const cpu::CoreConfig &cfg,
-                 CheckpointSet &set, const std::vector<size_t> &indices);
+                 CheckpointSet &set);
 
 /**
  * Phase 3: ratio-estimator totals and per-interval-variance CIs over

@@ -261,24 +261,8 @@ saveCheckpointSet(const std::string &dir, const StoreKey &key,
     return saved;
 }
 
-std::vector<size_t>
-shardIndices(size_t total, unsigned index, unsigned count)
-{
-    std::vector<size_t> out;
-    if (count == 0) {
-        out.resize(total);
-        for (size_t i = 0; i < total; i++)
-            out[i] = i;
-        return out;
-    }
-    for (size_t i = index - 1; i < total; i += count)
-        out.push_back(i);
-    return out;
-}
-
 CheckpointSet
-loadCheckpointSet(const std::string &dir, const StoreKey &expect,
-                  unsigned shardIndex, unsigned shardCount)
+loadCheckpointSet(const std::string &dir, const StoreKey &expect)
 {
     obs::Span span("store_io", "load-checkpoint-set");
     const fs::path manifestPath = fs::path(dir) / kStoreManifest;
@@ -368,14 +352,10 @@ loadCheckpointSet(const std::string &dir, const StoreKey &expect,
     set.totals.branches = u64("branches");
     set.totals.probBranches = u64("prob_branches");
 
-    // A sharded load reads and verifies only the claimed slice; the
-    // unclaimed slots stay empty (one slot per interval regardless, so
-    // interval indices keep their meaning).
-    set.checkpoints.resize(ckpts->items.size());
-    for (size_t i : shardIndices(ckpts->items.size(), shardIndex,
-                                 shardCount)) {
-        set.checkpoints[i] =
-            loadEntry(dir, readFileEntry(ckpts->items[i], "checkpoint"));
+    set.checkpoints.reserve(ckpts->items.size());
+    for (const util::JsonValue &entry : ckpts->items) {
+        set.checkpoints.push_back(
+            loadEntry(dir, readFileEntry(entry, "checkpoint")));
     }
     set.finalState = loadEntry(dir, readFileEntry(*finalEntry, "final"));
     return set;

@@ -1,8 +1,10 @@
 /**
  * @file
  * Persistent checkpoint store: an on-disk extension of the PBSCKPT1
- * checkpoint format that makes SMARTS sampling fan out across
- * *processes*, not just threads.
+ * checkpoint format, so a captured set outlives the process that
+ * captured it. The experiment engine's campaign mode keeps one set per
+ * checkpoint StoreKey under its cache directory, which lets campaigns
+ * (and campaign shards) in other processes reuse it.
  *
  * A checkpoint set is a directory holding one `manifest.json` plus one
  * `ckpt-NNNNNN.pbsckpt` file per sampling interval and a
@@ -100,31 +102,15 @@ SavedSet saveCheckpointSet(const std::string &dir, const StoreKey &key,
                            const CheckpointSet &set);
 
 /**
- * The deterministic slice of a @p total -interval set that shard
- * @p index (1-based) of @p count claims: {i : i mod count == index-1}.
- * count == 0 means no sharding (every index).
- */
-std::vector<size_t> shardIndices(size_t total, unsigned index,
-                                 unsigned count);
-
-/**
  * Load the checkpoint set under @p dir, validating it against
  * @p expect: manifest present and well-formed, schema known, salt /
- * ArchState version / every key field equal, and every *loaded*
- * checkpoint file present with matching length and content hash.
- *
- * With @p shardCount > 0 only the files of shard
- * @p shardIndex/@p shardCount (plus the final state) are read and
- * verified — a sharded process pays O(set/N) I/O and memory, not
- * O(set). The returned set still has one slot per interval; unclaimed
- * slots hold empty states and must not be measured.
+ * ArchState version / every key field equal, and every checkpoint file
+ * present with matching length and content hash.
  * @throws std::runtime_error with a precise reason on any mismatch,
  *         truncation, or corruption.
  */
 CheckpointSet loadCheckpointSet(const std::string &dir,
-                                const StoreKey &expect,
-                                unsigned shardIndex = 0,
-                                unsigned shardCount = 0);
+                                const StoreKey &expect);
 
 /**
  * Non-throwing loadCheckpointSet: a missing, stale, or corrupt set is

@@ -1,8 +1,11 @@
 /**
  * @file
- * Tests for the unified `pbs_sim` driver: CLI parsing, workload and
- * predictor selection, and batch determinism (a fixed seed yields
- * bit-identical statistics across runs and across thread counts).
+ * Tests for the `pbs_sim` front end: CLI parsing, workload and
+ * predictor selection, the options -> ExpPoint expansion, batch
+ * determinism (a fixed seed yields bit-identical statistics across
+ * runs and across thread counts), and the one-run-path contract — a
+ * `pbs_sim` batch and a `pbs_exp` sweep of the same point write the
+ * same result bytes.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +13,8 @@
 #include "driver/options.hh"
 #include "driver/reports.hh"
 #include "driver/runner.hh"
+#include "exp/artifact.hh"
+#include "exp/spec.hh"
 
 namespace {
 
@@ -19,7 +24,7 @@ using driver::parseArgs;
 
 // --- CLI parsing -----------------------------------------------------
 
-TEST(DriverOptions, DefaultsRequireWorkloadOrReport)
+TEST(DriverOptions, DefaultsRequireWorkload)
 {
     auto r = parseArgs({});
     EXPECT_FALSE(r.ok);
@@ -43,13 +48,16 @@ TEST(DriverOptions, ParsesFullWorkloadInvocation)
 TEST(DriverOptions, EqualsSyntaxAndFlags)
 {
     auto r = parseArgs({"--workload=pi", "--predictor=tournament",
-                        "--pbs", "--functional", "--wide",
+                        "--pbs", "--mode=mpki", "--wide",
                         "--scale=100", "--seed=7", "--div=4",
                         "--no-stall", "--no-context", "--no-guard"});
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_TRUE(r.opts.pbs);
     EXPECT_TRUE(r.opts.functional);
+    EXPECT_EQ(r.opts.mode, "detailed");
     EXPECT_TRUE(r.opts.wide);
+    EXPECT_FALSE(parseArgs({"pi", "--mode=mpki", "--mode=sampled"})
+                     .opts.functional);  // the last --mode wins
     EXPECT_EQ(r.opts.scale, 100u);
     EXPECT_EQ(r.opts.seed, 7u);
     EXPECT_EQ(r.opts.divisor, 4u);
@@ -68,11 +76,19 @@ TEST(DriverOptions, RejectsUnknownWorkloadPredictorAndOption)
     EXPECT_FALSE(parseArgs({"--workload", "pi", "--seeds", "x"}).ok);
 }
 
-TEST(DriverOptions, WorkloadAndReportAreExclusive)
+TEST(DriverOptions, RemovedFlagsAreUnknownOptions)
 {
-    EXPECT_FALSE(parseArgs({"--workload", "pi",
-                            "--report", "fig07"}).ok);
-    EXPECT_TRUE(parseArgs({"--report", "fig07"}).ok);
+    // None of these is a pbs_sim flag: reports render through
+    // pbs_exp --report and the cross-process fan-out is
+    // pbs_exp --campaign --shard.
+    for (const char *flag :
+         {"--prob-trace", "--functional", "--timing", "--report=fig07",
+          "--shard=1/2", "--save-checkpoints=d", "--load-checkpoints=d",
+          "--sample-max=3"}) {
+        auto r = parseArgs({"--workload", "pi", flag});
+        EXPECT_FALSE(r.ok) << flag;
+        EXPECT_EQ(r.error.rfind("unknown option: ", 0), 0u) << r.error;
+    }
 }
 
 TEST(DriverOptions, PositionalBenchmarkName)
@@ -108,7 +124,7 @@ TEST(DriverOptions, CoreConfigReflectsOptions)
 {
     auto r = parseArgs({"pi", "--pbs", "--wide", "--no-context"});
     ASSERT_TRUE(r.ok) << r.error;
-    auto cfg = driver::coreConfig(r.opts);
+    auto cfg = exp::pointCoreConfig(driver::batchPoints(r.opts).front());
     EXPECT_EQ(cfg.width, 8u);
     EXPECT_EQ(cfg.robSize, 256u);
     EXPECT_TRUE(cfg.pbsEnabled);
@@ -116,20 +132,28 @@ TEST(DriverOptions, CoreConfigReflectsOptions)
     EXPECT_TRUE(cfg.pbs.stallOnBusy);
     EXPECT_EQ(cfg.mode, cpu::SimMode::Timing);
 
-    auto f = parseArgs({"pi", "--functional"});
-    EXPECT_EQ(driver::coreConfig(f.opts).mode, cpu::SimMode::Functional);
+    auto f = parseArgs({"pi", "--mode", "mpki"});
+    EXPECT_EQ(exp::pointCoreConfig(driver::batchPoints(f.opts).front())
+                  .mode,
+              cpu::SimMode::Functional);
 }
 
-TEST(DriverOptions, WorkloadParamsScaleAndDivisor)
+TEST(DriverOptions, BatchPointsResolveScaleAndSeeds)
 {
     const auto &b = workloads::benchmarkByName("pi");
-    auto r = parseArgs({"pi", "--div", "10"});
+    auto r = parseArgs({"pi", "--div", "10", "--seed", "7", "--seeds",
+                        "3"});
     ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_EQ(driver::workloadParams(r.opts, 1).scale,
-              std::max<uint64_t>(1, b.defaultScale / 10));
+    const auto points = driver::batchPoints(r.opts);
+    ASSERT_EQ(points.size(), 3u);
+    for (size_t i = 0; i < points.size(); i++) {
+        EXPECT_EQ(points[i].scale,
+                  std::max<uint64_t>(1, b.defaultScale / 10));
+        EXPECT_EQ(points[i].seed, 7u + i);
+    }
 
     auto s = parseArgs({"pi", "--scale", "42"});
-    EXPECT_EQ(driver::workloadParams(s.opts, 1).scale, 42u);
+    EXPECT_EQ(driver::batchPoints(s.opts).front().scale, 42u);
 }
 
 // --- Report registry -------------------------------------------------
@@ -146,7 +170,9 @@ TEST(DriverReports, RegistryHasAllHarnesses)
             found = found || rep.name == name;
         EXPECT_TRUE(found) << "missing report " << name;
     }
-    EXPECT_EQ(driver::runReport("nonesuch", 1), 2);
+    exp::Engine engine;
+    driver::ReportContext ctx{engine, 1};
+    EXPECT_EQ(driver::runReport("nonesuch", ctx), 2);
 }
 
 // --- Batch determinism -----------------------------------------------
@@ -154,7 +180,7 @@ TEST(DriverReports, RegistryHasAllHarnesses)
 DriverOptions
 tinyBatch(unsigned seeds, unsigned jobs)
 {
-    auto r = parseArgs({"--workload", "pi", "--functional", "--pbs",
+    auto r = parseArgs({"--workload", "pi", "--mode", "mpki", "--pbs",
                         "--scale", "2000",
                         "--seeds", std::to_string(seeds),
                         "--jobs", std::to_string(jobs)});
@@ -162,84 +188,125 @@ tinyBatch(unsigned seeds, unsigned jobs)
     return r.opts;
 }
 
-void
-expectIdentical(const std::vector<driver::SeedResult> &a,
-                const std::vector<driver::SeedResult> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); i++) {
-        EXPECT_EQ(a[i].seed, b[i].seed);
-        const auto &sa = a[i].run.stats, &sb = b[i].run.stats;
-        EXPECT_EQ(sa.instructions, sb.instructions);
-        EXPECT_EQ(sa.cycles, sb.cycles);
-        EXPECT_EQ(sa.branches, sb.branches);
-        EXPECT_EQ(sa.probBranches, sb.probBranches);
-        EXPECT_EQ(sa.mispredicts, sb.mispredicts);
-        EXPECT_EQ(sa.steeredBranches, sb.steeredBranches);
-        ASSERT_EQ(a[i].run.outputs.size(), b[i].run.outputs.size());
-        for (size_t j = 0; j < a[i].run.outputs.size(); j++) {
-            // Bit-identical, not just approximately equal.
-            EXPECT_EQ(a[i].run.outputs[j], b[i].run.outputs[j]);
-        }
-    }
-}
-
 TEST(DriverBatch, FixedSeedIsBitIdenticalAcrossRuns)
 {
     auto opts = tinyBatch(3, 1);
-    expectIdentical(driver::runBatch(opts), driver::runBatch(opts));
+    // Measurement equality is counter for counter and output for
+    // output, bit-identical rather than approximately equal.
+    EXPECT_EQ(driver::measureBatch(opts), driver::measureBatch(opts));
 }
 
 TEST(DriverBatch, Jobs1AndJobs4AreBitIdentical)
 {
-    expectIdentical(driver::runBatch(tinyBatch(8, 1)),
-                    driver::runBatch(tinyBatch(8, 4)));
+    EXPECT_EQ(driver::measureBatch(tinyBatch(8, 1)),
+              driver::measureBatch(tinyBatch(8, 4)));
 }
 
 TEST(DriverBatch, SeedsAreConsecutiveFromBase)
 {
     auto opts = tinyBatch(4, 2);
     opts.seed = 100;
-    auto rs = driver::runBatch(opts);
+    const auto rs = driver::measureBatch(opts);
     ASSERT_EQ(rs.size(), 4u);
     for (size_t i = 0; i < rs.size(); i++) {
-        EXPECT_EQ(rs[i].seed, 100u + i);
-        EXPECT_GT(rs[i].run.stats.instructions, 0u);
+        exp::ExpPoint pt = driver::batchPoints(opts)[i];
+        EXPECT_EQ(pt.seed, 100u + i);
+        EXPECT_EQ(rs[i], exp::Engine::computePoint(pt));
+        EXPECT_GT(rs[i].stats.instructions, 0u);
     }
 }
 
-TEST(DriverBatch, MatchesDirectHarnessRun)
+TEST(DriverBatch, MatchesReportHarnessPoint)
 {
-    // The driver's single-run stats must equal a direct runSim with the
-    // equivalent config (the bench harnesses' code path).
-    auto r = parseArgs({"--workload", "pi", "--functional",
+    // A pbs_sim run is the ExpPoint the report harnesses build for the
+    // same configuration.
+    auto r = parseArgs({"--workload", "pi", "--mode", "mpki",
                         "--predictor", "tage_scl", "--scale", "2000"});
     ASSERT_TRUE(r.ok) << r.error;
-    auto batch = driver::runBatch(r.opts);
-    ASSERT_EQ(batch.size(), 1u);
+    const auto points = driver::batchPoints(r.opts);
+    ASSERT_EQ(points.size(), 1u);
 
-    const auto &b = workloads::benchmarkByName("pi");
-    workloads::WorkloadParams p;
-    p.seed = 12345;
-    p.scale = 2000;
-    auto direct =
-        driver::runSim(b, p, driver::functionalConfig("tage-sc-l",
-                                                      false));
-    EXPECT_EQ(batch[0].run.stats.instructions,
-              direct.stats.instructions);
-    EXPECT_EQ(batch[0].run.stats.mispredicts, direct.stats.mispredicts);
-    EXPECT_EQ(batch[0].run.outputs, direct.outputs);
+    exp::ExpPoint harness = driver::functionalPoint(
+        workloads::benchmarkByName("pi"), "tage-sc-l", false, 1);
+    harness.scale = 2000;
+    EXPECT_EQ(points[0], harness);
+    EXPECT_EQ(driver::measureBatch(r.opts).front(),
+              exp::Engine::computePoint(harness));
 }
 
 TEST(DriverBatch, FormatBatchMentionsEverySeed)
 {
     auto opts = tinyBatch(3, 1);
     opts.seed = 500;
-    auto out = driver::formatBatch(opts, driver::runBatch(opts));
+    auto out = driver::formatBatch(opts, driver::measureBatch(opts));
     EXPECT_NE(out.find("500"), std::string::npos);
     EXPECT_NE(out.find("501"), std::string::npos);
     EXPECT_NE(out.find("502"), std::string::npos);
     EXPECT_NE(out.find("ipc"), std::string::npos);
+}
+
+// --- One run path: pbs_sim and pbs_exp write the same result ---------
+
+/** The `result` object of the first entry of @p list in @p doc. */
+std::string
+firstResult(const std::string &doc, const char *list)
+{
+    exp::JsonValue v;
+    std::string err;
+    EXPECT_TRUE(exp::parseJson(doc, v, err)) << err;
+    const exp::JsonValue *items = v.find(list);
+    if (!items || items->items.empty())
+        return "";
+    const exp::JsonValue *result = items->items[0].find("result");
+    return result ? exp::rewriteJson(*result) : "";
+}
+
+TEST(DriverBatch, BatchResultMatchesSweepResultByteForByte)
+{
+    struct Case
+    {
+        std::vector<std::string> simArgs;
+        std::vector<std::pair<const char *, const char *>> spec;
+    };
+    const Case cases[] = {
+        {{"--mode", "detailed", "--pbs"}, {{"mode", "detailed"},
+                                            {"pbs", "on"}}},
+        {{"--mode", "mpki", "--pbs"}, {{"mode", "mpki"}, {"pbs", "on"}}},
+        {{"--mode", "functional"}, {{"mode", "functional"}}},
+        {{"--mode", "sampled", "--pbs", "--sample-interval", "40000",
+          "--sample-warmup", "10000", "--sample-measure", "5000"},
+         {{"mode", "sampled"}, {"pbs", "on"},
+          {"sample-interval", "40000"}, {"sample-warmup", "10000"},
+          {"sample-measure", "5000"}}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.simArgs[1]);
+        std::vector<std::string> args = {"--workload", "pi", "--div",
+                                         "20", "--seed", "9",
+                                         "--format", "json"};
+        args.insert(args.end(), c.simArgs.begin(), c.simArgs.end());
+        auto parsed = parseArgs(args);
+        ASSERT_TRUE(parsed.ok) << parsed.error;
+        const std::string batch = driver::batchJson(
+            parsed.opts, driver::measureBatch(parsed.opts));
+
+        exp::SweepSpec spec;
+        ASSERT_EQ(exp::applySpecKey(spec, "workload", "pi"), "");
+        ASSERT_EQ(exp::applySpecKey(spec, "div", "20"), "");
+        ASSERT_EQ(exp::applySpecKey(spec, "seed", "9"), "");
+        for (const auto &[key, value] : c.spec)
+            ASSERT_EQ(exp::applySpecKey(spec, key, value), "");
+        auto grid = exp::expandSpec(spec);
+        ASSERT_TRUE(grid.ok) << grid.error;
+        ASSERT_EQ(grid.points.size(), 1u);
+        exp::Engine engine;
+        engine.runAll(grid.points);
+        const std::string sweep = exp::sweepJson(grid.points, engine);
+
+        const std::string fromSim = firstResult(batch, "runs");
+        EXPECT_FALSE(fromSim.empty());
+        EXPECT_EQ(fromSim, firstResult(sweep, "points"));
+    }
 }
 
 }  // namespace

@@ -16,11 +16,11 @@
 #include <gtest/gtest.h>
 
 #include "driver/reports.hh"
+#include "driver/runner.hh"
 #include "exp/artifact.hh"
 #include "exp/cache.hh"
 #include "exp/engine.hh"
 #include "exp/json.hh"
-#include "exp/merge.hh"
 #include "exp/pareto.hh"
 #include "exp/spec.hh"
 #include "util/task_pool.hh"
@@ -393,11 +393,11 @@ TEST_F(ExpCacheTest, ReportRendersIdenticallyColdAndWarm)
 TEST(ExpArtifact, BatchJsonCarriesConfigAndPerSeedMetrics)
 {
     auto parsed = driver::parseArgs(
-        {"--workload", "pi", "--functional", "--pbs", "--scale", "2000",
+        {"--workload", "pi", "--mode", "mpki", "--pbs", "--scale", "2000",
          "--seeds", "3", "--format", "json"});
     ASSERT_TRUE(parsed.ok) << parsed.error;
-    auto results = driver::runBatch(parsed.opts);
-    const std::string json = exp::batchJson(parsed.opts, results);
+    const std::string json = driver::batchJson(
+        parsed.opts, driver::measureBatch(parsed.opts));
 
     exp::JsonValue v;
     std::string err;
@@ -448,108 +448,6 @@ TEST(ExpSpec, SampleGridMultipliesSampledPointsOnly)
     EXPECT_FALSE(exp::parseSpecText("sample-grid = 0/0/0\n").ok);
     EXPECT_FALSE(
         exp::parseSpecText("sample-grid = 1000/900/200\n").ok);
-}
-
-// --- shard partial results and their merge ---------------------------
-
-/**
- * The cross-process fan-out contract end to end, in-process: save a
- * checkpoint set, run both shards, merge, and require the merged
- * document byte-identical to the single-process batch document.
- */
-class ShardMergeTest : public ExpCacheTest
-{
-  protected:
-    static constexpr const char *kSalt = "shard-test-salt/r1/s1";
-
-    driver::DriverOptions
-    baseOpts(std::initializer_list<std::string> extra) const
-    {
-        std::vector<std::string> args = {
-            "--workload", "pi", "--mode", "sampled", "--div", "20",
-            "--seed", "5", "--sample-interval", "40000",
-            "--sample-warmup", "10000", "--sample-measure", "5000",
-            "--format", "json"};
-        args.insert(args.end(), extra);
-        auto parsed = driver::parseArgs(args);
-        EXPECT_TRUE(parsed.ok) << parsed.error;
-        driver::DriverOptions opts = parsed.opts;
-        opts.storeSalt = kSalt;
-        return opts;
-    }
-};
-
-TEST_F(ShardMergeTest, MergedShardsAreByteIdenticalToSingleProcess)
-{
-    // Single process, saving the set as a side effect.
-    auto saveOpts = baseOpts({"--save-checkpoints", cacheDir()});
-    const std::string single =
-        exp::batchJson(saveOpts, driver::runBatch(saveOpts));
-
-    // Two independent "processes" claim complementary slices.
-    const std::string part1 = exp::runShard(
-        baseOpts({"--load-checkpoints", cacheDir(), "--shard", "1/2"}));
-    const std::string part2 = exp::runShard(
-        baseOpts({"--load-checkpoints", cacheDir(), "--shard", "2/2"}));
-
-    exp::JsonValue v;
-    std::string err;
-    ASSERT_TRUE(exp::parseJson(part1, v, err)) << err;
-    EXPECT_EQ(v.find("schema")->asString(), "pbs-shard-v1");
-    EXPECT_GT(v.find("samples")->items.size(), 0u);
-
-    const std::string merged = exp::mergeShards({part1, part2});
-    EXPECT_EQ(merged, single);
-
-    // Shard order must not matter.
-    EXPECT_EQ(exp::mergeShards({part2, part1}), single);
-
-    // The single-process document carries the set identity the
-    // shards measured against.
-    ASSERT_TRUE(exp::parseJson(single, v, err)) << err;
-    ASSERT_NE(v.find("config")->find("ckpt_set"), nullptr);
-    EXPECT_EQ(v.find("config")->find("ckpt_set")->asString(),
-              sampling::storeSetHash(
-                  driver::checkpointStoreKey(saveOpts)));
-}
-
-TEST_F(ShardMergeTest, MergeRejectsOverlapGapsAndForeignShards)
-{
-    auto saveOpts = baseOpts({"--save-checkpoints", cacheDir()});
-    driver::runBatch(saveOpts);
-    const std::string part1 = exp::runShard(
-        baseOpts({"--load-checkpoints", cacheDir(), "--shard", "1/2"}));
-    const std::string part2 = exp::runShard(
-        baseOpts({"--load-checkpoints", cacheDir(), "--shard", "2/2"}));
-
-    auto failure = [](std::vector<std::string> docs) {
-        try {
-            exp::mergeShards(docs);
-        } catch (const std::runtime_error &e) {
-            return std::string(e.what());
-        }
-        return std::string();
-    };
-
-    // The same shard twice overlaps; a lone shard leaves gaps.
-    EXPECT_NE(failure({part1, part1}).find("overlapping"),
-              std::string::npos);
-    EXPECT_NE(failure({part1}).find("missing"), std::string::npos);
-    EXPECT_NE(failure({}).find("no shard"), std::string::npos);
-
-    // A shard from a different checkpoint set is refused.
-    std::string foreign = part2;
-    const size_t at = foreign.find("\"set_hash\":\"");
-    ASSERT_NE(at, std::string::npos);
-    foreign[at + 12] = foreign[at + 12] == '0' ? '1' : '0';
-    EXPECT_NE(failure({part1, foreign}).find("different checkpoint"),
-              std::string::npos);
-
-    // Junk input is named, not crashed on.
-    EXPECT_NE(failure({part1, "{not json"}).find("not valid JSON"),
-              std::string::npos);
-    EXPECT_NE(failure({part1, "{}"}).find("shard result"),
-              std::string::npos);
 }
 
 // --- campaign mode ---------------------------------------------------
@@ -676,6 +574,57 @@ TEST_F(CampaignTest, ResumesInterruptedRunWithZeroResimulation)
     EXPECT_EQ(c.partialHits, kept) << "100% reuse of kept partials";
     EXPECT_EQ(c.partialComputed, dropped);
     EXPECT_EQ(c.computed, 4u);
+}
+
+TEST_F(CampaignTest, ShardsFillTheCacheAndTheFinalRunAssemblesIt)
+{
+    // The cross-process fan-out, in-process: shards 1/2 and 2/2 measure
+    // complementary interval slices into one shared cache, then an
+    // unsharded campaign over that cache assembles the artifact
+    // without simulating anything.
+    const auto points = grid();
+    const auto [reference, refCounters] = run(points, false, "");
+
+    const exp::ExpPoint &pt0 = points.front();
+    const size_t intervals =
+        sampling::captureCheckpoints(
+            workloads::benchmarkByName(pt0.workload)
+                .build(exp::pointParams(pt0), workloads::Variant::Marked),
+            exp::pointCoreConfig(pt0))
+            .checkpoints.size();
+    ASSERT_GE(intervals, 3u);
+
+    auto shard = [&](unsigned k) {
+        exp::EngineConfig cfg;
+        cfg.cacheDir = cacheDir();
+        cfg.jobs = 2;
+        cfg.campaign = true;
+        cfg.shardIndex = k;
+        cfg.shardCount = 2;
+        exp::Engine engine(cfg);
+        engine.runAll(points);
+        return engine.counters();
+    };
+    const exp::EngineCounters s1 = shard(1);
+    const exp::EngineCounters s2 = shard(2);
+
+    // Shard k measures exactly the intervals i with i mod 2 == k-1, for
+    // every configuration, and aggregates nothing.
+    EXPECT_EQ(s1.partialComputed, points.size() * ((intervals + 1) / 2));
+    EXPECT_EQ(s2.partialComputed, points.size() * (intervals / 2));
+    EXPECT_EQ(s1.partialStored, s1.partialComputed);
+    EXPECT_EQ(s2.partialStored, s2.partialComputed);
+    EXPECT_EQ(s1.computed + s2.computed, 0u);
+    EXPECT_EQ(s1.captures, 1u);
+    EXPECT_EQ(s2.captures, 0u) << "shard 2 reuses the set shard 1 stored";
+
+    const auto [artifact, c] = run(points, true, cacheDir());
+    EXPECT_EQ(artifact, reference)
+        << "the assembled artifact must equal the per-point run's";
+    EXPECT_EQ(c.captures, 0u);
+    EXPECT_EQ(c.partialComputed, 0u) << "zero re-simulation";
+    EXPECT_EQ(c.partialHits, s1.partialComputed + s2.partialComputed);
+    EXPECT_EQ(c.computed, points.size());  // aggregated, then stored
 }
 
 TEST_F(CampaignTest, InvariantsHoldUnderStealingAndJitter)
@@ -835,90 +784,6 @@ TEST_F(ExpCacheTest, GcGraceSparesFreshEntriesOfEveryKind)
     EXPECT_EQ(r.kept, 1u);
     exp::Measurement m;
     EXPECT_TRUE(cache.load(exp::cacheKey(pt), pt.kind, m));
-}
-
-TEST_F(ShardMergeTest, MergeThroughCacheStoresAndFillsFromPartials)
-{
-    auto saveOpts = baseOpts({"--save-checkpoints", cacheDir()});
-    const std::string single =
-        exp::batchJson(saveOpts, driver::runBatch(saveOpts));
-    const std::string part1 = exp::runShard(
-        baseOpts({"--load-checkpoints", cacheDir(), "--shard", "1/2"}));
-    const std::string part2 = exp::runShard(
-        baseOpts({"--load-checkpoints", cacheDir(), "--shard", "2/2"}));
-
-    // Through the cache: same bytes as the cache-less merge, plus
-    // every per-interval sample persisted as a partial and the merged
-    // measurement stored as an ordinary result entry.
-    const fs::path expDir = fs::path(cacheDir()) / "exp-cache";
-    exp::ResultCache cache(expDir.string());
-    EXPECT_EQ(exp::mergeShards({part1, part2}, &cache), single);
-
-    exp::JsonValue v;
-    std::string err;
-    ASSERT_TRUE(exp::parseJson(single, v, err)) << err;
-    exp::ExpPoint pt;
-    ASSERT_TRUE(exp::pointFromBatchConfig(*v.find("config"), pt));
-    exp::Measurement m;
-    EXPECT_TRUE(cache.load(exp::cacheKey(pt), pt.kind, m))
-        << "the merged measurement must be a result-cache entry";
-
-    // A lone shard normally fails with gaps — but with the cache the
-    // missing intervals come from the partials the first merge wrote.
-    EXPECT_THROW(exp::mergeShards({part1}), std::runtime_error);
-    EXPECT_EQ(exp::mergeShards({part1}, &cache), single);
-    EXPECT_EQ(exp::mergeShards({part2}, &cache), single);
-
-    // And the engine sees the merged result as a plain disk hit: the
-    // sharded fan-out now feeds sweeps through one cache path.
-    exp::EngineConfig ecfg;
-    ecfg.cacheDir = expDir.string();
-    exp::Engine engine(ecfg);
-    EXPECT_EQ(engine.measure(pt), m);
-    EXPECT_EQ(engine.counters().computed, 0u);
-    EXPECT_EQ(engine.counters().diskHits, 1u);
-}
-
-TEST(DriverShardOptions, ShardFlagValidation)
-{
-    auto ok = driver::parseArgs(
-        {"--workload", "pi", "--mode", "sampled", "--load-checkpoints",
-         "d", "--shard", "2/4", "--format", "json"});
-    ASSERT_TRUE(ok.ok) << ok.error;
-    EXPECT_EQ(ok.opts.shardIndex, 2u);
-    EXPECT_EQ(ok.opts.shardCount, 4u);
-
-    // Out-of-range and malformed shard specs.
-    for (const char *bad : {"0/2", "3/2", "2", "a/b", "1/0"}) {
-        EXPECT_FALSE(driver::parseArgs(
-                         {"--workload", "pi", "--mode", "sampled",
-                          "--load-checkpoints", "d", "--shard", bad,
-                          "--format", "json"})
-                         .ok)
-            << bad;
-    }
-
-    // Store flags demand sampled mode, one seed, and a json shard.
-    EXPECT_FALSE(driver::parseArgs(
-                     {"--workload", "pi", "--save-checkpoints", "d"})
-                     .ok);
-    EXPECT_FALSE(driver::parseArgs(
-                     {"--workload", "pi", "--mode", "sampled",
-                      "--seeds", "2", "--save-checkpoints", "d"})
-                     .ok);
-    EXPECT_FALSE(driver::parseArgs(
-                     {"--workload", "pi", "--mode", "sampled",
-                      "--save-checkpoints", "d", "--load-checkpoints",
-                      "d"})
-                     .ok);
-    EXPECT_FALSE(driver::parseArgs(
-                     {"--workload", "pi", "--mode", "sampled",
-                      "--load-checkpoints", "d", "--shard", "1/2"})
-                     .ok);  // text format
-    EXPECT_FALSE(driver::parseArgs(
-                     {"--workload", "pi", "--mode", "sampled",
-                      "--shard", "1/2", "--format", "json"})
-                     .ok);  // no --load-checkpoints
 }
 
 }  // namespace

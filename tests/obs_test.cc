@@ -384,12 +384,12 @@ TEST_F(ObsTest, BatchArtifactByteIdenticalWithObsEnabled)
 {
     const driver::DriverOptions opts = batchOptions();
 
-    const auto plain = driver::runBatch(opts);
-    const std::string off = exp::batchJson(opts, plain);
+    const auto plain = driver::measureBatch(opts);
+    const std::string off = driver::batchJson(opts, plain);
 
     enableAll();
-    const auto traced = driver::runBatch(opts);
-    const std::string on = exp::batchJson(opts, traced);
+    const auto traced = driver::measureBatch(opts);
+    const std::string on = driver::batchJson(opts, traced);
 
     EXPECT_GT(obs::traceEventCount(), 0u);  // instrumentation fired
     EXPECT_EQ(off, on);
@@ -435,12 +435,12 @@ TEST_F(ObsTest, SampledRunByteIdenticalWithObsEnabled)
     opts.sampleWarmup = 10000;
     opts.sampleMeasure = 5000;
 
-    const auto plain = driver::runBatch(opts);
-    const std::string off = exp::batchJson(opts, plain);
+    const auto plain = driver::measureBatch(opts);
+    const std::string off = driver::batchJson(opts, plain);
 
     enableAll();
-    const auto traced = driver::runBatch(opts);
-    const std::string on = exp::batchJson(opts, traced);
+    const auto traced = driver::measureBatch(opts);
+    const std::string on = driver::batchJson(opts, traced);
 
     EXPECT_GT(obs::traceEventCount(), 0u);
     EXPECT_EQ(off, on);
@@ -586,14 +586,14 @@ TEST_F(ObsTest, TelemetrySamplerKeepsArtifactsByteIdentical)
 {
     const driver::DriverOptions opts = batchOptions();
 
-    const auto plain = driver::runBatch(opts);
-    const std::string off = exp::batchJson(opts, plain);
+    const auto plain = driver::measureBatch(opts);
+    const std::string off = driver::batchJson(opts, plain);
 
     const std::string path = ::testing::TempDir() + "obs_test_telem.jsonl";
     ASSERT_TRUE(obs::telemetryStart(path, 2));
     ASSERT_TRUE(obs::telemetryActive());
-    const auto traced = driver::runBatch(opts);
-    const std::string on = exp::batchJson(opts, traced);
+    const auto traced = driver::measureBatch(opts);
+    const std::string on = driver::batchJson(opts, traced);
     obs::telemetryStop();
     EXPECT_FALSE(obs::telemetryActive());
 
@@ -642,7 +642,7 @@ TEST_F(ObsTest, IdenticalSpecRunsShowZeroDeterministicDeltas)
         obs::Options o;
         o.metrics = true;
         obs::enable(o);
-        (void)driver::runBatch(opts);
+        (void)driver::measureBatch(opts);
         return obs::metricsJson();
     };
 

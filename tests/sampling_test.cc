@@ -5,8 +5,7 @@
  * core), SMARTS sampling accuracy against full detailed runs, the
  * too-short-to-sample fallback, parameter validation, determinism
  * across fan-out thread counts, and the persistent checkpoint store
- * (round trips, every load-validation failure path, and sliced
- * measurement for cross-process sharding).
+ * (round trips and every load-validation failure path).
  */
 
 #include <cstdlib>
@@ -593,37 +592,6 @@ TEST_F(CheckpointStoreTest, LoadRejectsArchVersionAndSchemaMismatch)
               std::string::npos);
 }
 
-TEST_F(CheckpointStoreTest, ShardedLoadReadsOnlyItsSlice)
-{
-    isa::Program prog = buildWorkload("pi", 5, 20);
-    const cpu::CoreConfig cfg = sampledConfig();
-    sampling::CheckpointSet set =
-        sampling::captureCheckpoints(prog, cfg);
-    sampling::saveCheckpointSet(dir(), storeKey(), set);
-    const size_t n = set.checkpoints.size();
-    ASSERT_GE(n, 3u);
-
-    // Corrupt a file shard 1/2 never claims: the sliced load must
-    // succeed anyway, proving it reads only its own files.
-    {
-        std::ofstream out(dir_ / "ckpt-000001.pbsckpt",
-                          std::ios::binary | std::ios::trunc);
-        out << "junk";
-    }
-    sampling::CheckpointSet sliced =
-        sampling::loadCheckpointSet(dir(), storeKey(), 1, 2);
-    ASSERT_EQ(sliced.checkpoints.size(), n);
-    for (size_t i : sampling::shardIndices(n, 1, 2)) {
-        expectSameArch(sliced.checkpoints[i], set.checkpoints[i],
-                       "claimed slot " + std::to_string(i));
-    }
-    EXPECT_EQ(sliced.checkpoints[1].instructions, 0u);  // left empty
-
-    // An unsharded load of the now-corrupt set still fails.
-    EXPECT_NE(loadFailure(dir(), storeKey()).find("truncated"),
-              std::string::npos);
-}
-
 TEST_F(CheckpointStoreTest, ResaveDropsUnreferencedCheckpointFiles)
 {
     isa::Program prog = buildWorkload("pi", 5, 20);
@@ -651,38 +619,6 @@ TEST_F(CheckpointStoreTest, ResaveDropsUnreferencedCheckpointFiles)
     sampling::CheckpointSet loaded =
         sampling::loadCheckpointSet(dir(), key);
     EXPECT_EQ(loaded.checkpoints.size(), 2u);
-}
-
-TEST_F(CheckpointStoreTest, SlicedMeasurementMatchesFullFanOut)
-{
-    isa::Program prog = buildWorkload("pi", 5, 20);
-    const cpu::CoreConfig cfg = sampledConfig();
-
-    sampling::CheckpointSet full =
-        sampling::captureCheckpoints(prog, cfg);
-    sampling::CheckpointSet sliced =
-        sampling::captureCheckpoints(prog, cfg);
-    const size_t n = full.checkpoints.size();
-    ASSERT_GE(n, 3u);
-
-    std::vector<size_t> all(n);
-    std::vector<size_t> even, odd;
-    for (size_t i = 0; i < n; i++) {
-        all[i] = i;
-        (i % 2 ? odd : even).push_back(i);
-    }
-    const auto whole = sampling::measureIntervals(prog, cfg, full, all);
-    const auto evens =
-        sampling::measureIntervals(prog, cfg, sliced, even);
-    const auto odds =
-        sampling::measureIntervals(prog, cfg, sliced, odd);
-
-    // Shard slices reproduce exactly the samples the full fan-out
-    // measures — the property that makes merged results bit-identical.
-    for (size_t i = 0; i < even.size(); i++)
-        EXPECT_TRUE(evens[i] == whole[even[i]]) << even[i];
-    for (size_t i = 0; i < odd.size(); i++)
-        EXPECT_TRUE(odds[i] == whole[odd[i]]) << odd[i];
 }
 
 TEST(Sampled, MaxSamplesCapsTheFanOut)

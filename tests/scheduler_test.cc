@@ -257,8 +257,8 @@ TEST_F(SchedulerTest, BatchArtifactByteIdenticalAcrossJobsAndPolicies)
 
     auto render = [&](pool::Policy policy, unsigned jobs) {
         p.setPolicy(policy);
-        opts.jobs = jobs;  // runBatch() configures the pool from this
-        return exp::batchJson(opts, driver::runBatch(opts));
+        opts.jobs = jobs;  // the batch engine sizes the pool from this
+        return driver::batchJson(opts, driver::measureBatch(opts));
     };
 
     const std::string reference = render(pool::Policy::Static, 1);
