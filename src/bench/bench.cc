@@ -71,7 +71,7 @@ expPointFor(const BenchPoint &p, const BenchConfig &bench)
     return pt;
 }
 
-const char *const kBenchModes[] = {"detailed", "legacy", "functional",
+const char *const kBenchModes[] = {"detailed", "functional",
                                    "functional-switch", "sampled", "mpki"};
 
 bool

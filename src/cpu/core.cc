@@ -1,20 +1,16 @@
 #include "cpu/core.hh"
 
-#include <cmath>
-#include <cstring>
+#include <optional>
 #include <stdexcept>
-#include <type_traits>
 
 #include "bpred/factory.hh"
-#include "isa/arith.hh"
+#include "cpu/execute.hh"
 #include "isa/assembler.hh"
 
 namespace pbs::cpu {
 
-using isa::CmpOp;
 using isa::DecodedOp;
 using isa::FuKind;
-using isa::Instruction;
 using isa::LatKind;
 using isa::Opcode;
 
@@ -40,13 +36,10 @@ bandwidthLimit(uint64_t &lastCycle, unsigned &count, unsigned width,
     return c;
 }
 
-using isa::signedDiv;
-using isa::signedRem;
-
 }  // namespace
 
 Core::Core(const isa::Program &prog, const CoreConfig &cfg)
-    : prog_(prog), image_(isa::DecodedImage::decode(prog_)), cfg_(cfg),
+    : image_(isa::DecodedImage::decode(prog)), cfg_(cfg),
       hierarchy_(cfg.memory), pbs_(cfg.pbs)
 {
     pred_ = bpred::makePredictor(cfg_.predictor);
@@ -55,28 +48,10 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg)
         sidePred_ = std::make_unique<bpred::StaticPredictor>(false);
 
     pbs_.setEnabled(cfg_.pbsEnabled);
-    pc_ = prog_.entry;
+    pc_ = prog.entry;
 
-    for (const auto &[addr, bytes] : prog_.dataInit)
+    for (const auto &[addr, bytes] : prog.dataInit)
         mem_.writeBlock(addr, bytes);
-
-    // Legacy-path metadata: map each PROB_CMP to its closing PROB_JMP
-    // (the Prob-BTB key). The predecoded path carries this per-op.
-    if (cfg_.execPath == ExecPath::LegacyProgram) {
-        for (size_t i = 0; i < prog_.insts.size(); i++) {
-            if (prog_.insts[i].op != Opcode::PROB_CMP)
-                continue;
-            for (size_t j = i + 1; j < prog_.insts.size(); j++) {
-                const Instruction &inst = prog_.insts[j];
-                if (inst.op == Opcode::PROB_JMP &&
-                    inst.probId == prog_.insts[i].probId &&
-                    !inst.isCarrierProbJmp()) {
-                    probJmpOf_[i] = j;
-                    break;
-                }
-            }
-        }
-    }
 
     probGroups_.assign(size_t(image_.maxProbId()) + 1, ProbGroup{});
     probSeq_.assign(size_t(image_.maxProbId()) + 1, 0);
@@ -135,6 +110,9 @@ Core::restoreArch(const ArchState &state)
             "(probSeq size mismatch)");
     }
     regs_ = state.regs;
+    // Pin the REG_ZERO invariant (regs_[0] == 0): cpu::execute reads
+    // the register file unguarded on the strength of it.
+    regs_[isa::REG_ZERO] = 0;
     pc_ = state.pc;
     halted_ = state.halted;
     mem_ = state.mem;
@@ -150,101 +128,6 @@ Core::writeReg(unsigned r, uint64_t v)
 {
     if (r != isa::REG_ZERO)
         regs_[r] = v;
-}
-
-void
-Core::writeRegD(unsigned r, double v)
-{
-    writeReg(r, isa::doubleBits(v));
-}
-
-bool
-Core::evalCmp(CmpOp op, uint64_t a, uint64_t b)
-{
-    return isa::evalCmp(op, a, b);
-}
-
-Core::FuSpec
-Core::fuSpecFor(const Instruction &inst) const
-{
-    // Legacy reference path: re-derive the FU class and latency from
-    // the opcode on every dynamic instruction.
-    const Latencies &lat = cfg_.lat;
-    switch (inst.op) {
-      case Opcode::MUL:
-        return {FuKind::IntMul, lat.intMul, true};
-      case Opcode::DIV:
-      case Opcode::REM:
-        return {FuKind::IntDiv, lat.intDiv, false};
-      case Opcode::FADD:
-      case Opcode::FSUB:
-      case Opcode::FMIN:
-      case Opcode::FMAX:
-      case Opcode::FNEG:
-      case Opcode::FABS:
-      case Opcode::I2F:
-      case Opcode::F2I:
-        return {FuKind::FpAlu, lat.fpAlu, true};
-      case Opcode::FMUL:
-        return {FuKind::FpMul, lat.fpMul, true};
-      case Opcode::FDIV:
-        return {FuKind::FpDiv, lat.fpDiv, false};
-      case Opcode::FSQRT:
-        return {FuKind::FpDiv, lat.fpSqrt, false};
-      case Opcode::FEXP:
-      case Opcode::FLOG:
-      case Opcode::FSIN:
-      case Opcode::FCOS:
-        return {FuKind::FpDiv, lat.fpTrans, false};
-      case Opcode::LD:
-      case Opcode::LDB:
-        return {FuKind::Load, 1, true};  // + memory latency
-      case Opcode::ST:
-      case Opcode::STB:
-        return {FuKind::Store, lat.store, true};
-      default:
-        return {FuKind::IntAlu, lat.intAlu, true};
-    }
-}
-
-Core::FuSpec
-Core::opFuSpec(const Core &c, const DecodedOp &op)
-{
-    return {op.fu, c.latOf_[size_t(op.lat)], !op.unpipelined()};
-}
-
-Core::FuSpec
-Core::opFuSpec(const Core &c, const Instruction &op)
-{
-    return c.fuSpecFor(op);
-}
-
-unsigned
-Core::opSrcRegs(const DecodedOp &op, std::array<uint8_t, 3> &srcs)
-{
-    srcs[0] = op.srcs[0];
-    srcs[1] = op.srcs[1];
-    srcs[2] = op.srcs[2];
-    return op.nsrc;
-}
-
-unsigned
-Core::opSrcRegs(const Instruction &op, std::array<uint8_t, 3> &srcs)
-{
-    return op.sourceRegs(srcs);
-}
-
-uint64_t
-Core::opProbJmpPc(const DecodedOp &op, uint64_t) const
-{
-    return op.probJmpPc;
-}
-
-uint64_t
-Core::opProbJmpPc(const Instruction &, uint64_t pc) const
-{
-    auto it = probJmpOf_.find(pc);
-    return it != probJmpOf_.end() ? it->second : pc;
 }
 
 uint64_t
@@ -287,8 +170,8 @@ Core::issueOn(FuKind cls, unsigned latency, bool pipelined,
 }
 
 uint64_t
-Core::finishTiming(const FuSpec &spec, const uint8_t *srcs,
-                   uint64_t fetch, uint64_t memLatency)
+Core::finishTiming(const DecodedOp &op, uint64_t fetch,
+                   uint64_t memLatency)
 {
     // Dispatch: frontend depth, dispatch bandwidth, ROB occupancy.
     uint64_t d = bandwidthLimit(lastDispatchCycle_, dispatchedInCycle_,
@@ -310,27 +193,15 @@ Core::finishTiming(const FuSpec &spec, const uint8_t *srcs,
     // regReady_[REG_ZERO] is invariantly 0, so the three maxes are
     // unconditional (branchless) and unused slots are no-ops.
     uint64_t ready = d;
-    ready = std::max(ready, regReady_[srcs[0]]);
-    ready = std::max(ready, regReady_[srcs[1]]);
-    ready = std::max(ready, regReady_[srcs[2]]);
+    ready = std::max(ready, regReady_[op.srcs[0]]);
+    ready = std::max(ready, regReady_[op.srcs[1]]);
+    ready = std::max(ready, regReady_[op.srcs[2]]);
 
-    unsigned latency = spec.latency + memLatency;
-    auto [issue, done] = issueOn(spec.cls, latency, spec.pipelined,
+    unsigned latency = latOf_[size_t(op.lat)] + memLatency;
+    auto [issue, done] = issueOn(op.fu, latency, !op.unpipelined(),
                                  ready);
     (void)issue;
     return done;
-}
-
-uint64_t
-Core::scanStoreQueue(uint64_t key) const
-{
-    for (unsigned k = 0; k < storeCount_; k++) {
-        const auto &e = storeQueue_[
-            (storeHead_ + kStoreQueueDepth - 1 - k) % kStoreQueueDepth];
-        if (e.first == key)
-            return e.second;
-    }
-    return 0;
 }
 
 void
@@ -412,413 +283,203 @@ Core::step(uint64_t n)
     return executed;
 }
 
+/**
+ * The core's view of one cpu::execute step: fetch and issue timing,
+ * the store queue, the direction predictor, the PBS engine (steering
+ * at fetch, value swaps at execution) and commit. One object lives for
+ * one instruction; @ref f and @ref done carry its fetch and completion
+ * cycles from onIssue to the later hooks.
+ */
+struct Core::Hooks
+{
+    explicit Hooks(Core &core)
+        : c(core), timing(core.cfg_.mode == SimMode::Timing)
+    {}
+
+    Core &c;
+    const bool timing;
+    uint64_t f = 0;     ///< fetch cycle (instruction count off-timing)
+    uint64_t done = 0;  ///< completion cycle
+
+    /** The PBS steering decision of a PROB_CMP, taken at fetch. */
+    std::optional<core::PbsInstance> probFetch;
+
+    void
+    onIssue(const DecodedOp &op, uint64_t pc, uint64_t ea)
+    {
+        f = timing ? c.fetchTiming(pc) : c.stats_.instructions;
+
+        // The PBS steering decision happens at fetch: query the engine
+        // before the timing pass so a stallOnBusy delay is charged to
+        // this instruction's fetch cycle.
+        if (op.op == Opcode::PROB_CMP && c.cfg_.pbsEnabled) {
+            probFetch = c.pbs_.onProbCmpFetch(op.probJmpPc, f);
+            if (probFetch->stallCycles > 0 && timing) {
+                f += probFetch->stallCycles;
+                if (c.fetchCycle_ < f) {
+                    c.fetchCycle_ = f;
+                    c.fetchedInCycle_ = 1;
+                }
+            }
+        }
+
+        if (!timing) {
+            done = f + c.cfg_.functionalExecDelay;
+            return;
+        }
+        // Cache latency and the store-to-load dependence are known
+        // before the timing pass; the dependence folds in afterwards.
+        uint64_t memLat = 0;
+        uint64_t memDepReady = 0;
+        if (op.isLoad() || op.isStore()) {
+            memLat = op.isLoad() ? c.hierarchy_.dataAccess(ea) : 0;
+            memDepReady = c.storeQueue_.lookup(ea >> 3);
+        }
+        done = std::max(c.finishTiming(op, f, memLat), memDepReady);
+    }
+
+    void
+    onProbCmp(const DecodedOp &op, uint64_t vNew, uint64_t operand,
+              bool cond)
+    {
+        ProbGroup &grp = c.probGroups_[op.probId];
+        grp = ProbGroup{};
+        grp.open = true;
+        grp.condNew = cond;
+        if (!c.cfg_.pbsEnabled)
+            return;
+        const core::PbsInstance &pub = *probFetch;
+        grp.token = pub.token;
+        grp.steered = pub.steered;
+        grp.old = pub.old;
+        grp.managed = c.pbs_.onProbCmpExec(pub.token, vNew, operand, done);
+        if (grp.steered) {
+            // The value swap: condition and probabilistic value come
+            // from the recorded previous execution.
+            c.writeReg(op.rd, grp.old.taken ? 1 : 0);
+            c.writeReg(op.rs1, grp.old.value1);
+            // Guarded so regReady_[REG_ZERO] stays 0 (the dependence
+            // maxes rely on that invariant); a zero prob register was
+            // never read back anyway.
+            if (timing && op.rs1 != isa::REG_ZERO)
+                c.regReady_[op.rs1] = done;
+        }
+    }
+
+    void
+    onJump(uint64_t pc, uint64_t target)
+    {
+        if (c.cfg_.pbsEnabled)
+            c.pbs_.noteBranch(pc, target, true);
+    }
+
+    void
+    onBranch(uint64_t pc, uint64_t target, bool taken)
+    {
+        c.predictAndTrain(pc, taken, false, done);
+        if (c.cfg_.pbsEnabled)
+            c.pbs_.noteBranch(pc, target, taken);
+    }
+
+    void
+    onCall(uint64_t pc)
+    {
+        if (c.cfg_.pbsEnabled)
+            c.pbs_.noteCall(pc);
+    }
+
+    void
+    onReturn()
+    {
+        if (c.cfg_.pbsEnabled)
+            c.pbs_.noteReturn();
+    }
+
+    void
+    onCarrier(const DecodedOp &op)
+    {
+        // Value carrier: participates in the swap, never branches.
+        const ProbGroup &grp = c.probGroups_[op.probId];
+        if (!c.cfg_.pbsEnabled || !grp.open)
+            return;
+        c.pbs_.onCarrierExec(grp.token, c.regs_[op.rd]);
+        if (grp.steered && grp.old.hasValue2)
+            c.writeReg(op.rd, grp.old.value2);
+    }
+
+    bool
+    onProbJmp(const DecodedOp &op, uint64_t pc, uint64_t selfSeq,
+              bool cond)
+    {
+        ProbGroup &grp = c.probGroups_[op.probId];
+        uint64_t consumedSeq = selfSeq;
+        bool taken;
+        bool steered = false;
+        if (c.cfg_.pbsEnabled && grp.open) {
+            std::optional<uint64_t> v2;
+            if (op.rd != isa::REG_ZERO)
+                v2 = c.regs_[op.rd];
+            c.pbs_.onProbJmpExec(grp.token, grp.condNew, v2, op.target,
+                                 done, selfSeq);
+            if (grp.steered) {
+                steered = true;
+                taken = grp.old.taken;
+                consumedSeq = grp.old.genSeq;
+                if (op.rd != isa::REG_ZERO && grp.old.hasValue2)
+                    c.writeReg(op.rd, grp.old.value2);
+                c.stats_.steeredBranches++;
+                // Direction known at fetch: no prediction, no penalty.
+            } else {
+                taken = grp.condNew;
+                c.predictAndTrain(pc, taken, true, done);
+            }
+        } else {
+            // PBS disabled: behaves as JNZ on the condition register.
+            taken = cond;
+            c.predictAndTrain(pc, taken, true, done);
+        }
+        if (c.cfg_.traceProbBranches) {
+            c.probTrace_.push_back({op.probId, selfSeq, consumedSeq, taken,
+                                    steered});
+        }
+        if (c.cfg_.pbsEnabled)
+            c.pbs_.noteBranch(pc, op.target, taken);
+        grp.open = false;
+        return taken;
+    }
+
+    void
+    onRetire(const DecodedOp &op, uint64_t ea, bool redirected)
+    {
+        if (!timing)
+            return;
+        // Publish destination readiness for dependents.
+        int dst = op.destReg();
+        if (dst > 0)
+            c.regReady_[dst] = done;
+        if (op.isStore())
+            c.storeQueue_.push(ea >> 3, done);
+        // Taken control flow ends the fetch group.
+        if (redirected)
+            c.endFetchGroup(f);
+        c.commitTiming(done);
+    }
+};
+
 void
 Core::stepOne()
 {
     if (pc_ >= image_.size())
         throw std::out_of_range("PC out of range: " + std::to_string(pc_));
 
-    if (cfg_.execPath == ExecPath::Decoded)
-        stepOneOn(image_.at(pc_));
-    else
-        stepOneOn(prog_.insts[pc_]);
-}
-
-template <class Op>
-void
-Core::stepOneOn(const Op &inst)
-{
-    const uint64_t this_pc = pc_;
-    uint64_t next_pc = pc_ + 1;
-
-    const bool timing = cfg_.mode == SimMode::Timing;
-    uint64_t f = timing ? fetchTiming(this_pc) : stats_.instructions;
-    auto func_done = [&] { return f + cfg_.functionalExecDelay; };
-
-    // The PBS steering decision happens at fetch: query the engine
-    // before the timing pass so a stallOnBusy delay is charged to this
-    // instruction's fetch cycle.
-    std::optional<core::PbsInstance> prob_fetch;
-    if (inst.op == Opcode::PROB_CMP && cfg_.pbsEnabled) {
-        uint64_t jmp_pc = opProbJmpPc(inst, this_pc);
-        prob_fetch = pbs_.onProbCmpFetch(jmp_pc, f);
-        if (prob_fetch->stallCycles > 0 && timing) {
-            f += prob_fetch->stallCycles;
-            if (fetchCycle_ < f) {
-                fetchCycle_ = f;
-                fetchedInCycle_ = 1;
-            }
-        }
-    }
-
-    uint64_t mem_lat = 0;
-    uint64_t mem_dep_ready = 0;
-
-    // Pre-compute load/store addresses (needed for cache latencies and
-    // store-to-load dependences before the timing pass).
-    uint64_t ea = 0;
-    if (inst.isLoad() || inst.isStore()) {
-        ea = readReg(inst.rs1) + static_cast<uint64_t>(inst.imm);
-        if (timing) {
-            mem_lat = inst.isLoad() ? hierarchy_.dataAccess(ea) : 0;
-            uint64_t key = ea >> 3;
-            // Newest-to-oldest search of the last kStoreQueueDepth
-            // stores. The predecoded path goes through the store
-            // index; the legacy reference path keeps the plain ring
-            // scan, so the differential suites verify the index
-            // against the scan on every load.
-            if constexpr (std::is_same_v<Op, DecodedOp>) {
-                const StoreIdxEntry &ie = storeIdx_[storeIdxSlot(key)];
-                if (ie.key == key) {
-                    // Newest store to this address; expired = absent.
-                    if (storeSeq_ - ie.seq < kStoreQueueDepth)
-                        mem_dep_ready = ie.done;
-                } else if (ie.key != kNoStoreKey) {
-                    // Collision evicted this key's index entry: fall
-                    // back to the exact scan.
-                    mem_dep_ready = scanStoreQueue(key);
-                }
-                // ie.key == kNoStoreKey: no store ever hashed here,
-                // so this address was never stored — absence proven.
-            } else {
-                mem_dep_ready = scanStoreQueue(key);
-            }
-        }
-    }
-
-    // Timing for this instruction (done = completion cycle). The extra
-    // store-to-load dependence is folded in afterwards.
-    uint64_t done;
-    if (timing) {
-        std::array<uint8_t, 3> srcs{};  // REG_ZERO-padded
-        opSrcRegs(inst, srcs);
-        done = finishTiming(opFuSpec(*this, inst), srcs.data(), f,
-                            mem_lat);
-        if (mem_dep_ready > done)
-            done = mem_dep_ready;
-    } else {
-        done = func_done();
-    }
-
-    bool ends_group = false;   // taken control flow ends the fetch group
-
-    switch (inst.op) {
-      case Opcode::NOP:
-        break;
-      case Opcode::ADD:
-        writeReg(inst.rd, readReg(inst.rs1) + readReg(inst.rs2));
-        break;
-      case Opcode::SUB:
-        writeReg(inst.rd, readReg(inst.rs1) - readReg(inst.rs2));
-        break;
-      case Opcode::MUL:
-        writeReg(inst.rd, readReg(inst.rs1) * readReg(inst.rs2));
-        break;
-      case Opcode::DIV:
-        writeReg(inst.rd, static_cast<uint64_t>(signedDiv(
-            static_cast<int64_t>(readReg(inst.rs1)),
-            static_cast<int64_t>(readReg(inst.rs2)))));
-        break;
-      case Opcode::REM:
-        writeReg(inst.rd, static_cast<uint64_t>(signedRem(
-            static_cast<int64_t>(readReg(inst.rs1)),
-            static_cast<int64_t>(readReg(inst.rs2)))));
-        break;
-      case Opcode::AND:
-        writeReg(inst.rd, readReg(inst.rs1) & readReg(inst.rs2));
-        break;
-      case Opcode::OR:
-        writeReg(inst.rd, readReg(inst.rs1) | readReg(inst.rs2));
-        break;
-      case Opcode::XOR:
-        writeReg(inst.rd, readReg(inst.rs1) ^ readReg(inst.rs2));
-        break;
-      case Opcode::SLL:
-        writeReg(inst.rd, readReg(inst.rs1) << (readReg(inst.rs2) & 63));
-        break;
-      case Opcode::SRL:
-        writeReg(inst.rd, readReg(inst.rs1) >> (readReg(inst.rs2) & 63));
-        break;
-      case Opcode::SRA:
-        writeReg(inst.rd, static_cast<uint64_t>(
-            static_cast<int64_t>(readReg(inst.rs1)) >>
-            (readReg(inst.rs2) & 63)));
-        break;
-      case Opcode::ADDI:
-        writeReg(inst.rd, readReg(inst.rs1) +
-                              static_cast<uint64_t>(inst.imm));
-        break;
-      case Opcode::ANDI:
-        writeReg(inst.rd, readReg(inst.rs1) &
-                              static_cast<uint64_t>(inst.imm));
-        break;
-      case Opcode::ORI:
-        writeReg(inst.rd, readReg(inst.rs1) |
-                              static_cast<uint64_t>(inst.imm));
-        break;
-      case Opcode::XORI:
-        writeReg(inst.rd, readReg(inst.rs1) ^
-                              static_cast<uint64_t>(inst.imm));
-        break;
-      case Opcode::SLLI:
-        writeReg(inst.rd, readReg(inst.rs1) << (inst.imm & 63));
-        break;
-      case Opcode::SRLI:
-        writeReg(inst.rd, readReg(inst.rs1) >> (inst.imm & 63));
-        break;
-      case Opcode::SRAI:
-        writeReg(inst.rd, static_cast<uint64_t>(
-            static_cast<int64_t>(readReg(inst.rs1)) >> (inst.imm & 63)));
-        break;
-      case Opcode::MOV:
-        writeReg(inst.rd, readReg(inst.rs1));
-        break;
-      case Opcode::LDI:
-        writeReg(inst.rd, static_cast<uint64_t>(inst.imm));
-        break;
-      case Opcode::FADD:
-        writeRegD(inst.rd, regDouble(inst.rs1) + regDouble(inst.rs2));
-        break;
-      case Opcode::FSUB:
-        writeRegD(inst.rd, regDouble(inst.rs1) - regDouble(inst.rs2));
-        break;
-      case Opcode::FMUL:
-        writeRegD(inst.rd, regDouble(inst.rs1) * regDouble(inst.rs2));
-        break;
-      case Opcode::FDIV:
-        writeRegD(inst.rd, regDouble(inst.rs1) / regDouble(inst.rs2));
-        break;
-      case Opcode::FSQRT:
-        writeRegD(inst.rd, std::sqrt(regDouble(inst.rs1)));
-        break;
-      case Opcode::FNEG:
-        writeRegD(inst.rd, -regDouble(inst.rs1));
-        break;
-      case Opcode::FABS:
-        writeRegD(inst.rd, std::abs(regDouble(inst.rs1)));
-        break;
-      case Opcode::FMIN:
-        writeRegD(inst.rd,
-                  std::fmin(regDouble(inst.rs1), regDouble(inst.rs2)));
-        break;
-      case Opcode::FMAX:
-        writeRegD(inst.rd,
-                  std::fmax(regDouble(inst.rs1), regDouble(inst.rs2)));
-        break;
-      case Opcode::FEXP:
-        writeRegD(inst.rd, std::exp(regDouble(inst.rs1)));
-        break;
-      case Opcode::FLOG:
-        writeRegD(inst.rd, std::log(regDouble(inst.rs1)));
-        break;
-      case Opcode::FSIN:
-        writeRegD(inst.rd, std::sin(regDouble(inst.rs1)));
-        break;
-      case Opcode::FCOS:
-        writeRegD(inst.rd, std::cos(regDouble(inst.rs1)));
-        break;
-      case Opcode::I2F:
-        writeRegD(inst.rd, static_cast<double>(
-            static_cast<int64_t>(readReg(inst.rs1))));
-        break;
-      case Opcode::F2I:
-        writeReg(inst.rd, static_cast<uint64_t>(
-            isa::f2iSaturate(regDouble(inst.rs1))));
-        break;
-      case Opcode::CMP:
-        writeReg(inst.rd, evalCmp(inst.cmp, readReg(inst.rs1),
-                                  readReg(inst.rs2)) ? 1 : 0);
-        break;
-      case Opcode::SEL:
-        writeReg(inst.rd, readReg(inst.rs1) ? readReg(inst.rs2)
-                                            : readReg(inst.rs3));
-        break;
-      case Opcode::LD:
-        writeReg(inst.rd, mem_.readU64(ea));
-        break;
-      case Opcode::LDB:
-        writeReg(inst.rd, mem_.readByte(ea));
-        break;
-      case Opcode::ST:
-        mem_.writeU64(ea, readReg(inst.rs2));
-        break;
-      case Opcode::STB:
-        mem_.writeByte(ea, readReg(inst.rs2) & 0xff);
-        break;
-      case Opcode::JMP:
-        next_pc = static_cast<uint64_t>(inst.imm);
-        if (cfg_.pbsEnabled)
-            pbs_.noteBranch(this_pc, next_pc, true);
-        ends_group = true;
-        break;
-      case Opcode::JZ:
-      case Opcode::JNZ: {
-        bool nonzero = readReg(inst.rs1) != 0;
-        bool taken = inst.op == Opcode::JNZ ? nonzero : !nonzero;
-        stats_.branches++;
-        predictAndTrain(this_pc, taken, false, done);
-        if (cfg_.pbsEnabled)
-            pbs_.noteBranch(this_pc, static_cast<uint64_t>(inst.imm),
-                            taken);
-        if (taken) {
-            next_pc = static_cast<uint64_t>(inst.imm);
-            ends_group = true;
-        }
-        break;
-      }
-      case Opcode::CALL:
-        writeReg(isa::REG_RA, this_pc + 1);
-        next_pc = static_cast<uint64_t>(inst.imm);
-        if (cfg_.pbsEnabled)
-            pbs_.noteCall(this_pc);
-        ends_group = true;
-        break;
-      case Opcode::RET:
-        next_pc = readReg(isa::REG_RA);
-        if (cfg_.pbsEnabled)
-            pbs_.noteReturn();
-        ends_group = true;
-        break;
-      case Opcode::HALT:
-        halted_ = true;
-        break;
-
-      case Opcode::PROB_CMP: {
-        uint64_t v_new = readReg(inst.rs1);
-        uint64_t operand = readReg(inst.rs2);
-        bool cond_new = evalCmp(inst.cmp, v_new, operand);
-        ProbGroup &grp = probGroups_[inst.probId];
-        grp = ProbGroup{};
-        grp.open = true;
-        grp.condNew = cond_new;
-        if (cfg_.pbsEnabled) {
-            const core::PbsInstance &pub = *prob_fetch;
-            grp.token = pub.token;
-            grp.steered = pub.steered;
-            grp.old = pub.old;
-            grp.managed = pbs_.onProbCmpExec(pub.token, v_new, operand,
-                                             done);
-            if (grp.steered) {
-                // The value swap: condition and probabilistic value come
-                // from the recorded previous execution.
-                writeReg(inst.rd, grp.old.taken ? 1 : 0);
-                writeReg(inst.rs1, grp.old.value1);
-                // Guarded so regReady_[REG_ZERO] stays 0 (the
-                // dependence maxes rely on that invariant); a zero
-                // prob register was never read back anyway.
-                if (timing && inst.rs1 != isa::REG_ZERO)
-                    regReady_[inst.rs1] = done;
-            } else {
-                writeReg(inst.rd, cond_new ? 1 : 0);
-            }
-        } else {
-            writeReg(inst.rd, cond_new ? 1 : 0);
-        }
-        break;
-      }
-
-      case Opcode::CFD_JNZ: {
-        // Direction supplied at fetch by the (idealized) CFD hardware
-        // queue: never mispredicts, never touches the predictor.
-        bool taken = readReg(inst.rs1) != 0;
-        stats_.branches++;
-        if (taken) {
-            next_pc = static_cast<uint64_t>(inst.imm);
-            ends_group = true;
-        }
-        break;
-      }
-
-      case Opcode::PROB_JMP: {
-        ProbGroup &grp = probGroups_[inst.probId];
-        if (inst.isCarrierProbJmp()) {
-            // Value-carrier: participates in the swap, never branches.
-            if (cfg_.pbsEnabled && grp.open) {
-                uint64_t v2_new = readReg(inst.rd);
-                pbs_.onCarrierExec(grp.token, v2_new);
-                if (grp.steered && grp.old.hasValue2)
-                    writeReg(inst.rd, grp.old.value2);
-            }
-            break;
-        }
-
-        stats_.branches++;
-        stats_.probBranches++;
-        uint64_t self_seq = probSeq_[inst.probId]++;
-        uint64_t consumed_seq = self_seq;
-        bool taken;
-        bool steered = false;
-        if (cfg_.pbsEnabled && grp.open) {
-            std::optional<uint64_t> v2;
-            if (inst.rd != isa::REG_ZERO)
-                v2 = readReg(inst.rd);
-            pbs_.onProbJmpExec(grp.token, grp.condNew, v2,
-                               static_cast<uint64_t>(inst.imm), done,
-                               self_seq);
-            if (grp.steered) {
-                steered = true;
-                taken = grp.old.taken;
-                consumed_seq = grp.old.genSeq;
-                if (inst.rd != isa::REG_ZERO && grp.old.hasValue2)
-                    writeReg(inst.rd, grp.old.value2);
-                stats_.steeredBranches++;
-                // Direction known at fetch: no prediction, no penalty.
-            } else {
-                taken = grp.condNew;
-                predictAndTrain(this_pc, taken, true, done);
-            }
-        } else {
-            // PBS disabled: behaves as JNZ on the condition register.
-            taken = readReg(inst.rs1) != 0;
-            predictAndTrain(this_pc, taken, true, done);
-        }
-        if (cfg_.traceProbBranches) {
-            probTrace_.push_back({inst.probId, self_seq, consumed_seq,
-                                  taken, steered});
-        }
-        if (cfg_.pbsEnabled)
-            pbs_.noteBranch(this_pc, static_cast<uint64_t>(inst.imm),
-                            taken);
-        grp.open = false;
-        if (taken) {
-            next_pc = static_cast<uint64_t>(inst.imm);
-            ends_group = true;
-        }
-        break;
-      }
-
-      default:
-        throw std::logic_error("unimplemented opcode");
-    }
-
-    if (timing) {
-        // Publish destination readiness for dependents.
-        int dst = inst.destReg();
-        if (dst > 0)
-            regReady_[dst] = done;
-        if (inst.isStore()) {
-            uint64_t key = ea >> 3;
-            storeQueue_[storeHead_] = {key, done};
-            storeHead_ = (storeHead_ + 1) % kStoreQueueDepth;
-            if (storeCount_ < kStoreQueueDepth)
-                storeCount_++;
-            StoreIdxEntry &ie = storeIdx_[storeIdxSlot(key)];
-            ie.key = key;
-            ie.seq = ++storeSeq_;
-            ie.done = done;
-        }
-        if (ends_group)
-            endFetchGroup(f);
-        commitTiming(done);
-    }
+    Hooks hooks(*this);
+    const ExecCtx ctx{regs_.data(), &mem_, probSeq_.data(), &stats_,
+                      &halted_};
+    pc_ = execute(image_.at(pc_), pc_, ctx, hooks);
 
     stats_.instructions++;
-    if (!timing)
+    if (!hooks.timing)
         stats_.cycles = stats_.instructions;
-    pc_ = next_pc;
 }
-
-template void Core::stepOneOn<DecodedOp>(const DecodedOp &);
-template void Core::stepOneOn<Instruction>(const Instruction &);
 
 }  // namespace pbs::cpu

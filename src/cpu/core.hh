@@ -17,16 +17,16 @@
  *    applied architecturally at the probabilistic instructions, exactly
  *    as Section V of the paper specifies.
  *
- * Execution paths
- * ---------------
- * The hot loop runs from a predecoded @ref isa::DecodedImage: operands,
- * branch targets, FU classes and per-PC PBS metadata are resolved once
- * at construction, and the steady-state loop performs no heap
- * allocation (fixed rings and flat tables replace the per-instruction
- * container churn). The original interpretation straight out of
- * @ref isa::Program is kept selectable via CoreConfig::execPath as a
- * differential-testing reference; both paths produce bit-identical
- * architectural state, statistics and traces.
+ * Execution
+ * ---------
+ * The core executes a predecoded @ref isa::DecodedImage (operands,
+ * branch targets, FU classes and per-PC PBS metadata resolved once at
+ * construction) through cpu::execute (cpu/execute.hh), the interpreter
+ * it shares with the functional engine. The core's hooks observe each
+ * instruction's effects and drive the timing scoreboard, the caches,
+ * the predictor and the PBS engine; the PBS value swaps happen there.
+ * The steady-state loop performs no heap allocation (fixed rings and
+ * flat tables replace per-instruction container churn).
  */
 
 #ifndef PBS_CPU_CORE_HH
@@ -34,13 +34,13 @@
 
 #include <array>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "bpred/predictor.hh"
 #include "core/pbs_engine.hh"
 #include "cpu/arch_state.hh"
 #include "cpu/core_config.hh"
+#include "cpu/store_queue.hh"
 #include "isa/decoded_image.hh"
 #include "isa/program.hh"
 #include "mem/cache.hh"
@@ -112,41 +112,21 @@ class Core
     }
 
   private:
-    // --- functional helpers ---
-    uint64_t readReg(unsigned r) const { return r ? regs_[r] : 0; }
+    /** The hooks through which the core observes cpu::execute. */
+    struct Hooks;
+
     void writeReg(unsigned r, uint64_t v);
-    void writeRegD(unsigned r, double v);
-    static bool evalCmp(isa::CmpOp op, uint64_t a, uint64_t b);
     void stepOne();
 
-    /**
-     * One instruction on either execution path. @tparam Op is
-     * isa::DecodedOp (predecoded path) or isa::Instruction (legacy
-     * reference path); the shared field names keep the functional
-     * semantics textually identical across both.
-     */
-    template <class Op> void stepOneOn(const Op &inst);
-
     // --- timing helpers ---
-    struct FuSpec
-    {
-        isa::FuKind cls;
-        unsigned latency;
-        bool pipelined;
-    };
-
-    FuSpec fuSpecFor(const isa::Instruction &inst) const;
     uint64_t fetchTiming(uint64_t pc);
     std::pair<uint64_t, uint64_t> issueOn(isa::FuKind cls,
                                           unsigned latency,
                                           bool pipelined, uint64_t ready);
-    /** @p srcs must point at 3 REG_ZERO-padded source registers. */
-    uint64_t finishTiming(const FuSpec &spec, const uint8_t *srcs,
-                          uint64_t fetch, uint64_t memLatency);
-
-    /** Exact newest-first ring scan: completion cycle of the newest
-     *  queued store to @p key, or 0 when none is queued. */
-    uint64_t scanStoreQueue(uint64_t key) const;
+    /** Dispatch and issue @p op fetched at @p fetch: its completion
+     *  cycle (memLatency is added to its configured latency). */
+    uint64_t finishTiming(const isa::DecodedOp &op, uint64_t fetch,
+                          uint64_t memLatency);
     void commitTiming(uint64_t done);
     void redirect(uint64_t resolveCycle);
     void endFetchGroup(uint64_t fetchCycle);
@@ -155,18 +135,7 @@ class Core
     void predictAndTrain(uint64_t pc, bool taken, bool isProb,
                          uint64_t doneCycle);
 
-    // --- per-Op-representation accessors (predecoded vs legacy) ---
-    static FuSpec opFuSpec(const Core &c, const isa::DecodedOp &op);
-    static FuSpec opFuSpec(const Core &c, const isa::Instruction &op);
-    static unsigned opSrcRegs(const isa::DecodedOp &op,
-                              std::array<uint8_t, 3> &srcs);
-    static unsigned opSrcRegs(const isa::Instruction &op,
-                              std::array<uint8_t, 3> &srcs);
-    uint64_t opProbJmpPc(const isa::DecodedOp &op, uint64_t pc) const;
-    uint64_t opProbJmpPc(const isa::Instruction &op, uint64_t pc) const;
-
     // --- members ---
-    isa::Program prog_;  // owned copy: callers may pass temporaries
     isa::DecodedImage image_;
     CoreConfig cfg_;
 
@@ -201,55 +170,10 @@ class Core
     unsigned committedInCycle_ = 0;
     uint64_t lastFetchLine_ = ~uint64_t(0);
 
-    /**
-     * Store queue: the last kStoreQueueDepth stores as (addr>>3, done)
-     * pairs in a fixed ring (newest at (storeHead_ - 1) % depth).
-     */
-    static constexpr unsigned kStoreQueueDepth = 64;
-    std::array<std::pair<uint64_t, uint64_t>, kStoreQueueDepth>
-        storeQueue_{};
-    unsigned storeHead_ = 0;   ///< next slot to write
-    unsigned storeCount_ = 0;  ///< valid entries (<= depth)
-
-    /**
-     * Direct-mapped index over the store queue: the *newest* store to
-     * each address key, with its global sequence number. A load probes
-     * the index first:
-     *  - slot key matches, sequence in window  -> exact hit
-     *  - slot key matches, sequence expired    -> absence proven (the
-     *    newest store to the address left the window, so every older
-     *    one did too)
-     *  - slot empty                            -> absence proven
-     *  - slot holds a colliding key            -> fall back to the
-     *    exact ring scan
-     * so the result is always identical to scanning the ring.
-     */
-    struct StoreIdxEntry
-    {
-        uint64_t key = kNoStoreKey;
-        uint64_t seq = 0;   ///< 1-based global store number
-        uint64_t done = 0;
-    };
-
-    /** addr>>3 keys have their top bits clear, so ~0 is never a key. */
-    static constexpr uint64_t kNoStoreKey = ~uint64_t(0);
-    static constexpr unsigned kStoreIdxSlots = 256;
-
-    static unsigned
-    storeIdxSlot(uint64_t key)
-    {
-        return unsigned((key * 0x9e3779b97f4a7c15ull) >> 56) &
-               (kStoreIdxSlots - 1);
-    }
-
-    std::array<StoreIdxEntry, kStoreIdxSlots> storeIdx_{};
-    uint64_t storeSeq_ = 0;    ///< total stores so far
+    StoreQueue storeQueue_;
 
     // PBS state.
     core::PbsEngine pbs_;
-
-    /** Legacy-path map: PROB_CMP pc -> closing PROB_JMP pc. */
-    std::unordered_map<uint64_t, uint64_t> probJmpOf_;
 
     struct ProbGroup
     {

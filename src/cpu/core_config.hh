@@ -57,19 +57,16 @@ enum class SimMode {
  *  - Detailed: the cpu::Core (SimMode selects its fidelity; `--mode
  *    mpki` maps to SimMode::Functional — the fidelity that still
  *    updates predictors and the PBS engine but models no timing).
- *  - Legacy: the cpu::Core interpreting the isa::Program directly
- *    (ExecPath::LegacyProgram), the differential-testing reference.
  *  - Functional: the sampling subsystem's FunctionalEngine —
  *    architectural state only, no predictors, no caches, no timing.
  *  - Sampled: SMARTS-style systematic sampling (functional
  *    fast-forward, detailed warmup, measured detailed intervals).
  *
- * The cpu::Core itself only ever executes Detailed/Legacy
- * configurations; the sampling subsystem resolves the other two.
+ * The cpu::Core itself only ever executes Detailed configurations;
+ * the sampling subsystem resolves the other two.
  */
 enum class ExecMode {
     Detailed,
-    Legacy,
     Functional,
     Sampled,
 };
@@ -90,23 +87,10 @@ struct SampleParams
     bool operator==(const SampleParams &) const = default;
 };
 
-/**
- * Which program representation the core executes from. Both paths are
- * bit-identical in every architectural and statistical output; the
- * legacy path re-derives static instruction properties per dynamic
- * instruction and exists as the differential-testing reference for the
- * predecoded path (tests/predecode_equiv_test.cc).
- */
-enum class ExecPath {
-    Decoded,        ///< predecoded isa::DecodedImage (default, fast)
-    LegacyProgram,  ///< direct isa::Program interpretation (reference)
-};
-
 /** Complete core configuration. */
 struct CoreConfig
 {
     SimMode mode = SimMode::Timing;
-    ExecPath execPath = ExecPath::Decoded;
 
     /**
      * Driver-level engine selection. The cpu::Core ignores this field

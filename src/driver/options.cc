@@ -174,14 +174,13 @@ parseArgs(const std::vector<std::string> &args)
                 // still update).
                 o.mode = "detailed";
                 o.functional = true;
-            } else if (v == "detailed" || v == "legacy" ||
-                       v == "functional" || v == "sampled") {
+            } else if (v == "detailed" || v == "functional" ||
+                       v == "sampled") {
                 o.mode = v;
                 o.functional = false;  // the last --mode wins
             } else {
-                return fail("unknown mode: " + v + " (expected "
-                            "detailed, legacy, functional, sampled "
-                            "or mpki)");
+                return fail("--mode: unknown mode '" + v + "' (expected "
+                            "detailed, functional, sampled or mpki)");
             }
         } else if ((m = takeValue(arg, "--sample-interval")) != 0) {
             if (m < 0 || !parseU64Arg(v, o.sampleInterval) ||
@@ -300,8 +299,8 @@ usageText()
         "  --no-context         PBS: disable the Context-Table\n"
         "  --no-guard           PBS: disable the Const-Val guard\n"
         "  --wide               8-wide / 256-entry-ROB core\n"
-        "  --mode <m>           detailed (default) | legacy |\n"
-        "                       functional | sampled | mpki\n"
+        "  --mode <m>           detailed (default) | functional |\n"
+        "                       sampled | mpki\n"
         "                       (see README \"Simulation modes\")\n"
         "  --sample-interval <n>  sampled: insts between measurements\n"
         "  --sample-warmup <n>    sampled: detailed warmup per sample\n"

@@ -35,7 +35,7 @@ struct DriverOptions
     bool wide = false;               ///< 8-wide / 256-entry ROB
 
     /**
-     * Execution mode: detailed | legacy | functional | sampled (the
+     * Execution mode: detailed | functional | sampled (the
      * CLI also accepts "mpki", which sets `functional`).
      */
     std::string mode = "detailed";

@@ -8,6 +8,7 @@
 
 #include "obs/obs.hh"
 #include "sampling/store.hh"
+#include "util/publish.hh"
 
 // Build-time generated salt (git describe + dirty-diff hash); absent
 // when building outside the CMake tree.
@@ -37,32 +38,31 @@ readFile(const fs::path &path, std::string &out)
 }
 
 /**
- * Atomic publish: write a per-key temp file, then rename. Parallel
- * writers of the same key race benignly (identical contents).
+ * Parse the cache document at @p path and check that it belongs to this
+ * code version and to @p key: the key recomputed from the stored point
+ * (and, for a partial, its interval index) must be @p key, so a file
+ * copied or renamed under another key is a miss. @return the parsed
+ * document in @p v, or false on any mismatch.
  */
 bool
-publishFile(const fs::path &path, const std::string &text)
+readOwnDocument(const std::string &path, const std::string &key,
+                bool partial, JsonValue &v)
 {
-    std::error_code ec;
-    fs::create_directories(path.parent_path(), ec);
-    if (ec)
+    std::string text;
+    std::string err;
+    if (!readFile(path, text) || !parseJson(text, v, err))
         return false;
-
-    const fs::path tmp = path.string() + ".tmp";
-    {
-        std::ofstream outFile(tmp, std::ios::binary | std::ios::trunc);
-        if (!outFile)
-            return false;
-        outFile << text << '\n';
-        if (!outFile.good())
-            return false;
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
+    const JsonValue *salt = v.find("salt");
+    if (!salt || salt->asString() != versionSalt())
         return false;
-    }
-    return true;
+    const JsonValue *stored = v.find("point");
+    ExpPoint pt;
+    if (!stored || !readPoint(*stored, pt))
+        return false;
+    if (!partial)
+        return cacheKey(pt) == key;
+    const JsonValue *index = v.find("index");
+    return index && partialKey(pt, index->asU64()) == key;
 }
 
 /**
@@ -137,16 +137,8 @@ ResultCache::load(const std::string &key, PointKind kind,
     if (!enabled())
         return false;
     obs::Span span("cache_io", "load");
-    std::string text;
-    if (!readFile(entryPath(key), text))
-        return false;
-
     JsonValue v;
-    std::string err;
-    if (!parseJson(text, v, err))
-        return false;
-    const JsonValue *salt = v.find("salt");
-    if (!salt || salt->asString() != versionSalt())
+    if (!readOwnDocument(entryPath(key), key, false, v))
         return false;
     const JsonValue *result = v.find("result");
     return result && readMeasurement(*result, kind, out);
@@ -169,7 +161,7 @@ ResultCache::store(const std::string &key, const ExpPoint &pt,
     writeMeasurement(w, pt.kind, m);
     w.endObject();
 
-    return publishFile(entryPath(key), w.str());
+    return util::publishFile(entryPath(key), w.str() + "\n");
 }
 
 bool
@@ -179,16 +171,8 @@ ResultCache::loadPartial(const std::string &key,
     if (!enabled())
         return false;
     obs::Span span("cache_io", "load-partial");
-    std::string text;
-    if (!readFile(partialPath(key), text))
-        return false;
-
     JsonValue v;
-    std::string err;
-    if (!parseJson(text, v, err))
-        return false;
-    const JsonValue *salt = v.find("salt");
-    if (!salt || salt->asString() != versionSalt())
+    if (!readOwnDocument(partialPath(key), key, true, v))
         return false;
     const JsonValue *sample = v.find("sample");
     return sample && readIntervalSample(*sample, out);
@@ -213,7 +197,7 @@ ResultCache::storePartial(const std::string &key, const ExpPoint &pt,
     writeIntervalSample(w, s);
     w.endObject();
 
-    return publishFile(partialPath(key), w.str());
+    return util::publishFile(partialPath(key), w.str() + "\n");
 }
 
 ResultCache::GcResult

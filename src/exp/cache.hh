@@ -68,7 +68,11 @@ class ResultCache
     bool enabled() const { return !dir_.empty(); }
     const std::string &dir() const { return dir_; }
 
-    /** Load the entry for @p key; @return false on miss/corruption. */
+    /**
+     * Load the entry for @p key. @return false on a miss, a corrupt
+     * entry, or an entry whose stored point does not hash to @p key (a
+     * file copied or renamed under another point's key).
+     */
     bool load(const std::string &key, PointKind kind,
               Measurement &out) const;
 
@@ -79,14 +83,18 @@ class ResultCache
     bool store(const std::string &key, const ExpPoint &pt,
                const Measurement &m) const;
 
-    /** Load the per-interval partial stored under @p key. */
+    /**
+     * Load the per-interval partial stored under @p key. A partial
+     * whose stored point and index do not hash to @p key is a miss,
+     * like in load().
+     */
     bool loadPartial(const std::string &key,
                      sampling::IntervalSample &out) const;
 
     /**
      * Store one per-interval partial (atomic, like store()). The point
-     * and index are embedded for gc/debugging; identity lives in the
-     * key. @return false on I/O failure.
+     * and index are embedded and checked by loadPartial(). @return
+     * false on I/O failure.
      */
     bool storePartial(const std::string &key, const ExpPoint &pt,
                       uint64_t index,

@@ -44,7 +44,7 @@ extractUniformStream(const cpu::Core &core,
 /**
  * One Sim point on the engine its mode selects: the functional
  * fast-forward engine, the sampled simulator, or the detailed core
- * (detailed, legacy and mpki fidelities).
+ * (detailed and mpki fidelities).
  */
 Measurement
 computeSim(const ExpPoint &pt)
@@ -77,7 +77,6 @@ computeSim(const ExpPoint &pt)
         return m;
       }
       case cpu::ExecMode::Detailed:
-      case cpu::ExecMode::Legacy:
         break;
     }
 

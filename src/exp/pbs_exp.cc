@@ -93,8 +93,8 @@ const char *kUsage =
     "  --predictors <list>  direction predictors\n"
     "  --variants <list>    marked | predicated | cfd\n"
     "  --widths <list>      4 | 8\n"
-    "  --modes <list>       detailed | legacy | functional | sampled |\n"
-    "                       mpki (timing = detailed; see README)\n"
+    "  --modes <list>       detailed | functional | sampled | mpki\n"
+    "                       (timing = detailed; see README)\n"
     "  --pbs <list>         off | on | no-stall | no-context | no-guard\n"
     "  --scales <list>      explicit iteration counts\n"
     "  --div <n>            divide each workload's default scale\n"
@@ -424,7 +424,7 @@ parseCli(int argc, char **argv, ExpCliOptions &o)
                 exp::SweepSpec probe;
                 std::string err = exp::applySpecKey(probe, axis.key, v);
                 if (!err.empty())
-                    return fail(err);
+                    return fail(std::string(axis.flag) + ": " + err);
                 o.axes.emplace_back(axis.key, v);
                 matched = true;
                 break;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 #include "util/hash.hh"
 
@@ -36,20 +37,21 @@ variantName(workloads::Variant v)
 cpu::ExecMode
 execModeFromName(const std::string &name)
 {
-    if (name == "legacy")
-        return cpu::ExecMode::Legacy;
+    if (name == "detailed")
+        return cpu::ExecMode::Detailed;
     if (name == "functional")
         return cpu::ExecMode::Functional;
     if (name == "sampled")
         return cpu::ExecMode::Sampled;
-    return cpu::ExecMode::Detailed;
+    throw std::invalid_argument("unknown execution mode '" + name +
+                                "' (expected detailed, functional or "
+                                "sampled)");
 }
 
 const char *
 execModeName(cpu::ExecMode mode)
 {
     switch (mode) {
-      case cpu::ExecMode::Legacy: return "legacy";
       case cpu::ExecMode::Functional: return "functional";
       case cpu::ExecMode::Sampled: return "sampled";
       default: return "detailed";
@@ -145,8 +147,6 @@ pointCoreConfig(const ExpPoint &pt)
     cpu::CoreConfig cfg = pt.wide ? cpu::CoreConfig::eightWide()
                                   : cpu::CoreConfig::fourWide();
     cfg.execMode = execModeFromName(pt.mode);
-    if (cfg.execMode == cpu::ExecMode::Legacy)
-        cfg.execPath = cpu::ExecPath::LegacyProgram;
     if (pt.sampleInterval)
         cfg.sample.interval = pt.sampleInterval;
     if (pt.sampleWarmup)

@@ -43,7 +43,7 @@ struct ExpPoint
     bool wide = false;                ///< 8-wide / 256-entry ROB
 
     /**
-     * Execution mode: detailed | legacy | functional | sampled (the
+     * Execution mode: detailed | functional | sampled (the
      * driver-level cpu::ExecMode). Part of the canonical point JSON,
      * so results from different modes can never collide in the cache.
      */
@@ -121,7 +121,10 @@ sampling::StoreKey checkpointStoreKey(const ExpPoint &pt,
 workloads::Variant variantFromName(const std::string &name);
 const char *variantName(workloads::Variant v);
 
-/** ExecMode from its canonical spelling ("detailed" on unknown). */
+/**
+ * ExecMode from its canonical spelling.
+ * @throws std::invalid_argument naming any other spelling.
+ */
 cpu::ExecMode execModeFromName(const std::string &name);
 const char *execModeName(cpu::ExecMode mode);
 

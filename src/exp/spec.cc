@@ -99,10 +99,10 @@ applySpecKey(SweepSpec &spec, const std::string &rawKey,
         for (auto v : list) {
             if (v == "timing")
                 v = "detailed";  // historical alias
-            if (v != "detailed" && v != "legacy" && v != "functional" &&
-                v != "sampled" && v != "mpki") {
+            if (v != "detailed" && v != "functional" && v != "sampled" &&
+                v != "mpki") {
                 return "bad mode '" + v + "' (expected detailed, "
-                       "legacy, functional, sampled or mpki)";
+                       "functional, sampled or mpki)";
             }
             modes.push_back(v);
         }

@@ -10,7 +10,7 @@
  *   predictor = tournament, tage-sc-l, ...
  *   variant   = marked | predicated | cfd
  *   width     = 4 | 8
- *   mode      = detailed | legacy | functional | sampled | mpki
+ *   mode      = detailed | functional | sampled | mpki
  *               ("timing" is accepted as an alias of detailed;
  *               "mpki" is the predictor-functional fidelity behind
  *               the MPKI reports, SimMode::Functional)

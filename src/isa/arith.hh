@@ -3,11 +3,12 @@
  * Shared scalar semantics of the PBS ISA: comparisons, the
  * divide-by-zero / overflow conventions, and float-to-int saturation.
  *
- * Both execution engines — the detailed cpu::Core and the sampling
- * subsystem's FunctionalEngine — evaluate opcodes through these inline
- * helpers, so their architectural results are bit-identical by
- * construction (tests/functional_equiv_test.cc verifies it end to end
- * on every registered workload).
+ * The one ISA interpreter (cpu::execute and the data-opcode list it
+ * shares with the superblock handlers) evaluates opcodes through these
+ * inline helpers, and both execution engines — the detailed cpu::Core
+ * and the sampling subsystem's FunctionalEngine — step through it
+ * (tests/functional_equiv_test.cc checks their agreement end to end on
+ * every registered workload).
  */
 
 #ifndef PBS_ISA_ARITH_HH

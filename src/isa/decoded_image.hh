@@ -143,7 +143,7 @@ class DecodedImage
     uint16_t maxProbId_ = 0;
 };
 
-/** Static FU class of @p op (shared by predecode and the legacy path). */
+/** Static FU class of @p op (the timing model reads it predecoded). */
 FuKind fuKindOf(Opcode op);
 
 /** Static latency class of @p op. */

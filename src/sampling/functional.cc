@@ -1,19 +1,12 @@
 #include "sampling/functional.hh"
 
-#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
-#include "isa/arith.hh"
-#include "isa/assembler.hh"
+#include "cpu/execute.hh"
 
 namespace pbs::sampling {
-
-using isa::CmpOp;
-using isa::DecodedOp;
-using isa::Opcode;
 
 FuncDispatch
 defaultFuncDispatch()
@@ -22,22 +15,31 @@ defaultFuncDispatch()
     // reference implementation, re-read on every construction so tests
     // can flip it without relinking.
     const char *env = std::getenv("PBS_FUNC_DISPATCH");
-    if (env && std::strcmp(env, "switch") == 0)
+    if (!env)
+        return FuncDispatch::Superblock;
+    const std::string v = env;
+    if (v == "superblock")
+        return FuncDispatch::Superblock;
+    if (v == "switch")
         return FuncDispatch::Switch;
-    if (env && std::strcmp(env, "superblock-portable") == 0)
-        return FuncDispatch::SuperblockPortable;
-    return FuncDispatch::Superblock;
+    throw std::invalid_argument("PBS_FUNC_DISPATCH: unknown value '" + v +
+                                "' (expected superblock or switch)");
 }
 
 const char *
 funcDispatchName(FuncDispatch d)
 {
-    switch (d) {
-      case FuncDispatch::Superblock: return "superblock";
-      case FuncDispatch::SuperblockPortable: return "superblock-portable";
-      case FuncDispatch::Switch: return "switch";
-    }
-    return "?";
+    return d == FuncDispatch::Switch ? "switch" : "superblock";
+}
+
+bool
+superblockDispatchBuilt()
+{
+#if defined(PBS_HAVE_COMPUTED_GOTO)
+    return true;
+#else
+    return false;
+#endif
 }
 
 FunctionalEngine::FunctionalEngine(const isa::Program &prog,
@@ -45,13 +47,13 @@ FunctionalEngine::FunctionalEngine(const isa::Program &prog,
                                    FuncDispatch dispatch)
     : image_(isa::DecodedImage::decode(prog)),
       maxInstructions_(maxInstructions),
-      dispatch_(dispatch)
+      dispatch_(superblockDispatchBuilt() ? dispatch : FuncDispatch::Switch)
 {
     pc_ = prog.entry;
     for (const auto &[addr, bytes] : prog.dataInit)
         mem_.writeBlock(addr, bytes);
     probSeq_.assign(size_t(image_.maxProbId()) + 1, 0);
-    if (dispatch_ != FuncDispatch::Switch)
+    if (dispatch_ == FuncDispatch::Superblock)
         sb_ = std::make_unique<SuperblockImage>(
             SuperblockImage::build(image_));
 }
@@ -74,8 +76,17 @@ FunctionalEngine::run()
 uint64_t
 FunctionalEngine::step(uint64_t n)
 {
-    return dispatch_ == FuncDispatch::Switch ? stepSwitch(n)
-                                             : stepSuper(n);
+#if defined(PBS_HAVE_COMPUTED_GOTO)
+    if (dispatch_ == FuncDispatch::Superblock)
+        return stepSuper(n);
+#endif
+    return stepSwitch(n);
+}
+
+cpu::ExecCtx
+FunctionalEngine::execCtx()
+{
+    return {regs_.data(), &mem_, probSeq_.data(), &stats_, &halted_};
 }
 
 uint64_t
@@ -83,6 +94,8 @@ FunctionalEngine::stepSwitch(uint64_t n)
 {
     const isa::DecodedOp *ops = image_.ops().data();
     const uint64_t size = image_.size();
+    const cpu::ExecCtx ctx = execCtx();
+    cpu::NoHooks hooks;
     uint64_t pc = pc_;
     uint64_t executed = 0;
     while (!halted_ && executed < n) {
@@ -92,7 +105,7 @@ FunctionalEngine::stepSwitch(uint64_t n)
             throw std::out_of_range("PC out of range: " +
                                     std::to_string(pc));
         }
-        pc = stepOne(ops[pc], pc);
+        pc = cpu::execute(ops[pc], pc, ctx, hooks);
         executed++;
     }
     pc_ = pc;
@@ -100,19 +113,17 @@ FunctionalEngine::stepSwitch(uint64_t n)
     return executed;
 }
 
+#if defined(PBS_HAVE_COMPUTED_GOTO)
+
 uint64_t
 FunctionalEngine::stepSuper(uint64_t n)
 {
     const isa::DecodedOp *ops = image_.ops().data();
     const uint64_t size = image_.size();
     const SuperblockImage &sb = *sb_;
-    const bool portable = dispatch_ == FuncDispatch::SuperblockPortable;
     SbCtx ctx;
-    ctx.regs = regs_.data();
-    ctx.mem = &mem_;
-    ctx.probSeq = probSeq_.data();
-    ctx.stats = &stats_;
-    ctx.halted = &halted_;
+    static_cast<cpu::ExecCtx &>(ctx) = execCtx();
+    cpu::NoHooks hooks;
 
     uint64_t pc = pc_;
     uint64_t executed = 0;
@@ -129,14 +140,13 @@ FunctionalEngine::stepSuper(uint64_t n)
             // The dispatcher chains whole blocks while they fit the
             // remaining budget and stops at the first PC it cannot
             // handle; ctx.next is where execution stopped.
-            executed += portable ? sbExecPortable(sb, pc, n - executed, ctx)
-                                 : sbExecThreaded(sb, pc, n - executed, ctx);
+            executed += sbExecThreaded(sb, pc, n - executed, ctx);
             pc = ctx.next;
         } else {
             // Epilogue / mid-block entry: retire one instruction at a
             // time through the reference switch so step(n) stops at
             // the exact instruction count.
-            pc = stepOne(ops[pc], pc);
+            pc = cpu::execute(ops[pc], pc, ctx, hooks);
             executed++;
         }
     }
@@ -144,6 +154,8 @@ FunctionalEngine::stepSuper(uint64_t n)
     stats_.instructions += executed;
     return executed;
 }
+
+#endif  // PBS_HAVE_COMPUTED_GOTO
 
 cpu::ArchState
 FunctionalEngine::saveArch() const
@@ -168,8 +180,8 @@ FunctionalEngine::restoreArch(const cpu::ArchState &state)
     }
     regs_ = state.regs;
     // Pin the REG_ZERO invariant (regs_[0] == 0): every writer guards
-    // it, and the superblock handlers read the register file unguarded
-    // on the strength of it. No engine- or core-captured state can
+    // it, and cpu::execute and the superblock handlers read the
+    // register file unguarded on the strength of it. No engine- or core-captured state can
     // violate it; this normalizes hand-crafted ArchStates too.
     regs_[isa::REG_ZERO] = 0;
     pc_ = state.pc;
@@ -177,215 +189,6 @@ FunctionalEngine::restoreArch(const cpu::ArchState &state)
     mem_ = state.mem;
     probSeq_ = state.probSeq;
     stats_.instructions = state.instructions;
-}
-
-uint64_t
-FunctionalEngine::stepOne(const DecodedOp &inst, uint64_t this_pc)
-{
-    // Architectural semantics only. Every case mirrors the matching
-    // case of cpu::Core::stepOneOn with the timing, predictor and PBS
-    // steering stripped; the scalar helpers are shared (isa/arith.hh).
-    uint64_t next_pc = this_pc + 1;
-
-    auto rr = [&](unsigned r) -> uint64_t {
-        return r ? regs_[r] : 0;
-    };
-    auto wr = [&](unsigned r, uint64_t v) {
-        if (r != isa::REG_ZERO)
-            regs_[r] = v;
-    };
-    auto rd_ = [&](unsigned r) { return isa::bitsToDouble(regs_[r]); };
-    auto wd = [&](unsigned r, double v) { wr(r, isa::doubleBits(v)); };
-
-    switch (inst.op) {
-      case Opcode::NOP:
-        break;
-      case Opcode::ADD:
-        wr(inst.rd, rr(inst.rs1) + rr(inst.rs2));
-        break;
-      case Opcode::SUB:
-        wr(inst.rd, rr(inst.rs1) - rr(inst.rs2));
-        break;
-      case Opcode::MUL:
-        wr(inst.rd, rr(inst.rs1) * rr(inst.rs2));
-        break;
-      case Opcode::DIV:
-        wr(inst.rd, static_cast<uint64_t>(isa::signedDiv(
-            static_cast<int64_t>(rr(inst.rs1)),
-            static_cast<int64_t>(rr(inst.rs2)))));
-        break;
-      case Opcode::REM:
-        wr(inst.rd, static_cast<uint64_t>(isa::signedRem(
-            static_cast<int64_t>(rr(inst.rs1)),
-            static_cast<int64_t>(rr(inst.rs2)))));
-        break;
-      case Opcode::AND:
-        wr(inst.rd, rr(inst.rs1) & rr(inst.rs2));
-        break;
-      case Opcode::OR:
-        wr(inst.rd, rr(inst.rs1) | rr(inst.rs2));
-        break;
-      case Opcode::XOR:
-        wr(inst.rd, rr(inst.rs1) ^ rr(inst.rs2));
-        break;
-      case Opcode::SLL:
-        wr(inst.rd, rr(inst.rs1) << (rr(inst.rs2) & 63));
-        break;
-      case Opcode::SRL:
-        wr(inst.rd, rr(inst.rs1) >> (rr(inst.rs2) & 63));
-        break;
-      case Opcode::SRA:
-        wr(inst.rd, static_cast<uint64_t>(
-            static_cast<int64_t>(rr(inst.rs1)) >> (rr(inst.rs2) & 63)));
-        break;
-      case Opcode::ADDI:
-        wr(inst.rd, rr(inst.rs1) + static_cast<uint64_t>(inst.imm));
-        break;
-      case Opcode::ANDI:
-        wr(inst.rd, rr(inst.rs1) & static_cast<uint64_t>(inst.imm));
-        break;
-      case Opcode::ORI:
-        wr(inst.rd, rr(inst.rs1) | static_cast<uint64_t>(inst.imm));
-        break;
-      case Opcode::XORI:
-        wr(inst.rd, rr(inst.rs1) ^ static_cast<uint64_t>(inst.imm));
-        break;
-      case Opcode::SLLI:
-        wr(inst.rd, rr(inst.rs1) << (inst.imm & 63));
-        break;
-      case Opcode::SRLI:
-        wr(inst.rd, rr(inst.rs1) >> (inst.imm & 63));
-        break;
-      case Opcode::SRAI:
-        wr(inst.rd, static_cast<uint64_t>(
-            static_cast<int64_t>(rr(inst.rs1)) >> (inst.imm & 63)));
-        break;
-      case Opcode::MOV:
-        wr(inst.rd, rr(inst.rs1));
-        break;
-      case Opcode::LDI:
-        wr(inst.rd, static_cast<uint64_t>(inst.imm));
-        break;
-      case Opcode::FADD:
-        wd(inst.rd, rd_(inst.rs1) + rd_(inst.rs2));
-        break;
-      case Opcode::FSUB:
-        wd(inst.rd, rd_(inst.rs1) - rd_(inst.rs2));
-        break;
-      case Opcode::FMUL:
-        wd(inst.rd, rd_(inst.rs1) * rd_(inst.rs2));
-        break;
-      case Opcode::FDIV:
-        wd(inst.rd, rd_(inst.rs1) / rd_(inst.rs2));
-        break;
-      case Opcode::FSQRT:
-        wd(inst.rd, std::sqrt(rd_(inst.rs1)));
-        break;
-      case Opcode::FNEG:
-        wd(inst.rd, -rd_(inst.rs1));
-        break;
-      case Opcode::FABS:
-        wd(inst.rd, std::abs(rd_(inst.rs1)));
-        break;
-      case Opcode::FMIN:
-        wd(inst.rd, std::fmin(rd_(inst.rs1), rd_(inst.rs2)));
-        break;
-      case Opcode::FMAX:
-        wd(inst.rd, std::fmax(rd_(inst.rs1), rd_(inst.rs2)));
-        break;
-      case Opcode::FEXP:
-        wd(inst.rd, std::exp(rd_(inst.rs1)));
-        break;
-      case Opcode::FLOG:
-        wd(inst.rd, std::log(rd_(inst.rs1)));
-        break;
-      case Opcode::FSIN:
-        wd(inst.rd, std::sin(rd_(inst.rs1)));
-        break;
-      case Opcode::FCOS:
-        wd(inst.rd, std::cos(rd_(inst.rs1)));
-        break;
-      case Opcode::I2F:
-        wd(inst.rd, static_cast<double>(
-            static_cast<int64_t>(rr(inst.rs1))));
-        break;
-      case Opcode::F2I:
-        wr(inst.rd,
-           static_cast<uint64_t>(isa::f2iSaturate(rd_(inst.rs1))));
-        break;
-      case Opcode::CMP:
-        wr(inst.rd,
-           isa::evalCmp(inst.cmp, rr(inst.rs1), rr(inst.rs2)) ? 1 : 0);
-        break;
-      case Opcode::SEL:
-        wr(inst.rd, rr(inst.rs1) ? rr(inst.rs2) : rr(inst.rs3));
-        break;
-      case Opcode::LD:
-        wr(inst.rd, mem_.readU64(rr(inst.rs1) +
-                                 static_cast<uint64_t>(inst.imm)));
-        break;
-      case Opcode::LDB:
-        wr(inst.rd, mem_.readByte(rr(inst.rs1) +
-                                  static_cast<uint64_t>(inst.imm)));
-        break;
-      case Opcode::ST:
-        mem_.writeU64(rr(inst.rs1) + static_cast<uint64_t>(inst.imm),
-                      rr(inst.rs2));
-        break;
-      case Opcode::STB:
-        mem_.writeByte(rr(inst.rs1) + static_cast<uint64_t>(inst.imm),
-                       rr(inst.rs2) & 0xff);
-        break;
-      case Opcode::JMP:
-        next_pc = static_cast<uint64_t>(inst.imm);
-        break;
-      case Opcode::JZ:
-      case Opcode::JNZ: {
-        bool nonzero = rr(inst.rs1) != 0;
-        bool taken = inst.op == Opcode::JNZ ? nonzero : !nonzero;
-        stats_.branches++;
-        if (taken)
-            next_pc = static_cast<uint64_t>(inst.imm);
-        break;
-      }
-      case Opcode::CALL:
-        wr(isa::REG_RA, this_pc + 1);
-        next_pc = static_cast<uint64_t>(inst.imm);
-        break;
-      case Opcode::RET:
-        next_pc = rr(isa::REG_RA);
-        break;
-      case Opcode::HALT:
-        halted_ = true;
-        break;
-
-      case Opcode::PROB_CMP:
-        // PBS-off semantics: an ordinary comparison.
-        wr(inst.rd,
-           isa::evalCmp(inst.cmp, rr(inst.rs1), rr(inst.rs2)) ? 1 : 0);
-        break;
-
-      case Opcode::CFD_JNZ:
-        stats_.branches++;
-        if (rr(inst.rs1) != 0)
-            next_pc = static_cast<uint64_t>(inst.imm);
-        break;
-
-      case Opcode::PROB_JMP:
-        if (inst.isCarrierProbJmp())
-            break;  // value carrier: never branches, no swap without PBS
-        stats_.branches++;
-        stats_.probBranches++;
-        probSeq_[inst.probId]++;
-        if (rr(inst.rs1) != 0)
-            next_pc = static_cast<uint64_t>(inst.imm);
-        break;
-
-      default:
-        throw std::logic_error("unimplemented opcode");
-    }
-
-    return next_pc;
 }
 
 }  // namespace pbs::sampling

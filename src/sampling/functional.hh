@@ -2,11 +2,11 @@
  * @file
  * The functional fast-forward engine: executes a predecoded program
  * architecturally only — no ROB, no store queue, no caches, no
- * direction predictor, no cycle accounting. It shares the ISA's scalar
- * semantics (isa/arith.hh) and the sparse-memory model with the
- * detailed cpu::Core, so registers and memory are bit-identical to a
- * detailed run with PBS disabled (tests/functional_equiv_test.cc
- * checks every registered workload). RNG state needs no special
+ * direction predictor, no cycle accounting. It steps through the same
+ * interpreter as the detailed cpu::Core (cpu::execute, with no-op
+ * hooks), so registers and memory are bit-identical to a detailed run
+ * with PBS disabled (tests/functional_equiv_test.cc checks every
+ * registered workload). RNG state needs no special
  * handling: generators are emitted as ISA code, so their state lives
  * in registers and memory.
  *
@@ -20,11 +20,12 @@
  * Dispatch: by default the engine executes through superinstruction
  * blocks (src/sampling/superblock.hh) — straight-line runs stitched
  * into fused handlers with threaded-code dispatch — and falls back to
- * single-stepping the reference opcode switch whenever the PC is not a
- * block leader or a whole block would overshoot the step budget, so
- * step(n) still stops at exact instruction counts. The reference
- * switch is kept as an always-available escape hatch / differential
- * oracle (`PBS_FUNC_DISPATCH=switch`, tests/dispatch_equiv_test.cc).
+ * single-stepping cpu::execute's opcode switch whenever the PC is not
+ * a block leader or a whole block would overshoot the step budget, so
+ * step(n) still stops at exact instruction counts. The switch is kept
+ * as an always-available escape hatch / differential oracle
+ * (`PBS_FUNC_DISPATCH=switch`, tests/dispatch_equiv_test.cc), and is
+ * the only dispatch of builds without computed goto.
  *
  * This is the engine behind `--mode functional` and the fast-forward
  * phase of `--mode sampled` (src/sampling/sampled.hh).
@@ -49,21 +50,27 @@ namespace pbs::sampling {
 
 /** How FunctionalEngine::step executes instructions. */
 enum class FuncDispatch : uint8_t {
-    Superblock,          ///< stitched blocks, compiled-in threaded backend
-    SuperblockPortable,  ///< stitched blocks, function-pointer trampoline
-    Switch,              ///< reference per-instruction opcode switch
+    Superblock,  ///< stitched blocks, computed-goto threaded dispatch
+    Switch,      ///< reference per-instruction opcode switch
 };
 
 /**
  * Dispatch mode selected by the `PBS_FUNC_DISPATCH` environment
- * variable: "switch" and "superblock-portable" force those modes, any
- * other value (or unset) selects Superblock. Read on every call so
- * tests can flip it between engine constructions.
+ * variable: "superblock" or unset selects Superblock, "switch" selects
+ * Switch. Read on every call so tests can flip it between engine
+ * constructions.
+ * @throws std::invalid_argument naming any other value.
  */
 FuncDispatch defaultFuncDispatch();
 
-/** Stable name of @p d ("superblock", "superblock-portable", "switch"). */
+/** Stable name of @p d ("superblock", "switch"). */
 const char *funcDispatchName(FuncDispatch d);
+
+/**
+ * Whether this build has the superblock dispatcher (it needs computed
+ * goto). Without it every engine runs the switch and reports Switch.
+ */
+bool superblockDispatchBuilt();
 
 /** Architectural-only execution of a decoded program. */
 class FunctionalEngine
@@ -103,7 +110,8 @@ class FunctionalEngine
     /** The predecoded image the engine executes from. */
     const isa::DecodedImage &image() const { return image_; }
 
-    /** The dispatch mode this engine was constructed with. */
+    /** The dispatch mode this engine runs (Switch when the build has
+     *  no superblock dispatcher, whatever was requested). */
     FuncDispatch dispatch() const { return dispatch_; }
 
     /** Stitched blocks, or nullptr in Switch mode. */
@@ -123,8 +131,8 @@ class FunctionalEngine
     void restoreArch(const cpu::ArchState &state);
 
   private:
-    /** Execute one instruction at @p pc. @return the next PC. */
-    uint64_t stepOne(const isa::DecodedOp &inst, uint64_t pc);
+    /** The architectural state cpu::execute steps against. */
+    cpu::ExecCtx execCtx();
 
     /** step(n) through the reference opcode switch. */
     uint64_t stepSwitch(uint64_t n);

@@ -10,6 +10,7 @@
 #include "sampling/checkpoint.hh"
 #include "util/hash.hh"
 #include "util/json.hh"
+#include "util/publish.hh"
 
 namespace fs = std::filesystem;
 
@@ -223,21 +224,8 @@ saveCheckpointSet(const std::string &dir, const StoreKey &key,
     // Atomic publish: checkpoint payloads are already on disk, so a
     // readable manifest always names a complete set.
     const fs::path manifest = fs::path(dir) / kStoreManifest;
-    const fs::path tmp = manifest.string() + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            fail("cannot write " + tmp.string());
-        out << w.str();
-        out.close();
-        if (!out.good())
-            fail("error writing " + tmp.string());
-    }
-    fs::rename(tmp, manifest, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
+    if (!util::publishFile(manifest, w.str()))
         fail("cannot publish " + manifest.string());
-    }
 
     // Only after the new manifest is live: drop checkpoint files a
     // previous, larger set left behind (the old manifest referenced

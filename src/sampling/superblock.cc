@@ -34,48 +34,11 @@ SbHandler
 singleHandlerFor(Opcode op)
 {
     switch (op) {
-      case Opcode::NOP:   return SbHandler::NOP;
-      case Opcode::ADD:   return SbHandler::ADD;
-      case Opcode::SUB:   return SbHandler::SUB;
-      case Opcode::MUL:   return SbHandler::MUL;
-      case Opcode::DIV:   return SbHandler::DIV;
-      case Opcode::REM:   return SbHandler::REM;
-      case Opcode::AND:   return SbHandler::AND;
-      case Opcode::OR:    return SbHandler::OR;
-      case Opcode::XOR:   return SbHandler::XOR;
-      case Opcode::SLL:   return SbHandler::SLL;
-      case Opcode::SRL:   return SbHandler::SRL;
-      case Opcode::SRA:   return SbHandler::SRA;
-      case Opcode::ADDI:  return SbHandler::ADDI;
-      case Opcode::ANDI:  return SbHandler::ANDI;
-      case Opcode::ORI:   return SbHandler::ORI;
-      case Opcode::XORI:  return SbHandler::XORI;
-      case Opcode::SLLI:  return SbHandler::SLLI;
-      case Opcode::SRLI:  return SbHandler::SRLI;
-      case Opcode::SRAI:  return SbHandler::SRAI;
-      case Opcode::MOV:   return SbHandler::MOV;
-      case Opcode::LDI:   return SbHandler::LDI;
-      case Opcode::FADD:  return SbHandler::FADD;
-      case Opcode::FSUB:  return SbHandler::FSUB;
-      case Opcode::FMUL:  return SbHandler::FMUL;
-      case Opcode::FDIV:  return SbHandler::FDIV;
-      case Opcode::FSQRT: return SbHandler::FSQRT;
-      case Opcode::FNEG:  return SbHandler::FNEG;
-      case Opcode::FABS:  return SbHandler::FABS;
-      case Opcode::FMIN:  return SbHandler::FMIN;
-      case Opcode::FMAX:  return SbHandler::FMAX;
-      case Opcode::FEXP:  return SbHandler::FEXP;
-      case Opcode::FLOG:  return SbHandler::FLOG;
-      case Opcode::FSIN:  return SbHandler::FSIN;
-      case Opcode::FCOS:  return SbHandler::FCOS;
-      case Opcode::I2F:   return SbHandler::I2F;
-      case Opcode::F2I:   return SbHandler::F2I;
-      case Opcode::CMP:   return SbHandler::CMP;
-      case Opcode::SEL:   return SbHandler::SEL;
-      case Opcode::LD:    return SbHandler::LD;
-      case Opcode::LDB:   return SbHandler::LDB;
-      case Opcode::ST:    return SbHandler::ST;
-      case Opcode::STB:   return SbHandler::STB;
+#define PBS_DATA_OP(name, ...)                                         \
+      case Opcode::name:                                               \
+        return SbHandler::name;
+#include "cpu/data_ops.inc"
+#undef PBS_DATA_OP
       default:
         throw std::logic_error(
             "superblock: opcode cannot appear inside a block");
@@ -354,11 +317,12 @@ SuperblockImage::build(const isa::DecodedImage &img)
     return sbi;
 }
 
+#if defined(PBS_HAVE_COMPUTED_GOTO)
+
 // ---------------------------------------------------------------------------
-// Dispatch backends. Both expand superblock_ops.inc; handler bodies see
-// `ctx`, `op` and the accessor macros below. Reads index the register
-// file directly: regs[REG_ZERO] is architecturally pinned to 0 (every
-// writer guards it — SB_WR here, wr() in both engines — and restoreArch
+// The dispatcher. Handler bodies see `ctx`, `op` and the accessor macros
+// below. Reads index the register file directly: regs[REG_ZERO] is
+// architecturally pinned to 0 (every writer guards it and restoreArch
 // re-normalizes), so no per-operand guard is needed.
 // ---------------------------------------------------------------------------
 
@@ -373,95 +337,36 @@ SuperblockImage::build(const isa::DecodedImage &img)
 #define SB_RD(r) (pbs::isa::bitsToDouble(ctx.regs[r]))
 #define SB_WD(r, v) SB_WR(r, pbs::isa::doubleBits(v))
 
-namespace {
-
-using SbFn = const SuperOp *(*)(SbCtx &, const SuperOp *);
-
-#define SB_OP(name, ...)                                               \
-    const SuperOp *sbh_##name(SbCtx &ctx, const SuperOp *op)           \
-    {                                                                  \
-        (void)ctx;                                                     \
-        (void)op;                                                      \
-        { __VA_ARGS__ }                                                \
-        return op + 1;                                                 \
-    }
-#define SB_TERM(name, ...)                                             \
-    const SuperOp *sbh_##name(SbCtx &ctx, const SuperOp *op)           \
-    {                                                                  \
-        (void)ctx;                                                     \
-        (void)op;                                                      \
-        { __VA_ARGS__ }                                                \
-        return nullptr;                                                \
-    }
-#include "sampling/superblock_ops.inc"
-#undef SB_OP
-#undef SB_TERM
-
-const SbFn kSbTable[] = {
-#define SB_OP(name, ...) sbh_##name,
-#define SB_TERM(name, ...) sbh_##name,
-#include "sampling/superblock_ops.inc"
-#undef SB_OP
-#undef SB_TERM
-};
-
-static_assert(sizeof(kSbTable) / sizeof(kSbTable[0]) ==
-                  static_cast<size_t>(SbHandler::NUM_HANDLERS),
-              "handler table out of sync with SbHandler");
-
-}  // namespace
-
-uint64_t
-sbExecPortable(const SuperblockImage &img, uint64_t pc, uint64_t budget,
-               SbCtx &ctx)
-{
-    const SuperOp *sops = img.sops().data();
-    const Superblock *blocks = img.blocks().data();
-    const uint32_t *blockAt = img.blockAtData();
-    const uint64_t pcLimit = img.pcLimit();
-
-    uint64_t executed = 0;
-    const Superblock *b = &blocks[blockAt[pc]];
-    while (true) {
-        executed += b->instCount;
-        ctx.fall = b->fall;
-        const SuperOp *op = &sops[b->first];
-        while (op)
-            op = kSbTable[op->handler](ctx, op);
-        if (*ctx.halted || ctx.next >= pcLimit)
-            return executed;
-        const uint32_t bi = blockAt[ctx.next];
-        if (bi == SuperblockImage::kNoBlock)
-            return executed;
-        b = &blocks[bi];
-        if (executed + b->instCount > budget)
-            return executed;
-    }
-}
-
-#if defined(PBS_HAVE_COMPUTED_GOTO)
-
-const char *
-sbThreadedKind()
-{
-    return "computed-goto";
-}
+// The data-opcode list's accessors, bound to the current SuperOp.
+#define OP_RR(f) SB_RR(op->f)
+#define OP_RD(f) SB_RD(op->f)
+#define OP_WR(f, v) SB_WR(op->f, v)
+#define OP_WD(f, v) SB_WD(op->f, v)
+#define OP_IMM (op->imm)
+#define OP_CMP (static_cast<pbs::isa::CmpOp>(op->cmp))
+#define OP_MEM (*ctx.mem)
 
 uint64_t
 sbExecThreaded(const SuperblockImage &img, uint64_t pc, uint64_t budget,
                SbCtx &ctx)
 {
-    // One label per handler, in SbHandler order (same .inc expansion
+    // One label per handler, in SbHandler order (same list expansion
     // order as the enum). Execution threads label-to-label inside a
     // block and block-to-block through sb_chain without ever leaving
     // this frame: the only indirect branches are the goto *s.
     static const void *kLabels[] = {
+#define PBS_DATA_OP(name, ...) &&L_##name,
+#include "cpu/data_ops.inc"
+#undef PBS_DATA_OP
 #define SB_OP(name, ...) &&L_##name,
 #define SB_TERM(name, ...) &&L_##name,
 #include "sampling/superblock_ops.inc"
 #undef SB_OP
 #undef SB_TERM
     };
+    static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
+                      static_cast<size_t>(SbHandler::NUM_HANDLERS),
+                  "label table out of sync with SbHandler");
 
     const SuperOp *sops = img.sops().data();
     const Superblock *blocks = img.blocks().data();
@@ -485,7 +390,10 @@ sbExecThreaded(const SuperblockImage &img, uint64_t pc, uint64_t budget,
         { __VA_ARGS__ }                                                \
         goto sb_chain;                                                 \
     }
+#define PBS_DATA_OP(name, ...) SB_OP(name, __VA_ARGS__)
+#include "cpu/data_ops.inc"
 #include "sampling/superblock_ops.inc"
+#undef PBS_DATA_OP
 #undef SB_OP
 #undef SB_TERM
 
@@ -503,21 +411,6 @@ sbExecThreaded(const SuperblockImage &img, uint64_t pc, uint64_t budget,
         }
     }
     return executed;
-}
-
-#else  // !PBS_HAVE_COMPUTED_GOTO
-
-const char *
-sbThreadedKind()
-{
-    return "function-pointer";
-}
-
-uint64_t
-sbExecThreaded(const SuperblockImage &img, uint64_t pc, uint64_t budget,
-               SbCtx &ctx)
-{
-    return sbExecPortable(img, pc, budget, ctx);
 }
 
 #endif  // PBS_HAVE_COMPUTED_GOTO

@@ -2,7 +2,7 @@
  * @file
  * Superinstruction blocks for the functional fast-forward engine.
  *
- * The per-instruction opcode switch in FunctionalEngine::stepOne pays
+ * The per-instruction opcode switch of cpu::execute pays
  * one hard-to-predict indirect branch plus loop bookkeeping per dynamic
  * instruction. This module predecodes a DecodedImage one level further:
  *
@@ -12,11 +12,12 @@
  *    rotations, LCG multiply-accumulate, int-to-float RNG tails,
  *    FP accumulation pairs, counted-loop back-edges) fuse into single
  *    superinstruction handlers;
- *  - execution threads from handler to handler (computed goto on
- *    GCC/Clang, a function-pointer trampoline elsewhere) and from block
- *    to block without leaving the dispatch loop, so the interpreter
- *    carries roughly one indirect branch per superop instead of the
- *    switch's per-instruction branch plus bounds checks.
+ *  - execution threads from handler to handler by computed goto and
+ *    from block to block without leaving the dispatch loop, so the
+ *    interpreter carries roughly one indirect branch per superop
+ *    instead of the switch's per-instruction branch plus bounds
+ *    checks. Builds without computed goto (a GCC/Clang extension) do
+ *    not compile the dispatcher; the engine runs the switch instead.
  *
  * Block formation rules (see also docs/architecture.md):
  *  - blocks start only at leaders (DecodedOp::kIsLeader: the entry
@@ -31,7 +32,7 @@
  *
  * Exactness contract: executing a block retires exactly instCount
  * instructions and leaves the same registers, memory, prob sequence
- * counters and stats as instCount iterations of stepOne. The engine
+ * counters and stats as instCount steps of cpu::execute. The engine
  * single-steps whenever a PC is not a block leader or a block does not
  * fit the remaining step budget, so step(n)/checkpoint capture stop at
  * exact instruction counts (tests/dispatch_equiv_test.cc and the
@@ -44,14 +45,20 @@
 #include <cstdint>
 #include <vector>
 
-#include "cpu/core_config.hh"
+#include "cpu/execute.hh"
 #include "isa/decoded_image.hh"
-#include "mem/memory.hh"
 
 namespace pbs::sampling {
 
-/** Handler index of a SuperOp. Generated from superblock_ops.inc. */
+/**
+ * Handler index of a SuperOp: one single-op handler per data opcode
+ * (cpu/data_ops.inc, same names as isa::Opcode), then the fused and
+ * terminator handlers of superblock_ops.inc.
+ */
 enum class SbHandler : uint16_t {
+#define PBS_DATA_OP(name, ...) name,
+#include "cpu/data_ops.inc"
+#undef PBS_DATA_OP
 #define SB_OP(name, ...) name,
 #define SB_TERM(name, ...) name,
 #include "sampling/superblock_ops.inc"
@@ -93,13 +100,8 @@ struct Superblock
 };
 
 /** Mutable engine state the handlers execute against. */
-struct SbCtx
+struct SbCtx : cpu::ExecCtx
 {
-    uint64_t *regs = nullptr;          ///< register file (regs[0] == 0)
-    mem::SparseMemory *mem = nullptr;
-    uint64_t *probSeq = nullptr;       ///< per-probId dynamic counters
-    cpu::CoreStats *stats = nullptr;   ///< branches/probBranches bumped
-    bool *halted = nullptr;
     uint64_t fall = 0;                 ///< current block's fallthrough PC
     uint64_t next = 0;                 ///< out: PC execution stopped at
 };
@@ -153,16 +155,11 @@ class SuperblockImage
  *
  * @return the number of instructions retired; ctx.next holds the PC
  *         execution stopped at.
+ *
+ * Defined only in builds with computed goto (PBS_HAVE_COMPUTED_GOTO).
  */
 uint64_t sbExecThreaded(const SuperblockImage &img, uint64_t pc,
                         uint64_t budget, SbCtx &ctx);
-
-/** Same contract as sbExecThreaded via the portable trampoline. */
-uint64_t sbExecPortable(const SuperblockImage &img, uint64_t pc,
-                        uint64_t budget, SbCtx &ctx);
-
-/** Compiled-in threaded backend: "computed-goto" or "function-pointer". */
-const char *sbThreadedKind();
 
 }  // namespace pbs::sampling
 

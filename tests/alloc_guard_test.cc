@@ -150,16 +150,4 @@ TEST(AllocGuard, FunctionalSteadyStateIsAllocationFree)
     EXPECT_EQ(steadyStateAllocs("pi", cfg, 50'000, 500'000), 0u);
 }
 
-TEST(AllocGuard, LegacyPathSteadyStateIsAllocationFreeToo)
-{
-    // The reference path shares the flat hot-loop structures; only its
-    // program representation differs. It must stay allocation-free as
-    // well, or differential runs would diverge in perf character.
-    cpu::CoreConfig cfg;
-    cfg.predictor = "tage";
-    cfg.pbsEnabled = true;
-    cfg.execPath = cpu::ExecPath::LegacyProgram;
-    EXPECT_EQ(steadyStateAllocs("pi", cfg, 50'000, 500'000), 0u);
-}
-
 }  // namespace

@@ -1,17 +1,21 @@
 /**
  * @file
  * Core tests: functional semantics of every opcode class, call/ret,
- * memory, and first-order timing properties of the OoO model (width,
- * dependence chains, ROB, misprediction penalty, PBS steering).
+ * memory, first-order timing properties of the OoO model (width,
+ * dependence chains, ROB, misprediction penalty, PBS steering), and the
+ * store queue's index against its exact scan.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "cpu/core.hh"
+#include "cpu/store_queue.hh"
 #include "isa/assembler.hh"
 #include "rng/isa_emit.hh"
+#include "rng/rng.hh"
 
 namespace {
 
@@ -344,6 +348,122 @@ TEST(CoreLimits, StepExecutesExactly)
     EXPECT_FALSE(core.halted());
     EXPECT_EQ(core.step(1000), 61u);  // 60 nops + halt
     EXPECT_TRUE(core.halted());
+}
+
+// ---------------------------------------------------------------------
+// PBS value swaps, end to end through the core's hooks: every consumer
+// after a probabilistic branch sees the values of the instance the
+// trace says it consumed — the probabilistic register of PROB_CMP, the
+// carrier PROB_JMP's register, and the branch direction alike.
+// ---------------------------------------------------------------------
+
+TEST(CorePbs, ConsumersSeeTheConsumedInstancesValues)
+{
+    constexpr int64_t kIters = 300;
+    constexpr int64_t kThreshold = 1000 + kIters / 3;
+    Assembler as;
+    as.ldi(3, kIters);
+    as.ldi(4, 0x20000);   // rp per iteration
+    as.ldi(5, 0x30000);   // carried rp2 per iteration
+    as.ldi(8, kThreshold);
+    as.ldi(9, 0);         // iteration index
+    as.label("loop");
+    as.addi(6, 9, 1000);  // this instance's rp:  1000 + i
+    as.addi(7, 9, 5000);  // this instance's rp2: 5000 + i
+    as.probCmp(CmpOp::LT, 10, 6, 8);
+    as.probJmpCarrier(7);
+    as.probJmp(REG_ZERO, 10, "taken");
+    as.addi(15, 15, 1);   // fall-through count
+    as.label("taken");
+    as.slli(11, 9, 3);
+    as.add(12, 4, 11);
+    as.st(12, 6, 0);
+    as.add(13, 5, 11);
+    as.st(13, 7, 0);
+    as.addi(9, 9, 1);
+    as.sub(14, 9, 3);
+    as.jnz(14, "loop");
+    as.halt();
+
+    cpu::CoreConfig cfg = timingConfig("tournament");
+    cfg.pbsEnabled = true;
+    cfg.traceProbBranches = true;
+    cpu::Core core = runProgram(as.finish(), cfg);
+
+    const auto &trace = core.probTrace();
+    ASSERT_EQ(trace.size(), size_t(kIters));
+    uint64_t steered = 0, fallThrough = 0;
+    for (size_t k = 0; k < trace.size(); k++) {
+        const cpu::ProbTraceEntry &e = trace[k];
+        ASSERT_EQ(e.selfSeq, k);
+        steered += e.steered;
+        const uint64_t v = 1000 + e.consumedSeq;
+        EXPECT_EQ(core.memory().readU64(0x20000 + 8 * k), v) << k;
+        EXPECT_EQ(core.memory().readU64(0x30000 + 8 * k),
+                  5000 + e.consumedSeq) << k;
+        EXPECT_EQ(e.taken, int64_t(v) < kThreshold) << k;
+        fallThrough += !e.taken;
+    }
+    EXPECT_GT(steered, uint64_t(kIters) / 2);
+    EXPECT_EQ(core.reg(15), fallThrough);
+}
+
+// ---------------------------------------------------------------------
+// Store queue: the direct-mapped index must agree with the exact ring
+// scan, including index-slot collisions and window expiry.
+// ---------------------------------------------------------------------
+
+TEST(StoreQueue, LookupMatchesScanUnderCollisionsAndExpiry)
+{
+    using cpu::StoreQueue;
+
+    // Keys sharing one index slot, plus a pool spanning more keys than
+    // the index has slots.
+    std::vector<uint64_t> colliding;
+    for (uint64_t k = 1; colliding.size() < 6; k++) {
+        if (StoreQueue::slotOf(k) == StoreQueue::slotOf(0))
+            colliding.push_back(k);
+    }
+    std::vector<uint64_t> pool = colliding;
+    for (uint64_t k = 0; k < 3 * StoreQueue::kIndexSlots; k++)
+        pool.push_back(0x4000 + 7 * k);
+
+    StoreQueue sq;
+    rng::XorShift64Star rng(2024);
+    uint64_t cycle = 0;
+    unsigned found = 0, absent = 0;
+    for (int i = 0; i < 200'000; i++) {
+        // A quarter of the traffic churns the one contended slot.
+        const uint64_t key =
+            (rng.next() & 3) == 0 ? colliding[rng.next() % colliding.size()]
+                                  : pool[rng.next() % pool.size()];
+        if (rng.next() & 1) {
+            sq.push(key, ++cycle);
+            continue;
+        }
+        const uint64_t got = sq.lookup(key);
+        ASSERT_EQ(got, sq.scan(key)) << "load " << i << " key " << key;
+        (got ? found : absent)++;
+    }
+    EXPECT_GT(found, 1000u);
+    EXPECT_GT(absent, 1000u);
+
+    // Expiry: a store leaves the window after kDepth younger stores.
+    StoreQueue q;
+    q.push(colliding[0], 7);
+    for (unsigned i = 0; i + 1 < StoreQueue::kDepth; i++)
+        q.push(0x9000 + i, 100 + i);
+    EXPECT_EQ(q.lookup(colliding[0]), 7u);
+    q.push(0x9fff, 500);
+    EXPECT_EQ(q.lookup(colliding[0]), 0u);
+    EXPECT_EQ(q.scan(colliding[0]), 0u);
+
+    // Collision: the newer key takes the slot; the older one is still
+    // found, through the scan.
+    q.push(colliding[1], 600);
+    q.push(colliding[2], 700);
+    EXPECT_EQ(q.lookup(colliding[1]), 600u);
+    EXPECT_EQ(q.lookup(colliding[2]), 700u);
 }
 
 }  // namespace

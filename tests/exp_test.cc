@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -173,7 +174,7 @@ TEST(ExpSpec, ExecutionModesExpandAndKeySeparately)
 {
     auto parsed = exp::parseSpecText(
         "workload  = pi\n"
-        "mode      = detailed, timing, legacy, functional, sampled\n"
+        "mode      = detailed, timing, mpki, functional, sampled\n"
         "sample-interval = 50000\n"
         "sample-warmup   = 5000\n"
         "sample-measure  = 2000\n"
@@ -185,11 +186,11 @@ TEST(ExpSpec, ExecutionModesExpandAndKeySeparately)
     ASSERT_EQ(grid.points.size(), 5u);
     EXPECT_EQ(grid.points[0].mode, "detailed");
     EXPECT_EQ(grid.points[1].mode, "detailed");  // timing alias
-    EXPECT_EQ(grid.points[2].mode, "legacy");
+    EXPECT_EQ(grid.points[2].mode, "detailed");  // mpki fidelity
     EXPECT_EQ(grid.points[3].mode, "functional");
     EXPECT_EQ(grid.points[4].mode, "sampled");
-    for (const auto &pt : grid.points)
-        EXPECT_FALSE(pt.functional);
+    for (size_t i = 0; i < grid.points.size(); i++)
+        EXPECT_EQ(grid.points[i].functional, i == 2);
 
     // Sampling parameters attach to sampled points only.
     EXPECT_EQ(grid.points[4].sampleInterval, 50000u);
@@ -219,6 +220,16 @@ TEST(ExpSpec, ExecutionModesExpandAndKeySeparately)
     EXPECT_EQ(back, grid.points[4]);
 
     EXPECT_FALSE(exp::parseSpecText("mode = warp\n").ok);
+    // The removed reference path is an unknown mode like any other,
+    // and the point layer refuses unknown modes instead of running
+    // them as detailed.
+    auto legacy = exp::parseSpecText("mode = legacy\n");
+    EXPECT_FALSE(legacy.ok);
+    EXPECT_NE(legacy.error.find("'legacy'"), std::string::npos)
+        << legacy.error;
+    exp::ExpPoint unknown = grid.points[0];
+    unknown.mode = "legacy";
+    EXPECT_THROW(exp::pointCoreConfig(unknown), std::invalid_argument);
     EXPECT_FALSE(exp::parseSpecText("sample-interval = 0\n").ok);
 }
 
@@ -267,6 +278,64 @@ TEST_F(ExpCacheTest, StoreLoadRoundTripsBitExactly)
     std::ofstream(fs::path(cacheDir()) / (key + ".json"))
         << "{not json";
     EXPECT_FALSE(cache.load(key, pt.kind, loaded));
+}
+
+std::string
+slurp(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+TEST_F(ExpCacheTest, StoreLeavesAForeignTempFileUntouched)
+{
+    // Another writer's in-flight temp file for the same entry survives
+    // a store: writers never share a temp name, so none can truncate or
+    // rename another's half-written bytes into place.
+    exp::ResultCache cache(cacheDir());
+    exp::ExpPoint pt = tinyPoint();
+    const std::string key = exp::cacheKey(pt);
+    fs::create_directories(cacheDir());
+    const fs::path foreign = fs::path(cacheDir()) / (key + ".json.tmp");
+    std::ofstream(foreign) << "another writer";
+
+    exp::Measurement m = exp::Engine::computePoint(pt);
+    ASSERT_TRUE(cache.store(key, pt, m));
+    EXPECT_EQ(slurp(foreign), "another writer");
+    exp::Measurement loaded;
+    ASSERT_TRUE(cache.load(key, pt.kind, loaded));
+    EXPECT_EQ(loaded, m);
+}
+
+TEST_F(ExpCacheTest, EntryUnderAnotherPointsKeyLoadsAsAMiss)
+{
+    exp::ResultCache cache(cacheDir());
+    const exp::ExpPoint a = tinyPoint(1);
+    const exp::ExpPoint b = tinyPoint(2);
+    exp::Measurement m = exp::Engine::computePoint(a);
+    ASSERT_TRUE(cache.store(exp::cacheKey(a), a, m));
+    fs::copy_file(fs::path(cacheDir()) / (exp::cacheKey(a) + ".json"),
+                  fs::path(cacheDir()) / (exp::cacheKey(b) + ".json"));
+    exp::Measurement loaded;
+    EXPECT_FALSE(cache.load(exp::cacheKey(b), b.kind, loaded));
+    EXPECT_TRUE(cache.load(exp::cacheKey(a), a.kind, loaded));
+
+    // Partials check the interval index as well as the point.
+    exp::ExpPoint s = a;
+    s.mode = "sampled";
+    sampling::IntervalSample sample;
+    sample.instructions = 42;
+    sample.valid = true;
+    ASSERT_TRUE(cache.storePartial(exp::partialKey(s, 0), s, 0, sample));
+    const fs::path partials = fs::path(cacheDir()) / "partials";
+    fs::copy_file(partials / (exp::partialKey(s, 0) + ".json"),
+                  partials / (exp::partialKey(s, 1) + ".json"));
+    sampling::IntervalSample got;
+    EXPECT_FALSE(cache.loadPartial(exp::partialKey(s, 1), got));
+    ASSERT_TRUE(cache.loadPartial(exp::partialKey(s, 0), got));
+    EXPECT_EQ(got, sample);
 }
 
 TEST_F(ExpCacheTest, GcPrunesStaleGenerations)

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "cpu/core.hh"
 #include "sampling/functional.hh"
@@ -85,10 +87,23 @@ TEST_P(FunctionalEquiv, MatchesDetailedAndNative)
 
 // The PBS_FUNC_DISPATCH environment knob selects the construction-time
 // default: "switch" is the escape hatch back to the reference dispatch,
-// "superblock-portable" forces the function-pointer backend, anything
-// else (including unset) means the full superblock dispatcher.
+// "superblock" or unset means the superblock dispatcher, and any other
+// value (the removed "superblock-portable" included) is rejected.
 TEST(FunctionalDispatchEnv, EscapeHatchSelectsDispatch)
 {
+    for (const char *bad : {"superblock-portable", "bogus", ""}) {
+        setenv("PBS_FUNC_DISPATCH", bad, 1);
+        try {
+            sampling::defaultFuncDispatch();
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("'") + bad +
+                                                 "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
     struct Case
     {
         const char *value;  // nullptr = unset
@@ -96,7 +111,6 @@ TEST(FunctionalDispatchEnv, EscapeHatchSelectsDispatch)
     };
     const Case cases[] = {
         {"switch", sampling::FuncDispatch::Switch},
-        {"superblock-portable", sampling::FuncDispatch::SuperblockPortable},
         {"superblock", sampling::FuncDispatch::Superblock},
         {nullptr, sampling::FuncDispatch::Superblock},
     };
@@ -112,13 +126,17 @@ TEST(FunctionalDispatchEnv, EscapeHatchSelectsDispatch)
             << (c.value ? c.value : "(unset)");
 
         // A default-constructed engine picks the knob up; the hatch
-        // disables superblock formation entirely.
+        // disables superblock formation entirely, and so does a build
+        // without the superblock dispatcher.
         sampling::FunctionalEngine eng(
             b.build(p, workloads::Variant::Marked));
-        EXPECT_EQ(eng.dispatch(), c.expect)
+        const sampling::FuncDispatch runs =
+            sampling::superblockDispatchBuilt()
+                ? c.expect : sampling::FuncDispatch::Switch;
+        EXPECT_EQ(eng.dispatch(), runs)
             << (c.value ? c.value : "(unset)");
         EXPECT_EQ(eng.superblocks() == nullptr,
-                  c.expect == sampling::FuncDispatch::Switch)
+                  runs == sampling::FuncDispatch::Switch)
             << (c.value ? c.value : "(unset)");
     }
     unsetenv("PBS_FUNC_DISPATCH");

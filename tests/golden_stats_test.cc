@@ -1,11 +1,12 @@
 /**
  * @file
  * Determinism regression: golden cycle/misprediction statistics pinned
- * exactly — one tiny workload across every predictor, plus four
- * workloads under the paper's two headline configurations. Any future
- * perf PR that changes these numbers changed functional behavior, not
- * just speed — update the goldens only with an explanation of the
- * semantic change.
+ * exactly — one tiny workload across every predictor, plus every
+ * workload with PBS off and on in the timing model and in the mpki
+ * fidelity, an 8-wide pair (Fig. 8) and a predictor-filter row
+ * (Fig. 9). Any future perf PR that changes these numbers changed
+ * functional behavior, not just speed — update the goldens only with
+ * an explanation of the semantic change.
  *
  * Also pins the experiment-engine contract that a cache-hit replay of a
  * run is bit-identical to the cold run.
@@ -100,12 +101,21 @@ TEST(GoldenStats, PinnedStatsPerPredictor)
     }
 }
 
-/** One pinned workload configuration (timing model, 4-wide core). */
+/** Core shape and fidelity of a pinned workload row. */
+enum class Shape
+{
+    Timing4,   ///< timing model, 4-wide core
+    Timing8,   ///< timing model, 8-wide core (Fig. 8)
+    Mpki,      ///< mpki fidelity: predictors + PBS engine, no timing
+    Filter,    ///< Fig. 9: mpki fidelity, tournament, prob branches filtered
+};
+
+/** One pinned workload configuration at seed 12345. */
 struct WorkloadGolden
 {
     const char *workload;
     uint64_t scale;
-    const char *predictor;
+    Shape shape;
     bool pbs;
     uint64_t instructions;
     uint64_t cycles;
@@ -115,22 +125,77 @@ struct WorkloadGolden
 
 // clang-format off
 const WorkloadGolden kWorkloadGolden[] = {
-    // workload    scale predictor    pbs   instructions  cycles  mispred steered
-    {"pi", 2000, "tage-sc-l", false, 35586ull, 38561ull, 429ull, 0ull},
-    {"pi", 2000, "tage-sc-l", true, 35587ull, 33171ull, 2ull, 1998ull},
-    {"dop", 2000, "tage-sc-l", false, 203047ull, 599043ull, 2869ull, 0ull},
-    {"dop", 2000, "tage-sc-l", true, 203046ull, 537505ull, 1085ull, 3996ull},
-    {"mc-integ", 2000, "tage-sc-l", false, 32688ull, 42539ull, 682ull, 0ull},
-    {"mc-integ", 2000, "tage-sc-l", true, 32688ull, 30200ull, 3ull, 1998ull},
-    {"bandit", 2000, "tage-sc-l", false, 206564ull, 174950ull, 274ull, 0ull},
-    {"bandit", 2000, "tage-sc-l", true, 208758ull, 169117ull, 151ull, 1998ull},
+    // workload   scale  shape           pbs    instructions  cycles  mispred steered
+    {"pi", 2000, Shape::Timing4, false, 35586ull, 38561ull, 429ull, 0ull},
+    {"pi", 2000, Shape::Timing4, true, 35587ull, 33171ull, 2ull, 1998ull},
+    {"dop", 2000, Shape::Timing4, false, 203047ull, 599043ull, 2869ull, 0ull},
+    {"dop", 2000, Shape::Timing4, true, 203046ull, 537505ull, 1085ull, 3996ull},
+    {"mc-integ", 2000, Shape::Timing4, false, 32688ull, 42539ull, 682ull, 0ull},
+    {"mc-integ", 2000, Shape::Timing4, true, 32688ull, 30200ull, 3ull, 1998ull},
+    {"bandit", 2000, Shape::Timing4, false, 206564ull, 174950ull, 274ull, 0ull},
+    {"bandit", 2000, Shape::Timing4, true, 208758ull, 169117ull, 151ull, 1998ull},
+    {"photon", 2000, Shape::Timing4, false, 150431ull, 425583ull, 2281ull, 0ull},
+    {"photon", 2000, Shape::Timing4, true, 143563ull, 368410ull, 342ull, 7888ull},
+    {"swaptions", 2000, Shape::Timing4, false, 1046699ull, 1622977ull, 33416ull, 0ull},
+    {"swaptions", 2000, Shape::Timing4, true, 1046737ull, 938110ull, 3458ull, 59996ull},
+    {"greeks", 2000, Shape::Timing4, false, 121889ull, 332206ull, 1598ull, 0ull},
+    {"greeks", 2000, Shape::Timing4, true, 121883ull, 311847ull, 561ull, 5994ull},
+    {"genetic", 2000, Shape::Timing4, false, 75111ull, 61938ull, 874ull, 0ull},
+    {"genetic", 2000, Shape::Timing4, true, 29867ull, 27866ull, 380ull, 808ull},
+    {"pi", 2000, Shape::Mpki, false, 35586ull, 35586ull, 429ull, 0ull},
+    {"pi", 2000, Shape::Mpki, true, 35587ull, 35587ull, 2ull, 1998ull},
+    {"dop", 2000, Shape::Mpki, false, 203047ull, 203047ull, 2869ull, 0ull},
+    {"dop", 2000, Shape::Mpki, true, 203046ull, 203046ull, 1085ull, 3996ull},
+    {"greeks", 2000, Shape::Mpki, false, 121889ull, 121889ull, 1598ull, 0ull},
+    {"greeks", 2000, Shape::Mpki, true, 121883ull, 121883ull, 561ull, 5994ull},
+    {"swaptions", 2000, Shape::Mpki, false, 1046699ull, 1046699ull, 33416ull, 0ull},
+    {"swaptions", 2000, Shape::Mpki, true, 1046737ull, 1046737ull, 3458ull, 59996ull},
+    {"genetic", 2000, Shape::Mpki, false, 75111ull, 75111ull, 874ull, 0ull},
+    {"genetic", 2000, Shape::Mpki, true, 29867ull, 29867ull, 380ull, 808ull},
+    {"photon", 2000, Shape::Mpki, false, 150431ull, 150431ull, 2281ull, 0ull},
+    {"photon", 2000, Shape::Mpki, true, 143563ull, 143563ull, 342ull, 7888ull},
+    {"mc-integ", 2000, Shape::Mpki, false, 32688ull, 32688ull, 682ull, 0ull},
+    {"mc-integ", 2000, Shape::Mpki, true, 32688ull, 32688ull, 3ull, 1998ull},
+    {"bandit", 2000, Shape::Mpki, false, 206564ull, 206564ull, 274ull, 0ull},
+    {"bandit", 2000, Shape::Mpki, true, 208758ull, 208758ull, 151ull, 1998ull},
+    {"dop", 2000, Shape::Timing8, false, 203047ull, 504437ull, 2869ull, 0ull},
+    {"dop", 2000, Shape::Timing8, true, 203046ull, 391163ull, 1085ull, 3996ull},
+    {"dop", 2000, Shape::Filter, false, 203047ull, 203047ull, 3317ull, 0ull},
+    {"greeks", 2000, Shape::Filter, false, 121889ull, 121889ull, 3228ull, 0ull},
 };
 // clang-format on
+
+const char *
+shapeName(Shape s)
+{
+    switch (s) {
+      case Shape::Timing4: return "Timing4";
+      case Shape::Timing8: return "Timing8";
+      case Shape::Mpki: return "Mpki";
+      case Shape::Filter: return "Filter";
+    }
+    return "?";
+}
+
+exp::ExpPoint
+workloadPoint(const WorkloadGolden &g)
+{
+    exp::ExpPoint pt;
+    pt.workload = g.workload;
+    pt.pbs = g.pbs;
+    pt.scale = g.scale;
+    pt.wide = g.shape == Shape::Timing8;
+    pt.functional = g.shape == Shape::Mpki || g.shape == Shape::Filter;
+    pt.filterProb = g.shape == Shape::Filter;
+    if (g.shape == Shape::Filter)
+        pt.predictor = "tournament";
+    return pt;
+}
 
 exp::Measurement
 runWorkloadPinned(const WorkloadGolden &g)
 {
-    return runPoint(g.workload, g.scale, g.predictor, g.pbs);
+    return exp::Engine::computePoint(workloadPoint(g));
 }
 
 TEST(GoldenStats, PinnedStatsPerWorkload)
@@ -139,17 +204,17 @@ TEST(GoldenStats, PinnedStatsPerWorkload)
     for (const auto &g : kWorkloadGolden) {
         auto r = runWorkloadPinned(g);
         if (print) {
-            std::printf("    {\"%s\", %llu, \"%s\", %s, %lluull, "
+            std::printf("    {\"%s\", %llu, Shape::%s, %s, %lluull, "
                         "%lluull, %lluull, %lluull},\n",
                         g.workload, (unsigned long long)g.scale,
-                        g.predictor, g.pbs ? "true " : "false",
+                        shapeName(g.shape), g.pbs ? "true" : "false",
                         (unsigned long long)r.stats.instructions,
                         (unsigned long long)r.stats.cycles,
                         (unsigned long long)r.stats.mispredicts,
                         (unsigned long long)r.stats.steeredBranches);
             continue;
         }
-        SCOPED_TRACE(std::string(g.workload) +
+        SCOPED_TRACE(std::string(g.workload) + "/" + shapeName(g.shape) +
                      (g.pbs ? "+pbs" : ""));
         EXPECT_EQ(r.stats.instructions, g.instructions);
         EXPECT_EQ(r.stats.cycles, g.cycles);
@@ -166,12 +231,9 @@ TEST(GoldenStats, CacheHitReplaysAreBitIdenticalToColdRuns)
     fs::remove_all(dir);
 
     for (const auto &g : kWorkloadGolden) {
-        SCOPED_TRACE(std::string(g.workload) + (g.pbs ? "+pbs" : ""));
-        pbs::exp::ExpPoint pt;
-        pt.workload = g.workload;
-        pt.predictor = g.predictor;
-        pt.pbs = g.pbs;
-        pt.scale = g.scale;
+        SCOPED_TRACE(std::string(g.workload) + "/" + shapeName(g.shape) +
+                     (g.pbs ? "+pbs" : ""));
+        const exp::ExpPoint pt = workloadPoint(g);
 
         pbs::exp::EngineConfig cfg;
         cfg.cacheDir = dir.string();

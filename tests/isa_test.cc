@@ -1,14 +1,21 @@
 /**
  * @file
  * ISA tests: instruction properties, assembler label resolution,
- * program validation, and encode/decode round trips for both encoding
- * modes, including PBS-unaware (legacy) decoding.
+ * program validation, encode/decode round trips for both encoding
+ * modes (including PBS-unaware (legacy) decoding), and the predecoded
+ * image's per-instruction metadata.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "isa/assembler.hh"
+#include "isa/decoded_image.hh"
 #include "isa/encoding.hh"
+#include "workloads/common.hh"
+
+#include "support/random_program.hh"
 
 namespace {
 
@@ -329,6 +336,134 @@ TEST(ProgramTables, OutOfRangeTargetDiagnosticShowsInstruction)
         EXPECT_NE(msg.find("target out of range"), std::string::npos)
             << msg;
         EXPECT_NE(msg.find("12345"), std::string::npos) << msg;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Predecode metadata: what the timing model reads from a DecodedOp
+// (sources, FU class, latency class, pipelining, the Prob-BTB key of a
+// PROB_CMP) must agree with the Instruction it was decoded from.
+// ---------------------------------------------------------------------
+
+/** The FU class, latency class and pipelining of every opcode. */
+TEST(PredecodeMetadata, FunctionalUnitTable)
+{
+    struct Row
+    {
+        Opcode op;
+        FuKind fu;
+        LatKind lat;
+        bool unpipelined;
+    };
+    // Every opcode not listed is a pipelined IntAlu op.
+    const Row rows[] = {
+        {Opcode::MUL, FuKind::IntMul, LatKind::IntMul, false},
+        {Opcode::DIV, FuKind::IntDiv, LatKind::IntDiv, true},
+        {Opcode::REM, FuKind::IntDiv, LatKind::IntDiv, true},
+        {Opcode::FADD, FuKind::FpAlu, LatKind::FpAlu, false},
+        {Opcode::FSUB, FuKind::FpAlu, LatKind::FpAlu, false},
+        {Opcode::FMIN, FuKind::FpAlu, LatKind::FpAlu, false},
+        {Opcode::FMAX, FuKind::FpAlu, LatKind::FpAlu, false},
+        {Opcode::FNEG, FuKind::FpAlu, LatKind::FpAlu, false},
+        {Opcode::FABS, FuKind::FpAlu, LatKind::FpAlu, false},
+        {Opcode::I2F, FuKind::FpAlu, LatKind::FpAlu, false},
+        {Opcode::F2I, FuKind::FpAlu, LatKind::FpAlu, false},
+        {Opcode::FMUL, FuKind::FpMul, LatKind::FpMul, false},
+        {Opcode::FDIV, FuKind::FpDiv, LatKind::FpDiv, true},
+        {Opcode::FSQRT, FuKind::FpDiv, LatKind::FpSqrt, true},
+        {Opcode::FEXP, FuKind::FpDiv, LatKind::FpTrans, true},
+        {Opcode::FLOG, FuKind::FpDiv, LatKind::FpTrans, true},
+        {Opcode::FSIN, FuKind::FpDiv, LatKind::FpTrans, true},
+        {Opcode::FCOS, FuKind::FpDiv, LatKind::FpTrans, true},
+        {Opcode::LD, FuKind::Load, LatKind::LoadBase, false},
+        {Opcode::LDB, FuKind::Load, LatKind::LoadBase, false},
+        {Opcode::ST, FuKind::Store, LatKind::Store, false},
+        {Opcode::STB, FuKind::Store, LatKind::Store, false},
+    };
+    for (unsigned i = 0; i < unsigned(Opcode::NUM_OPCODES); i++) {
+        const Opcode op = static_cast<Opcode>(i);
+        Row want{op, FuKind::IntAlu, LatKind::IntAlu, false};
+        for (const Row &r : rows) {
+            if (r.op == op)
+                want = r;
+        }
+        EXPECT_EQ(fuKindOf(op), want.fu) << opcodeName(op);
+        EXPECT_EQ(latKindOf(op), want.lat) << opcodeName(op);
+        EXPECT_EQ(fuUnpipelined(op), want.unpipelined) << opcodeName(op);
+    }
+}
+
+void
+expectDecodedMatchesProgram(const Program &prog, const std::string &what)
+{
+    const DecodedImage img = DecodedImage::decode(prog);
+    ASSERT_EQ(img.size(), prog.insts.size()) << what;
+    const size_t n = prog.insts.size();
+    for (size_t pc = 0; pc < n; pc++) {
+        const Instruction &inst = prog.insts[pc];
+        const DecodedOp &d = img.at(pc);
+        auto where = [&] { return what + ": " + disassemble(inst, pc); };
+
+        // Sources, REG_ZERO-padded to three (the scoreboard reads all
+        // three unconditionally).
+        std::array<uint8_t, 3> srcs{};
+        const unsigned nsrc = inst.sourceRegs(srcs);
+        EXPECT_EQ(d.nsrc, nsrc) << where();
+        for (unsigned i = 0; i < 3; i++)
+            EXPECT_EQ(d.srcs[i], i < nsrc ? srcs[i] : REG_ZERO) << where();
+        EXPECT_EQ(d.destReg(), inst.destReg()) << where();
+
+        EXPECT_EQ(d.fu, fuKindOf(inst.op)) << where();
+        EXPECT_EQ(d.lat, latKindOf(inst.op)) << where();
+        EXPECT_EQ(d.unpipelined(), fuUnpipelined(inst.op)) << where();
+
+        // A PROB_CMP's Prob-BTB key: the closing, branching PROB_JMP of
+        // its group, found by an unbounded forward scan.
+        uint32_t closing = 0;
+        if (inst.op == Opcode::PROB_CMP) {
+            closing = static_cast<uint32_t>(pc);
+            for (size_t j = pc + 1; j < n; j++) {
+                const Instruction &f = prog.insts[j];
+                if (f.op == Opcode::PROB_JMP && f.probId == inst.probId &&
+                    !f.isCarrierProbJmp()) {
+                    closing = static_cast<uint32_t>(j);
+                    break;
+                }
+            }
+        }
+        EXPECT_EQ(d.probJmpPc, closing) << where();
+    }
+}
+
+TEST(PredecodeMetadata, EveryWorkloadOpMatchesItsInstruction)
+{
+    using namespace pbs::workloads;
+    for (const auto &b : allBenchmarks()) {
+        for (Variant v : {Variant::Marked, Variant::Predicated,
+                          Variant::Cfd}) {
+            if ((v == Variant::Predicated && !b.predicationOk) ||
+                (v == Variant::Cfd && !b.cfdOk))
+                continue;  // not applicable (Table I)
+            WorkloadParams p;
+            p.scale = 50;
+            expectDecodedMatchesProgram(
+                b.build(p, v),
+                b.name + " variant " + std::to_string(int(v)));
+        }
+    }
+}
+
+TEST(PredecodeMetadata, EveryFuzzProgramOpMatchesItsInstruction)
+{
+    for (uint64_t seed : {11u, 42u, 1234u, 9999u}) {
+        pbs::rng::XorShift64Star rng(seed);
+        for (int round = 0; round < 32; round++) {
+            const bool withProb = (rng.next() & 1) != 0;
+            expectDecodedMatchesProgram(
+                pbs::testsupport::randomProgram(rng, withProb),
+                "seed " + std::to_string(seed) + " round " +
+                    std::to_string(round));
+        }
     }
 }
 

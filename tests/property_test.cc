@@ -1,8 +1,8 @@
 /**
  * @file
  * Property-based tests: encoder fuzzing, predictor invariants across
- * the whole suite, cache geometry sweeps, PBS configuration sweeps, and
- * cross-mode timing invariants.
+ * the whole suite, cache geometry sweeps, PBS configuration sweeps,
+ * core-vs-functional-engine fuzzing, and cross-mode timing invariants.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "isa/encoding.hh"
 #include "mem/cache.hh"
 #include "rng/rng.hh"
+#include "sampling/functional.hh"
 #include "stats/stats.hh"
 #include "workloads/common.hh"
 
@@ -326,10 +327,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// Predecoder fuzzing: randomly generated valid programs must execute
-// identically through the DecodedImage path and the direct-Program
-// interpretation; malformed programs must be rejected at predecode
-// time with a diagnostic, never a crash.
+// Interpreter fuzzing: randomly generated valid programs must leave the
+// detailed core (mpki fidelity, PBS off) and the functional engine
+// (reference switch) in the same architectural state — the core's
+// hooks may observe an instruction but never change what it does.
+// Malformed programs must be rejected at predecode time with a
+// diagnostic, never a crash.
 // ---------------------------------------------------------------------
 
 // The generator lives in tests/support/random_program.hh so
@@ -337,50 +340,40 @@ INSTANTIATE_TEST_SUITE_P(
 // program distribution.
 using pbs::testsupport::randomProgram;
 
-class PredecodeFuzz : public ::testing::TestWithParam<uint64_t> {};
+class CoreFunctionalFuzz : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(PredecodeFuzz, RandomProgramsNeverDiverge)
+TEST_P(CoreFunctionalFuzz, RandomProgramsNeverDiverge)
 {
     rng::XorShift64Star rng(GetParam());
-    for (int round = 0; round < 8; round++) {
-        bool with_prob = (rng.next() & 1) != 0;
-        isa::Program prog = randomProgram(rng, with_prob);
+    for (int round = 0; round < 32; round++) {
+        const bool withProb = (rng.next() & 1) != 0;
+        const isa::Program prog = randomProgram(rng, withProb);
+        const std::string what = "round " + std::to_string(round);
 
-        cpu::CoreConfig legacyCfg;
-        legacyCfg.predictor = "tournament";
-        legacyCfg.pbsEnabled = with_prob;
-        legacyCfg.traceProbBranches = with_prob;
-        legacyCfg.execPath = cpu::ExecPath::LegacyProgram;
-        cpu::CoreConfig decodedCfg = legacyCfg;
-        decodedCfg.execPath = cpu::ExecPath::Decoded;
+        cpu::CoreConfig cfg;
+        cfg.mode = cpu::SimMode::Functional;
+        cfg.predictor = "tournament";
+        cpu::Core core(prog, cfg);
+        core.run();
+        sampling::FunctionalEngine fe(prog, 0,
+                                      sampling::FuncDispatch::Switch);
+        fe.run();
 
-        cpu::Core legacy(prog, legacyCfg);
-        legacy.run();
-        cpu::Core decoded(prog, decodedCfg);
-        decoded.run();
-
-        ASSERT_TRUE(legacy.halted());
-        ASSERT_TRUE(decoded.halted());
-        EXPECT_TRUE(legacy.stats() == decoded.stats())
-            << "round " << round;
-        EXPECT_EQ(legacy.stats().cycles, decoded.stats().cycles)
-            << "round " << round;
+        ASSERT_TRUE(core.halted()) << what;
+        ASSERT_TRUE(fe.halted()) << what;
         for (unsigned r = 0; r < isa::kNumRegs; r++)
-            EXPECT_EQ(legacy.reg(r), decoded.reg(r)) << "reg " << r;
-        EXPECT_TRUE(legacy.memory().sameContents(decoded.memory()))
-            << "round " << round;
-        ASSERT_EQ(legacy.probTrace().size(), decoded.probTrace().size());
-        for (size_t i = 0; i < legacy.probTrace().size(); i++) {
-            EXPECT_EQ(legacy.probTrace()[i].taken,
-                      decoded.probTrace()[i].taken) << "entry " << i;
-            EXPECT_EQ(legacy.probTrace()[i].consumedSeq,
-                      decoded.probTrace()[i].consumedSeq)
-                << "entry " << i;
-        }
+            EXPECT_EQ(core.reg(r), fe.reg(r)) << what << " reg " << r;
+        EXPECT_TRUE(core.memory().sameContents(fe.memory())) << what;
+        EXPECT_EQ(core.pc(), fe.pc()) << what;
+        EXPECT_EQ(core.stats().instructions, fe.stats().instructions)
+            << what;
+        EXPECT_EQ(core.stats().branches, fe.stats().branches) << what;
+        EXPECT_EQ(core.stats().probBranches, fe.stats().probBranches)
+            << what;
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PredecodeFuzz,
+INSTANTIATE_TEST_SUITE_P(Seeds, CoreFunctionalFuzz,
                          ::testing::Values(11, 42, 1234, 9999));
 
 TEST(PredecodeDiagnostics, MalformedTargetsRejectedNotCrashed)

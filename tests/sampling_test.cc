@@ -186,6 +186,9 @@ class ScopedDispatchEnv
  */
 TEST(Checkpoint, AdversarialCountsMatchAcrossDispatch)
 {
+    if (!sampling::superblockDispatchBuilt())
+        GTEST_SKIP() << "built without computed goto: no superblock "
+                        "dispatcher to compare against the switch";
     isa::Program prog = buildWorkload("pi", 7, 100);
 
     // Classify instruction counts by where the PC lands: on a block

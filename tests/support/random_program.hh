@@ -2,11 +2,11 @@
  * @file
  * Shared random-program generator for the fuzzing suites.
  *
- * property_test.cc uses it to diff the legacy and predecoded core
- * paths; dispatch_equiv_test.cc reuses the exact same distribution to
- * diff superblock dispatch against the reference switch, so any
- * program shape that exposed a predecode bug automatically stresses
- * the superblock builder too.
+ * property_test.cc uses it to diff the detailed core against the
+ * functional engine, isa_test.cc to check predecode metadata, and
+ * dispatch_equiv_test.cc to diff superblock dispatch against the
+ * reference switch — one distribution, so any program shape that
+ * exposed a bug in one consumer automatically stresses the others.
  */
 
 #ifndef PBS_TESTS_SUPPORT_RANDOM_PROGRAM_HH
