@@ -1,7 +1,9 @@
 #include "cpu/core.hh"
 
+#include <array>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "bpred/factory.hh"
 #include "cpu/execute.hh"
@@ -36,10 +38,59 @@ bandwidthLimit(uint64_t &lastCycle, unsigned &count, unsigned width,
     return c;
 }
 
+/** One FU class's configured pool size and the field it came from. */
+struct PoolSize
+{
+    FuKind fu;
+    const char *field;
+    unsigned units;
+};
+
+std::array<PoolSize, size_t(FuKind::NUM_FU_KINDS)>
+poolSizes(const FuPools &p)
+{
+    return {{
+        {FuKind::IntAlu, "pools.intAlu", p.intAlu},
+        {FuKind::IntMul, "pools.intMul", p.intMul},
+        {FuKind::IntDiv, "pools.intDiv", p.intDiv},
+        {FuKind::FpAlu, "pools.fpAlu", p.fpAlu},
+        {FuKind::FpMul, "pools.fpMul", p.fpMul},
+        {FuKind::FpDiv, "pools.fpDiv", p.fpDiv},
+        {FuKind::Load, "pools.loadPorts", p.loadPorts},
+        {FuKind::Store, "pools.storePorts", p.storePorts},
+    }};
+}
+
+/** @p cfg itself, if the scoreboard can index everything it sizes;
+ *  otherwise std::invalid_argument naming the field. */
+const CoreConfig &
+validated(const CoreConfig &cfg)
+{
+    auto fail = [](const std::string &field, unsigned v) {
+        throw std::invalid_argument("CoreConfig." + field + " = " +
+                                    std::to_string(v) + " is invalid");
+    };
+    if (cfg.width == 0)
+        fail("width", 0);
+    if (cfg.robSize == 0)
+        fail("robSize", 0);
+    for (const PoolSize &ps : poolSizes(cfg.pools)) {
+        if (ps.units == 0 || ps.units > Core::kMaxFuUnits)
+            fail(ps.field, ps.units);
+    }
+    return cfg;
+}
+
+[[noreturn, gnu::cold]] void
+throwPcOutOfRange(uint64_t pc)
+{
+    throw std::out_of_range("PC out of range: " + std::to_string(pc));
+}
+
 }  // namespace
 
 Core::Core(const isa::Program &prog, const CoreConfig &cfg)
-    : image_(isa::DecodedImage::decode(prog)), cfg_(cfg),
+    : image_(isa::DecodedImage::decode(prog)), cfg_(validated(cfg)),
       hierarchy_(cfg.memory), pbs_(cfg.pbs)
 {
     pred_ = bpred::makePredictor(cfg_.predictor);
@@ -67,14 +118,8 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg)
     latOf_[size_t(LatKind::LoadBase)] = 1;  // + memory latency
     latOf_[size_t(LatKind::Store)] = cfg_.lat.store;
 
-    fuFreeAt_[size_t(FuKind::IntAlu)].assign(cfg_.pools.intAlu, 0);
-    fuFreeAt_[size_t(FuKind::IntMul)].assign(cfg_.pools.intMul, 0);
-    fuFreeAt_[size_t(FuKind::IntDiv)].assign(cfg_.pools.intDiv, 0);
-    fuFreeAt_[size_t(FuKind::FpAlu)].assign(cfg_.pools.fpAlu, 0);
-    fuFreeAt_[size_t(FuKind::FpMul)].assign(cfg_.pools.fpMul, 0);
-    fuFreeAt_[size_t(FuKind::FpDiv)].assign(cfg_.pools.fpDiv, 0);
-    fuFreeAt_[size_t(FuKind::Load)].assign(cfg_.pools.loadPorts, 0);
-    fuFreeAt_[size_t(FuKind::Store)].assign(cfg_.pools.storePorts, 0);
+    for (const PoolSize &ps : poolSizes(cfg_.pools))
+        fuPools_[size_t(ps.fu)].count = ps.units;
 
     commitRing_.assign(cfg_.robSize, 0);
 
@@ -130,7 +175,7 @@ Core::writeReg(unsigned r, uint64_t v)
         regs_[r] = v;
 }
 
-uint64_t
+inline uint64_t
 Core::fetchTiming(uint64_t pc)
 {
     uint64_t at_least = std::max(fetchCycle_, frontendReadyAt_);
@@ -154,22 +199,23 @@ Core::fetchTiming(uint64_t pc)
     return f;
 }
 
-std::pair<uint64_t, uint64_t>
+/** Issue on the earliest-free unit of @p cls: the completion cycle. */
+inline uint64_t
 Core::issueOn(FuKind cls, unsigned latency, bool pipelined,
               uint64_t ready)
 {
-    auto &units = fuFreeAt_[size_t(cls)];
-    size_t best = 0;
-    for (size_t i = 1; i < units.size(); i++) {
-        if (units[i] < units[best])
+    FuPool &pool = fuPools_[size_t(cls)];
+    unsigned best = 0;
+    for (unsigned i = 1; i < pool.count; i++) {
+        if (pool.freeAt[i] < pool.freeAt[best])
             best = i;
     }
-    uint64_t issue = std::max(ready, units[best]);
-    units[best] = issue + (pipelined ? 1 : latency);
-    return {issue, issue + latency};
+    uint64_t issue = std::max(ready, pool.freeAt[best]);
+    pool.freeAt[best] = issue + (pipelined ? 1 : latency);
+    return issue + latency;
 }
 
-uint64_t
+inline uint64_t
 Core::finishTiming(const DecodedOp &op, uint64_t fetch,
                    uint64_t memLatency)
 {
@@ -198,13 +244,10 @@ Core::finishTiming(const DecodedOp &op, uint64_t fetch,
     ready = std::max(ready, regReady_[op.srcs[2]]);
 
     unsigned latency = latOf_[size_t(op.lat)] + memLatency;
-    auto [issue, done] = issueOn(op.fu, latency, !op.unpipelined(),
-                                 ready);
-    (void)issue;
-    return done;
+    return issueOn(op.fu, latency, !op.unpipelined(), ready);
 }
 
-void
+inline void
 Core::commitTiming(uint64_t done)
 {
     uint64_t c = bandwidthLimit(lastCommitCycle_, committedInCycle_,
@@ -214,13 +257,6 @@ Core::commitTiming(uint64_t done)
         robSlot_ = 0;
     if (c > stats_.cycles)
         stats_.cycles = c;
-}
-
-void
-Core::redirect(uint64_t resolveCycle)
-{
-    frontendReadyAt_ = std::max(frontendReadyAt_,
-                                resolveCycle + cfg_.mispredictPenalty);
 }
 
 void
@@ -234,9 +270,10 @@ Core::endFetchGroup(uint64_t fetchCycle)
     }
 }
 
+template <bool kTiming>
 void
 Core::predictAndTrain(uint64_t pc, bool taken, bool isProb,
-                      uint64_t doneCycle)
+                      [[maybe_unused]] uint64_t doneCycle)
 {
     bool predicted;
     if (isProb && cfg_.filterProbFromPredictor) {
@@ -255,67 +292,51 @@ Core::predictAndTrain(uint64_t pc, bool taken, bool isProb,
             stats_.probMispredicts++;
         else
             stats_.regularMispredicts++;
-        if (cfg_.mode == SimMode::Timing)
-            redirect(doneCycle);
-    }
-}
-
-void
-Core::run()
-{
-    while (!halted_) {
-        if (cfg_.maxInstructions &&
-            stats_.instructions >= cfg_.maxInstructions) {
-            break;
+        if constexpr (kTiming) {
+            // The front end refills once the branch resolves.
+            frontendReadyAt_ = std::max(
+                frontendReadyAt_, doneCycle + cfg_.mispredictPenalty);
         }
-        stepOne();
     }
-}
-
-uint64_t
-Core::step(uint64_t n)
-{
-    uint64_t executed = 0;
-    while (!halted_ && executed < n) {
-        stepOne();
-        executed++;
-    }
-    return executed;
 }
 
 /**
  * The core's view of one cpu::execute step: fetch and issue timing,
  * the store queue, the direction predictor, the PBS engine (steering
  * at fetch, value swaps at execution) and commit. One object lives for
- * one instruction; @ref f and @ref done carry its fetch and completion
- * cycles from onIssue to the later hooks.
+ * one runLoop; @ref f and @ref done carry the current instruction's
+ * fetch and completion cycles from onIssue to the later hooks. Under
+ * !kTiming (mpki) every timing structure is compiled out; under !kPbs
+ * the PBS engine and the probabilistic-group table are.
  */
+template <bool kTiming, bool kPbs>
 struct Core::Hooks
 {
-    explicit Hooks(Core &core)
-        : c(core), timing(core.cfg_.mode == SimMode::Timing)
-    {}
+    explicit Hooks(Core &core) : c(core) {}
 
     Core &c;
-    const bool timing;
     uint64_t f = 0;     ///< fetch cycle (instruction count off-timing)
     uint64_t done = 0;  ///< completion cycle
 
     /** The PBS steering decision of a PROB_CMP, taken at fetch. */
-    std::optional<core::PbsInstance> probFetch;
+    core::PbsInstance probFetch;
 
-    void
-    onIssue(const DecodedOp &op, uint64_t pc, uint64_t ea)
+    [[gnu::always_inline]] void
+    onIssue(const DecodedOp &op, [[maybe_unused]] uint64_t pc,
+            [[maybe_unused]] uint64_t ea)
     {
-        f = timing ? c.fetchTiming(pc) : c.stats_.instructions;
+        if constexpr (kTiming)
+            f = c.fetchTiming(pc);
+        else
+            f = c.stats_.instructions;
 
         // The PBS steering decision happens at fetch: query the engine
         // before the timing pass so a stallOnBusy delay is charged to
         // this instruction's fetch cycle.
-        if (op.op == Opcode::PROB_CMP && c.cfg_.pbsEnabled) {
+        if (kPbs && op.op == Opcode::PROB_CMP) {
             probFetch = c.pbs_.onProbCmpFetch(op.probJmpPc, f);
-            if (probFetch->stallCycles > 0 && timing) {
-                f += probFetch->stallCycles;
+            if (kTiming && probFetch.stallCycles > 0) {
+                f += probFetch.stallCycles;
                 if (c.fetchCycle_ < f) {
                     c.fetchCycle_ = f;
                     c.fetchedInCycle_ = 1;
@@ -323,163 +344,216 @@ struct Core::Hooks
             }
         }
 
-        if (!timing) {
+        if constexpr (!kTiming) {
             done = f + c.cfg_.functionalExecDelay;
-            return;
-        }
-        // Cache latency and the store-to-load dependence are known
-        // before the timing pass; the dependence folds in afterwards.
-        uint64_t memLat = 0;
-        uint64_t memDepReady = 0;
-        if (op.isLoad() || op.isStore()) {
-            memLat = op.isLoad() ? c.hierarchy_.dataAccess(ea) : 0;
-            memDepReady = c.storeQueue_.lookup(ea >> 3);
-        }
-        done = std::max(c.finishTiming(op, f, memLat), memDepReady);
-    }
-
-    void
-    onProbCmp(const DecodedOp &op, uint64_t vNew, uint64_t operand,
-              bool cond)
-    {
-        ProbGroup &grp = c.probGroups_[op.probId];
-        grp = ProbGroup{};
-        grp.open = true;
-        grp.condNew = cond;
-        if (!c.cfg_.pbsEnabled)
-            return;
-        const core::PbsInstance &pub = *probFetch;
-        grp.token = pub.token;
-        grp.steered = pub.steered;
-        grp.old = pub.old;
-        grp.managed = c.pbs_.onProbCmpExec(pub.token, vNew, operand, done);
-        if (grp.steered) {
-            // The value swap: condition and probabilistic value come
-            // from the recorded previous execution.
-            c.writeReg(op.rd, grp.old.taken ? 1 : 0);
-            c.writeReg(op.rs1, grp.old.value1);
-            // Guarded so regReady_[REG_ZERO] stays 0 (the dependence
-            // maxes rely on that invariant); a zero prob register was
-            // never read back anyway.
-            if (timing && op.rs1 != isa::REG_ZERO)
-                c.regReady_[op.rs1] = done;
+        } else {
+            // Cache latency and the store-to-load dependence are known
+            // before the timing pass; the dependence folds in
+            // afterwards.
+            uint64_t memLat = 0;
+            uint64_t memDepReady = 0;
+            if (op.isLoad() || op.isStore()) {
+                memLat = op.isLoad() ? c.hierarchy_.dataAccess(ea) : 0;
+                memDepReady = c.storeQueue_.lookup(ea >> 3);
+            }
+            done = std::max(c.finishTiming(op, f, memLat), memDepReady);
         }
     }
 
     void
-    onJump(uint64_t pc, uint64_t target)
+    onProbCmp([[maybe_unused]] const DecodedOp &op,
+              [[maybe_unused]] uint64_t vNew,
+              [[maybe_unused]] uint64_t operand, [[maybe_unused]] bool cond)
     {
-        if (c.cfg_.pbsEnabled)
+        // Only the PBS hooks read the group state back.
+        if constexpr (kPbs) {
+            ProbGroup &grp = c.probGroups_[op.probId];
+            grp = ProbGroup{};
+            grp.open = true;
+            grp.condNew = cond;
+            grp.token = probFetch.token;
+            grp.steered = probFetch.steered;
+            grp.old = probFetch.old;
+            grp.managed = c.pbs_.onProbCmpExec(probFetch.token, vNew,
+                                               operand, done);
+            if (grp.steered) {
+                // The value swap: condition and probabilistic value
+                // come from the recorded previous execution.
+                c.writeReg(op.rd, grp.old.taken ? 1 : 0);
+                c.writeReg(op.rs1, grp.old.value1);
+                // Guarded so regReady_[REG_ZERO] stays 0 (the
+                // dependence maxes rely on that invariant); a zero prob
+                // register was never read back anyway.
+                if (kTiming && op.rs1 != isa::REG_ZERO)
+                    c.regReady_[op.rs1] = done;
+            }
+        }
+    }
+
+    void
+    onJump([[maybe_unused]] uint64_t pc, [[maybe_unused]] uint64_t target)
+    {
+        if constexpr (kPbs)
             c.pbs_.noteBranch(pc, target, true);
     }
 
     void
-    onBranch(uint64_t pc, uint64_t target, bool taken)
+    onBranch(uint64_t pc, [[maybe_unused]] uint64_t target, bool taken)
     {
-        c.predictAndTrain(pc, taken, false, done);
-        if (c.cfg_.pbsEnabled)
+        c.predictAndTrain<kTiming>(pc, taken, false, done);
+        if constexpr (kPbs)
             c.pbs_.noteBranch(pc, target, taken);
     }
 
     void
-    onCall(uint64_t pc)
+    onCall([[maybe_unused]] uint64_t pc)
     {
-        if (c.cfg_.pbsEnabled)
+        if constexpr (kPbs)
             c.pbs_.noteCall(pc);
     }
 
     void
     onReturn()
     {
-        if (c.cfg_.pbsEnabled)
+        if constexpr (kPbs)
             c.pbs_.noteReturn();
     }
 
     void
-    onCarrier(const DecodedOp &op)
+    onCarrier([[maybe_unused]] const DecodedOp &op)
     {
         // Value carrier: participates in the swap, never branches.
-        const ProbGroup &grp = c.probGroups_[op.probId];
-        if (!c.cfg_.pbsEnabled || !grp.open)
-            return;
-        c.pbs_.onCarrierExec(grp.token, c.regs_[op.rd]);
-        if (grp.steered && grp.old.hasValue2)
-            c.writeReg(op.rd, grp.old.value2);
+        if constexpr (kPbs) {
+            const ProbGroup &grp = c.probGroups_[op.probId];
+            if (!grp.open)
+                return;
+            c.pbs_.onCarrierExec(grp.token, c.regs_[op.rd]);
+            if (grp.steered && grp.old.hasValue2)
+                c.writeReg(op.rd, grp.old.value2);
+        }
     }
 
     bool
     onProbJmp(const DecodedOp &op, uint64_t pc, uint64_t selfSeq,
               bool cond)
     {
-        ProbGroup &grp = c.probGroups_[op.probId];
         uint64_t consumedSeq = selfSeq;
-        bool taken;
+        // PBS disabled (or the group opened before a restore): behaves
+        // as JNZ on the condition register.
+        bool taken = cond;
         bool steered = false;
-        if (c.cfg_.pbsEnabled && grp.open) {
-            std::optional<uint64_t> v2;
-            if (op.rd != isa::REG_ZERO)
-                v2 = c.regs_[op.rd];
-            c.pbs_.onProbJmpExec(grp.token, grp.condNew, v2, op.target,
-                                 done, selfSeq);
-            if (grp.steered) {
-                steered = true;
-                taken = grp.old.taken;
-                consumedSeq = grp.old.genSeq;
-                if (op.rd != isa::REG_ZERO && grp.old.hasValue2)
-                    c.writeReg(op.rd, grp.old.value2);
-                c.stats_.steeredBranches++;
-                // Direction known at fetch: no prediction, no penalty.
-            } else {
-                taken = grp.condNew;
-                c.predictAndTrain(pc, taken, true, done);
+        bool predict = true;
+        if constexpr (kPbs) {
+            ProbGroup &grp = c.probGroups_[op.probId];
+            if (grp.open) {
+                std::optional<uint64_t> v2;
+                if (op.rd != isa::REG_ZERO)
+                    v2 = c.regs_[op.rd];
+                c.pbs_.onProbJmpExec(grp.token, grp.condNew, v2,
+                                     op.target, done, selfSeq);
+                if (grp.steered) {
+                    steered = true;
+                    predict = false;
+                    taken = grp.old.taken;
+                    consumedSeq = grp.old.genSeq;
+                    if (op.rd != isa::REG_ZERO && grp.old.hasValue2)
+                        c.writeReg(op.rd, grp.old.value2);
+                    c.stats_.steeredBranches++;
+                    // Direction known at fetch: no prediction, no
+                    // penalty.
+                } else {
+                    taken = grp.condNew;
+                }
             }
-        } else {
-            // PBS disabled: behaves as JNZ on the condition register.
-            taken = cond;
-            c.predictAndTrain(pc, taken, true, done);
+            grp.open = false;
         }
+        if (predict)
+            c.predictAndTrain<kTiming>(pc, taken, true, done);
         if (c.cfg_.traceProbBranches) {
             c.probTrace_.push_back({op.probId, selfSeq, consumedSeq, taken,
                                     steered});
         }
-        if (c.cfg_.pbsEnabled)
+        if constexpr (kPbs)
             c.pbs_.noteBranch(pc, op.target, taken);
-        grp.open = false;
         return taken;
     }
 
-    void
-    onRetire(const DecodedOp &op, uint64_t ea, bool redirected)
+    [[gnu::always_inline]] void
+    onRetire([[maybe_unused]] const DecodedOp &op,
+             [[maybe_unused]] uint64_t ea, [[maybe_unused]] bool redirected)
     {
-        if (!timing)
-            return;
-        // Publish destination readiness for dependents.
-        int dst = op.destReg();
-        if (dst > 0)
-            c.regReady_[dst] = done;
-        if (op.isStore())
-            c.storeQueue_.push(ea >> 3, done);
-        // Taken control flow ends the fetch group.
-        if (redirected)
-            c.endFetchGroup(f);
-        c.commitTiming(done);
+        if constexpr (kTiming) {
+            // Publish destination readiness for dependents.
+            int dst = op.destReg();
+            if (dst > 0)
+                c.regReady_[dst] = done;
+            if (op.isStore())
+                c.storeQueue_.push(ea >> 3, done);
+            // Taken control flow ends the fetch group.
+            if (redirected)
+                c.endFetchGroup(f);
+            c.commitTiming(done);
+        }
     }
 };
 
-void
-Core::stepOne()
+template <bool kTiming, bool kPbs>
+uint64_t
+Core::runLoop(uint64_t n, uint64_t limit)
 {
-    if (pc_ >= image_.size())
-        throw std::out_of_range("PC out of range: " + std::to_string(pc_));
-
-    Hooks hooks(*this);
+    const uint64_t start = stats_.instructions;
+    const uint64_t budget = start >= limit ? 0 : std::min(n, limit - start);
+    const DecodedOp *const ops = image_.ops().data();
+    const uint64_t size = image_.size();
     const ExecCtx ctx{regs_.data(), &mem_, probSeq_.data(), &stats_,
                       &halted_};
-    pc_ = execute(image_.at(pc_), pc_, ctx, hooks);
+    Hooks<kTiming, kPbs> hooks(*this);
 
-    stats_.instructions++;
-    if (!hooks.timing)
+    uint64_t pc = pc_;
+    uint64_t executed = 0;
+    while (!halted_ && executed < budget) {
+        if (pc >= size) {
+            pc_ = pc;
+            if constexpr (!kTiming)
+                stats_.cycles = stats_.instructions;
+            throwPcOutOfRange(pc);
+        }
+        pc = execute(ops[pc], pc, ctx, hooks);
+        stats_.instructions++;
+        executed++;
+    }
+    pc_ = pc;
+    // Off-timing, a cycle is an instruction.
+    if constexpr (!kTiming)
         stats_.cycles = stats_.instructions;
+    return executed;
+}
+
+uint64_t
+Core::runFor(uint64_t n, uint64_t limit)
+{
+    const bool timing = cfg_.mode == SimMode::Timing;
+    if (cfg_.pbsEnabled) {
+        return timing ? runLoop<true, true>(n, limit)
+                      : runLoop<false, true>(n, limit);
+    }
+    return timing ? runLoop<true, false>(n, limit)
+                  : runLoop<false, false>(n, limit);
+}
+
+void
+Core::run()
+{
+    constexpr uint64_t kNoLimit = ~uint64_t(0);
+    runFor(kNoLimit, cfg_.maxInstructions ? cfg_.maxInstructions
+                                          : kNoLimit);
+}
+
+uint64_t
+Core::step(uint64_t n)
+{
+    // step() ignores maxInstructions: callers count their own budget.
+    return runFor(n, ~uint64_t(0));
 }
 
 }  // namespace pbs::cpu

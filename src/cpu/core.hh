@@ -25,8 +25,23 @@
  * it shares with the functional engine. The core's hooks observe each
  * instruction's effects and drive the timing scoreboard, the caches,
  * the predictor and the PBS engine; the PBS value swaps happen there.
- * The steady-state loop performs no heap allocation (fixed rings and
- * flat tables replace per-instruction container churn).
+ * The steady-state loop performs no heap allocation (fixed rings, flat
+ * tables and inline FU pools replace per-instruction container churn).
+ *
+ * Specialized step loops
+ * ----------------------
+ * The fidelity (SimMode) and PBS on/off are fixed at construction, so
+ * the step loop is compiled once per combination: run() and step(n)
+ * both pick runLoop<kTiming, kPbs> once per call, and the hooks
+ * (Hooks<kTiming, kPbs>) resolve every fidelity and PBS test with
+ * `if constexpr`. The mpki loop therefore contains no fetch, issue,
+ * commit, cache or store-queue code, and a PBS-off loop never touches
+ * the PBS engine.
+ *
+ * cpu::execute and the timing helpers are always_inline. With four
+ * instantiations GCC (12, with LTO) otherwise outlines them, and the
+ * calls cost the detailed loop more than the specialization saves:
+ * each loop must be one flat function for the pruning to pay off.
  */
 
 #ifndef PBS_CPU_CORE_HH
@@ -65,6 +80,14 @@ struct ProbTraceEntry
 class Core
 {
   public:
+    /** Most units one functional-unit pool (CoreConfig::pools) holds. */
+    static constexpr unsigned kMaxFuUnits = 8;
+
+    /**
+     * @throws std::invalid_argument naming the field if @p cfg has a
+     *         zero width or robSize, or an FU pool of 0 or more than
+     *         kMaxFuUnits units.
+     */
     Core(const isa::Program &prog, const CoreConfig &cfg);
 
     /** Run until HALT (or the instruction limit). */
@@ -112,32 +135,46 @@ class Core
     }
 
   private:
-    /** The hooks through which the core observes cpu::execute. */
+    /** The hooks through which the core observes cpu::execute, for
+     *  one fidelity (kTiming) and PBS setting (kPbs). */
+    template <bool kTiming, bool kPbs>
     struct Hooks;
 
-    void writeReg(unsigned r, uint64_t v);
-    void stepOne();
+    /**
+     * The step loop: execute until HALT, @p n instructions, or
+     * stats_.instructions reaching @p limit, whichever comes first.
+     * @return #executed.
+     */
+    template <bool kTiming, bool kPbs>
+    uint64_t runLoop(uint64_t n, uint64_t limit);
 
-    // --- timing helpers ---
-    uint64_t fetchTiming(uint64_t pc);
-    std::pair<uint64_t, uint64_t> issueOn(isa::FuKind cls,
-                                          unsigned latency,
-                                          bool pipelined, uint64_t ready);
+    /** runLoop instantiated for cfg_'s fidelity and PBS setting. */
+    uint64_t runFor(uint64_t n, uint64_t limit);
+
+    void writeReg(unsigned r, uint64_t v);
+
+    // --- timing helpers (always inlined into the timing loops) ---
+    [[gnu::always_inline]] inline uint64_t fetchTiming(uint64_t pc);
+    [[gnu::always_inline]] inline uint64_t
+    issueOn(isa::FuKind cls, unsigned latency, bool pipelined,
+            uint64_t ready);
     /** Dispatch and issue @p op fetched at @p fetch: its completion
      *  cycle (memLatency is added to its configured latency). */
-    uint64_t finishTiming(const isa::DecodedOp &op, uint64_t fetch,
-                          uint64_t memLatency);
-    void commitTiming(uint64_t done);
-    void redirect(uint64_t resolveCycle);
+    [[gnu::always_inline]] inline uint64_t
+    finishTiming(const isa::DecodedOp &op, uint64_t fetch,
+                 uint64_t memLatency);
+    [[gnu::always_inline]] inline void commitTiming(uint64_t done);
     void endFetchGroup(uint64_t fetchCycle);
 
-    /** Resolve a conditional branch against the direction predictor. */
+    /** Resolve a conditional branch against the direction predictor;
+     *  a misprediction redirects the front end under timing. */
+    template <bool kTiming>
     void predictAndTrain(uint64_t pc, bool taken, bool isProb,
                          uint64_t doneCycle);
 
     // --- members ---
     isa::DecodedImage image_;
-    CoreConfig cfg_;
+    const CoreConfig cfg_;  ///< fixed at construction (picks the loop)
 
     // Functional state.
     std::array<uint64_t, isa::kNumRegs> regs_{};
@@ -152,9 +189,15 @@ class Core
     std::unique_ptr<bpred::BranchPredictor> sidePred_;  ///< Fig. 9 filter
     std::array<uint64_t, isa::kNumRegs> regReady_{};
 
-    /** Per-FU-class unit pools: freeAt cycles, fixed at construction. */
-    std::array<std::vector<uint64_t>,
-               size_t(isa::FuKind::NUM_FU_KINDS)> fuFreeAt_;
+    /** One FU class's units: the cycle each is next free. */
+    struct FuPool
+    {
+        std::array<uint64_t, kMaxFuUnits> freeAt{};
+        unsigned count = 0;  ///< units in use (1..kMaxFuUnits)
+    };
+
+    /** Per-FU-class unit pools, sized at construction. */
+    std::array<FuPool, size_t(isa::FuKind::NUM_FU_KINDS)> fuPools_{};
 
     /** Configured latency of each latency class (indexed by LatKind). */
     std::array<unsigned, size_t(isa::LatKind::NUM_LAT_KINDS)> latOf_{};

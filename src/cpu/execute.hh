@@ -29,6 +29,10 @@
  *
  * NoHooks implements every hook as a no-op (onProbJmp returns cond),
  * which is exactly the ISA's PBS-off semantics at zero cost.
+ *
+ * execute is always inlined: each caller's step loop is one function
+ * in which the hook policy's compile-time constants prune whole hooks
+ * (see cpu/core.hh, "Specialized step loops").
  */
 
 #ifndef PBS_CPU_EXECUTE_HH
@@ -77,7 +81,7 @@ struct NoHooks
  * @p hooks. @return the next PC.
  */
 template <class Hooks>
-inline uint64_t
+[[gnu::always_inline]] inline uint64_t
 execute(const isa::DecodedOp &op, uint64_t pc, const ExecCtx &ctx,
         Hooks &hooks)
 {

@@ -9,8 +9,9 @@
  * This is the tripwire for reintroducing per-instruction containers
  * (the seed used unordered_maps and a deque on the per-instruction
  * path). If any std::map/unordered_map/deque/vector growth sneaks back
- * into Core::stepOne, PbsEngine, the predictors, or the memory model's
- * steady state, these tests fail.
+ * into the core's step loops (all four: timing and mpki, PBS off and
+ * on), PbsEngine, the predictors, or the memory model's steady state,
+ * these tests fail.
  */
 
 #include <gtest/gtest.h>
@@ -148,6 +149,17 @@ TEST(AllocGuard, FunctionalSteadyStateIsAllocationFree)
     cfg.predictor = "tage";
     cfg.pbsEnabled = true;
     EXPECT_EQ(steadyStateAllocs("pi", cfg, 50'000, 500'000), 0u);
+}
+
+TEST(AllocGuard, MpkiPbsOffSteadyStateIsAllocationFree)
+{
+    // The fourth specialized loop (mpki, PBS off): the predictor zoo's
+    // main case. With the tests above, every instantiated loop is
+    // covered.
+    cpu::CoreConfig cfg;
+    cfg.mode = cpu::SimMode::Functional;
+    cfg.predictor = "tage-sc-l";
+    EXPECT_EQ(steadyStateAllocs("bandit", cfg, 100'000, 500'000), 0u);
 }
 
 }  // namespace

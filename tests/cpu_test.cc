@@ -2,8 +2,10 @@
  * @file
  * Core tests: functional semantics of every opcode class, call/ret,
  * memory, first-order timing properties of the OoO model (width,
- * dependence chains, ROB, misprediction penalty, PBS steering), and the
- * store queue's index against its exact scan.
+ * dependence chains, ROB, misprediction penalty, PBS steering),
+ * configuration validation, the four specialized step loops (run()
+ * against chunked step(n), the instruction limit, PC range checks),
+ * and the store queue's index against its exact scan.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include "isa/assembler.hh"
 #include "rng/isa_emit.hh"
 #include "rng/rng.hh"
+#include "workloads/common.hh"
 
 namespace {
 
@@ -348,6 +351,240 @@ TEST(CoreLimits, StepExecutesExactly)
     EXPECT_FALSE(core.halted());
     EXPECT_EQ(core.step(1000), 61u);  // 60 nops + halt
     EXPECT_TRUE(core.halted());
+}
+
+// ---------------------------------------------------------------------
+// Configuration validation: every field the scoreboard indexes by is
+// checked at construction, naming the field.
+// ---------------------------------------------------------------------
+
+void
+expectRejected(const cpu::CoreConfig &cfg, const std::string &field)
+{
+    Assembler as;
+    as.halt();
+    const Program prog = as.finish();
+    try {
+        cpu::Core core(prog, cfg);
+        ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(CoreConfigCheck, RejectsZeroWidth)
+{
+    cpu::CoreConfig cfg;
+    cfg.width = 0;
+    expectRejected(cfg, "width");
+}
+
+TEST(CoreConfigCheck, RejectsZeroRobSize)
+{
+    cpu::CoreConfig cfg;
+    cfg.robSize = 0;
+    expectRejected(cfg, "robSize");
+}
+
+TEST(CoreConfigCheck, RejectsEmptyOrOversizedFuPools)
+{
+    using cpu::FuPools;
+    const std::pair<unsigned FuPools::*, const char *> pools[] = {
+        {&FuPools::intAlu, "pools.intAlu"},
+        {&FuPools::intMul, "pools.intMul"},
+        {&FuPools::intDiv, "pools.intDiv"},
+        {&FuPools::fpAlu, "pools.fpAlu"},
+        {&FuPools::fpMul, "pools.fpMul"},
+        {&FuPools::fpDiv, "pools.fpDiv"},
+        {&FuPools::loadPorts, "pools.loadPorts"},
+        {&FuPools::storePorts, "pools.storePorts"},
+    };
+    for (const auto &[field, name] : pools) {
+        for (cpu::SimMode mode :
+             {cpu::SimMode::Timing, cpu::SimMode::Functional}) {
+            cpu::CoreConfig cfg;
+            cfg.mode = mode;
+            cfg.pools.*field = 0;
+            expectRejected(cfg, name);
+            cfg.pools.*field = cpu::Core::kMaxFuUnits + 1;
+            expectRejected(cfg, name);
+        }
+    }
+}
+
+TEST(CoreConfigCheck, AcceptsFullPoolsAndPaperConfigs)
+{
+    cpu::CoreConfig full = timingConfig();
+    full.pools = cpu::FuPools{8, 8, 8, 8, 8, 8, 8, 8};
+    static_assert(cpu::Core::kMaxFuUnits == 8);
+    cpu::CoreConfig minimal = timingConfig();
+    minimal.width = 1;
+    minimal.robSize = 1;
+    minimal.pools = cpu::FuPools{1, 1, 1, 1, 1, 1, 1, 1};
+    for (const cpu::CoreConfig &cfg :
+         {full, minimal, cpu::CoreConfig::fourWide(),
+          cpu::CoreConfig::eightWide()}) {
+        Assembler as;
+        as.ldi(3, 40);
+        as.label("loop");
+        as.mul(4, 3, 3);
+        as.st(REG_ZERO, 4, 0x1000);
+        as.ld(5, REG_ZERO, 0x1000);
+        as.addi(3, 3, -1);
+        as.jnz(3, "loop");
+        as.halt();
+        auto core = runProgram(as.finish(), cfg);
+        EXPECT_EQ(core.reg(5), 1u);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The four specialized step loops (timing / mpki x PBS off / on) are
+// one loop behind run() and step(n): chunked stepping must reproduce a
+// whole run exactly, the instruction limit must stop every loop at the
+// same count, and a PC past the image must still throw from inside the
+// loop.
+// ---------------------------------------------------------------------
+
+struct LoopCase
+{
+    cpu::SimMode mode;
+    bool pbs;
+};
+
+const LoopCase kLoopCases[] = {
+    {cpu::SimMode::Timing, false},
+    {cpu::SimMode::Timing, true},
+    {cpu::SimMode::Functional, false},
+    {cpu::SimMode::Functional, true},
+};
+
+cpu::CoreConfig
+loopConfig(const LoopCase &lc)
+{
+    cpu::CoreConfig cfg = timingConfig("tage-sc-l");
+    cfg.mode = lc.mode;
+    cfg.pbsEnabled = lc.pbs;
+    return cfg;
+}
+
+std::string
+loopName(const LoopCase &lc)
+{
+    return std::string(lc.mode == cpu::SimMode::Timing ? "timing"
+                                                       : "mpki") +
+           (lc.pbs ? "/pbs" : "/no-pbs");
+}
+
+Program
+smallWorkload(const char *name)
+{
+    workloads::WorkloadParams p;
+    p.seed = 3;
+    p.scale = 1500;
+    return workloads::benchmarkByName(name).build(
+        p, workloads::Variant::Marked);
+}
+
+TEST(CoreLoops, RunMatchesRandomStepChunks)
+{
+    uint64_t seed = 1;
+    for (const char *workload : {"pi", "bandit"}) {
+        const Program prog = smallWorkload(workload);
+        for (const LoopCase &lc : kLoopCases) {
+            SCOPED_TRACE(std::string(workload) + " " + loopName(lc));
+            const cpu::CoreConfig cfg = loopConfig(lc);
+            cpu::Core whole(prog, cfg);
+            whole.run();
+            ASSERT_TRUE(whole.halted());
+
+            cpu::Core chunked(prog, cfg);
+            rng::SplitMix64 rng(seed++);
+            uint64_t total = 0;
+            while (!chunked.halted()) {
+                // Mostly short chunks (down to 0 and 1), some long.
+                const uint64_t r = rng.next();
+                const uint64_t n = (r & 3) ? (r >> 8) % 64
+                                           : (r >> 8) % 5000;
+                const uint64_t got = chunked.step(n);
+                ASSERT_LE(got, n);
+                if (!chunked.halted()) {
+                    ASSERT_EQ(got, n);
+                }
+                total += got;
+            }
+            EXPECT_EQ(chunked.step(10), 0u);  // halted stays halted
+
+            EXPECT_EQ(total, whole.stats().instructions);
+            EXPECT_EQ(chunked.stats(), whole.stats());
+            EXPECT_EQ(chunked.pc(), whole.pc());
+            for (unsigned r = 0; r < isa::kNumRegs; r++)
+                EXPECT_EQ(chunked.reg(r), whole.reg(r)) << "r" << r;
+            EXPECT_TRUE(chunked.memory().sameContents(whole.memory()));
+            if (lc.mode == cpu::SimMode::Functional) {
+                EXPECT_EQ(whole.stats().cycles,
+                          whole.stats().instructions);
+            }
+            if (lc.pbs) {
+                EXPECT_GT(whole.stats().steeredBranches, 0u);
+            }
+        }
+    }
+}
+
+TEST(CoreLoops, MaxInstructionsStopsEveryLoopAtTheSameCount)
+{
+    const Program prog = smallWorkload("pi");
+    constexpr uint64_t kLimit = 12'345;
+    for (const LoopCase &lc : kLoopCases) {
+        SCOPED_TRACE(loopName(lc));
+        cpu::CoreConfig cfg = loopConfig(lc);
+        cfg.maxInstructions = kLimit;
+        cpu::Core core(prog, cfg);
+        core.run();
+        EXPECT_FALSE(core.halted());
+        EXPECT_EQ(core.stats().instructions, kLimit);
+        core.run();  // at the limit: a no-op
+        EXPECT_EQ(core.stats().instructions, kLimit);
+        if (lc.mode == cpu::SimMode::Functional) {
+            EXPECT_EQ(core.stats().cycles, kLimit);
+        }
+
+        // The limit counts from construction, not from each call.
+        cpu::Core stepped(prog, cfg);
+        EXPECT_EQ(stepped.step(kLimit - 100), kLimit - 100);
+        stepped.run();
+        EXPECT_EQ(stepped.stats(), core.stats());
+        EXPECT_EQ(stepped.pc(), core.pc());
+    }
+}
+
+TEST(CoreLoops, PcPastTheImageThrowsFromInsideTheLoop)
+{
+    // RET to an address past the end of the 4-instruction image.
+    Assembler as;
+    as.ldi(3, 7);
+    as.ldi(isa::REG_RA, 1000);
+    as.ret();
+    as.halt();
+    const Program prog = as.finish();
+    for (const LoopCase &lc : kLoopCases) {
+        SCOPED_TRACE(loopName(lc));
+        cpu::Core ran(prog, loopConfig(lc));
+        EXPECT_THROW(ran.run(), std::out_of_range);
+        cpu::Core stepped(prog, loopConfig(lc));
+        EXPECT_THROW(stepped.step(100), std::out_of_range);
+        for (const cpu::Core *core : {&ran, &stepped}) {
+            EXPECT_EQ(core->pc(), 1000u);
+            EXPECT_EQ(core->stats().instructions, 3u);
+            EXPECT_EQ(core->reg(3), 7u);
+            EXPECT_FALSE(core->halted());
+            if (lc.mode == cpu::SimMode::Functional) {
+                EXPECT_EQ(core->stats().cycles, 3u);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
