@@ -12,6 +12,7 @@
 #include "obs/obs.hh"
 #include "sampling/functional.hh"
 #include "sampling/sampled.hh"
+#include "util/hash.hh"
 #include "util/task_pool.hh"
 #include "workloads/common.hh"
 
@@ -25,21 +26,6 @@ double
 elapsedMs(Clock::time_point from, Clock::time_point to)
 {
     return std::chrono::duration<double, std::milli>(to - from).count();
-}
-
-/** FNV-1a over a string, hex-encoded. */
-std::string
-fnv1aHex(const std::string &s)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
 }
 
 /**
@@ -326,7 +312,11 @@ std::string
 contentHash(const std::vector<BenchResult> &results,
             const BenchConfig &cfg)
 {
-    return fnv1aHex(deterministicBody(results, cfg));
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(
+                      util::fnv1a64(deterministicBody(results, cfg))));
+    return buf;
 }
 
 double

@@ -33,8 +33,8 @@ namespace pbs::cpu {
 
 /**
  * Version of the ArchState layout and of the PBSCKPT1 checkpoint
- * serialization derived from it. Recorded in the checkpoint store's
- * on-disk manifest (src/sampling/store.hh) and checked on load, so a
+ * serialization derived from it. Recorded in the key of every cached
+ * checkpoint set (src/exp/cache.hh) and checked on load, so a
  * checkpoint set captured before a state-layout change is rejected
  * instead of silently misread. Bump whenever a field is added to or
  * removed from ArchState, kNumRegs changes, or the binary checkpoint

@@ -120,7 +120,7 @@ writeBatchConfig(exp::JsonWriter &w, const DriverOptions &opts,
         w.key("sample_measure").value(sp.measure);
         w.key("sample_max").value(sp.maxSamples);
         if (opts.seeds == 1) {
-            w.key("ckpt_set").value(sampling::storeSetHash(
+            w.key("ckpt_set").value(exp::storeSetHash(
                 exp::checkpointStoreKey(pt, exp::versionSalt())));
         }
     }

@@ -1,13 +1,15 @@
 #include "exp/cache.hh"
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "obs/obs.hh"
-#include "sampling/store.hh"
+#include "sampling/checkpoint.hh"
+#include "util/hash.hh"
 #include "util/publish.hh"
 
 // Build-time generated salt (git describe + dirty-diff hash); absent
@@ -24,6 +26,9 @@ namespace {
 
 /** Bump to invalidate every existing cache entry. */
 constexpr int kCacheSchemaVersion = 1;
+
+/** File extension of a checkpoint-set entry under `ckpt/`. */
+constexpr const char *kSetExtension = ".pbsckpts";
 
 bool
 readFile(const fs::path &path, std::string &out)
@@ -63,6 +68,43 @@ readOwnDocument(const std::string &path, const std::string &key,
         return cacheKey(pt) == key;
     const JsonValue *index = v.find("index");
     return index && partialKey(pt, index->asU64()) == key;
+}
+
+/** The first line of the file at @p path, without its newline. */
+bool
+readFirstLine(const fs::path &path, std::string &out)
+{
+    std::ifstream in(path, std::ios::binary);
+    return in && std::getline(in, out);
+}
+
+/** Member @p k of @p obj as a u64 (0 when absent). */
+uint64_t
+u64Field(const JsonValue &obj, const char *k)
+{
+    const JsonValue *f = obj.find(k);
+    return f ? f->asU64() : 0;
+}
+
+/** The checkpoint-set key stored in a set header's `key` object. */
+StoreKey
+readStoreKey(const JsonValue &v)
+{
+    auto str = [&](const char *k) {
+        const JsonValue *f = v.find(k);
+        return f ? f->asString() : std::string();
+    };
+    StoreKey key;
+    key.workload = str("workload");
+    key.variant = str("variant");
+    key.scale = u64Field(v, "scale");
+    key.seed = u64Field(v, "seed");
+    key.maxInstructions = u64Field(v, "max_instructions");
+    key.interval = u64Field(v, "interval");
+    key.warmup = u64Field(v, "warmup");
+    key.maxSamples = u64Field(v, "max_samples");
+    key.salt = str("salt");
+    return key;
 }
 
 /**
@@ -125,9 +167,9 @@ ResultCache::partialPath(const std::string &key) const
 }
 
 std::string
-ResultCache::checkpointSetDir(const std::string &setHash) const
+ResultCache::checkpointSetPath(const std::string &setHash) const
 {
-    return (fs::path(dir_) / "ckpt" / setHash).string();
+    return (fs::path(dir_) / "ckpt" / (setHash + kSetExtension)).string();
 }
 
 bool
@@ -200,6 +242,121 @@ ResultCache::storePartial(const std::string &key, const ExpPoint &pt,
     return util::publishFile(partialPath(key), w.str() + "\n");
 }
 
+bool
+ResultCache::loadCheckpointSet(const StoreKey &key,
+                               sampling::CheckpointSet &out) const
+{
+    if (!enabled())
+        return false;
+    obs::Span span("store_io", "load-checkpoint-set");
+    const std::string setHash = storeSetHash(key);
+    std::string text;
+    if (!readFile(checkpointSetPath(setHash), text))
+        return false;
+    const size_t eol = text.find('\n');
+    JsonValue header;
+    std::string err;
+    if (eol == std::string::npos ||
+        !parseJson(text.substr(0, eol), header, err))
+        return false;
+
+    // Stale generations, then identity: the stored key must hash to the
+    // name the set was looked up under.
+    const JsonValue *salt = header.find("salt");
+    const JsonValue *stored = header.find("key");
+    if (!salt || salt->asString() != key.salt || !stored)
+        return false;
+    const JsonValue *arch = stored->find("arch_version");
+    if (!arch || arch->asU64() != cpu::kArchStateVersion)
+        return false;
+    if (storeSetHash(readStoreKey(*stored)) != setHash)
+        return false;
+
+    // The blob lengths must tile the payload exactly before anything is
+    // decoded; the payload hash catches corruption that keeps lengths.
+    const JsonValue *totals = header.find("totals");
+    const JsonValue *blobs = header.find("blobs");
+    const JsonValue *hash = header.find("hash");
+    if (!totals || !hash || !blobs ||
+        blobs->type != JsonValue::Type::Array || blobs->items.empty())
+        return false;
+    const char *payload = text.data() + eol + 1;
+    const uint64_t payloadBytes = text.size() - eol - 1;
+    uint64_t remaining = payloadBytes;
+    for (const JsonValue &b : blobs->items) {
+        const uint64_t n = b.asU64(UINT64_MAX);
+        if (n > remaining)
+            return false;
+        remaining -= n;
+    }
+    if (remaining != 0 ||
+        util::fnv1a128Hex(payload, payloadBytes) != hash->asString())
+        return false;
+
+    sampling::CheckpointSet set;
+    set.checkpoints.reserve(blobs->items.size());
+    try {
+        for (const JsonValue &b : blobs->items) {
+            const auto *p = reinterpret_cast<const uint8_t *>(payload);
+            const uint64_t n = b.asU64();
+            set.checkpoints.push_back(
+                sampling::Checkpoint::deserialize({p, p + n}).state);
+            payload += n;
+        }
+    } catch (const std::exception &) {
+        return false;
+    }
+    set.finalState = std::move(set.checkpoints.back());
+    set.checkpoints.pop_back();
+    set.totals.instructions = u64Field(*totals, "instructions");
+    set.totals.branches = u64Field(*totals, "branches");
+    set.totals.probBranches = u64Field(*totals, "prob_branches");
+    out = std::move(set);
+    return true;
+}
+
+bool
+ResultCache::storeCheckpointSet(const StoreKey &key,
+                                const sampling::CheckpointSet &set) const
+{
+    if (!enabled())
+        return false;
+    obs::Span span("store_io", "store-checkpoint-set");
+
+    // Payload: every interval's PBSCKPT1 blob in order, then the final
+    // state's.
+    std::string payload;
+    std::vector<uint64_t> lengths;
+    auto append = [&](const cpu::ArchState &state) {
+        const std::vector<uint8_t> blob =
+            sampling::Checkpoint{state}.serialize();
+        payload.append(blob.begin(), blob.end());
+        lengths.push_back(blob.size());
+    };
+    for (const cpu::ArchState &state : set.checkpoints)
+        append(state);
+    append(set.finalState);
+
+    JsonWriter w;
+    w.beginObject();
+    w.key("salt").value(key.salt);
+    w.key("key").raw(storeKeyJson(key));
+    w.key("totals").beginObject();
+    w.key("instructions").value(set.totals.instructions);
+    w.key("branches").value(set.totals.branches);
+    w.key("prob_branches").value(set.totals.probBranches);
+    w.endObject();
+    w.key("blobs").beginArray();
+    for (uint64_t n : lengths)
+        w.value(n);
+    w.endArray();
+    w.key("hash").value(util::fnv1a128Hex(payload));
+    w.endObject();
+
+    return util::publishFile(checkpointSetPath(storeSetHash(key)),
+                             w.str() + "\n" + payload);
+}
+
 ResultCache::GcResult
 ResultCache::gc(bool all, uint64_t graceSeconds) const
 {
@@ -212,34 +369,39 @@ ResultCache::gc(bool all, uint64_t graceSeconds) const
         fs::file_time_type::clock::now() -
         std::chrono::seconds(graceSeconds);
 
-    // Results and per-interval partials: one JSON file per entry, with
-    // the salt embedded at the top level of either kind. A failed
+    // Every entry kind is one file whose first line carries the salt it
+    // was written under. A crashed writer's `.tmp`, an unparsable
+    // entry, and a `ckpt/<hash>/` directory of the retired
+    // one-file-per-checkpoint layout are stale. A failed
     // directory_iterator construction (missing dir) yields the end
     // iterator, so a missing subdirectory simply contributes nothing.
-    auto sweepFiles = [&](const fs::path &where) {
+    const fs::path root(dir_);
+    const fs::path ckptRoot = root / "ckpt";
+    for (const fs::path &where : {root, root / "partials", ckptRoot}) {
         std::error_code ec;
         for (const auto &entry : fs::directory_iterator(where, ec)) {
-            if (!entry.is_regular_file())
-                continue;
             const fs::path &path = entry.path();
-            if (path.extension() != ".json" &&
-                path.extension() != ".tmp") {
+            const fs::path ext = path.extension();
+            const bool oldSetDir =
+                where == ckptRoot && entry.is_directory();
+            const bool file =
+                entry.is_regular_file() &&
+                (ext == ".json" || ext == kSetExtension || ext == ".tmp");
+            if (!oldSetDir && !file)
                 continue;
-            }
-            // An in-flight writer's entry (or leftover .tmp) inside
-            // the grace window is never touched — a concurrent
-            // campaign may be mid-publish.
+            // Anything inside the grace window is never touched — a
+            // concurrent campaign may be mid-publish.
             if (withinGrace(path, graceSeconds, cutoff)) {
                 r.kept++;
                 continue;
             }
 
             bool stale = true;
-            if (!all && path.extension() == ".json") {
-                std::string text;
+            if (!all && file && ext != ".tmp") {
+                std::string line;
                 JsonValue v;
                 std::string err;
-                if (readFile(path, text) && parseJson(text, v, err)) {
+                if (readFirstLine(path, line) && parseJson(line, v, err)) {
                     const JsonValue *s = v.find("salt");
                     stale = !s || s->asString() != salt;
                 }
@@ -247,56 +409,12 @@ ResultCache::gc(bool all, uint64_t graceSeconds) const
 
             if (stale) {
                 std::error_code rmEc;
-                fs::remove(path, rmEc);
+                fs::remove_all(path, rmEc);
                 if (!rmEc)
                     r.removed++;
             } else {
                 r.kept++;
             }
-        }
-    };
-    sweepFiles(dir_);
-    sweepFiles(fs::path(dir_) / "partials");
-
-    // Checkpoint sets: one directory per set, judged by the salt its
-    // manifest records (sampling/store.hh pins it under key.salt). A
-    // directory without a readable manifest is a dead capture — but
-    // only outside the grace window, since a concurrent campaign
-    // writes the manifest last.
-    std::error_code ec;
-    const fs::path ckptRoot = fs::path(dir_) / "ckpt";
-    for (const auto &entry : fs::directory_iterator(ckptRoot, ec)) {
-        if (!entry.is_directory())
-            continue;
-        // The directory mtime refreshes as checkpoint files land, so
-        // an in-progress capture (manifest not yet written) is always
-        // inside the grace window.
-        const fs::path &setDir = entry.path();
-        const fs::path manifest = setDir / sampling::kStoreManifest;
-        if (withinGrace(setDir, graceSeconds, cutoff)) {
-            r.kept++;
-            continue;
-        }
-
-        bool stale = true;
-        if (!all) {
-            std::string text;
-            JsonValue v;
-            std::string err;
-            if (readFile(manifest, text) && parseJson(text, v, err)) {
-                const JsonValue *key = v.find("key");
-                const JsonValue *s = key ? key->find("salt") : nullptr;
-                stale = !s || s->asString() != salt;
-            }
-        }
-
-        if (stale) {
-            std::error_code rmEc;
-            fs::remove_all(setDir, rmEc);
-            if (!rmEc)
-                r.removed++;
-        } else {
-            r.kept++;
         }
     }
     return r;

@@ -2,12 +2,13 @@
  * @file
  * Content-addressed result cache under `.pbs-cache/`.
  *
- * Every entry is one JSON file named by a 128-bit content hash of
- * (canonical point JSON, workload-registry version, code-version salt).
- * Re-running a sweep therefore recomputes only missing or invalidated
- * points, and an interrupted sweep resumes for free. Entries embed the
- * salt they were written under so `pbs_exp --gc` can prune the stale
- * generations left behind by code changes.
+ * Every entry is one file named by a 128-bit content hash of what it
+ * depends on (for a result: canonical point JSON, workload-registry
+ * version, code-version salt). Re-running a sweep therefore recomputes
+ * only missing or invalidated points, and an interrupted sweep resumes
+ * for free. Entries embed the salt they were written under so
+ * `pbs_exp --gc` can prune the stale generations left behind by code
+ * changes.
  *
  * Three entry kinds share the directory:
  *  - results (`<hash>.json` at the top level): one Measurement per
@@ -16,14 +17,19 @@
  *    IntervalSample of one sampled point at one interval index — the
  *    unit of work campaign scheduling computes, resumes, and shares
  *    between processes (`pbs_exp --campaign --shard K/N`);
- *  - checkpoint sets (`ckpt/<set-hash>/`): persistent checkpoint
- *    stores (sampling/store.hh) keyed by their own salted manifest, so
- *    a campaign captures each (workload, scale, seed, interval) once
- *    per code generation, ever.
+ *  - checkpoint sets (`ckpt/<set-hash>.pbsckpts`): one captured
+ *    sampling::CheckpointSet per StoreKey, so a campaign captures each
+ *    (workload, scale, seed, interval) once per code generation, ever.
+ *    Line 1 is a canonical JSON header (salt, key, totals, blob
+ *    lengths, payload hash); the PBSCKPT1 blobs of every interval and
+ *    then the final state follow it, concatenated.
  *
- * `gc()` prunes all three kinds when their salt is stale, but spares
- * anything modified within a caller-supplied grace window so a gc
- * running beside an in-flight campaign can never delete entries the
+ * Every entry is one file published atomically (util::publishFile), so
+ * concurrent writers and readers of one entry never see a torn file,
+ * and the first line of every entry carries the salt it was written
+ * under. `gc()` prunes all three kinds when that salt is stale, but
+ * spares anything modified within a caller-supplied grace window so a
+ * gc running beside an in-flight campaign can never delete entries the
  * campaign just wrote.
  */
 
@@ -100,8 +106,24 @@ class ResultCache
                       uint64_t index,
                       const sampling::IntervalSample &s) const;
 
-    /** Directory a persisted checkpoint set for @p setHash lives in. */
-    std::string checkpointSetDir(const std::string &setHash) const;
+    /**
+     * Load the checkpoint set captured for @p key. A miss is a missing
+     * file or unreadable header, a stale salt or ArchState version, a
+     * stored key that does not hash to @p key's set hash (any key
+     * field differs, or the file was copied under another set's
+     * name), blob lengths that do not sum to the payload size, a
+     * payload hash mismatch, or a blob that does not decode. @p out is
+     * untouched on a miss.
+     */
+    bool loadCheckpointSet(const StoreKey &key,
+                           sampling::CheckpointSet &out) const;
+
+    /**
+     * Store @p set as the set captured for @p key (atomic, like
+     * store()). @return false on I/O failure.
+     */
+    bool storeCheckpointSet(const StoreKey &key,
+                            const sampling::CheckpointSet &set) const;
 
     struct GcResult
     {
@@ -111,7 +133,9 @@ class ResultCache
 
     /**
      * Prune results, partials, and checkpoint sets written under a
-     * different salt than the current one (plus anything unreadable).
+     * different salt than the current one, plus anything unreadable,
+     * leftover temp files, and `ckpt/<hash>/` directories of the
+     * retired one-file-per-checkpoint layout.
      * @p all wipes every entry. Entries modified within the last
      * @p graceSeconds are always kept: a gc running beside an
      * in-flight campaign must never delete what the campaign is
@@ -123,6 +147,7 @@ class ResultCache
   private:
     std::string entryPath(const std::string &key) const;
     std::string partialPath(const std::string &key) const;
+    std::string checkpointSetPath(const std::string &setHash) const;
 
     std::string dir_;
 };

@@ -11,7 +11,6 @@
 #include "obs/sink.hh"
 #include "randtest/battery.hh"
 #include "sampling/functional.hh"
-#include "sampling/store.hh"
 #include "util/clock.hh"
 #include "util/task_pool.hh"
 
@@ -381,7 +380,7 @@ Engine::runCampaign(std::vector<PendingPoint> jobs)
     std::map<std::string, std::vector<PendingPoint>> groups;
     for (auto &job : jobs) {
         const std::string setHash =
-            sampling::storeSetHash(checkpointStoreKey(job.pt, salt));
+            storeSetHash(checkpointStoreKey(job.pt, salt));
         groups[setHash].push_back(std::move(job));
     }
     {
@@ -394,19 +393,13 @@ Engine::runCampaign(std::vector<PendingPoint> jobs)
         const auto &b = workloads::benchmarkByName(pt0.workload);
         const isa::Program prog =
             b.build(pointParams(pt0), variantFromName(pt0.variant));
-        const sampling::StoreKey skey = checkpointStoreKey(pt0, salt);
+        const StoreKey skey = checkpointStoreKey(pt0, salt);
 
         // Load the persisted set, else capture once and persist it.
         // The capture config is pt0's: capture only reads the
         // StoreKey-pinned fields, which are equal across the group.
         sampling::CheckpointSet set;
-        bool loaded = false;
-        if (cache_.enabled()) {
-            std::string err;
-            loaded = sampling::tryLoadCheckpointSet(
-                cache_.checkpointSetDir(setHash), skey, set, err);
-        }
-        if (loaded) {
+        if (cache_.loadCheckpointSet(skey, set)) {
             std::lock_guard<std::mutex> lock(mutex_);
             counters_.ckptSetLoads++;
         } else {
@@ -416,14 +409,8 @@ Engine::runCampaign(std::vector<PendingPoint> jobs)
                 std::lock_guard<std::mutex> lock(mutex_);
                 counters_.captures++;
             }
-            if (cache_.enabled()) {
-                try {
-                    sampling::saveCheckpointSet(
-                        cache_.checkpointSetDir(setHash), skey, set);
-                } catch (const std::exception &) {
-                    noteStoreFailure("checkpoint-set");
-                }
-            }
+            if (cache_.enabled() && !cache_.storeCheckpointSet(skey, set))
+                noteStoreFailure("checkpoint-set");
         }
 
         // One work record per configuration in the group.

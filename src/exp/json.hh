@@ -2,8 +2,8 @@
  * @file
  * Compatibility forwarder: the canonical JSON writer/parser moved to
  * `src/util/json.hh` so layers below the experiment engine (notably
- * the sampling subsystem's checkpoint-store manifest) can use it
- * without a layering inversion. Existing exp code keeps its spellings.
+ * the observability layer) can use it without a layering inversion.
+ * Existing exp code keeps its spellings.
  */
 
 #ifndef PBS_EXP_JSON_HH

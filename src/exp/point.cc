@@ -190,11 +190,11 @@ normalizedSamplePoint(const ExpPoint &pt)
     return out;
 }
 
-sampling::StoreKey
+StoreKey
 checkpointStoreKey(const ExpPoint &pt, const std::string &salt)
 {
     const cpu::CoreConfig cfg = pointCoreConfig(pt);
-    sampling::StoreKey key;
+    StoreKey key;
     key.workload = pt.workload;
     key.variant = pt.variant;
     key.scale = pt.scale;
@@ -205,6 +205,31 @@ checkpointStoreKey(const ExpPoint &pt, const std::string &salt)
     key.maxSamples = cfg.sample.maxSamples;
     key.salt = salt;
     return key;
+}
+
+std::string
+storeKeyJson(const StoreKey &key)
+{
+    JsonWriter w;
+    w.beginObject();
+    w.key("workload").value(key.workload);
+    w.key("variant").value(key.variant);
+    w.key("scale").value(key.scale);
+    w.key("seed").value(key.seed);
+    w.key("max_instructions").value(key.maxInstructions);
+    w.key("interval").value(key.interval);
+    w.key("warmup").value(key.warmup);
+    w.key("max_samples").value(key.maxSamples);
+    w.key("arch_version").value(cpu::kArchStateVersion);
+    w.key("salt").value(key.salt);
+    w.endObject();
+    return w.str();
+}
+
+std::string
+storeSetHash(const StoreKey &key)
+{
+    return contentHash(storeKeyJson(key));
 }
 
 namespace {

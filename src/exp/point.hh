@@ -22,7 +22,6 @@
 #include "cpu/core_config.hh"
 #include "exp/json.hh"
 #include "sampling/sampled.hh"
-#include "sampling/store.hh"
 #include "workloads/common.hh"
 
 namespace pbs::exp {
@@ -107,15 +106,47 @@ workloads::WorkloadParams pointParams(const ExpPoint &pt);
 ExpPoint normalizedSamplePoint(const ExpPoint &pt);
 
 /**
- * The persistent checkpoint-store key of a sampled point: workload
- * identity, resolved scale, seed, instruction cap, and the
- * capture-shaping sampling parameters (effective values). Predictor,
- * width, PBS knobs, and the measure length are deliberately absent —
- * one captured set serves every detailed configuration in a campaign
- * group. @p salt is the caller's code-version salt (versionSalt()).
+ * Everything a captured checkpoint set's contents depend on. Two runs
+ * with equal keys capture bit-identical sets; any field difference
+ * yields a different set hash, so the cache never serves a set to a
+ * run it was not captured for.
  */
-sampling::StoreKey checkpointStoreKey(const ExpPoint &pt,
-                                      const std::string &salt);
+struct StoreKey
+{
+    std::string workload;
+    std::string variant = "marked";
+    uint64_t scale = 0;
+    uint64_t seed = 0;
+    uint64_t maxInstructions = 0;
+
+    // Capture-shaping sampling parameters (measure is not one: it only
+    // affects the detailed replay, never the captured states).
+    uint64_t interval = 0;
+    uint64_t warmup = 0;
+    uint64_t maxSamples = 0;
+
+    /** Code-version salt (versionSalt()). */
+    std::string salt;
+};
+
+/**
+ * The checkpoint-set key of a sampled point: workload identity,
+ * resolved scale, seed, instruction cap, and the capture-shaping
+ * sampling parameters (effective values). Predictor, width, PBS knobs,
+ * and the measure length are deliberately absent — one captured set
+ * serves every detailed configuration in a campaign group. @p salt is
+ * the caller's code-version salt (versionSalt()).
+ */
+StoreKey checkpointStoreKey(const ExpPoint &pt, const std::string &salt);
+
+/**
+ * Canonical JSON of a key (fixed order, plus cpu::kArchStateVersion as
+ * `arch_version`): the set-hash input.
+ */
+std::string storeKeyJson(const StoreKey &key);
+
+/** Content hash identifying the set a key describes (32 hex chars). */
+std::string storeSetHash(const StoreKey &key);
 
 /** Variant enum from its canonical spelling ("marked" on unknown). */
 workloads::Variant variantFromName(const std::string &name);

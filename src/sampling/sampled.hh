@@ -98,8 +98,8 @@ SampledRun runSampled(const isa::Program &prog,
 
 // ---------------------------------------------------------------------
 // The three phases of a sampled run, exposed individually so the
-// checkpoint store (store.hh) can persist phase 1 and the experiment
-// engine's campaign mode can schedule phase 2 one interval at a time
+// experiment cache can persist phase 1 and the experiment engine's
+// campaign mode can schedule phase 2 one interval at a time
 // (across processes, through cache partials) and re-run phase 3 over
 // the collected per-interval samples — bit-identical to a
 // single-process run.
@@ -127,7 +127,7 @@ struct IntervalSample
 
 /**
  * Phase-1 output: everything the fan-out needs, decoupled from the
- * functional engine that produced it (and what the checkpoint store
+ * functional engine that produced it (and what the experiment cache
  * persists). `totals` carries the exact architectural counters of the
  * full functional pass; `finalState` the exact end-of-program state
  * (program outputs live in its memory).
@@ -200,8 +200,9 @@ bool aggregateSamples(const cpu::CoreStats &totals,
 
 /**
  * Phases 2+3 over an existing checkpoint set (captured in-process or
- * loaded from a store): fan out every checkpoint, aggregate, and fall
- * back to one exact detailed run when the set is too small to sample.
+ * loaded from the experiment cache): fan out every checkpoint,
+ * aggregate, and fall back to one exact detailed run when the set is
+ * too small to sample.
  * Results are bit-identical to runSampled() with the same prog/cfg.
  */
 SampledRun runSampledOnSet(const isa::Program &prog,

@@ -1,7 +1,7 @@
 /**
  * @file
- * Content hashing shared by the experiment engine's result cache and
- * the sampling subsystem's checkpoint store: two FNV-1a 64-bit passes
+ * Content hashing shared by the experiment engine's result cache, the
+ * run manifest, and the benchmark harness: two FNV-1a 64-bit passes
  * with distinct offset bases form a 128-bit address — not
  * cryptographic, but collision-safe at the scale of any realistic
  * sweep grid or checkpoint set.

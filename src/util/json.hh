@@ -2,7 +2,7 @@
  * @file
  * Canonical JSON shared by every layer that persists or exchanges
  * documents (the experiment engine's cache and artifacts, the
- * checkpoint store's manifest, shard partial results): a writer whose
+ * observability and profiling outputs): a writer whose
  * byte output is deterministic (fixed key order is the caller's job;
  * number formatting is exact and reproducible), a small parser for
  * reading documents back, and a lexeme-preserving rewriter.

@@ -1,8 +1,7 @@
 /**
  * @file
  * Atomic file publication for on-disk stores shared between processes
- * (the experiment cache's entries and partials, the checkpoint store's
- * manifests).
+ * (the experiment cache's results, partials, and checkpoint sets).
  */
 
 #ifndef PBS_UTIL_PUBLISH_HH

@@ -8,10 +8,12 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -24,6 +26,8 @@
 #include "exp/json.hh"
 #include "exp/pareto.hh"
 #include "exp/spec.hh"
+#include "sampling/checkpoint.hh"
+#include "util/hash.hh"
 #include "util/task_pool.hh"
 
 namespace fs = std::filesystem;
@@ -565,7 +569,7 @@ TEST_F(CampaignTest, CapturesOncePerStoreKeyAndMatchesPerPointPath)
     // All four configs share one checkpoint StoreKey by construction.
     std::unordered_set<std::string> storeKeys;
     for (const auto &pt : points)
-        storeKeys.insert(sampling::storeSetHash(
+        storeKeys.insert(exp::storeSetHash(
             exp::checkpointStoreKey(pt, exp::versionSalt())));
     ASSERT_EQ(storeKeys.size(), 1u);
 
@@ -706,7 +710,7 @@ TEST_F(CampaignTest, InvariantsHoldUnderStealingAndJitter)
     const auto points = grid();
     std::unordered_set<std::string> storeKeys;
     for (const auto &pt : points)
-        storeKeys.insert(sampling::storeSetHash(
+        storeKeys.insert(exp::storeSetHash(
             exp::checkpointStoreKey(pt, exp::versionSalt())));
 
     const auto [reference, refC] = run(points, true, cacheDir(), 1);
@@ -826,33 +830,262 @@ TEST_F(ExpCacheTest, GcGraceSparesFreshEntriesOfEveryKind)
     exp::ExpPoint pt = tinyPoint();
     ASSERT_TRUE(
         cache.store(exp::cacheKey(pt), pt, exp::Measurement{}));
+    exp::ExpPoint sampled = pt;
+    sampled.mode = "sampled";
+    const exp::StoreKey live =
+        exp::checkpointStoreKey(sampled, exp::versionSalt());
+    ASSERT_TRUE(cache.storeCheckpointSet(live, sampling::CheckpointSet{}));
 
     // Freshly-written stale-salt state of all three kinds, as an
-    // in-flight campaign under older code would leave behind.
-    fs::create_directories(fs::path(cacheDir()) / "partials");
-    std::ofstream(fs::path(cacheDir()) / "deadbeef.json")
+    // in-flight campaign under older code would leave behind, plus a
+    // checkpoint-set directory of the retired per-file layout.
+    const fs::path root(cacheDir());
+    fs::create_directories(root / "partials");
+    std::ofstream(root / "deadbeef.json")
         << "{\"salt\":\"other-version/r0/s0\"}";
-    std::ofstream(fs::path(cacheDir()) / "partials" / "cafe.json")
+    std::ofstream(root / "partials" / "cafe.json")
         << "{\"salt\":\"other-version/r0/s0\"}";
-    fs::create_directories(fs::path(cacheDir()) / "ckpt" / "ffff");
-    std::ofstream(fs::path(cacheDir()) / "ckpt" / "ffff" /
-                  "manifest.json")
+    std::ofstream(root / "ckpt" / "ffff.pbsckpts")
+        << "{\"salt\":\"other-version/r0/s0\"}\nPBSCKPT1";
+    fs::create_directories(root / "ckpt" / "eeee");
+    std::ofstream(root / "ckpt" / "eeee" / "manifest.json")
         << "{\"key\":{\"salt\":\"other-version/r0/s0\"}}";
 
     // Within the grace window nothing may be deleted — a concurrent
     // writer could still be mid-campaign.
     auto graced = cache.gc(false, /*graceSeconds=*/3600);
     EXPECT_EQ(graced.removed, 0u);
-    EXPECT_EQ(graced.kept, 4u);
+    EXPECT_EQ(graced.kept, 6u);
     // Even --all respects the grace window.
     EXPECT_EQ(cache.gc(true, 3600).removed, 0u);
 
-    // Without grace the stale generations go and the live entry stays.
+    // Without grace the stale generations go and the live entries stay.
     auto r = cache.gc(false, 0);
-    EXPECT_EQ(r.removed, 3u);
-    EXPECT_EQ(r.kept, 1u);
+    EXPECT_EQ(r.removed, 4u);
+    EXPECT_EQ(r.kept, 2u);
+    EXPECT_FALSE(fs::exists(root / "ckpt" / "eeee"));
     exp::Measurement m;
     EXPECT_TRUE(cache.load(exp::cacheKey(pt), pt.kind, m));
+    sampling::CheckpointSet set;
+    EXPECT_TRUE(cache.loadCheckpointSet(live, set));
+}
+
+// --- checkpoint sets -------------------------------------------------
+
+/** A checkpoint set captured once, stored in a per-test cache. */
+class CheckpointSetTest : public ExpCacheTest
+{
+  protected:
+    /** The small sampled configuration the set is captured under. */
+    static cpu::CoreConfig
+    sampledConfig()
+    {
+        cpu::CoreConfig cfg;
+        cfg.execMode = cpu::ExecMode::Sampled;
+        cfg.sample.interval = 40000;
+        cfg.sample.warmup = 10000;
+        cfg.sample.measure = 5000;
+        return cfg;
+    }
+
+    static isa::Program
+    program()
+    {
+        const auto &b = workloads::benchmarkByName("pi");
+        workloads::WorkloadParams p;
+        p.seed = 5;
+        p.scale = b.defaultScale / 20;
+        return b.build(p, workloads::Variant::Marked);
+    }
+
+    /** The key matching sampledConfig() on program(). */
+    static exp::StoreKey
+    storeKey()
+    {
+        exp::StoreKey key;
+        key.workload = "pi";
+        key.scale = workloads::benchmarkByName("pi").defaultScale / 20;
+        key.seed = 5;
+        key.maxInstructions = cpu::CoreConfig{}.maxInstructions;
+        key.interval = 40000;
+        key.warmup = 10000;
+        key.salt = "test-salt/r1/s1";
+        return key;
+    }
+
+    /** Every checkpoint's PBSCKPT1 bytes plus the totals: set identity. */
+    static std::string
+    setBytes(const sampling::CheckpointSet &set)
+    {
+        std::string out;
+        for (const auto &state : set.checkpoints) {
+            const auto blob = sampling::Checkpoint{state}.serialize();
+            out.append(blob.begin(), blob.end());
+        }
+        const auto blob = sampling::Checkpoint{set.finalState}.serialize();
+        out.append(blob.begin(), blob.end());
+        return out + "|" + std::to_string(set.totals.instructions) + "|" +
+               std::to_string(set.totals.branches) + "|" +
+               std::to_string(set.totals.probBranches);
+    }
+
+    void
+    SetUp() override
+    {
+        ExpCacheTest::SetUp();
+        set_ = sampling::captureCheckpoints(program(), sampledConfig());
+        ASSERT_GE(set_.checkpoints.size(), 2u);
+        ASSERT_TRUE(cache().storeCheckpointSet(storeKey(), set_));
+    }
+
+    exp::ResultCache cache() const { return exp::ResultCache(cacheDir()); }
+
+    fs::path
+    setPath(const exp::StoreKey &key) const
+    {
+        return fs::path(cacheDir()) / "ckpt" /
+               (exp::storeSetHash(key) + ".pbsckpts");
+    }
+
+    bool
+    loads(const exp::StoreKey &key) const
+    {
+        sampling::CheckpointSet out;
+        return cache().loadCheckpointSet(key, out);
+    }
+
+    sampling::CheckpointSet set_;
+};
+
+TEST_F(CheckpointSetTest, SaveLoadRoundTripsBitExactly)
+{
+    sampling::CheckpointSet loaded;
+    ASSERT_TRUE(cache().loadCheckpointSet(storeKey(), loaded));
+    EXPECT_EQ(setBytes(loaded), setBytes(set_));
+    EXPECT_TRUE(loaded.totals == set_.totals);
+
+    // A run over the loaded set is bit-identical to a direct one.
+    const isa::Program prog = program();
+    const cpu::CoreConfig cfg = sampledConfig();
+    sampling::SampledRun direct = sampling::runSampled(prog, cfg);
+    sampling::SampledRun replay =
+        sampling::runSampledOnSet(prog, cfg, loaded);
+    EXPECT_TRUE(direct.stats == replay.stats);
+    EXPECT_TRUE(direct.est == replay.est);
+    EXPECT_TRUE(
+        direct.finalState.mem.sameContents(replay.finalState.mem));
+}
+
+TEST_F(CheckpointSetTest, MissingSetAndDisabledCacheMiss)
+{
+    exp::StoreKey other = storeKey();
+    other.seed = 6;
+    EXPECT_FALSE(loads(other));
+    sampling::CheckpointSet out;
+    EXPECT_FALSE(exp::ResultCache("").loadCheckpointSet(storeKey(), out));
+    EXPECT_FALSE(exp::ResultCache("").storeCheckpointSet(storeKey(), set_));
+}
+
+TEST_F(CheckpointSetTest, SetCopiedUnderAnotherHashMisses)
+{
+    exp::StoreKey other = storeKey();
+    other.seed = 6;
+    fs::copy_file(setPath(storeKey()), setPath(other));
+    EXPECT_FALSE(loads(other));
+    EXPECT_TRUE(loads(storeKey()));
+}
+
+TEST_F(CheckpointSetTest, HeaderEditsMiss)
+{
+    struct Case
+    {
+        const char *what;
+        std::vector<std::pair<std::string, std::string>> edits;
+    };
+    const std::vector<Case> cases = {
+        {"unreadable header", {{"{", "{broken"}}},
+        {"stale salt",
+         {{"\"salt\":\"test-salt/r1/s1\"", "\"salt\":\"other/r1/s1\""}}},
+        {"stale arch version",
+         {{"\"arch_version\":1", "\"arch_version\":999"}}},
+        {"key field differs",
+         {{"\"interval\":40000", "\"interval\":50000"}}},
+        // Rejected before anything is allocated.
+        {"a blob claims 2^60 bytes",
+         {{"\"blobs\":[", "\"blobs\":[1152921504606846976,"}}},
+        {"lengths wrap around to the payload size",
+         {{"\"blobs\":[", "\"blobs\":[18446744073709551615,"},
+          {"],\"hash\"", ",1],\"hash\""}}},
+    };
+    const std::string original = slurp(setPath(storeKey()));
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        std::string text = original;
+        for (const auto &[from, to] : c.edits) {
+            const size_t at = text.find(from);
+            ASSERT_NE(at, std::string::npos) << from;
+            text.replace(at, from.size(), to);
+        }
+        std::ofstream(setPath(storeKey()), std::ios::binary) << text;
+        EXPECT_FALSE(loads(storeKey()));
+    }
+}
+
+TEST_F(CheckpointSetTest, PayloadDamageMisses)
+{
+    const std::string original = slurp(setPath(storeKey()));
+    const size_t body = original.find('\n') + 1;
+    auto payloadHash = [&](const std::string &text) {
+        return util::fnv1a128Hex(text.data() + body, text.size() - body);
+    };
+    auto expectMiss = [&](const std::string &text, const char *what) {
+        SCOPED_TRACE(what);
+        std::ofstream(setPath(storeKey()), std::ios::binary) << text;
+        EXPECT_FALSE(loads(storeKey()));
+    };
+
+    expectMiss(original.substr(0, original.size() - 1), "truncated");
+
+    std::string flipped = original;
+    flipped[flipped.size() / 2] ^= 0x5a;
+    expectMiss(flipped, "flipped payload byte");
+
+    // Break the first blob's magic and re-hash the payload, so only
+    // Checkpoint::deserialize can reject it.
+    std::string undecodable = original;
+    undecodable[body] ^= 0x5a;
+    const std::string oldHash = payloadHash(original);
+    undecodable.replace(undecodable.find(oldHash), oldHash.size(),
+                        payloadHash(undecodable));
+    expectMiss(undecodable, "undecodable blob");
+}
+
+TEST_F(CheckpointSetTest, ConcurrentRestoresNeverTearALoad)
+{
+    // One writer re-stores the set in a loop while this thread loads
+    // it: every load must see one complete set, never a torn file.
+    const std::string expected = setBytes(set_);
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> restores{0};
+    std::thread writer([&] {
+        while (!stop.load()) {
+            if (cache().storeCheckpointSet(storeKey(), set_))
+                restores++;
+        }
+    });
+    unsigned misses = 0, mismatches = 0;
+    for (int i = 0; i < 1000; i++) {
+        sampling::CheckpointSet loaded;
+        if (!cache().loadCheckpointSet(storeKey(), loaded))
+            misses++;
+        else if (setBytes(loaded) != expected)
+            mismatches++;
+    }
+    stop = true;
+    writer.join();
+    EXPECT_GT(restores.load(), 0u);
+    EXPECT_EQ(misses, 0u);
+    EXPECT_EQ(mismatches, 0u);
 }
 
 }  // namespace

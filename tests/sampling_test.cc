@@ -3,14 +3,11 @@
  * The sampled-simulation subsystem: checkpoint capture/restore (within
  * the functional engine, across the serialization, and into a detailed
  * core), SMARTS sampling accuracy against full detailed runs, the
- * too-short-to-sample fallback, parameter validation, determinism
- * across fan-out thread counts, and the persistent checkpoint store
- * (round trips and every load-validation failure path).
+ * too-short-to-sample fallback, parameter validation, and determinism
+ * across fan-out thread counts.
  */
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 
 #include <gtest/gtest.h>
 
@@ -18,11 +15,8 @@
 #include "sampling/checkpoint.hh"
 #include "sampling/functional.hh"
 #include "sampling/sampled.hh"
-#include "sampling/store.hh"
 #include "util/task_pool.hh"
 #include "workloads/common.hh"
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -392,236 +386,6 @@ TEST(Sampled, RejectsInconsistentParameters)
     cfg.sample.measure = 200;  // warmup + measure > interval
     EXPECT_THROW(sampling::runSampled(prog, cfg),
                  std::invalid_argument);
-}
-
-// --- persistent checkpoint store -------------------------------------
-
-/** Fresh per-test store directory under the gtest temp dir. */
-class CheckpointStoreTest : public ::testing::Test
-{
-  protected:
-    void SetUp() override
-    {
-        const auto *info =
-            ::testing::UnitTest::GetInstance()->current_test_info();
-        dir_ = fs::path(::testing::TempDir()) /
-               (std::string("pbs-store-test-") + info->name());
-        fs::remove_all(dir_);
-    }
-
-    void TearDown() override { fs::remove_all(dir_); }
-
-    std::string dir() const { return dir_.string(); }
-
-    /** The standard small configuration the store tests run. */
-    static cpu::CoreConfig
-    sampledConfig()
-    {
-        cpu::CoreConfig cfg;
-        cfg.execMode = cpu::ExecMode::Sampled;
-        cfg.sample.interval = 40000;
-        cfg.sample.warmup = 10000;
-        cfg.sample.measure = 5000;
-        return cfg;
-    }
-
-    /** A store key matching sampledConfig() on pi seed 5, div 20. */
-    static sampling::StoreKey
-    storeKey()
-    {
-        const auto &b = workloads::benchmarkByName("pi");
-        sampling::StoreKey key;
-        key.workload = "pi";
-        key.variant = "marked";
-        key.scale = std::max<uint64_t>(1, b.defaultScale / 20);
-        key.seed = 5;
-        key.maxInstructions = cpu::CoreConfig{}.maxInstructions;
-        key.interval = 40000;
-        key.warmup = 10000;
-        key.maxSamples = 0;
-        key.salt = "test-salt/r1/s1";
-        return key;
-    }
-
-    static std::string
-    loadFailure(const std::string &dir, const sampling::StoreKey &key)
-    {
-        try {
-            sampling::loadCheckpointSet(dir, key);
-        } catch (const std::runtime_error &e) {
-            return e.what();
-        }
-        return "";
-    }
-
-    fs::path dir_;
-};
-
-TEST_F(CheckpointStoreTest, SaveLoadRoundTripsBitExactly)
-{
-    isa::Program prog = buildWorkload("pi", 5, 20);
-    const cpu::CoreConfig cfg = sampledConfig();
-
-    sampling::CheckpointSet set =
-        sampling::captureCheckpoints(prog, cfg);
-    ASSERT_GE(set.checkpoints.size(), 2u);
-
-    const auto saved =
-        sampling::saveCheckpointSet(dir(), storeKey(), set);
-    EXPECT_EQ(saved.files, set.checkpoints.size() + 1);  // + final
-    EXPECT_EQ(saved.setHash, sampling::storeSetHash(storeKey()));
-
-    sampling::CheckpointSet loaded =
-        sampling::loadCheckpointSet(dir(), storeKey());
-    ASSERT_EQ(loaded.checkpoints.size(), set.checkpoints.size());
-    for (size_t i = 0; i < set.checkpoints.size(); i++) {
-        expectSameArch(loaded.checkpoints[i], set.checkpoints[i],
-                       "checkpoint " + std::to_string(i));
-    }
-    expectSameArch(loaded.finalState, set.finalState, "final state");
-    EXPECT_TRUE(loaded.totals == set.totals);
-
-    // A run over the loaded set is bit-identical to a direct one.
-    sampling::SampledRun direct = sampling::runSampled(prog, cfg);
-    sampling::SampledRun replay =
-        sampling::runSampledOnSet(prog, cfg, loaded);
-    EXPECT_TRUE(direct.stats == replay.stats);
-    EXPECT_TRUE(direct.est == replay.est);
-    EXPECT_TRUE(
-        direct.finalState.mem.sameContents(replay.finalState.mem));
-}
-
-TEST_F(CheckpointStoreTest, LoadRejectsMissingSaltAndKeyMismatches)
-{
-    isa::Program prog = buildWorkload("pi", 5, 20);
-    sampling::CheckpointSet set =
-        sampling::captureCheckpoints(prog, sampledConfig());
-    sampling::saveCheckpointSet(dir(), storeKey(), set);
-
-    // Missing set.
-    EXPECT_NE(loadFailure(dir() + "-nonesuch", storeKey())
-                  .find("no checkpoint set"),
-              std::string::npos);
-
-    // Code-version salt mismatch gets its own precise message.
-    sampling::StoreKey other = storeKey();
-    other.salt = "other-code/r1/s1";
-    EXPECT_NE(loadFailure(dir(), other).find("salt mismatch"),
-              std::string::npos);
-
-    // Any other key difference: captured for a different run.
-    other = storeKey();
-    other.seed = 6;
-    EXPECT_NE(loadFailure(dir(), other).find("different run"),
-              std::string::npos);
-    other = storeKey();
-    other.interval = 50000;
-    EXPECT_NE(loadFailure(dir(), other).find("different run"),
-              std::string::npos);
-}
-
-TEST_F(CheckpointStoreTest, LoadRejectsTruncatedAndCorruptFiles)
-{
-    isa::Program prog = buildWorkload("pi", 5, 20);
-    sampling::CheckpointSet set =
-        sampling::captureCheckpoints(prog, sampledConfig());
-    sampling::saveCheckpointSet(dir(), storeKey(), set);
-    const fs::path victim = dir_ / "ckpt-000000.pbsckpt";
-    std::vector<char> blob;
-    {
-        std::ifstream in(victim, std::ios::binary);
-        blob.assign((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-    }
-
-    // Truncated file: size check fires before any decoding.
-    {
-        std::ofstream out(victim, std::ios::binary | std::ios::trunc);
-        out.write(blob.data(), std::streamsize(blob.size() - 1));
-    }
-    EXPECT_NE(loadFailure(dir(), storeKey()).find("truncated"),
-              std::string::npos);
-
-    // Right length, flipped byte: the content hash catches it.
-    {
-        auto corrupt = blob;
-        corrupt[corrupt.size() / 2] ^= 0x5a;
-        std::ofstream out(victim, std::ios::binary | std::ios::trunc);
-        out.write(corrupt.data(), std::streamsize(corrupt.size()));
-    }
-    EXPECT_NE(loadFailure(dir(), storeKey()).find("corrupt"),
-              std::string::npos);
-
-    // Deleted file.
-    fs::remove(victim);
-    EXPECT_NE(loadFailure(dir(), storeKey()).find("missing"),
-              std::string::npos);
-}
-
-TEST_F(CheckpointStoreTest, LoadRejectsArchVersionAndSchemaMismatch)
-{
-    isa::Program prog = buildWorkload("pi", 5, 20);
-    sampling::CheckpointSet set =
-        sampling::captureCheckpoints(prog, sampledConfig());
-    sampling::saveCheckpointSet(dir(), storeKey(), set);
-    const fs::path manifest = dir_ / sampling::kStoreManifest;
-    std::string text;
-    {
-        std::ifstream in(manifest);
-        text.assign((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-    }
-
-    auto rewrite = [&](const std::string &from, const std::string &to) {
-        std::string edited = text;
-        const size_t at = edited.find(from);
-        ASSERT_NE(at, std::string::npos) << from;
-        edited.replace(at, from.size(), to);
-        std::ofstream out(manifest, std::ios::trunc);
-        out << edited;
-    };
-
-    rewrite("\"arch_version\":1", "\"arch_version\":999");
-    EXPECT_NE(loadFailure(dir(), storeKey())
-                  .find("ArchState version mismatch"),
-              std::string::npos);
-
-    rewrite("pbs-ckpt-set-v1", "pbs-ckpt-set-v9");
-    EXPECT_NE(loadFailure(dir(), storeKey()).find("schema"),
-              std::string::npos);
-
-    rewrite("{", "{broken");
-    EXPECT_NE(loadFailure(dir(), storeKey()).find("unreadable"),
-              std::string::npos);
-}
-
-TEST_F(CheckpointStoreTest, ResaveDropsUnreferencedCheckpointFiles)
-{
-    isa::Program prog = buildWorkload("pi", 5, 20);
-    cpu::CoreConfig cfg = sampledConfig();
-    sampling::CheckpointSet big =
-        sampling::captureCheckpoints(prog, cfg);
-    sampling::StoreKey key = storeKey();
-    sampling::saveCheckpointSet(dir(), key, big);
-    ASSERT_GE(big.checkpoints.size(), 3u);
-
-    // Re-save a smaller set (capped samples) into the same directory:
-    // the leftover ckpt files of the larger set must be removed.
-    cfg.sample.maxSamples = 2;
-    key.maxSamples = 2;
-    sampling::CheckpointSet small =
-        sampling::captureCheckpoints(prog, cfg);
-    ASSERT_EQ(small.checkpoints.size(), 2u);
-    sampling::saveCheckpointSet(dir(), key, small);
-
-    size_t blobs = 0;
-    for (const auto &e : fs::directory_iterator(dir_))
-        blobs += e.path().extension() == ".pbsckpt" ? 1 : 0;
-    EXPECT_EQ(blobs, small.checkpoints.size() + 1);  // + final
-
-    sampling::CheckpointSet loaded =
-        sampling::loadCheckpointSet(dir(), key);
-    EXPECT_EQ(loaded.checkpoints.size(), 2u);
 }
 
 TEST(Sampled, MaxSamplesCapsTheFanOut)
