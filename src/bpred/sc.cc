@@ -1,18 +1,8 @@
 #include "bpred/sc.hh"
 
-#include <cmath>
+#include <cstdlib>
 
 namespace pbs::bpred {
-
-StatisticalCorrector::StatisticalCorrector(const ScConfig &cfg)
-    : cfg_(cfg), bias_(size_t(1) << cfg.log2Bias),
-      threshold_(cfg.initialThreshold)
-{
-    gehl_.assign(cfg_.histLengths.size(),
-                 std::vector<SignedSatCounter<8>>(
-                     size_t(1) << cfg_.log2Gehl));
-    memoGehlIdx_.assign(gehl_.size(), 0);
-}
 
 size_t
 StatisticalCorrector::biasIndex(uint64_t pc, bool pred) const
@@ -23,9 +13,8 @@ StatisticalCorrector::biasIndex(uint64_t pc, bool pred) const
 size_t
 StatisticalCorrector::gehlIndex(unsigned t, uint64_t pc) const
 {
-    uint64_t len = cfg_.histLengths[t];
-    uint64_t hist = len >= 64 ? ghist_
-                              : (ghist_ & ((uint64_t(1) << len) - 1));
+    static_assert(kHistLengths.back() < 64);
+    uint64_t hist = ghist_ & ((uint64_t(1) << kHistLengths[t]) - 1);
     uint64_t h = pc ^ (hist * 0x9e3779b97f4a7c15ull >> 40) ^ (hist << 3);
     return h & (gehl_[t].size() - 1);
 }
@@ -37,7 +26,7 @@ StatisticalCorrector::sum(uint64_t pc, bool primaryPred) const
         return memoSum_;
     memoBiasIdx_ = biasIndex(pc, primaryPred);
     int s = 2 * bias_[memoBiasIdx_].raw() + 1;
-    for (unsigned t = 0; t < gehl_.size(); t++) {
+    for (unsigned t = 0; t < kNumGehl; t++) {
         memoGehlIdx_[t] = gehlIndex(t, pc);
         s += 2 * gehl_[t][memoGehlIdx_[t]].raw() + 1;
     }
@@ -93,20 +82,10 @@ StatisticalCorrector::update(uint64_t pc, bool primaryPred, bool taken)
 
     // Train counters while the sum is not saturated away.
     if (std::abs(s) < 8 * threshold_ || sc_pred != taken) {
-        int max = (1 << (cfg_.ctrBits - 1)) - 1;
-        int min = -(1 << (cfg_.ctrBits - 1));
-        auto train = [&](SignedSatCounter<8> &c) {
-            int v = c.raw();
-            if (taken && v < max)
-                v++;
-            else if (!taken && v > min)
-                v--;
-            c.set(v);
-        };
         // sum(pc, primaryPred) above primed the index memo.
-        train(bias_[memoBiasIdx_]);
-        for (unsigned t = 0; t < gehl_.size(); t++)
-            train(gehl_[t][memoGehlIdx_[t]]);
+        bias_[memoBiasIdx_].train(taken);
+        for (unsigned t = 0; t < kNumGehl; t++)
+            gehl_[t][memoGehlIdx_[t]].train(taken);
     }
 
     ghist_ = (ghist_ << 1) | (taken ? 1 : 0);
@@ -116,13 +95,10 @@ StatisticalCorrector::update(uint64_t pc, bool primaryPred, bool taken)
 size_t
 StatisticalCorrector::storageBits() const
 {
-    size_t bits = bias_.size() * cfg_.ctrBits;
-    for (const auto &t : gehl_)
-        bits += t.size() * cfg_.ctrBits;
-    size_t max_hist = 0;
-    for (unsigned l : cfg_.histLengths)
-        max_hist = std::max<size_t>(max_hist, l);
-    return bits + max_hist + 6 /* threshold ctr */ + 8 /* threshold */;
+    constexpr size_t kCounters =
+        (size_t(1) << kLog2Bias) + kNumGehl * (size_t(1) << kLog2Gehl);
+    return kCounters * kCtrBits + kHistLengths.back() +
+           6 /* threshold ctr */ + 8 /* threshold */;
 }
 
 }  // namespace pbs::bpred

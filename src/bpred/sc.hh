@@ -9,22 +9,12 @@
 #ifndef PBS_BPRED_SC_HH
 #define PBS_BPRED_SC_HH
 
-#include <vector>
+#include <array>
 
 #include "bpred/counters.hh"
 #include "bpred/predictor.hh"
 
 namespace pbs::bpred {
-
-/** Configuration for @ref StatisticalCorrector. */
-struct ScConfig
-{
-    unsigned log2Bias = 10;     ///< bias table entries (indexed pc+pred)
-    unsigned log2Gehl = 9;      ///< entries per history table
-    std::vector<unsigned> histLengths{4, 10, 25};
-    unsigned ctrBits = 6;
-    int initialThreshold = 6;
-};
 
 /**
  * Statistical corrector. Not a standalone predictor: it refines a
@@ -33,7 +23,13 @@ struct ScConfig
 class StatisticalCorrector
 {
   public:
-    explicit StatisticalCorrector(const ScConfig &cfg = {});
+    static constexpr unsigned kLog2Bias = 10;  ///< indexed pc + pred
+    static constexpr unsigned kLog2Gehl = 9;   ///< per history table
+    static constexpr unsigned kCtrBits = 6;
+    static constexpr int kInitialThreshold = 6;
+    /** Global-history length of each GEHL table. */
+    static constexpr std::array<unsigned, 3> kHistLengths = {4, 10, 25};
+    static constexpr unsigned kNumGehl = kHistLengths.size();
 
     /**
      * @param pc branch address
@@ -52,15 +48,17 @@ class StatisticalCorrector
     bool lastOverrode() const { return lastOverrode_; }
 
   private:
+    using Counter = SignedSatCounter<kCtrBits>;
+
     int sum(uint64_t pc, bool primaryPred) const;
     size_t biasIndex(uint64_t pc, bool pred) const;
     size_t gehlIndex(unsigned t, uint64_t pc) const;
 
-    ScConfig cfg_;
-    std::vector<SignedSatCounter<8>> bias_;
-    std::vector<std::vector<SignedSatCounter<8>>> gehl_;
+    std::array<Counter, size_t(1) << kLog2Bias> bias_{};
+    std::array<std::array<Counter, size_t(1) << kLog2Gehl>, kNumGehl>
+        gehl_{};
     uint64_t ghist_ = 0;
-    int threshold_;
+    int threshold_ = kInitialThreshold;
     SignedSatCounter<6> thresholdCtr_;
     bool lastOverrode_ = false;
 
@@ -74,7 +72,7 @@ class StatisticalCorrector
     mutable bool memoPred_ = false;
     mutable int memoSum_ = 0;
     mutable size_t memoBiasIdx_ = 0;
-    mutable std::vector<size_t> memoGehlIdx_;  ///< sized to gehl_
+    mutable std::array<size_t, kNumGehl> memoGehlIdx_{};
 };
 
 }  // namespace pbs::bpred

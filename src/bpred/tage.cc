@@ -1,40 +1,27 @@
 #include "bpred/tage.hh"
 
-#include <cmath>
+#include <cstdlib>
+#include <type_traits>
+#include <utility>
 
 namespace pbs::bpred {
 
-TagePredictor::TagePredictor(const TageConfig &cfg)
-    : cfg_(cfg), ghist_(cfg.maxHistory + 8),
-      bimodal_(size_t(1) << cfg.log2Bimodal)
-{
-    // Geometric history-length series between minHistory and maxHistory.
-    histLen_.resize(cfg_.numTables);
-    double ratio = cfg_.numTables > 1
-        ? std::pow(double(cfg_.maxHistory) / cfg_.minHistory,
-                   1.0 / (cfg_.numTables - 1))
-        : 1.0;
-    for (unsigned i = 0; i < cfg_.numTables; i++) {
-        histLen_[i] = static_cast<unsigned>(
-            cfg_.minHistory * std::pow(ratio, i) + 0.5);
-        if (i > 0 && histLen_[i] <= histLen_[i - 1])
-            histLen_[i] = histLen_[i - 1] + 1;
-    }
+namespace {
 
-    tables_.assign(size_t(cfg_.numTables) << cfg_.log2Entries,
-                   TaggedEntry{});
-    pcShift_.resize(cfg_.numTables);
-    for (unsigned t = 0; t < cfg_.numTables; t++)
-        pcShift_[t] = cfg_.log2Entries - (t % cfg_.log2Entries);
-    fIdx_.resize(cfg_.numTables);
-    fTag0_.resize(cfg_.numTables);
-    fTag1_.resize(cfg_.numTables);
-    for (unsigned i = 0; i < cfg_.numTables; i++) {
-        fIdx_[i].init(histLen_[i], cfg_.log2Entries);
-        fTag0_[i].init(histLen_[i], cfg_.tagBits);
-        fTag1_[i].init(histLen_[i], cfg_.tagBits - 1);
-    }
+/** Fold one outcome into a @p Width-bit folded history of a @p Len-bit
+ *  history (Seznec): shift in the newest bit, cancel the outgoing bit
+ *  at its folded position, wrap the overflow bit around. */
+template <unsigned Len, unsigned Width>
+[[gnu::always_inline]] inline unsigned
+fold(unsigned comp, unsigned newest, unsigned outgoing)
+{
+    comp = (comp << 1) | newest;
+    comp ^= outgoing << (Len % Width);
+    comp ^= comp >> Width;
+    return comp & ((1u << Width) - 1);
 }
+
+}  // namespace
 
 unsigned
 TagePredictor::lfsrNext()
@@ -45,66 +32,48 @@ TagePredictor::lfsrNext()
     return lfsr_;
 }
 
-size_t
-TagePredictor::tableIndex(unsigned t, uint64_t pc) const
-{
-    size_t mask = (size_t(1) << cfg_.log2Entries) - 1;
-    uint64_t h = pc ^ (pc >> pcShift_[t]) ^ fIdx_[t].value();
-    // Flat-table addressing: offset into table t's slice.
-    return (size_t(t) << cfg_.log2Entries) | (h & mask);
-}
-
-uint16_t
-TagePredictor::tableTag(unsigned t, uint64_t pc) const
-{
-    uint16_t mask = (uint16_t(1) << cfg_.tagBits) - 1;
-    return static_cast<uint16_t>(
-        (pc ^ fTag0_[t].value() ^ (fTag1_[t].value() << 1)) & mask);
-}
-
-void
-TagePredictor::trainCtr(SignedSatCounter<8> &ctr, bool taken)
-{
-    // Clamp to the configured width.
-    int max = (1 << (cfg_.ctrBits - 1)) - 1;
-    int min = -(1 << (cfg_.ctrBits - 1));
-    int v = ctr.raw();
-    if (taken && v < max)
-        v++;
-    else if (!taken && v > min)
-        v--;
-    ctr.set(v);
-}
-
 bool
 TagePredictor::predict(uint64_t pc)
 {
-    ctx_ = PredictContext{};
+    // Every field of ctx_ is assigned below, one at a time: resetting
+    // it from a temporary first costs a store-forwarding stall.
     ctx_.pc = pc;
     ctx_.valid = true;
 
+    // Every table's index and tag, computed once for predict, update
+    // and allocate.
+    constexpr unsigned kIdxMask = kEntries - 1;
+    constexpr unsigned kTagMask = (1u << kTagBits) - 1;
+    for (unsigned t = 0; t < kNumTables; t++) {
+        // Per-table pc hash shift: kLog2Entries - t.
+        const unsigned h = unsigned(pc ^ (pc >> (kLog2Entries - t))) ^
+                           foldIdx_[t];
+        ctx_.idx[t] = uint16_t((t << kLog2Entries) | (h & kIdxMask));
+        ctx_.tag[t] = uint16_t(
+            (unsigned(pc) ^ foldIdx_[t] ^ (foldTag_[t] << 1)) & kTagMask);
+    }
+
     // Find provider (longest hit) and alternate (next hit).
-    for (int t = static_cast<int>(cfg_.numTables) - 1; t >= 0; t--) {
-        size_t idx = tableIndex(t, pc);
-        if (tables_[idx].tag == tableTag(t, pc)) {
-            if (ctx_.provider < 0) {
-                ctx_.provider = t;
-                ctx_.providerIdx = idx;
-            } else if (ctx_.alt < 0) {
-                ctx_.alt = t;
-                ctx_.altIdx = idx;
+    int provider = -1;
+    int alt = -1;
+    for (int t = kNumTables - 1; t >= 0; t--) {
+        if (tables_[ctx_.idx[t]].tag == ctx_.tag[t]) {
+            if (provider < 0) {
+                provider = t;
+            } else {
+                alt = t;
                 break;
             }
         }
     }
+    ctx_.provider = provider;
 
     bool bimodal_pred = bimodal_[pc & (bimodal_.size() - 1)].taken();
-    ctx_.altPred = ctx_.alt >= 0
-        ? tables_[ctx_.altIdx].ctr.taken()
-        : bimodal_pred;
+    ctx_.altPred = alt >= 0 ? tables_[ctx_.idx[alt]].ctr.taken()
+                            : bimodal_pred;
 
-    if (ctx_.provider >= 0) {
-        const TaggedEntry &e = tables_[ctx_.providerIdx];
+    if (provider >= 0) {
+        const TaggedEntry &e = tables_[ctx_.idx[provider]];
         ctx_.providerPred = e.ctr.taken();
         ctx_.providerNew = e.u == 0 && e.ctr.weak();
         bool use_alt = ctx_.providerNew && !useAltOnNa_.taken();
@@ -113,6 +82,7 @@ TagePredictor::predict(uint64_t pc)
         lastConf_ = ctx_.providerNew ? 0 : (strength >= 5 ? 2 : 1);
     } else {
         ctx_.providerPred = bimodal_pred;
+        ctx_.providerNew = false;
         ctx_.finalPred = bimodal_pred;
         lastConf_ = 1;
     }
@@ -120,32 +90,29 @@ TagePredictor::predict(uint64_t pc)
 }
 
 void
-TagePredictor::allocate(uint64_t pc, bool taken, int fromTable)
+TagePredictor::allocate(bool taken, int fromTable)
 {
     // Try to allocate in a table with longer history than the provider.
     int start = fromTable + 1;
-    if (start >= static_cast<int>(cfg_.numTables))
+    if (start >= int(kNumTables))
         return;
 
     // Random skip (Seznec): sometimes skip the first candidate to spread
     // allocations across tables.
-    if ((lfsrNext() & 3u) == 0 &&
-        start + 1 < static_cast<int>(cfg_.numTables)) {
+    if ((lfsrNext() & 3u) == 0 && start + 1 < int(kNumTables))
         start++;
-    }
 
-    for (int t = start; t < static_cast<int>(cfg_.numTables); t++) {
-        size_t idx = tableIndex(t, pc);
-        TaggedEntry &e = tables_[idx];
+    for (int t = start; t < int(kNumTables); t++) {
+        TaggedEntry &e = tables_[ctx_.idx[t]];
         if (e.u == 0) {
-            e.tag = tableTag(t, pc);
+            e.tag = ctx_.tag[t];
             e.ctr.set(taken ? 0 : -1);
             return;
         }
     }
     // No free entry: decay usefulness so future allocations succeed.
-    for (int t = start; t < static_cast<int>(cfg_.numTables); t++) {
-        TaggedEntry &e = tables_[tableIndex(t, pc)];
+    for (int t = start; t < int(kNumTables); t++) {
+        TaggedEntry &e = tables_[ctx_.idx[t]];
         if (e.u > 0)
             e.u--;
     }
@@ -162,17 +129,17 @@ TagePredictor::update(uint64_t pc, bool taken)
     bool mispredicted = ctx_.finalPred != taken;
 
     if (ctx_.provider >= 0) {
-        TaggedEntry &e = tables_[ctx_.providerIdx];
+        TaggedEntry &e = tables_[ctx_.idx[ctx_.provider]];
 
         // Track whether alternate prediction beats new entries.
         if (ctx_.providerNew && ctx_.providerPred != ctx_.altPred)
             useAltOnNa_.train(ctx_.providerPred == taken);
 
-        trainCtr(e.ctr, taken);
+        e.ctr.train(taken);
         if (ctx_.providerPred != ctx_.altPred) {
-            unsigned umax = (1u << cfg_.uBits) - 1;
+            constexpr unsigned kUMax = (1u << kUBits) - 1;
             if (ctx_.providerPred == taken) {
-                if (e.u < umax)
+                if (e.u < kUMax)
                     e.u++;
             } else {
                 if (e.u > 0)
@@ -184,10 +151,10 @@ TagePredictor::update(uint64_t pc, bool taken)
     }
 
     if (mispredicted)
-        allocate(pc, taken, ctx_.provider);
+        allocate(taken, ctx_.provider);
 
     // Periodic usefulness aging.
-    if (++tick_ >= cfg_.resetPeriod) {
+    if (++tick_ >= kResetPeriod) {
         tick_ = 0;
         for (auto &e : tables_)
             e.u >>= 1;
@@ -200,24 +167,28 @@ TagePredictor::update(uint64_t pc, bool taken)
 void
 TagePredictor::pushHistory(bool taken)
 {
-    ghist_.push(taken);
-    const uint8_t newest = taken ? 1 : 0;
-    for (unsigned i = 0; i < cfg_.numTables; i++) {
-        const uint8_t outgoing = ghist_.bit(histLen_[i]);
-        fIdx_[i].update(newest, outgoing);
-        fTag0_[i].update(newest, outgoing);
-        fTag1_[i].update(newest, outgoing);
-    }
+    ghistHead_ = (ghistHead_ - 1) & (kHistRing - 1);
+    ghist_[ghistHead_] = taken ? 1 : 0;
+    const unsigned newest = taken ? 1 : 0;
+    // One fold pair per table, unrolled so every shift is a constant.
+    auto foldTable = [&]<size_t T>(std::integral_constant<size_t, T>) {
+        constexpr unsigned kLen = kHistoryLengths[T];
+        const unsigned out = ghist_[(ghistHead_ + kLen) & (kHistRing - 1)];
+        foldIdx_[T] = fold<kLen, kLog2Entries>(foldIdx_[T], newest, out);
+        foldTag_[T] = fold<kLen, kTagBits - 1>(foldTag_[T], newest, out);
+    };
+    [&]<size_t... T>(std::index_sequence<T...>) {
+        (foldTable(std::integral_constant<size_t, T>{}), ...);
+    }(std::make_index_sequence<kNumTables>{});
 }
 
 size_t
 TagePredictor::storageBits() const
 {
-    size_t per_entry = cfg_.ctrBits + cfg_.tagBits + cfg_.uBits;
-    size_t tagged = cfg_.numTables *
-                    (size_t(1) << cfg_.log2Entries) * per_entry;
-    size_t bimodal = bimodal_.size() * 2;
-    return tagged + bimodal + cfg_.maxHistory + 4 /* useAltOnNa */;
+    constexpr size_t kPerEntry = kCtrBits + kTagBits + kUBits;
+    constexpr size_t kTagged = kNumTables * kEntries * kPerEntry;
+    constexpr size_t kBimodal = (size_t(1) << kLog2Bimodal) * 2;
+    return kTagged + kBimodal + kMaxHistory + 4 /* useAltOnNa */;
 }
 
 }  // namespace pbs::bpred

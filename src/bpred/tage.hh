@@ -7,123 +7,45 @@
  * hashes of geometrically increasing global-history lengths. The longest
  * matching table provides the prediction; allocation happens on
  * mispredictions; usefulness counters arbitrate replacement.
+ *
+ * The geometry is fixed at compile time (see bpred/tage_scl.hh): every
+ * fold width and history tap is a constant, so the per-branch history
+ * update is straight-line code with constant shifts.
  */
 
 #ifndef PBS_BPRED_TAGE_HH
 #define PBS_BPRED_TAGE_HH
 
-#include <vector>
+#include <array>
 
 #include "bpred/counters.hh"
 #include "bpred/predictor.hh"
 
 namespace pbs::bpred {
 
-/** Configuration for @ref TagePredictor. */
-struct TageConfig
-{
-    unsigned numTables = 6;       ///< tagged components
-    unsigned minHistory = 4;      ///< shortest history length
-    unsigned maxHistory = 160;    ///< longest history length
-    unsigned log2Entries = 9;     ///< entries per tagged table
-    unsigned tagBits = 9;
-    unsigned ctrBits = 3;
-    unsigned uBits = 2;
-    unsigned log2Bimodal = 11;
-    unsigned resetPeriod = 1u << 18;  ///< usefulness aging period
-};
-
-/** Circular global-history buffer. */
-class HistoryBuffer
-{
-  public:
-    explicit HistoryBuffer(size_t capacity)
-    {
-        // Power-of-two ring so hot-path indexing is a mask, not a
-        // modulo. Extra slots beyond @p capacity are never read.
-        size_t cap = 1;
-        while (cap < capacity)
-            cap <<= 1;
-        bits_.assign(cap, 0);
-        mask_ = cap - 1;
-    }
-
-    void
-    push(bool taken)
-    {
-        head_ = (head_ - 1) & mask_;
-        bits_[head_] = taken ? 1 : 0;
-    }
-
-    /** @return the @p age-th most recent bit (0 = newest). */
-    uint8_t
-    bit(size_t age) const
-    {
-        return bits_[(head_ + age) & mask_];
-    }
-
-  private:
-    std::vector<uint8_t> bits_;
-    size_t head_ = 0;
-    size_t mask_ = 0;
-};
-
-/** Incrementally folded history register (Seznec's scheme). */
-class FoldedHistory
-{
-  public:
-    void
-    init(unsigned origLen, unsigned compLen)
-    {
-        origLen_ = origLen;
-        compLen_ = compLen;
-        outShift_ = origLen % compLen;
-        mask_ = (1u << compLen) - 1;
-        comp_ = 0;
-    }
-
-    /** Call after HistoryBuffer::push. */
-    void
-    update(const HistoryBuffer &h)
-    {
-        update(h.bit(0), h.bit(origLen_));
-    }
-
-    /** Same fold with the in/out bits already read (hot path: the
-     *  caller reads h.bit(origLen) once and shares it across the
-     *  index and tag folds of the same table). */
-    void
-    update(uint8_t newestBit, uint8_t outgoingBit)
-    {
-        comp_ = (comp_ << 1) | newestBit;
-        comp_ ^= static_cast<unsigned>(outgoingBit) << outShift_;
-        comp_ ^= comp_ >> compLen_;
-        comp_ &= mask_;
-    }
-
-    unsigned value() const { return comp_; }
-
-  private:
-    unsigned comp_ = 0;
-    unsigned origLen_ = 0;
-    unsigned compLen_ = 1;
-    unsigned outShift_ = 0;
-    unsigned mask_ = 0;
-};
-
 /** TAGE predictor. */
 class TagePredictor : public BranchPredictor
 {
   public:
-    explicit TagePredictor(const TageConfig &cfg = {});
+    static constexpr unsigned kNumTables = 6;   ///< tagged components
+    static constexpr unsigned kLog2Entries = 9; ///< entries per table
+    static constexpr unsigned kTagBits = 9;
+    static constexpr unsigned kCtrBits = 3;
+    static constexpr unsigned kUBits = 2;
+    static constexpr unsigned kLog2Bimodal = 11;
+    static constexpr unsigned kResetPeriod = 1u << 18;  ///< u aging
+
+    /**
+     * History length of each tagged table: the geometric series from 4
+     * to 160, rounded to nearest (bpred_test checks the formula).
+     */
+    static constexpr std::array<unsigned, kNumTables> kHistoryLengths = {
+        4, 8, 17, 37, 77, 160};
 
     bool predict(uint64_t pc) override;
     void update(uint64_t pc, bool taken) override;
     size_t storageBits() const override;
     std::string name() const override { return "tage"; }
-
-    /** @return history length of tagged table @p i. */
-    unsigned historyLength(unsigned i) const { return histLen_[i]; }
 
     /**
      * Confidence of the last predict() call: 0 = low (weak/new entry),
@@ -131,52 +53,60 @@ class TagePredictor : public BranchPredictor
      */
     unsigned lastConfidence() const { return lastConf_; }
 
-    /** Feed a direction into the global history without training
-     *  (used by composite predictors for non-conditional updates). */
-    void pushHistory(bool taken);
-
   private:
+    static constexpr size_t kEntries = size_t(1) << kLog2Entries;
+    static constexpr unsigned kMaxHistory = kHistoryLengths.back();
+
+    /** Global-history ring: a power of two above the longest tap, so
+     *  indexing is a mask. */
+    static constexpr size_t kHistRing = 256;
+    static_assert(kHistRing > kMaxHistory);
+
     struct TaggedEntry
     {
-        SignedSatCounter<8> ctr;  // width limited by cfg at train time
+        SignedSatCounter<kCtrBits> ctr;
         uint16_t tag = 0;
         uint8_t u = 0;
     };
 
+    /** Everything update() needs from the predict() of one branch. */
     struct PredictContext
     {
         uint64_t pc = 0;
         int provider = -1;        ///< table index, -1 = bimodal
-        int alt = -1;
-        size_t providerIdx = 0;
-        size_t altIdx = 0;
         bool providerPred = false;
         bool altPred = false;
         bool finalPred = false;
         bool providerNew = false;
         bool valid = false;
+        /** Each table's flat index and tag for this branch. */
+        std::array<uint16_t, kNumTables> idx{};
+        std::array<uint16_t, kNumTables> tag{};
     };
 
-    size_t tableIndex(unsigned t, uint64_t pc) const;
-    uint16_t tableTag(unsigned t, uint64_t pc) const;
-    void trainCtr(SignedSatCounter<8> &ctr, bool taken);
-    void allocate(uint64_t pc, bool taken, int fromTable);
+    void allocate(bool taken, int fromTable);
+    void pushHistory(bool taken);
     unsigned lfsrNext();
-
-    TageConfig cfg_;
-    std::vector<unsigned> histLen_;
 
     /**
      * All tagged tables in one contiguous array: table t occupies
-     * [t << log2Entries, (t + 1) << log2Entries).
+     * [t * kEntries, (t + 1) * kEntries).
      */
-    std::vector<TaggedEntry> tables_;
-    std::vector<unsigned> pcShift_;  ///< per-table pc hash shift
-    HistoryBuffer ghist_;
-    std::vector<SatCounter<2>> bimodal_;
-    std::vector<FoldedHistory> fIdx_;
-    std::vector<FoldedHistory> fTag0_;
-    std::vector<FoldedHistory> fTag1_;
+    std::array<TaggedEntry, kNumTables * kEntries> tables_{};
+    std::array<SatCounter<2>, size_t(1) << kLog2Bimodal> bimodal_{};
+
+    std::array<uint8_t, kHistRing> ghist_{};  ///< one outcome per byte
+    size_t ghistHead_ = 0;                     ///< newest outcome
+
+    /**
+     * Seznec's incrementally folded histories, one per table: the
+     * kHistoryLengths[t] newest outcomes folded to kLog2Entries bits
+     * (the index hash, also the tag's first fold, which has the same
+     * width) and to kTagBits - 1 bits (the tag's second fold).
+     */
+    std::array<unsigned, kNumTables> foldIdx_{};
+    std::array<unsigned, kNumTables> foldTag_{};
+
     SignedSatCounter<4> useAltOnNa_;
     uint64_t tick_ = 0;
     unsigned lfsr_ = 0xace1u;

@@ -2,9 +2,8 @@
 
 namespace pbs::bpred {
 
-TageSclPredictor::TageSclPredictor(const TageSclConfig &cfg)
-    : tage_(cfg.tage), sc_(cfg.sc),
-      loop_(cfg.log2Loop, cfg.loopTagBits, cfg.loopIterBits)
+TageSclPredictor::TageSclPredictor()
+    : loop_(kLog2Loop, kLoopTagBits, kLoopIterBits)
 {
 }
 

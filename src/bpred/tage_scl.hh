@@ -2,6 +2,16 @@
  * @file
  * TAGE-SC-L: TAGE + Statistical Corrector + Loop predictor, configured
  * to an ~8 KB budget matching the paper's CBP-2016-derived baseline.
+ *
+ * The geometry is a compile-time constant, not a configuration: TAGE
+ * has 6 tagged tables of 2^9 entries with 9-bit tags over history
+ * lengths {4, 8, 17, 37, 77, 160} and a 2^11-entry bimodal base
+ * (TagePredictor::k*); the statistical corrector has a 2^10-entry bias
+ * table and three 2^9-entry GEHL tables over histories {4, 10, 25}
+ * (StatisticalCorrector::k*); the loop predictor has 2^5 entries with
+ * 10-bit tags and 12-bit trip counts (kLoop* below). Every run of the
+ * simulator used this one geometry, so fixing it lets the compiler
+ * turn the per-branch history folds into constant shifts.
  */
 
 #ifndef PBS_BPRED_TAGE_SCL_HH
@@ -13,16 +23,6 @@
 
 namespace pbs::bpred {
 
-/** Configuration for @ref TageSclPredictor. */
-struct TageSclConfig
-{
-    TageConfig tage{};
-    ScConfig sc{};
-    unsigned log2Loop = 5;
-    unsigned loopTagBits = 10;
-    unsigned loopIterBits = 12;
-};
-
 /**
  * The composed TAGE-SC-L predictor. Component priority:
  * loop (when confident) > statistical corrector override > TAGE.
@@ -30,7 +30,11 @@ struct TageSclConfig
 class TageSclPredictor : public BranchPredictor
 {
   public:
-    explicit TageSclPredictor(const TageSclConfig &cfg = {});
+    static constexpr unsigned kLog2Loop = 5;
+    static constexpr unsigned kLoopTagBits = 10;
+    static constexpr unsigned kLoopIterBits = 12;
+
+    TageSclPredictor();
 
     bool predict(uint64_t pc) override;
     void update(uint64_t pc, bool taken) override;

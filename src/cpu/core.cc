@@ -175,105 +175,8 @@ Core::writeReg(unsigned r, uint64_t v)
         regs_[r] = v;
 }
 
-inline uint64_t
-Core::fetchTiming(uint64_t pc)
-{
-    uint64_t at_least = std::max(fetchCycle_, frontendReadyAt_);
-    uint64_t f = bandwidthLimit(fetchCycle_, fetchedInCycle_, cfg_.width,
-                                at_least);
-
-    // I-cache: charge extra latency when entering a new line.
-    uint64_t byte_addr = kTextBase + pc * 8;
-    uint64_t line = byte_addr >> 6;
-    if (line != lastFetchLine_) {
-        lastFetchLine_ = line;
-        unsigned latency = hierarchy_.instAccess(byte_addr);
-        hierarchy_.instPrefetch(byte_addr + 64);  // next-line prefetch
-        unsigned hit = cfg_.memory.l1i.hitLatency;
-        if (latency > hit) {
-            f += latency - hit;
-            fetchCycle_ = f;
-            fetchedInCycle_ = 1;
-        }
-    }
-    return f;
-}
-
-/** Issue on the earliest-free unit of @p cls: the completion cycle. */
-inline uint64_t
-Core::issueOn(FuKind cls, unsigned latency, bool pipelined,
-              uint64_t ready)
-{
-    FuPool &pool = fuPools_[size_t(cls)];
-    unsigned best = 0;
-    for (unsigned i = 1; i < pool.count; i++) {
-        if (pool.freeAt[i] < pool.freeAt[best])
-            best = i;
-    }
-    uint64_t issue = std::max(ready, pool.freeAt[best]);
-    pool.freeAt[best] = issue + (pipelined ? 1 : latency);
-    return issue + latency;
-}
-
-inline uint64_t
-Core::finishTiming(const DecodedOp &op, uint64_t fetch,
-                   uint64_t memLatency)
-{
-    // Dispatch: frontend depth, dispatch bandwidth, ROB occupancy.
-    uint64_t d = bandwidthLimit(lastDispatchCycle_, dispatchedInCycle_,
-                                cfg_.width, fetch + cfg_.frontendDepth);
-    // commitRing_[robSlot_] holds the commit cycle of the instruction
-    // robSize before this one (robSlot_ walks the ring once per
-    // instruction, replacing a div-heavy `n % robSize`).
-    if (stats_.instructions >= cfg_.robSize)
-        d = std::max(d, commitRing_[robSlot_] + 1);
-
-    // Fetch backpressure: a bounded fetch queue keeps fetch from running
-    // arbitrarily ahead of dispatch.
-    uint64_t slack = cfg_.frontendDepth + 2 * cfg_.width;
-    if (d > slack)
-        fetchCycle_ = std::max(fetchCycle_, d - slack);
-
-    // Register dependences (renaming = last-writer tracking). The
-    // source array is always padded to 3 entries with REG_ZERO, and
-    // regReady_[REG_ZERO] is invariantly 0, so the three maxes are
-    // unconditional (branchless) and unused slots are no-ops.
-    uint64_t ready = d;
-    ready = std::max(ready, regReady_[op.srcs[0]]);
-    ready = std::max(ready, regReady_[op.srcs[1]]);
-    ready = std::max(ready, regReady_[op.srcs[2]]);
-
-    unsigned latency = latOf_[size_t(op.lat)] + memLatency;
-    return issueOn(op.fu, latency, !op.unpipelined(), ready);
-}
-
-inline void
-Core::commitTiming(uint64_t done)
-{
-    uint64_t c = bandwidthLimit(lastCommitCycle_, committedInCycle_,
-                                cfg_.width, done + 1);
-    commitRing_[robSlot_] = c;
-    if (++robSlot_ == cfg_.robSize)
-        robSlot_ = 0;
-    if (c > stats_.cycles)
-        stats_.cycles = c;
-}
-
-void
-Core::endFetchGroup(uint64_t fetchCycle)
-{
-    // At most one taken branch per fetch cycle: the next instruction
-    // starts a new fetch group.
-    if (fetchCycle_ <= fetchCycle) {
-        fetchCycle_ = fetchCycle + 1;
-        fetchedInCycle_ = 0;
-    }
-}
-
-template <bool kTiming>
-void
-Core::predictAndTrain(uint64_t pc, bool taken, bool isProb,
-                      [[maybe_unused]] uint64_t doneCycle)
+bool
+Core::predictAndTrain(uint64_t pc, bool taken, bool isProb)
 {
     bool predicted;
     if (isProb && cfg_.filterProbFromPredictor) {
@@ -286,18 +189,14 @@ Core::predictAndTrain(uint64_t pc, bool taken, bool isProb,
         pred_->update(pc, taken);
     }
 
-    if (predicted != taken) {
-        stats_.mispredicts++;
-        if (isProb)
-            stats_.probMispredicts++;
-        else
-            stats_.regularMispredicts++;
-        if constexpr (kTiming) {
-            // The front end refills once the branch resolves.
-            frontendReadyAt_ = std::max(
-                frontendReadyAt_, doneCycle + cfg_.mispredictPenalty);
-        }
-    }
+    if (predicted == taken)
+        return false;
+    stats_.mispredicts++;
+    if (isProb)
+        stats_.probMispredicts++;
+    else
+        stats_.regularMispredicts++;
+    return true;
 }
 
 /**
@@ -308,27 +207,175 @@ Core::predictAndTrain(uint64_t pc, bool taken, bool isProb,
  * fetch and completion cycles from onIssue to the later hooks. Under
  * !kTiming (mpki) every timing structure is compiled out; under !kPbs
  * the PBS engine and the probabilistic-group table are.
+ *
+ * The object holds the loop's register-resident state: the
+ * instruction count, the scoreboard's configuration constants and a
+ * reference to runLoop's local Scoreboard. Every member is
+ * always_inline and no call receives the address of the object or of
+ * the Scoreboard, so neither escapes and the compiler need not reload
+ * them after a register write or an opaque call. sync() writes the
+ * state back to the core; runLoop calls it when it returns and before
+ * it throws. (A destructor would also cover the other, internal-error
+ * throws, but its cleanup paths cost the mpki loops about 15%.)
  */
 template <bool kTiming, bool kPbs>
 struct Core::Hooks
 {
-    explicit Hooks(Core &core) : c(core) {}
+    Hooks(Core &core, Scoreboard &scoreboard)
+        : c(core), instructions(core.stats_.instructions), sb(scoreboard),
+          ring(core.commitRing_.data()), width(core.cfg_.width),
+          robSize(core.cfg_.robSize),
+          frontendDepth(core.cfg_.frontendDepth),
+          slack(core.cfg_.frontendDepth + 2 * core.cfg_.width),
+          mispredictPenalty(core.cfg_.mispredictPenalty),
+          l1iHit(core.cfg_.memory.l1i.hitLatency)
+    {}
+
+    /** Write the loop's state back to the core. */
+    [[gnu::always_inline]] void
+    sync()
+    {
+        c.stats_.instructions = instructions;
+        if constexpr (kTiming) {
+            c.sb_ = sb;
+            c.stats_.cycles = sb.lastCommitCycle;
+        } else {
+            // Off-timing, a cycle is an instruction.
+            c.stats_.cycles = instructions;
+        }
+    }
 
     Core &c;
+    uint64_t instructions;  ///< stats_.instructions, while the loop runs
     uint64_t f = 0;     ///< fetch cycle (instruction count off-timing)
     uint64_t done = 0;  ///< completion cycle
 
+    Scoreboard &sb;  ///< the core's scoreboard, while the loop runs
+    uint64_t *const ring;  ///< commitRing_
+    const unsigned width;
+    const unsigned robSize;
+    const unsigned frontendDepth;
+    /** Fetch backpressure: a bounded fetch queue keeps fetch at most
+     *  this many cycles ahead of dispatch. */
+    const uint64_t slack;
+    const unsigned mispredictPenalty;
+    const unsigned l1iHit;
+
     /** The PBS steering decision of a PROB_CMP, taken at fetch. */
     core::PbsInstance probFetch;
+
+    /** The fetch cycle of the instruction at @p pc. */
+    [[gnu::always_inline]] uint64_t
+    fetchTiming(uint64_t pc)
+    {
+        uint64_t at_least = std::max(sb.fetchCycle, sb.frontendReadyAt);
+        uint64_t fc = bandwidthLimit(sb.fetchCycle, sb.fetchedInCycle,
+                                     width, at_least);
+
+        // I-cache: charge extra latency when entering a new line.
+        uint64_t byte_addr = kTextBase + pc * 8;
+        uint64_t line = byte_addr >> 6;
+        if (line != sb.lastFetchLine) {
+            sb.lastFetchLine = line;
+            unsigned latency = c.hierarchy_.instAccess(byte_addr);
+            c.hierarchy_.instPrefetch(byte_addr + 64);  // next-line
+            if (latency > l1iHit) {
+                fc += latency - l1iHit;
+                sb.fetchCycle = fc;
+                sb.fetchedInCycle = 1;
+            }
+        }
+        return fc;
+    }
+
+    /** Issue on the earliest-free unit of @p cls: the completion
+     *  cycle. The units of a pool are interchangeable, so only the
+     *  multiset of their free cycles matters; the pool keeps it sorted,
+     *  and the earliest-free unit is always freeAt[0]. */
+    [[gnu::always_inline]] uint64_t
+    issueOn(FuKind cls, unsigned latency, bool pipelined, uint64_t ready)
+    {
+        FuPool &pool = c.fuPools_[size_t(cls)];
+        const uint64_t issue = std::max(ready, pool.freeAt[0]);
+        // The unit is busy until `busy`, which is no earlier than any
+        // unit it passes here: re-insert it in order.
+        const uint64_t busy = issue + (pipelined ? 1 : latency);
+        unsigned i = 1;
+        for (; i < pool.count && pool.freeAt[i] < busy; i++)
+            pool.freeAt[i - 1] = pool.freeAt[i];
+        pool.freeAt[i - 1] = busy;
+        return issue + latency;
+    }
+
+    /** Dispatch and issue @p op fetched at @p fetch: its completion
+     *  cycle (memLatency is added to its configured latency). */
+    [[gnu::always_inline]] uint64_t
+    finishTiming(const DecodedOp &op, uint64_t fetch, uint64_t memLatency)
+    {
+        // Dispatch: frontend depth, dispatch bandwidth, ROB occupancy.
+        // ring[robSlot] holds the commit cycle + 1 of the instruction
+        // robSize before this one, or 0 while the ROB has not filled.
+        uint64_t d = bandwidthLimit(sb.lastDispatchCycle,
+                                    sb.dispatchedInCycle, width,
+                                    fetch + frontendDepth);
+        d = std::max(d, ring[sb.robSlot]);
+
+        if (d > slack)
+            sb.fetchCycle = std::max(sb.fetchCycle, d - slack);
+
+        // Register dependences (renaming = last-writer tracking). The
+        // source array is always padded to 3 entries with REG_ZERO, and
+        // regReady[REG_ZERO] is invariantly 0, so the three maxes are
+        // unconditional (branchless) and unused slots are no-ops.
+        uint64_t ready = d;
+        ready = std::max(ready, sb.regReady[op.srcs[0]]);
+        ready = std::max(ready, sb.regReady[op.srcs[1]]);
+        ready = std::max(ready, sb.regReady[op.srcs[2]]);
+
+        unsigned latency = c.latOf_[size_t(op.lat)] + memLatency;
+        return issueOn(op.fu, latency, !op.unpipelined(), ready);
+    }
+
+    [[gnu::always_inline]] void
+    commitTiming()
+    {
+        uint64_t cc = bandwidthLimit(sb.lastCommitCycle,
+                                     sb.committedInCycle, width, done + 1);
+        ring[sb.robSlot] = cc + 1;
+        if (++sb.robSlot == robSize)
+            sb.robSlot = 0;
+    }
+
+    /** At most one taken branch per fetch cycle: the next instruction
+     *  starts a new fetch group. */
+    [[gnu::always_inline]] void
+    endFetchGroup()
+    {
+        if (sb.fetchCycle <= f) {
+            sb.fetchCycle = f + 1;
+            sb.fetchedInCycle = 0;
+        }
+    }
+
+    /** Predict and train; a misprediction under timing refills the
+     *  front end once the branch resolves. */
+    [[gnu::always_inline]] void
+    resolve(uint64_t pc, bool taken, bool isProb)
+    {
+        if (c.predictAndTrain(pc, taken, isProb) && kTiming) {
+            sb.frontendReadyAt =
+                std::max(sb.frontendReadyAt, done + mispredictPenalty);
+        }
+    }
 
     [[gnu::always_inline]] void
     onIssue(const DecodedOp &op, [[maybe_unused]] uint64_t pc,
             [[maybe_unused]] uint64_t ea)
     {
         if constexpr (kTiming)
-            f = c.fetchTiming(pc);
+            f = fetchTiming(pc);
         else
-            f = c.stats_.instructions;
+            f = instructions;
 
         // The PBS steering decision happens at fetch: query the engine
         // before the timing pass so a stallOnBusy delay is charged to
@@ -337,9 +384,9 @@ struct Core::Hooks
             probFetch = c.pbs_.onProbCmpFetch(op.probJmpPc, f);
             if (kTiming && probFetch.stallCycles > 0) {
                 f += probFetch.stallCycles;
-                if (c.fetchCycle_ < f) {
-                    c.fetchCycle_ = f;
-                    c.fetchedInCycle_ = 1;
+                if (sb.fetchCycle < f) {
+                    sb.fetchCycle = f;
+                    sb.fetchedInCycle = 1;
                 }
             }
         }
@@ -356,11 +403,11 @@ struct Core::Hooks
                 memLat = op.isLoad() ? c.hierarchy_.dataAccess(ea) : 0;
                 memDepReady = c.storeQueue_.lookup(ea >> 3);
             }
-            done = std::max(c.finishTiming(op, f, memLat), memDepReady);
+            done = std::max(finishTiming(op, f, memLat), memDepReady);
         }
     }
 
-    void
+    [[gnu::always_inline]] void
     onProbCmp([[maybe_unused]] const DecodedOp &op,
               [[maybe_unused]] uint64_t vNew,
               [[maybe_unused]] uint64_t operand, [[maybe_unused]] bool cond)
@@ -381,45 +428,45 @@ struct Core::Hooks
                 // come from the recorded previous execution.
                 c.writeReg(op.rd, grp.old.taken ? 1 : 0);
                 c.writeReg(op.rs1, grp.old.value1);
-                // Guarded so regReady_[REG_ZERO] stays 0 (the
+                // Guarded so regReady[REG_ZERO] stays 0 (the
                 // dependence maxes rely on that invariant); a zero prob
                 // register was never read back anyway.
                 if (kTiming && op.rs1 != isa::REG_ZERO)
-                    c.regReady_[op.rs1] = done;
+                    sb.regReady[op.rs1] = done;
             }
         }
     }
 
-    void
+    [[gnu::always_inline]] void
     onJump([[maybe_unused]] uint64_t pc, [[maybe_unused]] uint64_t target)
     {
         if constexpr (kPbs)
             c.pbs_.noteBranch(pc, target, true);
     }
 
-    void
+    [[gnu::always_inline]] void
     onBranch(uint64_t pc, [[maybe_unused]] uint64_t target, bool taken)
     {
-        c.predictAndTrain<kTiming>(pc, taken, false, done);
+        resolve(pc, taken, false);
         if constexpr (kPbs)
             c.pbs_.noteBranch(pc, target, taken);
     }
 
-    void
+    [[gnu::always_inline]] void
     onCall([[maybe_unused]] uint64_t pc)
     {
         if constexpr (kPbs)
             c.pbs_.noteCall(pc);
     }
 
-    void
+    [[gnu::always_inline]] void
     onReturn()
     {
         if constexpr (kPbs)
             c.pbs_.noteReturn();
     }
 
-    void
+    [[gnu::always_inline]] void
     onCarrier([[maybe_unused]] const DecodedOp &op)
     {
         // Value carrier: participates in the swap, never branches.
@@ -433,7 +480,7 @@ struct Core::Hooks
         }
     }
 
-    bool
+    [[gnu::always_inline]] bool
     onProbJmp(const DecodedOp &op, uint64_t pc, uint64_t selfSeq,
               bool cond)
     {
@@ -468,7 +515,7 @@ struct Core::Hooks
             grp.open = false;
         }
         if (predict)
-            c.predictAndTrain<kTiming>(pc, taken, true, done);
+            resolve(pc, taken, true);
         if (c.cfg_.traceProbBranches) {
             c.probTrace_.push_back({op.probId, selfSeq, consumedSeq, taken,
                                     steered});
@@ -486,13 +533,13 @@ struct Core::Hooks
             // Publish destination readiness for dependents.
             int dst = op.destReg();
             if (dst > 0)
-                c.regReady_[dst] = done;
+                sb.regReady[dst] = done;
             if (op.isStore())
                 c.storeQueue_.push(ea >> 3, done);
             // Taken control flow ends the fetch group.
             if (redirected)
-                c.endFetchGroup(f);
-            c.commitTiming(done);
+                endFetchGroup();
+            commitTiming();
         }
     }
 };
@@ -502,31 +549,28 @@ uint64_t
 Core::runLoop(uint64_t n, uint64_t limit)
 {
     const uint64_t start = stats_.instructions;
-    const uint64_t budget = start >= limit ? 0 : std::min(n, limit - start);
+    const uint64_t end =
+        start + (start >= limit ? 0 : std::min(n, limit - start));
     const DecodedOp *const ops = image_.ops().data();
     const uint64_t size = image_.size();
     const ExecCtx ctx{regs_.data(), &mem_, probSeq_.data(), &stats_,
                       &halted_};
-    Hooks<kTiming, kPbs> hooks(*this);
+    Scoreboard sb = sb_;
+    Hooks<kTiming, kPbs> hooks(*this, sb);
 
     uint64_t pc = pc_;
-    uint64_t executed = 0;
-    while (!halted_ && executed < budget) {
+    while (!halted_ && hooks.instructions < end) {
         if (pc >= size) {
             pc_ = pc;
-            if constexpr (!kTiming)
-                stats_.cycles = stats_.instructions;
+            hooks.sync();
             throwPcOutOfRange(pc);
         }
         pc = execute(ops[pc], pc, ctx, hooks);
-        stats_.instructions++;
-        executed++;
+        hooks.instructions++;
     }
     pc_ = pc;
-    // Off-timing, a cycle is an instruction.
-    if constexpr (!kTiming)
-        stats_.cycles = stats_.instructions;
-    return executed;
+    hooks.sync();
+    return hooks.instructions - start;
 }
 
 uint64_t

@@ -38,10 +38,24 @@
  * commit, cache or store-queue code, and a PBS-off loop never touches
  * the PBS engine.
  *
- * cpu::execute and the timing helpers are always_inline. With four
+ * cpu::execute and every hook are always_inline. With four
  * instantiations GCC (12, with LTO) otherwise outlines them, and the
  * calls cost the detailed loop more than the specialization saves:
  * each loop must be one flat function for the pruning to pay off.
+ *
+ * Register-resident scoreboard
+ * ----------------------------
+ * The timing state an instruction reads and writes (fetch, dispatch
+ * and commit cycles and counts, the redirect gate, the last fetched
+ * I-cache line, the ROB cursor, register readiness) is one Scoreboard
+ * value. The timing step loop copies it into a local, its hooks hold
+ * the instruction count and the scoreboard's configuration constants,
+ * and no call receives the address of either; both are written back
+ * when the loop returns and before it throws PC-out-of-range.
+ * Register-file writes through a pointer and the opaque predictor and
+ * cache calls therefore cannot clobber that state, and the compiler
+ * keeps its scalars in registers instead of reloading them on every
+ * simulated instruction.
  */
 
 #ifndef PBS_CPU_CORE_HH
@@ -153,24 +167,32 @@ class Core
 
     void writeReg(unsigned r, uint64_t v);
 
-    // --- timing helpers (always inlined into the timing loops) ---
-    [[gnu::always_inline]] inline uint64_t fetchTiming(uint64_t pc);
-    [[gnu::always_inline]] inline uint64_t
-    issueOn(isa::FuKind cls, unsigned latency, bool pipelined,
-            uint64_t ready);
-    /** Dispatch and issue @p op fetched at @p fetch: its completion
-     *  cycle (memLatency is added to its configured latency). */
-    [[gnu::always_inline]] inline uint64_t
-    finishTiming(const isa::DecodedOp &op, uint64_t fetch,
-                 uint64_t memLatency);
-    [[gnu::always_inline]] inline void commitTiming(uint64_t done);
-    void endFetchGroup(uint64_t fetchCycle);
+    /** Resolve a conditional branch against the direction predictor
+     *  and count a misprediction. @return true if it mispredicted
+     *  (the timing hooks then redirect the front end). */
+    bool predictAndTrain(uint64_t pc, bool taken, bool isProb);
 
-    /** Resolve a conditional branch against the direction predictor;
-     *  a misprediction redirects the front end under timing. */
-    template <bool kTiming>
-    void predictAndTrain(uint64_t pc, bool taken, bool isProb,
-                         uint64_t doneCycle);
+    /**
+     * The timing scoreboard's scalar state and register readiness.
+     * The timing loop works on a local copy, which the compiler can
+     * keep in registers across register-file writes and the opaque
+     * predictor and cache calls, and writes it back on exit (see
+     * docs/architecture.md, "Register-resident scoreboard").
+     */
+    struct Scoreboard
+    {
+        uint64_t fetchCycle = 0;
+        uint64_t frontendReadyAt = 0;  ///< redirect gate
+        uint64_t lastDispatchCycle = 0;
+        /** Also stats_.cycles: commit cycles never decrease. */
+        uint64_t lastCommitCycle = 0;
+        uint64_t lastFetchLine = ~uint64_t(0);
+        unsigned fetchedInCycle = 0;
+        unsigned dispatchedInCycle = 0;
+        unsigned committedInCycle = 0;
+        unsigned robSlot = 0;          ///< ring cursor (== n % robSize)
+        std::array<uint64_t, isa::kNumRegs> regReady{};
+    };
 
     // --- members ---
     isa::DecodedImage image_;
@@ -187,9 +209,11 @@ class Core
     std::unique_ptr<bpred::BranchPredictor> pred_;
     bool predIsPerfect_ = false;  ///< cached virtual isPerfect()
     std::unique_ptr<bpred::BranchPredictor> sidePred_;  ///< Fig. 9 filter
-    std::array<uint64_t, isa::kNumRegs> regReady_{};
+    Scoreboard sb_;  ///< between timing loops; see Scoreboard
 
-    /** One FU class's units: the cycle each is next free. */
+    /** One FU class's units: the cycle each is next free, ascending
+     *  (the units are interchangeable, so their order carries no
+     *  state). */
     struct FuPool
     {
         std::array<uint64_t, kMaxFuUnits> freeAt{};
@@ -202,16 +226,9 @@ class Core
     /** Configured latency of each latency class (indexed by LatKind). */
     std::array<unsigned, size_t(isa::LatKind::NUM_LAT_KINDS)> latOf_{};
 
-    std::vector<uint64_t> commitRing_;   ///< commit cycles, ROB window
-    unsigned robSlot_ = 0;               ///< ring cursor (== n % robSize)
-    uint64_t fetchCycle_ = 0;
-    unsigned fetchedInCycle_ = 0;
-    uint64_t frontendReadyAt_ = 0;       ///< redirect gate
-    uint64_t lastDispatchCycle_ = 0;
-    unsigned dispatchedInCycle_ = 0;
-    uint64_t lastCommitCycle_ = 0;
-    unsigned committedInCycle_ = 0;
-    uint64_t lastFetchLine_ = ~uint64_t(0);
+    /** Commit cycle + 1 of the last robSize instructions (0 = empty
+     *  slot), indexed by Scoreboard::robSlot. */
+    std::vector<uint64_t> commitRing_;
 
     StoreQueue storeQueue_;
 

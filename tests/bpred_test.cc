@@ -2,12 +2,15 @@
  * @file
  * Branch predictor tests: learning behavior on canonical patterns,
  * storage budgets (the paper's 1 KB tournament and 8 KB TAGE-SC-L),
- * and accuracy ordering across predictors.
+ * accuracy ordering across predictors, and an exact pin of every zoo
+ * predictor's prediction stream on one seeded synthetic trace.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <vector>
 
 #include "bpred/factory.hh"
 #include "bpred/loop.hh"
@@ -127,15 +130,24 @@ TEST(TageSclTest, BudgetIsAboutEightKilobytes)
 
 TEST(TageTest, GeometricHistoryLengths)
 {
-    TagePredictor pred;
+    // The series the constructor computed before the geometry became
+    // constexpr: 6 tables between 4 and 160, rounded to nearest and kept
+    // strictly increasing.
+    constexpr unsigned kTables = 6, kMin = 4, kMax = 160;
+    static_assert(TagePredictor::kNumTables == kTables);
+    const double ratio =
+        std::pow(double(kMax) / kMin, 1.0 / (kTables - 1));
     unsigned prev = 0;
-    for (unsigned i = 0; i < 6; i++) {
-        unsigned len = pred.historyLength(i);
-        EXPECT_GT(len, prev);
+    for (unsigned i = 0; i < kTables; i++) {
+        unsigned len =
+            static_cast<unsigned>(kMin * std::pow(ratio, i) + 0.5);
+        if (i > 0 && len <= prev)
+            len = prev + 1;
+        EXPECT_EQ(TagePredictor::kHistoryLengths[i], len) << "table " << i;
         prev = len;
     }
-    EXPECT_EQ(pred.historyLength(0), 4u);
-    EXPECT_EQ(pred.historyLength(5), 160u);
+    EXPECT_EQ(TagePredictor::kHistoryLengths.front(), 4u);
+    EXPECT_EQ(TagePredictor::kHistoryLengths.back(), 160u);
 }
 
 TEST(TageTest, LearnsLongHistoryPattern)
@@ -220,6 +232,129 @@ TEST(FactoryTest, PerfectFlag)
 {
     EXPECT_TRUE(makePredictor("perfect")->isPerfect());
     EXPECT_FALSE(makePredictor("tage")->isPerfect());
+}
+
+// ---------------------------------------------------------------------
+// Prediction-stream pins: every zoo predictor runs one seeded synthetic
+// stream and must reproduce its mispredict count and a hash of its
+// prediction sequence exactly. The values were recorded before the
+// TAGE-SC-L geometry became compile-time constants; a change here is a
+// change in what a predictor predicts, not only in how fast.
+// ---------------------------------------------------------------------
+
+struct Branch
+{
+    uint64_t pc;
+    bool taken;
+};
+
+/**
+ * About 200k branches over 64 static PCs, interleaved at random. The
+ * PCs come in five kinds: biased (90% or 10% taken), periodic (a
+ * period-2..13 pattern), fixed-trip loops (3..40 takens, then one
+ * not-taken), history-correlated (the XOR of two recent global
+ * outcomes) and fair coins.
+ */
+std::vector<Branch>
+syntheticStream()
+{
+    constexpr unsigned kPcs = 64;
+    constexpr unsigned kBranches = 200'000;
+    struct PcState
+    {
+        unsigned kind;
+        uint64_t param;
+        uint64_t count = 0;
+    };
+    pbs::rng::SplitMix64 rng(2018);
+    std::vector<PcState> pcs;
+    for (unsigned i = 0; i < kPcs; i++) {
+        const unsigned kind = i % 5;
+        uint64_t param = 0;
+        if (kind == 0)
+            param = rng.next() & 1;  // taken- or not-taken-biased
+        else if (kind == 1)
+            param = (rng.next() & 0xfff) | (uint64_t(2 + i % 12) << 32);
+        else if (kind == 2)
+            param = 3 + rng.next() % 38;
+        else if (kind == 3)
+            param = 1 + rng.next() % 7;  // second history tap
+        pcs.push_back({kind, param});
+    }
+
+    std::vector<Branch> out;
+    out.reserve(kBranches);
+    uint64_t ghist = 0;
+    for (unsigned n = 0; n < kBranches; n++) {
+        const uint64_t r = rng.next();
+        const unsigned k = unsigned(r % kPcs);
+        PcState &s = pcs[k];
+        const double u = double(r >> 11) * 0x1.0p-53;
+        bool taken = false;
+        switch (s.kind) {
+          case 0:
+            taken = (u < 0.9) == (s.param == 1);
+            break;
+          case 1: {
+            const uint64_t period = s.param >> 32;
+            taken = (s.param >> (s.count % period)) & 1;
+            break;
+          }
+          case 2:
+            taken = s.count % (s.param + 1) != s.param;
+            break;
+          case 3:
+            taken = ((ghist ^ (ghist >> s.param)) & 1) != 0;
+            break;
+          default:
+            taken = u < 0.5;
+            break;
+        }
+        s.count++;
+        ghist = (ghist << 1) | (taken ? 1 : 0);
+        out.push_back({0x40 + 3 * uint64_t(k), taken});
+    }
+    return out;
+}
+
+struct StreamPin
+{
+    const char *predictor;
+    uint64_t mispredicts;
+    uint64_t hash;  ///< FNV-1a over the predicted directions
+};
+
+// clang-format off
+const StreamPin kStreamPins[] = {
+    {"bimodal",     63998ull, 0x659855f95627739cull},
+    {"gshare",      93220ull, 0x52818c622dd7fdd6ull},
+    {"local",       48482ull, 0xb1f529d60afcec8eull},
+    {"loop",        75391ull, 0x5d4f751f59080c8bull},
+    {"tournament",  58626ull, 0xf07dd2125fd4e0f6ull},
+    {"tage",        55695ull, 0xdcc9e03487437755ull},
+    {"tage-sc-l",   53079ull, 0x6f569f374a6754e9ull},
+    {"perfect",     80367ull, 0x552a611bca1c4165ull},
+};
+// clang-format on
+
+TEST(PredictorPins, SyntheticStreamIsBitExact)
+{
+    const std::vector<Branch> stream = syntheticStream();
+    ASSERT_EQ(stream.size(), 200'000u);
+    for (const StreamPin &pin : kStreamPins) {
+        auto pred = makePredictor(pin.predictor);
+        uint64_t mispredicts = 0;
+        uint64_t hash = 0xcbf29ce484222325ull;
+        for (const Branch &b : stream) {
+            const bool p = pred->predict(b.pc);
+            pred->update(b.pc, b.taken);
+            mispredicts += p != b.taken;
+            hash = (hash ^ (p ? 1 : 0)) * 0x100000001b3ull;
+        }
+        EXPECT_EQ(mispredicts, pin.mispredicts) << pin.predictor;
+        EXPECT_EQ(hash, pin.hash)
+            << pin.predictor << " hash 0x" << std::hex << hash;
+    }
 }
 
 }  // namespace

@@ -5,12 +5,14 @@
  * dependence chains, ROB, misprediction penalty, PBS steering),
  * configuration validation, the four specialized step loops (run()
  * against chunked step(n), the instruction limit, PC range checks),
+ * pinned statistics for the scoreboard's edge configurations,
  * and the store queue's index against its exact scan.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "cpu/core.hh"
@@ -487,6 +489,45 @@ smallWorkload(const char *name)
         p, workloads::Variant::Marked);
 }
 
+/**
+ * Run @p prog whole and in seeded random step(n) chunks under @p cfg:
+ * both must end in the same statistics and architectural state.
+ * @return the whole run's statistics.
+ */
+cpu::CoreStats
+expectChunksMatchRun(const Program &prog, const cpu::CoreConfig &cfg,
+                     uint64_t seed)
+{
+    cpu::Core whole(prog, cfg);
+    whole.run();
+    EXPECT_TRUE(whole.halted());
+
+    cpu::Core chunked(prog, cfg);
+    rng::SplitMix64 rng(seed);
+    uint64_t total = 0;
+    while (!chunked.halted()) {
+        // Mostly short chunks (down to 0 and 1), some long.
+        const uint64_t r = rng.next();
+        const uint64_t n = (r & 3) ? (r >> 8) % 64 : (r >> 8) % 5000;
+        const uint64_t got = chunked.step(n);
+        EXPECT_LE(got, n);
+        if (!chunked.halted() && got != n) {
+            ADD_FAILURE() << "step(" << n << ") executed " << got;
+            break;
+        }
+        total += got;
+    }
+    EXPECT_EQ(chunked.step(10), 0u);  // halted stays halted
+
+    EXPECT_EQ(total, whole.stats().instructions);
+    EXPECT_EQ(chunked.stats(), whole.stats());
+    EXPECT_EQ(chunked.pc(), whole.pc());
+    for (unsigned r = 0; r < isa::kNumRegs; r++)
+        EXPECT_EQ(chunked.reg(r), whole.reg(r)) << "r" << r;
+    EXPECT_TRUE(chunked.memory().sameContents(whole.memory()));
+    return whole.stats();
+}
+
 TEST(CoreLoops, RunMatchesRandomStepChunks)
 {
     uint64_t seed = 1;
@@ -494,42 +535,107 @@ TEST(CoreLoops, RunMatchesRandomStepChunks)
         const Program prog = smallWorkload(workload);
         for (const LoopCase &lc : kLoopCases) {
             SCOPED_TRACE(std::string(workload) + " " + loopName(lc));
-            const cpu::CoreConfig cfg = loopConfig(lc);
-            cpu::Core whole(prog, cfg);
-            whole.run();
-            ASSERT_TRUE(whole.halted());
-
-            cpu::Core chunked(prog, cfg);
-            rng::SplitMix64 rng(seed++);
-            uint64_t total = 0;
-            while (!chunked.halted()) {
-                // Mostly short chunks (down to 0 and 1), some long.
-                const uint64_t r = rng.next();
-                const uint64_t n = (r & 3) ? (r >> 8) % 64
-                                           : (r >> 8) % 5000;
-                const uint64_t got = chunked.step(n);
-                ASSERT_LE(got, n);
-                if (!chunked.halted()) {
-                    ASSERT_EQ(got, n);
-                }
-                total += got;
-            }
-            EXPECT_EQ(chunked.step(10), 0u);  // halted stays halted
-
-            EXPECT_EQ(total, whole.stats().instructions);
-            EXPECT_EQ(chunked.stats(), whole.stats());
-            EXPECT_EQ(chunked.pc(), whole.pc());
-            for (unsigned r = 0; r < isa::kNumRegs; r++)
-                EXPECT_EQ(chunked.reg(r), whole.reg(r)) << "r" << r;
-            EXPECT_TRUE(chunked.memory().sameContents(whole.memory()));
+            const cpu::CoreStats whole =
+                expectChunksMatchRun(prog, loopConfig(lc), seed++);
             if (lc.mode == cpu::SimMode::Functional) {
-                EXPECT_EQ(whole.stats().cycles,
-                          whole.stats().instructions);
+                EXPECT_EQ(whole.cycles, whole.instructions);
             }
             if (lc.pbs) {
-                EXPECT_GT(whole.stats().steeredBranches, 0u);
+                EXPECT_GT(whole.steeredBranches, 0u);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Scoreboard edge configurations: the narrowest core, a one-entry ROB,
+// no front-end stages, a free misprediction and the 8-wide core, with
+// PBS off and on. Their statistics are pinned exactly (recorded before
+// the scoreboard state moved into a register-resident local), and
+// chunked stepping must reproduce a whole run under each.
+// ---------------------------------------------------------------------
+
+struct EdgeConfig
+{
+    const char *name;
+    cpu::CoreConfig cfg;
+};
+
+std::vector<EdgeConfig>
+edgeConfigs()
+{
+    std::vector<EdgeConfig> out;
+    auto add = [&](const char *name, auto &&edit) {
+        cpu::CoreConfig cfg = timingConfig("tage-sc-l");
+        edit(cfg);
+        out.push_back({name, cfg});
+    };
+    add("width1", [](cpu::CoreConfig &c) { c.width = 1; });
+    add("rob1", [](cpu::CoreConfig &c) { c.robSize = 1; });
+    add("depth0", [](cpu::CoreConfig &c) { c.frontendDepth = 0; });
+    add("penalty0", [](cpu::CoreConfig &c) { c.mispredictPenalty = 0; });
+    add("eightWide", [](cpu::CoreConfig &c) {
+        c = cpu::CoreConfig::eightWide();
+        c.predictor = "tage-sc-l";
+    });
+    return out;
+}
+
+struct EdgePin
+{
+    const char *workload;
+    const char *config;
+    bool pbs;
+    cpu::CoreStats stats;
+};
+
+// instructions, cycles, branches, probBranches, mispredicts,
+// regularMispredicts, probMispredicts, steeredBranches
+// clang-format off
+const EdgePin kEdgePins[] = {
+    {"pi",     "width1",    false, {26688, 35414, 3000, 1500, 331, 2, 329, 0}},
+    {"pi",     "width1",    true,  {26688, 27179, 3000, 1500, 4, 2, 2, 1498}},
+    {"pi",     "rob1",      false, {26688, 117508, 3000, 1500, 331, 2, 329, 0}},
+    {"pi",     "rob1",      true,  {26688, 113257, 3000, 1500, 4, 2, 2, 1498}},
+    {"pi",     "depth0",    false, {26688, 27562, 3000, 1500, 331, 2, 329, 0}},
+    {"pi",     "depth0",    true,  {26688, 21210, 3000, 1500, 4, 2, 2, 1498}},
+    {"pi",     "penalty0",  false, {26688, 25913, 3000, 1500, 331, 2, 329, 0}},
+    {"pi",     "penalty0",  true,  {26688, 24940, 3000, 1500, 4, 2, 2, 1498}},
+    {"pi",     "eightWide", false, {26688, 25708, 3000, 1500, 331, 2, 329, 0}},
+    {"pi",     "eightWide", true,  {26688, 24397, 3000, 1500, 4, 2, 2, 1498}},
+    {"bandit", "width1",    false, {153854, 160241, 21690, 1500, 244, 78, 166, 0}},
+    {"bandit", "width1",    true,  {153676, 155465, 21690, 1500, 62, 61, 1, 1498}},
+    {"bandit", "rob1",      false, {153854, 573088, 21690, 1500, 244, 78, 166, 0}},
+    {"bandit", "rob1",      true,  {153676, 570188, 21690, 1500, 62, 61, 1, 1498}},
+    {"bandit", "depth0",    false, {153854, 131359, 21690, 1500, 244, 78, 166, 0}},
+    {"bandit", "depth0",    true,  {153676, 125028, 21690, 1500, 62, 61, 1, 1498}},
+    {"bandit", "penalty0",  false, {153854, 130158, 21690, 1500, 244, 78, 166, 0}},
+    {"bandit", "penalty0",  true,  {153676, 124750, 21690, 1500, 62, 61, 1, 1498}},
+    {"bandit", "eightWide", false, {153854, 83433, 21690, 1500, 244, 78, 166, 0}},
+    {"bandit", "eightWide", true,  {153676, 75785, 21690, 1500, 62, 61, 1, 1498}},
+};
+// clang-format on
+
+TEST(CoreLoops, EdgeConfigsArePinnedAndChunkable)
+{
+    const std::vector<EdgeConfig> configs = edgeConfigs();
+    uint64_t seed = 100;
+    for (const EdgePin &pin : kEdgePins) {
+        SCOPED_TRACE(std::string(pin.workload) + " " + pin.config +
+                     (pin.pbs ? "/pbs" : "/no-pbs"));
+        cpu::CoreConfig cfg;
+        for (const EdgeConfig &ec : configs) {
+            if (std::string(ec.name) == pin.config)
+                cfg = ec.cfg;
+        }
+        cfg.pbsEnabled = pin.pbs;
+        const cpu::CoreStats got =
+            expectChunksMatchRun(smallWorkload(pin.workload), cfg, seed++);
+        EXPECT_EQ(got, pin.stats)
+            << "{" << got.instructions << ", " << got.cycles << ", "
+            << got.branches << ", " << got.probBranches << ", "
+            << got.mispredicts << ", " << got.regularMispredicts << ", "
+            << got.probMispredicts << ", " << got.steeredBranches << "}";
     }
 }
 
@@ -580,9 +686,10 @@ TEST(CoreLoops, PcPastTheImageThrowsFromInsideTheLoop)
             EXPECT_EQ(core->stats().instructions, 3u);
             EXPECT_EQ(core->reg(3), 7u);
             EXPECT_FALSE(core->halted());
-            if (lc.mode == cpu::SimMode::Functional) {
-                EXPECT_EQ(core->stats().cycles, 3u);
-            }
+            // The scoreboard lives in a local while the loop runs; the
+            // throw must still publish the cycles it had reached.
+            EXPECT_EQ(core->stats().cycles,
+                      lc.mode == cpu::SimMode::Functional ? 3u : 140u);
         }
     }
 }
