@@ -4,8 +4,8 @@ for a binary must appear in that binary's --help output, and every
 flag a binary's --help advertises must be documented.
 
 Usage:
-    scripts/check_cli_docs.py pbs_sim=./build/pbs_sim \
-        pbs_exp=./build/pbs_exp pbs_bench=./build/pbs_bench
+    scripts/check_cli_docs.py pbs_exp=./build/pbs_exp \
+        pbs_bench=./build/pbs_bench pbs_prof=./build/pbs_prof
 
 docs/cli.md is split into sections by its "## `<binary>`" headings;
 within each section every `--long-flag` token is collected and checked

@@ -5,8 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "bpred/factory.hh"
 #include "cpu/core.hh"
-#include "driver/options.hh"
 #include "exp/json.hh"
 #include "exp/point.hh"
 #include "obs/obs.hh"
@@ -31,9 +31,8 @@ elapsedMs(Clock::time_point from, Clock::time_point to)
 /**
  * The experiment point a bench point measures (4-wide core, the
  * paper's baseline). `functional-switch` is the functional point run
- * on the reference opcode-switch dispatch (the PBS_FUNC_DISPATCH=switch
- * escape hatch): keeping both as bench points makes the superblock
- * speedup a tracked number.
+ * on the reference opcode-switch dispatch: keeping both as bench
+ * points makes the superblock speedup a tracked number.
  */
 exp::ExpPoint
 expPointFor(const BenchPoint &p, const BenchConfig &bench)
@@ -128,7 +127,7 @@ std::vector<BenchPoint>
 standardPoints()
 {
     std::vector<BenchPoint> points;
-    const auto &preds = driver::predictorNames();
+    const auto &preds = bpred::predictorNames();
     for (const auto &b : workloads::allBenchmarks()) {
         for (const auto &p : preds)
             points.push_back({b.name, p, false});
@@ -162,7 +161,7 @@ filterPoints(const std::vector<BenchPoint> &points,
     const auto ws = splitCsv(workloads);
     std::vector<std::string> ps;
     for (const auto &p : splitCsv(predictors)) {
-        std::string canon = driver::canonicalPredictor(p);
+        std::string canon = bpred::canonicalPredictor(p);
         if (canon.empty())
             throw std::invalid_argument("unknown predictor: " + p);
         ps.push_back(canon);
@@ -258,7 +257,7 @@ runBench(const std::vector<BenchPoint> &points, const BenchConfig &cfg)
                     const sampling::FuncDispatch fd =
                         pt.mode == "functional-switch"
                             ? sampling::FuncDispatch::Switch
-                            : sampling::defaultFuncDispatch();
+                            : sampling::FuncDispatch::Superblock;
                     sampling::FunctionalEngine engine(prog, 0, fd);
                     auto t0 = Clock::now();
                     engine.run();

@@ -29,13 +29,8 @@
 #include <string>
 
 #include "bench/bench.hh"
-#include "driver/options.hh"
-#include "exp/cache.hh"
+#include "exp/cli.hh"
 #include "obs/manifest.hh"
-#include "obs/metrics.hh"
-#include "obs/obs.hh"
-#include "obs/telemetry.hh"
-#include "util/task_pool.hh"
 
 namespace {
 
@@ -77,120 +72,90 @@ main(int argc, char **argv)
     obs::manifestBegin("pbs_bench", argc, argv);
     bench::BenchConfig cfg;
     std::string out, baseline, writeBaseline;
-    std::string traceFile, metricsFile;
-    std::string manifestFile, telemetryFile;
-    uint64_t telemetryIntervalMs = 1000;
+    exp::ObsFlags obsFlags;
     std::string workloads, predictors, modes;
     double maxRegress = 0.20;
     bool list = false;
     bool divisorExplicit = false;
 
+    using exp::parseU64Arg;
+    using exp::parseUnsignedArg;
+    using exp::takeOptionValue;
     std::vector<std::string> args(argv + 1, argv + argc);
     for (size_t i = 0; i < args.size(); i++) {
-        std::string v;
+        std::string v, err;
         int r;
-        if (args[i] == "--quick") {
+        if ((r = obsFlags.take(args, i, err))) {
+            if (r < 0)
+                return usage(err.c_str());
+        } else if (args[i] == "--quick") {
             cfg.quick = true;
         } else if (args[i] == "--list") {
             list = true;
         } else if (args[i] == "--help" || args[i] == "-h") {
             return usage();
-        } else if ((r = driver::takeOptionValue(args, i, "--jobs", v))) {
-            if (r < 0 || !driver::parseUnsignedArg(v, cfg.jobs))
+        } else if ((r = takeOptionValue(args, i, "--jobs", v))) {
+            if (r < 0 || !parseUnsignedArg(v, cfg.jobs))
                 return usage("bad --jobs");
-        } else if ((r = driver::takeOptionValue(args, i, "--repeats",
-                                                v))) {
-            if (r < 0 || !driver::parseUnsignedArg(v, cfg.repeats))
+        } else if ((r = takeOptionValue(args, i, "--repeats", v))) {
+            if (r < 0 || !parseUnsignedArg(v, cfg.repeats))
                 return usage("bad --repeats");
-        } else if ((r = driver::takeOptionValue(args, i, "--div", v))) {
-            if (r < 0 || !driver::parseUnsignedArg(v, cfg.divisor))
+        } else if ((r = takeOptionValue(args, i, "--div", v))) {
+            if (r < 0 || !parseUnsignedArg(v, cfg.divisor))
                 return usage("bad --div");
             divisorExplicit = true;
-        } else if ((r = driver::takeOptionValue(args, i, "--seed", v))) {
+        } else if ((r = takeOptionValue(args, i, "--seed", v))) {
             uint64_t seed;
-            if (r < 0 || !driver::parseU64Arg(v, seed))
+            if (r < 0 || !parseU64Arg(v, seed))
                 return usage("bad --seed");
             cfg.seed = seed;
-        } else if ((r = driver::takeOptionValue(args, i, "--workloads",
-                                                v))) {
+        } else if ((r = takeOptionValue(args, i, "--workloads", v))) {
             if (r < 0)
                 return usage("bad --workloads");
             workloads = v;
-        } else if ((r = driver::takeOptionValue(args, i, "--predictors",
-                                                v))) {
+        } else if ((r = takeOptionValue(args, i, "--predictors", v))) {
             if (r < 0)
                 return usage("bad --predictors");
             predictors = v;
-        } else if ((r = driver::takeOptionValue(args, i, "--modes",
-                                                v)) ||
-                   (r = driver::takeOptionValue(args, i, "--mode", v))) {
+        } else if ((r = takeOptionValue(args, i, "--modes", v)) ||
+                   (r = takeOptionValue(args, i, "--mode", v))) {
             if (r < 0)
                 return usage("bad --modes");
             modes = v;
-        } else if ((r = driver::takeOptionValue(args, i,
-                                                "--sample-interval",
-                                                v))) {
-            if (r < 0 || !driver::parseU64Arg(v, cfg.sample.interval) ||
+        } else if ((r = takeOptionValue(args, i, "--sample-interval",
+                                        v))) {
+            if (r < 0 || !parseU64Arg(v, cfg.sample.interval) ||
                 cfg.sample.interval == 0) {
                 return usage("bad --sample-interval");
             }
-        } else if ((r = driver::takeOptionValue(args, i,
-                                                "--sample-warmup", v))) {
+        } else if ((r = takeOptionValue(args, i, "--sample-warmup",
+                                        v))) {
             // 0 is not a warmup length: an ExpPoint reads it as
             // "subsystem default".
-            if (r < 0 || !driver::parseU64Arg(v, cfg.sample.warmup) ||
+            if (r < 0 || !parseU64Arg(v, cfg.sample.warmup) ||
                 cfg.sample.warmup == 0) {
                 return usage("bad --sample-warmup");
             }
-        } else if ((r = driver::takeOptionValue(args, i,
-                                                "--sample-measure",
-                                                v))) {
-            if (r < 0 || !driver::parseU64Arg(v, cfg.sample.measure) ||
+        } else if ((r = takeOptionValue(args, i, "--sample-measure",
+                                        v))) {
+            if (r < 0 || !parseU64Arg(v, cfg.sample.measure) ||
                 cfg.sample.measure == 0) {
                 return usage("bad --sample-measure");
             }
-        } else if ((r = driver::takeOptionValue(args, i, "--out", v))) {
+        } else if ((r = takeOptionValue(args, i, "--out", v))) {
             if (r < 0)
                 return usage("bad --out");
             out = v;
-        } else if ((r = driver::takeOptionValue(args, i, "--trace",
-                                                v))) {
-            if (r < 0 || v.empty())
-                return usage("bad --trace (needs an output file)");
-            traceFile = v;
-        } else if ((r = driver::takeOptionValue(args, i, "--metrics",
-                                                v))) {
-            if (r < 0 || v.empty())
-                return usage("bad --metrics (needs an output file)");
-            metricsFile = v;
-        } else if ((r = driver::takeOptionValue(args, i, "--manifest",
-                                                v))) {
-            if (r < 0 || v.empty())
-                return usage("bad --manifest (needs an output file)");
-            manifestFile = v;
-        } else if ((r = driver::takeOptionValue(args, i, "--telemetry",
-                                                v))) {
-            if (r < 0 || v.empty())
-                return usage("bad --telemetry (needs an output file)");
-            telemetryFile = v;
-        } else if ((r = driver::takeOptionValue(args, i,
-                                                "--telemetry-interval",
-                                                v))) {
-            if (r < 0 || !driver::parseU64Arg(v, telemetryIntervalMs) ||
-                telemetryIntervalMs == 0)
-                return usage("bad --telemetry-interval (ms, >= 1)");
-        } else if ((r = driver::takeOptionValue(args, i, "--baseline",
-                                                v))) {
+        } else if ((r = takeOptionValue(args, i, "--baseline", v))) {
             if (r < 0)
                 return usage("bad --baseline");
             baseline = v;
-        } else if ((r = driver::takeOptionValue(args, i,
-                                                "--write-baseline", v))) {
+        } else if ((r = takeOptionValue(args, i, "--write-baseline",
+                                        v))) {
             if (r < 0)
                 return usage("bad --write-baseline");
             writeBaseline = v;
-        } else if ((r = driver::takeOptionValue(args, i, "--max-regress",
-                                                v))) {
+        } else if ((r = takeOptionValue(args, i, "--max-regress", v))) {
             char *end = nullptr;
             maxRegress = r > 0 ? std::strtod(v.c_str(), &end) : 0.0;
             if (r < 0 || !end || *end != '\0' || v.empty() ||
@@ -233,19 +198,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    obs::Options obsOpts;
-    obsOpts.trace = !traceFile.empty();
-    obsOpts.metrics = !metricsFile.empty();
-    if (obsOpts.trace || obsOpts.metrics)
-        obs::enable(obsOpts);
-    if (!manifestFile.empty())
-        obs::manifestEnable();
-    if (!telemetryFile.empty() &&
-        !obs::telemetryStart(telemetryFile, telemetryIntervalMs)) {
-        std::fprintf(stderr,
-                     "pbs_bench: warning: cannot write telemetry %s\n",
-                     telemetryFile.c_str());
-    }
+    obsFlags.start("pbs_bench");
 
     std::fprintf(stderr,
                  "pbs_bench: %zu points, div %u, %u job(s), %u repeat(s)\n",
@@ -253,17 +206,6 @@ main(int argc, char **argv)
                  std::max(1u, cfg.repeats));
 
     const auto results = bench::runBench(points, cfg);
-
-    pool::recordPoolMetrics();
-    obs::telemetryStop();
-    if (!traceFile.empty() && !obs::writeTrace(traceFile)) {
-        std::fprintf(stderr, "pbs_bench: warning: cannot write trace "
-                     "%s\n", traceFile.c_str());
-    }
-    if (!metricsFile.empty() && !obs::writeMetrics(metricsFile)) {
-        std::fprintf(stderr, "pbs_bench: warning: cannot write metrics "
-                     "%s\n", metricsFile.c_str());
-    }
 
     // Human-readable summary on stdout.
     std::printf("%-10s %-16s %-4s %-10s %14s %10s %10s\n", "workload",
@@ -280,35 +222,21 @@ main(int argc, char **argv)
     std::printf("geomean: %.2f MIPS\n", bench::geomeanMips(results));
 
     const std::string artifact = bench::benchJson(results, cfg);
-    if (!out.empty()) {
-        if (!writeFile(out, artifact)) {
+    bool written = true;
+    for (const std::string &path : {out, writeBaseline}) {
+        if (path.empty())
+            continue;
+        if (!writeFile(path, artifact)) {
             std::fprintf(stderr, "pbs_bench: cannot write %s\n",
-                         out.c_str());
-            return 1;
+                         path.c_str());
+            written = false;
+            continue;
         }
-        obs::manifestAddArtifact(out, artifact, "pbs-bench-v2");
+        obs::manifestAddArtifact(path, artifact, "pbs-bench-v2");
     }
-    if (!writeBaseline.empty()) {
-        if (!writeFile(writeBaseline, artifact)) {
-            std::fprintf(stderr, "pbs_bench: cannot write %s\n",
-                         writeBaseline.c_str());
-            return 1;
-        }
-        obs::manifestAddArtifact(writeBaseline, artifact,
-                                 "pbs-bench-v2");
-    }
-    if (!manifestFile.empty()) {
-        obs::manifestSetSalt(exp::versionSalt());
-        obs::manifestSetJobs(pool::TaskPool::instance().jobs());
-        obs::manifestSetPolicy(pool::TaskPool::instance().policy() ==
-                                       pool::Policy::Static
-                                   ? "static"
-                                   : "steal");
-        if (!obs::writeManifest(manifestFile))
-            std::fprintf(stderr,
-                         "pbs_bench: warning: cannot write manifest "
-                         "%s\n", manifestFile.c_str());
-    }
+    obsFlags.finish("pbs_bench");
+    if (!written)
+        return 1;
 
     if (!baseline.empty()) {
         std::ifstream is(baseline, std::ios::binary);

@@ -1,5 +1,6 @@
 #include "bpred/factory.hh"
 
+#include <cctype>
 #include <stdexcept>
 
 #include "bpred/loop.hh"
@@ -36,6 +37,41 @@ makePredictor(const std::string &name)
     if (name == "perfect")
         return std::make_unique<PerfectPredictor>();
     throw std::invalid_argument("unknown predictor: " + name);
+}
+
+const std::vector<std::string> &
+predictorNames()
+{
+    static const std::vector<std::string> names = {
+        "bimodal", "gshare", "local", "loop", "tournament", "tage",
+        "tage-sc-l", "always-taken", "always-not-taken", "random",
+        "perfect",
+    };
+    return names;
+}
+
+std::string
+canonicalPredictor(const std::string &name)
+{
+    std::string n;
+    n.reserve(name.size());
+    for (char c : name)
+        n.push_back(c == '_' ? '-' : char(std::tolower(
+                        static_cast<unsigned char>(c))));
+    // Aliases for the TAGE-SC-L spelling.
+    if (n == "tage-scl" || n == "tagescl")
+        n = "tage-sc-l";
+    if (n == "tour")
+        n = "tournament";
+    if (n == "taken")
+        n = "always-taken";
+    if (n == "not-taken")
+        n = "always-not-taken";
+    for (const auto &known : predictorNames()) {
+        if (n == known)
+            return known;
+    }
+    return "";
 }
 
 }  // namespace pbs::bpred

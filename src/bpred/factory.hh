@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bpred/predictor.hh"
 
@@ -23,6 +24,16 @@ namespace pbs::bpred {
  * @throws std::invalid_argument for unknown names.
  */
 std::unique_ptr<BranchPredictor> makePredictor(const std::string &name);
+
+/** All predictor names makePredictor accepts, in zoo order. */
+const std::vector<std::string> &predictorNames();
+
+/**
+ * Canonicalize a predictor name: lower-cased, '_' -> '-', and common
+ * aliases resolved (e.g. "tage_scl" and "tage-scl" -> "tage-sc-l").
+ * @return the canonical name, or the empty string when unknown.
+ */
+std::string canonicalPredictor(const std::string &name);
 
 }  // namespace pbs::bpred
 

@@ -2,6 +2,10 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <span>
+
+#include "stats/stats.hh"
+#include "stats/table.hh"
 
 namespace pbs::exp {
 
@@ -24,6 +28,123 @@ writeEntry(JsonWriter &w, const ExpPoint &pt, const Measurement &m)
         w.endObject();
     }
     w.endObject();
+}
+
+/** The `pbs` spec-axis value a point was expanded from. */
+const char *
+pbsSetting(const ExpPoint &pt)
+{
+    if (!pt.pbs)
+        return "off";
+    if (!pt.stallOnBusy)
+        return "no-stall";
+    if (!pt.contextSupport)
+        return "no-context";
+    if (!pt.constValGuard)
+        return "no-guard";
+    return "on";
+}
+
+/** The title line of one configuration's table in sweepTable(). */
+std::string
+configTitle(const ExpPoint &pt)
+{
+    std::string t = pt.workload + ", " + pt.predictor + ", pbs " +
+                    pbsSetting(pt) + ", " +
+                    (pt.functional ? "mpki" : pt.mode) + ", " +
+                    pt.variant + (pt.wide ? ", 8-wide" : ", 4-wide") +
+                    ", scale " + std::to_string(pt.scale);
+    if (pt.mode == "sampled") {
+        // The effective parameters, defaults resolved.
+        const cpu::SampleParams sp = pointCoreConfig(pt).sample;
+        t += ", sample " + std::to_string(sp.interval) + "/" +
+             std::to_string(sp.warmup) + "/" + std::to_string(sp.measure);
+    }
+    return t;
+}
+
+/** Whether @p a and @p b differ at most in their seed. */
+bool
+sameConfig(ExpPoint a, const ExpPoint &b)
+{
+    a.seed = b.seed;
+    return a == b;
+}
+
+std::string
+output0(const Measurement &m)
+{
+    return m.outputs.empty() ? "-" : stats::TextTable::num(m.outputs[0], 5);
+}
+
+/** One configuration's seeds: rows plus the across-seed line. */
+std::string
+seedTable(std::span<const ExpPoint> seeds, Engine &engine)
+{
+    stats::TextTable table;
+    stats::RunningStat ipc, mpki, steered;
+    const bool sampled = engine.measure(seeds.front()).hasSampling;
+    if (sampled) {
+        table.header({"seed", "instructions", "samples", "detail%", "ipc",
+                      "+/-95%", "mpki", "+/-95%", "output[0]"});
+    } else {
+        table.header({"seed", "instructions", "cycles", "ipc", "mpki",
+                      "prob-branches", "steered", "output[0]"});
+    }
+    for (const ExpPoint &pt : seeds) {
+        const Measurement &m = engine.measure(pt);
+        const cpu::CoreStats &s = m.stats;
+        if (sampled) {
+            const sampling::SampleEstimate &e = m.sampling;
+            const double detailPct = s.instructions
+                ? 100.0 * double(e.detailedInstructions) /
+                      double(s.instructions)
+                : 0.0;
+            ipc.push(e.ipc);
+            mpki.push(e.mpki);
+            table.row({std::to_string(pt.seed),
+                       std::to_string(s.instructions),
+                       e.exact ? "exact" : std::to_string(e.intervals),
+                       stats::TextTable::num(detailPct, 1),
+                       stats::TextTable::num(e.ipc, 3),
+                       stats::TextTable::num(e.ipcCi95, 3),
+                       stats::TextTable::num(e.mpki, 2),
+                       stats::TextTable::num(e.mpkiCi95, 2), output0(m)});
+            continue;
+        }
+        const double steeredFrac = s.probBranches
+            ? double(s.steeredBranches) / double(s.probBranches) : 0.0;
+        ipc.push(s.ipc());
+        mpki.push(s.mpki());
+        steered.push(steeredFrac);
+        table.row({std::to_string(pt.seed), std::to_string(s.instructions),
+                   std::to_string(s.cycles),
+                   stats::TextTable::num(s.ipc(), 3),
+                   stats::TextTable::num(s.mpki(), 2),
+                   std::to_string(s.probBranches),
+                   stats::TextTable::pct(steeredFrac), output0(m)});
+    }
+
+    std::string out = table.render();
+    if (seeds.size() > 1) {
+        char buf[160];
+        if (sampled) {
+            std::snprintf(buf, sizeof(buf),
+                          "\n%zu seeds: ipc %.3f +/- %.3f, mpki %.2f +/- "
+                          "%.2f (across-seed 95%% CI)\n",
+                          seeds.size(), ipc.mean(), ipc.ci95HalfWidth(),
+                          mpki.mean(), mpki.ci95HalfWidth());
+        } else {
+            std::snprintf(buf, sizeof(buf),
+                          "\n%zu seeds: ipc %.3f +/- %.3f, mpki %.2f +/- "
+                          "%.2f, steered %.1f%%\n",
+                          seeds.size(), ipc.mean(), ipc.ci95HalfWidth(),
+                          mpki.mean(), mpki.ci95HalfWidth(),
+                          steered.mean() * 100.0);
+        }
+        out += buf;
+    }
+    return out;
 }
 
 }  // namespace
@@ -112,6 +233,24 @@ sweepCsv(const std::vector<ExpPoint> &points, Engine &engine)
         } else {
             out += ",,,\n";
         }
+    }
+    return out;
+}
+
+std::string
+sweepTable(const std::vector<ExpPoint> &points, Engine &engine)
+{
+    std::string out;
+    for (size_t begin = 0; begin < points.size();) {
+        size_t end = begin + 1;
+        while (end < points.size() && sameConfig(points[end], points[begin]))
+            end++;
+        if (begin > 0)
+            out += '\n';
+        out += configTitle(points[begin]) + '\n';
+        out += seedTable(std::span(points).subspan(begin, end - begin),
+                         engine);
+        begin = end;
     }
     return out;
 }

@@ -1,13 +1,13 @@
 /**
  * @file
- * Artifact export: canonical JSON and CSV renderings of sweep results
- * and the volatile run summary.
+ * Artifact export: canonical JSON and CSV renderings of sweep results,
+ * the human-readable sweep table, and the volatile run summary.
  *
  * Artifacts contain only deterministic simulation data — never wall
  * times or cache counters — so the same sweep produces byte-identical
  * files for any jobs count and for cold vs warm caches. Volatile run
  * information (hit/computed counters, elapsed time) lives in the
- * separate run summary that `pbs_exp` prints to stdout.
+ * separate run summary that `pbs_exp` prints beside them.
  */
 
 #ifndef PBS_EXP_ARTIFACT_HH
@@ -32,6 +32,19 @@ std::string sweepJson(const std::vector<ExpPoint> &points,
 
 /** CSV artifact: one header row + one row per point. */
 std::string sweepCsv(const std::vector<ExpPoint> &points, Engine &engine);
+
+/**
+ * Human-readable table of a sweep, the stdout of a `pbs_exp` sweep that
+ * writes no artifact file. Consecutive points that differ only in their
+ * seed form one configuration: a title line, one row per seed (seed,
+ * instructions, cycles, ipc, mpki, prob-branches, steered, output[0];
+ * sampled points show samples, detail%, and ipc/mpki with their 95%
+ * CIs instead of cycles and the branch counts), and, for a
+ * configuration run over more than one seed, the across-seed mean and
+ * 95% CI of ipc and mpki.
+ */
+std::string sweepTable(const std::vector<ExpPoint> &points,
+                       Engine &engine);
 
 /** Volatile run summary (counters, timings) for stdout/CI. */
 std::string runSummaryJson(const EngineCounters &counters,

@@ -59,8 +59,8 @@ std::string cacheKey(const ExpPoint &pt);
  * The cache key of one per-interval partial: the *normalized* point
  * (effective sampling parameters), the interval index, and the current
  * salt. Normalization lets a default-parameter sweep and an explicit
- * equal-parameter sweep (or a `pbs_sim --shard` run merged through the
- * cache) share partials.
+ * equal-parameter sweep (or a `pbs_exp --campaign --shard` run) share
+ * partials.
  */
 std::string partialKey(const ExpPoint &pt, uint64_t index);
 

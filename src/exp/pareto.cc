@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "driver/options.hh"
 #include "exp/engine.hh"
 #include "exp/point.hh"
 #include "stats/table.hh"

@@ -9,32 +9,34 @@
  *   pbs_exp --gc
  *
  * Sweep results are content-address-cached under .pbs-cache/ (see
- * --cache-dir / --no-cache); artifacts are deterministic; a volatile
- * run summary (cache counters, elapsed time) is printed to stdout
- * (stderr in --report mode).
+ * --cache-dir / --no-cache); artifacts are deterministic. One output
+ * rule: when no file holds the results, stdout carries them. A sweep
+ * writing --out/--csv, or a --shard run, prints its volatile run
+ * summary (cache counters, elapsed time) to stdout; a sweep without
+ * either file prints the per-point table to stdout and the summary to
+ * stderr, as --report does.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "driver/options.hh"
+#include "bpred/factory.hh"
 #include "driver/reports.hh"
 #include "exp/artifact.hh"
 #include "exp/cache.hh"
+#include "exp/cli.hh"
 #include "exp/engine.hh"
 #include "exp/pareto.hh"
 #include "exp/spec.hh"
 #include "obs/manifest.hh"
-#include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "obs/sink.hh"
 #include "obs/telemetry.hh"
-#include "util/task_pool.hh"
 
 namespace {
 
@@ -69,11 +71,7 @@ struct ExpCliOptions
     unsigned repeats = 1;                 ///< --pareto timing repeats
     bool repeatsSet = false;              ///< --repeats given
 
-    std::string traceFile;                ///< pbs-trace-v1 output
-    std::string metricsFile;              ///< pbs-metrics-v1 output
-    std::string manifestFile;             ///< pbs-run-v1 output
-    std::string telemetryFile;            ///< pbs-timeseries-v1 output
-    uint64_t telemetryIntervalMs = 1000;  ///< sampler tick period
+    exp::ObsFlags obsFlags;               ///< --trace, --metrics, ...
     bool progress = false;                ///< heartbeat done/total + ETA
     bool logTimestamps = false;           ///< timestamp every sink line
 };
@@ -111,6 +109,8 @@ const char *kUsage =
     "  --jobs <n>           worker threads (default 1)\n"
     "  --out <file>         write the JSON artifact\n"
     "  --csv <file>         write the CSV artifact\n"
+    "                       (with neither, stdout carries a per-point\n"
+    "                       table and the run summary goes to stderr)\n"
     "  --cache-dir <dir>    result cache location (default .pbs-cache)\n"
     "  --no-cache           disable the result cache\n"
     "  --campaign           group sampled points by checkpoint set:\n"
@@ -236,7 +236,7 @@ parseCli(int argc, char **argv, ExpCliOptions &o)
     size_t i = 0;
     std::string v;
     auto takeValue = [&](const std::string &, const char *key) {
-        return driver::takeOptionValue(args, i, key, v);
+        return exp::takeOptionValue(args, i, key, v);
     };
 
     // Axis flags map straight onto spec keys.
@@ -262,6 +262,12 @@ parseCli(int argc, char **argv, ExpCliOptions &o)
     for (i = 0; i < args.size(); i++) {
         const std::string &arg = args[i];
         int m;
+        std::string err;
+        if ((m = o.obsFlags.take(args, i, err)) != 0) {
+            if (m < 0)
+                return fail(err);
+            continue;
+        }
         if (arg == "--help" || arg == "-h") {
             o.help = true;
             continue;
@@ -279,7 +285,7 @@ parseCli(int argc, char **argv, ExpCliOptions &o)
             continue;
         }
         if ((m = takeValue(arg, "--repeats")) != 0) {
-            if (m < 0 || !driver::parseUnsignedArg(v, o.repeats) ||
+            if (m < 0 || !exp::parseUnsignedArg(v, o.repeats) ||
                 o.repeats == 0)
                 return fail("bad --repeats value");
             o.repeatsSet = true;
@@ -303,8 +309,8 @@ parseCli(int argc, char **argv, ExpCliOptions &o)
             const size_t slash = v.find('/');
             uint64_t k = 0, n = 0;
             if (slash == std::string::npos ||
-                !driver::parseU64Arg(v.substr(0, slash), k) ||
-                !driver::parseU64Arg(v.substr(slash + 1), n)) {
+                !exp::parseU64Arg(v.substr(0, slash), k) ||
+                !exp::parseU64Arg(v.substr(slash + 1), n)) {
                 return fail("--shard value must be K/N (e.g. 1/2): " +
                             v);
             }
@@ -319,7 +325,7 @@ parseCli(int argc, char **argv, ExpCliOptions &o)
         if ((m = takeValue(arg, "--grace")) != 0) {
             if (m < 0)
                 return fail(arg + " needs a value");
-            if (!driver::parseU64Arg(v, o.gcGrace))
+            if (!exp::parseU64Arg(v, o.gcGrace))
                 return fail("bad --grace value: " + v);
             o.gcGraceSet = true;
             continue;
@@ -334,36 +340,6 @@ parseCli(int argc, char **argv, ExpCliOptions &o)
         }
         if (arg == "--log-timestamps") {
             o.logTimestamps = true;
-            continue;
-        }
-        if ((m = takeValue(arg, "--trace")) != 0) {
-            if (m < 0 || v.empty())
-                return fail("--trace needs an output file");
-            o.traceFile = v;
-            continue;
-        }
-        if ((m = takeValue(arg, "--metrics")) != 0) {
-            if (m < 0 || v.empty())
-                return fail("--metrics needs an output file");
-            o.metricsFile = v;
-            continue;
-        }
-        if ((m = takeValue(arg, "--manifest")) != 0) {
-            if (m < 0 || v.empty())
-                return fail("--manifest needs an output file");
-            o.manifestFile = v;
-            continue;
-        }
-        if ((m = takeValue(arg, "--telemetry")) != 0) {
-            if (m < 0 || v.empty())
-                return fail("--telemetry needs an output file");
-            o.telemetryFile = v;
-            continue;
-        }
-        if ((m = takeValue(arg, "--telemetry-interval")) != 0) {
-            if (m < 0 || !driver::parseU64Arg(v, o.telemetryIntervalMs) ||
-                o.telemetryIntervalMs == 0)
-                return fail("bad --telemetry-interval value (ms, >= 1)");
             continue;
         }
         if ((m = takeValue(arg, "--spec")) != 0) {
@@ -400,14 +376,14 @@ parseCli(int argc, char **argv, ExpCliOptions &o)
         if ((m = takeValue(arg, "--jobs")) != 0) {
             if (m < 0)
                 return fail(arg + " needs a value");
-            if (!driver::parseUnsignedArg(v, o.jobs) || o.jobs == 0)
+            if (!exp::parseUnsignedArg(v, o.jobs) || o.jobs == 0)
                 return fail("bad --jobs value: " + v);
             continue;
         }
         if ((m = takeValue(arg, "--div")) != 0) {
             if (m < 0)
                 return fail(arg + " needs a value");
-            if (!driver::parseUnsignedArg(v, o.divisor) ||
+            if (!exp::parseUnsignedArg(v, o.divisor) ||
                 o.divisor == 0) {
                 return fail("bad --div value: " + v);
             }
@@ -441,9 +417,11 @@ printLists()
 {
     std::printf("workloads:\n");
     for (const auto &b : workloads::allBenchmarks())
-        std::printf("  %s\n", b.name.c_str());
+        std::printf("  %-12s (category %d, %u prob. branch%s)\n",
+                    b.name.c_str(), b.category, b.numProbBranches,
+                    b.numProbBranches == 1 ? "" : "es");
     std::printf("predictors:\n");
-    for (const auto &p : driver::predictorNames())
+    for (const auto &p : bpred::predictorNames())
         std::printf("  %s\n", p.c_str());
     std::printf("reports:\n");
     for (const auto &r : driver::allReports())
@@ -454,38 +432,55 @@ printLists()
 }
 
 /**
- * Write the requested observability artifacts, folding the engine's
- * counters into the metrics registry first (when one exists).
+ * Reject axis values the sweep would silently ignore (exit 2, naming
+ * the flag, or the spec key when the spec file set it): sample-* keys
+ * on a grid with no sampled mode, and PBS on a functional-only grid
+ * (the functional engine executes with PBS-off semantics).
  */
+int
+rejectIgnoredAxes(const exp::SweepSpec &spec, const ExpCliOptions &o)
+{
+    auto name = [&](const std::string &key) {
+        for (const auto &kv : o.axes) {
+            if (kv.first == key)
+                return "--" + key;
+        }
+        return o.specFile + ": " + key;
+    };
+    const auto &modes = spec.modes;
+    if (std::find(modes.begin(), modes.end(), "sampled") == modes.end()) {
+        const std::pair<const char *, bool> sampleKeys[] = {
+            {"sample-interval", spec.sampleInterval != 0},
+            {"sample-warmup", spec.sampleWarmup != 0},
+            {"sample-measure", spec.sampleMeasure != 0},
+            {"sample-grid", !spec.sampleGrid.empty()},
+        };
+        for (const auto &[key, set] : sampleKeys) {
+            if (set)
+                return fail(name(key) + " applies only to sampled "
+                            "points (the grid has no sampled mode)");
+        }
+    }
+    const bool functionalOnly =
+        std::all_of(modes.begin(), modes.end(),
+                    [](const std::string &m) { return m == "functional"; });
+    for (const auto &pbs : spec.pbsModes) {
+        if (functionalOnly && pbs != "off")
+            return fail(name("pbs") + ": '" + pbs + "' has no effect in "
+                        "functional mode (architectural execution, "
+                        "PBS-off semantics); use mpki, detailed or "
+                        "sampled");
+    }
+    return 0;
+}
+
+/** Write the observability artifacts, with the engine's counters. */
 void
-writeObsArtifacts(const ExpCliOptions &o, const exp::Engine *engine)
+finishObs(const ExpCliOptions &o, const exp::Engine *engine)
 {
     if (engine)
         exp::recordEngineMetrics(engine->counters());
-    pool::recordPoolMetrics();
-    // The sampler's final sample must be registered before the
-    // manifest hashes the artifact list, so stop it first.
-    obs::telemetryStop();
-    if (!o.traceFile.empty() && !obs::writeTrace(o.traceFile))
-        std::fprintf(stderr, "pbs_exp: warning: cannot write trace %s\n",
-                     o.traceFile.c_str());
-    if (!o.metricsFile.empty() && !obs::writeMetrics(o.metricsFile)) {
-        std::fprintf(stderr,
-                     "pbs_exp: warning: cannot write metrics %s\n",
-                     o.metricsFile.c_str());
-    }
-    if (!o.manifestFile.empty()) {
-        obs::manifestSetSalt(exp::versionSalt());
-        obs::manifestSetJobs(pool::TaskPool::instance().jobs());
-        obs::manifestSetPolicy(pool::TaskPool::instance().policy() ==
-                                       pool::Policy::Static
-                                   ? "static"
-                                   : "steal");
-        if (!obs::writeManifest(o.manifestFile))
-            std::fprintf(stderr,
-                         "pbs_exp: warning: cannot write manifest %s\n",
-                         o.manifestFile.c_str());
-    }
+    o.obsFlags.finish("pbs_exp");
 }
 
 }  // namespace
@@ -509,21 +504,9 @@ main(int argc, char **argv)
 
     const std::string cacheDir = o.noCache ? "" : o.cacheDir;
 
-    obs::Options obsOpts;
-    obsOpts.trace = !o.traceFile.empty();
-    obsOpts.metrics = !o.metricsFile.empty();
-    if (obsOpts.trace || obsOpts.metrics)
-        obs::enable(obsOpts);
-    if (!o.manifestFile.empty())
-        obs::manifestEnable();
+    o.obsFlags.start("pbs_exp");
     if (o.logTimestamps)
         obs::setSinkTimestamps(true);
-    if (!o.telemetryFile.empty() &&
-        !obs::telemetryStart(o.telemetryFile, o.telemetryIntervalMs)) {
-        std::fprintf(stderr,
-                     "pbs_exp: warning: cannot write telemetry %s\n",
-                     o.telemetryFile.c_str());
-    }
 
     if (o.gc) {
         if (!o.specFile.empty() || !o.axes.empty() || !o.out.empty() ||
@@ -569,7 +552,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "%s",
                          exp::runSummaryJson(engine.counters(), 0, 0,
                                              "", "").c_str());
-            writeObsArtifacts(o, &engine);
+            finishObs(o, &engine);
             return rc;
         }
 
@@ -604,10 +587,12 @@ main(int argc, char **argv)
             if (!o.csv.empty() &&
                 !writeFileOrComplain(o.csv, exp::paretoCsv(rows)))
                 return 1;
-            writeObsArtifacts(o, nullptr);
+            finishObs(o, nullptr);
             return 0;
         }
 
+        if (int rc = rejectIgnoredAxes(spec, o))
+            return rc;
         auto expanded = exp::expandSpec(spec);
         if (!expanded.ok)
             return fail(expanded.error);
@@ -622,8 +607,15 @@ main(int argc, char **argv)
                 std::chrono::steady_clock::now() - t0)
                 .count();
 
+        // No file holds the results: stdout carries the table.
+        const bool tableOut =
+            o.out.empty() && o.csv.empty() && o.shardCount == 0;
         {
             obs::Span span("artifact");
+            if (tableOut) {
+                std::printf("%s", exp::sweepTable(expanded.points, engine)
+                                      .c_str());
+            }
             if (!o.out.empty()) {
                 auto text = exp::sweepJson(expanded.points, engine,
                                            exp::specJson(spec));
@@ -637,13 +629,12 @@ main(int argc, char **argv)
             }
         }
 
-        std::printf("%s",
-                    exp::runSummaryJson(engine.counters(),
-                                        expanded.points.size(),
-                                        uint64_t(elapsed), o.out,
-                                        o.csv)
-                        .c_str());
-        writeObsArtifacts(o, &engine);
+        std::fprintf(tableOut ? stderr : stdout, "%s",
+                     exp::runSummaryJson(engine.counters(),
+                                         expanded.points.size(),
+                                         uint64_t(elapsed), o.out, o.csv)
+                         .c_str());
+        finishObs(o, &engine);
         return 0;
     } catch (const std::exception &e) {
         // Join the sampler before static destruction tears down its

@@ -24,16 +24,6 @@ variantFromName(const std::string &name)
     return workloads::Variant::Marked;
 }
 
-const char *
-variantName(workloads::Variant v)
-{
-    switch (v) {
-      case workloads::Variant::Predicated: return "predicated";
-      case workloads::Variant::Cfd: return "cfd";
-      default: return "marked";
-    }
-}
-
 cpu::ExecMode
 execModeFromName(const std::string &name)
 {

@@ -150,7 +150,6 @@ std::string storeSetHash(const StoreKey &key);
 
 /** Variant enum from its canonical spelling ("marked" on unknown). */
 workloads::Variant variantFromName(const std::string &name);
-const char *variantName(workloads::Variant v);
 
 /**
  * ExecMode from its canonical spelling.

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
-#include "driver/options.hh"
+#include "bpred/factory.hh"
+#include "exp/cli.hh"
 
 namespace pbs::exp {
 
@@ -36,20 +35,6 @@ splitList(const std::string &s)
             out.push_back(cur);
     }
     return out;
-}
-
-bool
-parseU64Value(const std::string &s, uint64_t &out)
-{
-    if (s.empty() || s[0] == '-' || s[0] == '+')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-    if (errno == ERANGE || end == nullptr || *end != '\0')
-        return false;
-    out = v;
-    return true;
 }
 
 const char *kPbsModes[] = {"off", "on", "no-stall", "no-context",
@@ -111,21 +96,21 @@ applySpecKey(SweepSpec &spec, const std::string &rawKey,
     }
     if (key == "sample-interval") {
         uint64_t n;
-        if (list.size() != 1 || !parseU64Value(list[0], n) || n == 0)
+        if (list.size() != 1 || !parseU64Arg(list[0], n) || n == 0)
             return "bad sample-interval '" + values + "'";
         spec.sampleInterval = n;
         return "";
     }
     if (key == "sample-warmup") {
         uint64_t n;
-        if (list.size() != 1 || !parseU64Value(list[0], n))
+        if (list.size() != 1 || !parseU64Arg(list[0], n))
             return "bad sample-warmup '" + values + "'";
         spec.sampleWarmup = n;
         return "";
     }
     if (key == "sample-measure") {
         uint64_t n;
-        if (list.size() != 1 || !parseU64Value(list[0], n) || n == 0)
+        if (list.size() != 1 || !parseU64Arg(list[0], n) || n == 0)
             return "bad sample-measure '" + values + "'";
         spec.sampleMeasure = n;
         return "";
@@ -137,10 +122,10 @@ applySpecKey(SweepSpec &spec, const std::string &rawKey,
             size_t a = v.find('/');
             size_t b = a == std::string::npos ? a : v.find('/', a + 1);
             if (b == std::string::npos ||
-                !parseU64Value(trim(v.substr(0, a)), t.interval) ||
-                !parseU64Value(trim(v.substr(a + 1, b - a - 1)),
+                !parseU64Arg(trim(v.substr(0, a)), t.interval) ||
+                !parseU64Arg(trim(v.substr(a + 1, b - a - 1)),
                                t.warmup) ||
-                !parseU64Value(trim(v.substr(b + 1)), t.measure)) {
+                !parseU64Arg(trim(v.substr(b + 1)), t.measure)) {
                 return "bad sample-grid triple '" + v +
                        "' (expected interval/warmup/measure)";
             }
@@ -171,7 +156,7 @@ applySpecKey(SweepSpec &spec, const std::string &rawKey,
         spec.scales.clear();
         for (const auto &v : list) {
             uint64_t s;
-            if (!parseU64Value(v, s) || s == 0)
+            if (!parseU64Arg(v, s) || s == 0)
                 return "bad scale '" + v + "'";
             spec.scales.push_back(s);
         }
@@ -179,7 +164,7 @@ applySpecKey(SweepSpec &spec, const std::string &rawKey,
     }
     if (key == "div") {
         uint64_t d;
-        if (list.size() != 1 || !parseU64Value(list[0], d) || d == 0 ||
+        if (list.size() != 1 || !parseU64Arg(list[0], d) || d == 0 ||
             d > 0xffffffffull) {
             return "bad div '" + values + "'";
         }
@@ -188,14 +173,14 @@ applySpecKey(SweepSpec &spec, const std::string &rawKey,
     }
     if (key == "seed") {
         uint64_t s;
-        if (list.size() != 1 || !parseU64Value(list[0], s))
+        if (list.size() != 1 || !parseU64Arg(list[0], s))
             return "bad seed '" + values + "'";
         spec.seed = s;
         return "";
     }
     if (key == "seeds") {
         uint64_t n;
-        if (list.size() != 1 || !parseU64Value(list[0], n) || n == 0 ||
+        if (list.size() != 1 || !parseU64Arg(list[0], n) || n == 0 ||
             n > 0xffffffffull) {
             return "bad seeds '" + values + "'";
         }
@@ -281,7 +266,7 @@ expandSpec(const SweepSpec &spec)
 
     std::vector<std::string> predictors;
     for (const auto &p : spec.predictors) {
-        std::string canon = driver::canonicalPredictor(p);
+        std::string canon = bpred::canonicalPredictor(p);
         if (canon.empty()) {
             r.error = "unknown predictor: " + p;
             return r;

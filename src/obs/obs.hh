@@ -13,8 +13,8 @@
  *    never per instruction.
  *
  *  - **Observability reads the run, never perturbs it.** Nothing in
- *    this module feeds back into simulation, artifacts, cache keys,
- *    or batch documents: wall time stays on the side, in the separate
+ *    this module feeds back into simulation, artifacts or cache keys:
+ *    wall time stays on the side, in the separate
  *    `pbs-trace-v1` / `pbs-metrics-v1` files. Artifacts are
  *    byte-identical with tracing on and off (tests/obs_test.cc pins
  *    this).

@@ -1,30 +1,10 @@
 #include "sampling/functional.hh"
 
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 
 #include "cpu/execute.hh"
 
 namespace pbs::sampling {
-
-FuncDispatch
-defaultFuncDispatch()
-{
-    // Mirrors PBS_TASK_POOL=static: an env escape hatch back to the
-    // reference implementation, re-read on every construction so tests
-    // can flip it without relinking.
-    const char *env = std::getenv("PBS_FUNC_DISPATCH");
-    if (!env)
-        return FuncDispatch::Superblock;
-    const std::string v = env;
-    if (v == "superblock")
-        return FuncDispatch::Superblock;
-    if (v == "switch")
-        return FuncDispatch::Switch;
-    throw std::invalid_argument("PBS_FUNC_DISPATCH: unknown value '" + v +
-                                "' (expected superblock or switch)");
-}
 
 const char *
 funcDispatchName(FuncDispatch d)

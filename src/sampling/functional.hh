@@ -23,9 +23,9 @@
  * single-stepping cpu::execute's opcode switch whenever the PC is not
  * a block leader or a whole block would overshoot the step budget, so
  * step(n) still stops at exact instruction counts. The switch is kept
- * as an always-available escape hatch / differential oracle
- * (`PBS_FUNC_DISPATCH=switch`, tests/dispatch_equiv_test.cc), and is
- * the only dispatch of builds without computed goto.
+ * as the differential oracle (tests/dispatch_equiv_test.cc, selected
+ * with FuncDispatch::Switch) and is the only dispatch of builds
+ * without computed goto.
  *
  * This is the engine behind `--mode functional` and the fast-forward
  * phase of `--mode sampled` (src/sampling/sampled.hh).
@@ -54,15 +54,6 @@ enum class FuncDispatch : uint8_t {
     Switch,      ///< reference per-instruction opcode switch
 };
 
-/**
- * Dispatch mode selected by the `PBS_FUNC_DISPATCH` environment
- * variable: "superblock" or unset selects Superblock, "switch" selects
- * Switch. Read on every call so tests can flip it between engine
- * constructions.
- * @throws std::invalid_argument naming any other value.
- */
-FuncDispatch defaultFuncDispatch();
-
 /** Stable name of @p d ("superblock", "switch"). */
 const char *funcDispatchName(FuncDispatch d);
 
@@ -81,12 +72,12 @@ class FunctionalEngine
      * segments written, PC at the entry point).
      * @param maxInstructions stop run() after this many instructions
      *        (0 = unlimited); step() is never limited.
-     * @param dispatch execution strategy; the default consults
-     *        `PBS_FUNC_DISPATCH` (see defaultFuncDispatch()).
+     * @param dispatch execution strategy (builds without computed
+     *        goto run Switch whatever is asked).
      */
-    explicit FunctionalEngine(const isa::Program &prog,
-                              uint64_t maxInstructions = 0,
-                              FuncDispatch dispatch = defaultFuncDispatch());
+    explicit FunctionalEngine(
+        const isa::Program &prog, uint64_t maxInstructions = 0,
+        FuncDispatch dispatch = FuncDispatch::Superblock);
 
     /** Run until HALT (or the instruction limit). */
     void run();

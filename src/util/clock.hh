@@ -4,9 +4,8 @@
  * (the observability tracer, the bench harness, the experiment
  * engine's elapsed counter). One nanosecond-resolution monotonic
  * source keeps timing code uniform — and keeps wall time out of
- * everything content-hashed: artifacts, cache keys, and batch
- * documents embed only simulation counters, never values derived from
- * this clock. Observability reads the run; it never perturbs it.
+ * everything content-hashed: artifacts and cache keys embed only
+ * simulation counters, never values derived from this clock. Observability reads the run; it never perturbs it.
  */
 
 #ifndef PBS_UTIL_CLOCK_HH

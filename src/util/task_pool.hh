@@ -1,12 +1,11 @@
 /**
  * @file
  * The process-wide work-stealing fork-join scheduler behind every
- * fan-out site: sweep/campaign points and `pbs_sim` seed batches
- * (`exp::Engine`), per-interval sampled-simulation tasks
- * (`sampling::measureIntervals`) and bench points (`bench::runBench`)
- * all become tasks in one shared pool, so a sweep whose tail is one
- * huge sampled point decomposes into interval tasks that fill
- * otherwise-idle workers.
+ * fan-out site: sweep/campaign points (`exp::Engine`), per-interval
+ * sampled-simulation tasks (`sampling::measureIntervals`) and bench
+ * points (`bench::runBench`) all become tasks in one shared pool, so a
+ * sweep whose tail is one huge sampled point decomposes into interval
+ * tasks that fill otherwise-idle workers.
  *
  * Design rules:
  *

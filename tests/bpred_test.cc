@@ -217,15 +217,28 @@ TEST(PredictorsTest, RandomBranchesNearFiftyPercent)
 
 TEST(FactoryTest, AllNamesConstruct)
 {
-    for (const char *name :
-         {"bimodal", "gshare", "local", "loop", "tournament", "tage",
-          "tage-sc-l", "always-taken", "always-not-taken", "random",
-          "perfect"}) {
+    for (const std::string &name : predictorNames()) {
         auto pred = makePredictor(name);
         ASSERT_NE(pred, nullptr) << name;
         EXPECT_EQ(pred->name(), name);
+        EXPECT_EQ(canonicalPredictor(name), name);
     }
+    EXPECT_EQ(predictorNames().size(), 11u);
     EXPECT_THROW(makePredictor("nonsense"), std::invalid_argument);
+}
+
+TEST(FactoryTest, CanonicalPredictorAliases)
+{
+    EXPECT_EQ(canonicalPredictor("tage_scl"), "tage-sc-l");
+    EXPECT_EQ(canonicalPredictor("TAGE-SC-L"), "tage-sc-l");
+    EXPECT_EQ(canonicalPredictor("tagescl"), "tage-sc-l");
+    EXPECT_EQ(canonicalPredictor("tage-scl"), "tage-sc-l");
+    EXPECT_EQ(canonicalPredictor("tournament"), "tournament");
+    EXPECT_EQ(canonicalPredictor("tour"), "tournament");
+    EXPECT_EQ(canonicalPredictor("taken"), "always-taken");
+    EXPECT_EQ(canonicalPredictor("not_taken"), "always-not-taken");
+    EXPECT_EQ(canonicalPredictor("bimodal"), "bimodal");
+    EXPECT_EQ(canonicalPredictor("nonesuch"), "");
 }
 
 TEST(FactoryTest, PerfectFlag)

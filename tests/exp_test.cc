@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "driver/reports.hh"
-#include "driver/runner.hh"
 #include "exp/artifact.hh"
 #include "exp/cache.hh"
 #include "exp/engine.hh"
@@ -461,33 +460,69 @@ TEST_F(ExpCacheTest, ReportRendersIdenticallyColdAndWarm)
     EXPECT_EQ(cold, warm);
 }
 
-// --- batch JSON ------------------------------------------------------
+// --- sweep table -----------------------------------------------------
 
-TEST(ExpArtifact, BatchJsonCarriesConfigAndPerSeedMetrics)
+TEST(ExpArtifact, SweepTableRowsPerPointAndAcrossSeedLines)
 {
-    auto parsed = driver::parseArgs(
-        {"--workload", "pi", "--mode", "mpki", "--pbs", "--scale", "2000",
-         "--seeds", "3", "--format", "json"});
-    ASSERT_TRUE(parsed.ok) << parsed.error;
-    const std::string json = driver::batchJson(
-        parsed.opts, driver::measureBatch(parsed.opts));
+    // Two multi-seed configurations (PBS off and on) at mpki fidelity,
+    // then two sampled configurations (interval 80000 over one seed,
+    // interval 40000 over two).
+    auto mpki = exp::parseSpecText("workload = pi\n"
+                                   "mode = mpki\n"
+                                   "pbs = off, on\n"
+                                   "scale = 2000\n"
+                                   "seed = 500\n"
+                                   "seeds = 3\n");
+    auto sampled = exp::parseSpecText("workload = pi\n"
+                                      "mode = sampled\n"
+                                      "sample-grid = 80000/10000/5000,"
+                                      " 40000/10000/5000\n"
+                                      "div = 20\n"
+                                      "seed = 700\n"
+                                      "seeds = 2\n");
+    ASSERT_TRUE(mpki.ok) << mpki.error;
+    ASSERT_TRUE(sampled.ok) << sampled.error;
+    auto a = exp::expandSpec(mpki.spec);
+    auto b = exp::expandSpec(sampled.spec);
+    ASSERT_TRUE(a.ok && b.ok);
+    std::vector<exp::ExpPoint> points = a.points;
+    ASSERT_EQ(b.points.size(), 4u);
+    points.push_back(b.points[0]);  // interval 80000, seed 700 alone
+    points.insert(points.end(), b.points.begin() + 2, b.points.end());
+    ASSERT_EQ(points.size(), 9u);
 
-    exp::JsonValue v;
-    std::string err;
-    ASSERT_TRUE(exp::parseJson(json, v, err)) << err;
-    EXPECT_EQ(v.find("schema")->asString(), "pbs-batch-v2");
-    EXPECT_EQ(v.find("config")->find("workload")->asString(), "pi");
-    EXPECT_TRUE(v.find("config")->find("pbs")->asBool());
-    // Non-sampled runs carry no checkpoint-set identity.
-    EXPECT_EQ(v.find("config")->find("ckpt_set"), nullptr);
-    const auto *runs = v.find("runs");
-    ASSERT_NE(runs, nullptr);
-    ASSERT_EQ(runs->items.size(), 3u);
-    EXPECT_EQ(runs->items[0].find("seed")->asU64(), 12345u);
-    const auto *stats =
-        runs->items[0].find("result")->find("stats");
-    ASSERT_NE(stats, nullptr);
-    EXPECT_GT(stats->find("instructions")->asU64(), 0u);
+    exp::Engine engine;
+    engine.runAll(points);
+    const std::string table = exp::sweepTable(points, engine);
+
+    auto count = [&](const std::string &needle) {
+        size_t n = 0;
+        for (size_t at = table.find(needle); at != std::string::npos;
+             at = table.find(needle, at + 1))
+            n++;
+        return n;
+    };
+    // One title line per configuration.
+    EXPECT_EQ(count("pi, tage-sc-l, pbs off, mpki,"), 1u) << table;
+    EXPECT_EQ(count("pi, tage-sc-l, pbs on, mpki,"), 1u) << table;
+    EXPECT_EQ(count("sampled, marked, 4-wide"), 2u) << table;
+    EXPECT_EQ(count("sample 80000/10000/5000"), 1u) << table;
+    EXPECT_EQ(count("sample 40000/10000/5000"), 1u) << table;
+    // Every point gets a row that opens with its seed.
+    for (const char *row : {"\n500 ", "\n501 ", "\n502 "})
+        EXPECT_EQ(count(row), 2u) << row << "\n" << table;
+    EXPECT_EQ(count("\n700 "), 2u) << table;
+    EXPECT_EQ(count("\n701 "), 1u) << table;
+    // Timing-free points show cycles and the branch columns; sampled
+    // points show the sample count, detail% and the 95% CI columns.
+    EXPECT_EQ(count("prob-branches"), 2u) << table;
+    EXPECT_EQ(count("detail%"), 2u) << table;
+    EXPECT_EQ(count("+/-95%"), 4u) << table;
+    // Multi-seed configurations close with their across-seed line; the
+    // single-seed one does not.
+    EXPECT_EQ(count("3 seeds: ipc "), 2u) << table;
+    EXPECT_EQ(count("2 seeds: ipc "), 1u) << table;
+    EXPECT_EQ(count("(across-seed 95% CI)"), 1u) << table;
 }
 
 // --- sample-grid axis ------------------------------------------------

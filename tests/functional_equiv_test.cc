@@ -6,14 +6,11 @@
  * disabled, on every registered workload across multiple seeds — under
  * both the superblock dispatcher and the reference opcode switch — and
  * both must reproduce the native reference outputs exactly (the RNG
- * ISA twins guarantee bit-equality end to end). Also covers the
- * PBS_FUNC_DISPATCH escape hatch that forces the reference dispatch.
+ * ISA twins guarantee bit-equality end to end).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <stdexcept>
 #include <string>
 
 #include "cpu/core.hh"
@@ -83,63 +80,6 @@ TEST_P(FunctionalEquiv, MatchesDetailedAndNative)
                     << what << " output[" << i << "]";
         }
     }
-}
-
-// The PBS_FUNC_DISPATCH environment knob selects the construction-time
-// default: "switch" is the escape hatch back to the reference dispatch,
-// "superblock" or unset means the superblock dispatcher, and any other
-// value (the removed "superblock-portable" included) is rejected.
-TEST(FunctionalDispatchEnv, EscapeHatchSelectsDispatch)
-{
-    for (const char *bad : {"superblock-portable", "bogus", ""}) {
-        setenv("PBS_FUNC_DISPATCH", bad, 1);
-        try {
-            sampling::defaultFuncDispatch();
-            ADD_FAILURE() << "accepted '" << bad << "'";
-        } catch (const std::invalid_argument &e) {
-            EXPECT_NE(std::string(e.what()).find(std::string("'") + bad +
-                                                 "'"),
-                      std::string::npos)
-                << e.what();
-        }
-    }
-
-    struct Case
-    {
-        const char *value;  // nullptr = unset
-        sampling::FuncDispatch expect;
-    };
-    const Case cases[] = {
-        {"switch", sampling::FuncDispatch::Switch},
-        {"superblock", sampling::FuncDispatch::Superblock},
-        {nullptr, sampling::FuncDispatch::Superblock},
-    };
-    const auto &b = workloads::benchmarkByName("pi");
-    workloads::WorkloadParams p;
-    p.scale = std::max<uint64_t>(1, b.defaultScale / 1000);
-    for (const Case &c : cases) {
-        if (c.value)
-            setenv("PBS_FUNC_DISPATCH", c.value, 1);
-        else
-            unsetenv("PBS_FUNC_DISPATCH");
-        EXPECT_EQ(sampling::defaultFuncDispatch(), c.expect)
-            << (c.value ? c.value : "(unset)");
-
-        // A default-constructed engine picks the knob up; the hatch
-        // disables superblock formation entirely, and so does a build
-        // without the superblock dispatcher.
-        sampling::FunctionalEngine eng(
-            b.build(p, workloads::Variant::Marked));
-        const sampling::FuncDispatch runs =
-            sampling::superblockDispatchBuilt()
-                ? c.expect : sampling::FuncDispatch::Switch;
-        EXPECT_EQ(eng.dispatch(), runs)
-            << (c.value ? c.value : "(unset)");
-        EXPECT_EQ(eng.superblocks() == nullptr,
-                  runs == sampling::FuncDispatch::Switch)
-            << (c.value ? c.value : "(unset)");
-    }
-    unsetenv("PBS_FUNC_DISPATCH");
 }
 
 INSTANTIATE_TEST_SUITE_P(

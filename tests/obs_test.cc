@@ -4,8 +4,8 @@
  * well-formedness and schema, histogram log2 bucket edges, metrics
  * snapshot determinism of the non-timing sections, the serialized log
  * sink's no-tearing guarantee, and the subsystem's hard invariant —
- * pbs_sim / pbs_exp artifacts are byte-identical with tracing and
- * metrics enabled vs. disabled.
+ * sweep artifacts are byte-identical with tracing and metrics enabled
+ * vs. disabled.
  */
 
 #include <algorithm>
@@ -18,8 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include "driver/options.hh"
-#include "driver/runner.hh"
 #include "exp/artifact.hh"
 #include "exp/engine.hh"
 #include "exp/spec.hh"
@@ -366,30 +364,45 @@ TEST_F(ObsTest, PoolStatsGoToVolatileSectionNotCounters)
 
 // --- the hard invariant: artifacts unchanged under instrumentation ---
 
-driver::DriverOptions
-batchOptions()
+/** The points of @p specText (which must expand). */
+std::vector<exp::ExpPoint>
+gridOf(const std::string &specText)
 {
-    driver::DriverOptions opts;
-    opts.workload = "pi";
-    opts.predictor = "tage-sc-l";
-    opts.pbs = true;
-    opts.scale = 2000;
-    opts.seeds = 3;
-    opts.jobs = 2;
-    opts.format = "json";
-    return opts;
+    auto parsed = exp::parseSpecText(specText);
+    EXPECT_TRUE(parsed.ok) << parsed.error;
+    auto grid = exp::expandSpec(parsed.spec);
+    EXPECT_TRUE(grid.ok) << grid.error;
+    return grid.points;
 }
 
-TEST_F(ObsTest, BatchArtifactByteIdenticalWithObsEnabled)
+/** A three-seed detailed PBS sweep of pi at a small scale. */
+std::vector<exp::ExpPoint>
+seedSweep()
 {
-    const driver::DriverOptions opts = batchOptions();
+    return gridOf("workload = pi\n"
+                  "pbs = on\n"
+                  "scale = 2000\n"
+                  "seeds = 3\n");
+}
 
-    const auto plain = driver::measureBatch(opts);
-    const std::string off = driver::batchJson(opts, plain);
+/** The pbs-sweep-v1 artifact of @p points, measured on 2 workers. */
+std::string
+sweepArtifact(const std::vector<exp::ExpPoint> &points)
+{
+    exp::EngineConfig cfg;  // in-memory memo only
+    cfg.jobs = 2;
+    exp::Engine engine(cfg);
+    engine.runAll(points);
+    return exp::sweepJson(points, engine);
+}
+
+TEST_F(ObsTest, SeedSweepArtifactByteIdenticalWithObsEnabled)
+{
+    const auto points = seedSweep();
+    const std::string off = sweepArtifact(points);
 
     enableAll();
-    const auto traced = driver::measureBatch(opts);
-    const std::string on = driver::batchJson(opts, traced);
+    const std::string on = sweepArtifact(points);
 
     EXPECT_GT(obs::traceEventCount(), 0u);  // instrumentation fired
     EXPECT_EQ(off, on);
@@ -425,22 +438,17 @@ TEST_F(ObsTest, SweepArtifactByteIdenticalWithObsEnabled)
 
 TEST_F(ObsTest, SampledRunByteIdenticalWithObsEnabled)
 {
-    driver::DriverOptions opts = batchOptions();
-    opts.mode = "sampled";
-    opts.scale = 0;
-    opts.divisor = 20;
-    opts.seeds = 1;
-    opts.jobs = 1;
-    opts.sampleInterval = 40000;
-    opts.sampleWarmup = 10000;
-    opts.sampleMeasure = 5000;
-
-    const auto plain = driver::measureBatch(opts);
-    const std::string off = driver::batchJson(opts, plain);
+    const auto points = gridOf("workload = pi\n"
+                               "pbs = on\n"
+                               "mode = sampled\n"
+                               "div = 20\n"
+                               "sample-interval = 40000\n"
+                               "sample-warmup = 10000\n"
+                               "sample-measure = 5000\n");
+    const std::string off = sweepArtifact(points);
 
     enableAll();
-    const auto traced = driver::measureBatch(opts);
-    const std::string on = driver::batchJson(opts, traced);
+    const std::string on = sweepArtifact(points);
 
     EXPECT_GT(obs::traceEventCount(), 0u);
     EXPECT_EQ(off, on);
@@ -584,16 +592,13 @@ TEST_F(ObsTest, WrittenManifestDoesNotListItself)
 
 TEST_F(ObsTest, TelemetrySamplerKeepsArtifactsByteIdentical)
 {
-    const driver::DriverOptions opts = batchOptions();
-
-    const auto plain = driver::measureBatch(opts);
-    const std::string off = driver::batchJson(opts, plain);
+    const auto points = seedSweep();
+    const std::string off = sweepArtifact(points);
 
     const std::string path = ::testing::TempDir() + "obs_test_telem.jsonl";
     ASSERT_TRUE(obs::telemetryStart(path, 2));
     ASSERT_TRUE(obs::telemetryActive());
-    const auto traced = driver::measureBatch(opts);
-    const std::string on = driver::batchJson(opts, traced);
+    const std::string on = sweepArtifact(points);
     obs::telemetryStop();
     EXPECT_FALSE(obs::telemetryActive());
 
@@ -636,13 +641,13 @@ TEST_F(ObsTest, TelemetrySamplerKeepsArtifactsByteIdentical)
 
 TEST_F(ObsTest, IdenticalSpecRunsShowZeroDeterministicDeltas)
 {
-    const driver::DriverOptions opts = batchOptions();
+    const auto points = seedSweep();
     auto snapshotOnce = [&] {
         obs::resetForTest();
         obs::Options o;
         o.metrics = true;
         obs::enable(o);
-        (void)driver::measureBatch(opts);
+        (void)sweepArtifact(points);
         return obs::metricsJson();
     };
 

@@ -7,8 +7,6 @@
  * across fan-out thread counts.
  */
 
-#include <cstdlib>
-
 #include <gtest/gtest.h>
 
 #include "cpu/core.hh"
@@ -158,17 +156,6 @@ TEST(Checkpoint, RestoreRejectsForeignPrograms)
 
 // --- superblock dispatch vs checkpoint boundaries --------------------
 
-/** Scoped PBS_FUNC_DISPATCH override (unset on destruction). */
-class ScopedDispatchEnv
-{
-  public:
-    explicit ScopedDispatchEnv(const char *v)
-    {
-        setenv("PBS_FUNC_DISPATCH", v, 1);
-    }
-    ~ScopedDispatchEnv() { unsetenv("PBS_FUNC_DISPATCH"); }
-};
-
 /**
  * Capture/restore at adversarial instruction counts: at a superblock
  * edge, inside a block, and at the +/-1 neighbors of the edge. The
@@ -246,9 +233,10 @@ TEST(Checkpoint, AdversarialCountsMatchAcrossDispatch)
 
 /**
  * The sampled-simulation artifacts must be byte-identical with
- * superblocks on vs off: capture once under each dispatch, diff every
- * serialized checkpoint, and diff the sampled results computed from
- * either set.
+ * superblocks on vs off: capture the set through captureCheckpoints
+ * (superblock dispatch) and again by stepping a switch-dispatch engine
+ * to each k * interval - warmup, diff every serialized checkpoint, and
+ * diff the sampled results computed from either set.
  */
 TEST(Sampled, ArtifactsByteIdenticalAcrossDispatch)
 {
@@ -262,10 +250,21 @@ TEST(Sampled, ArtifactsByteIdenticalAcrossDispatch)
 
     sampling::CheckpointSet superSet =
         sampling::captureCheckpoints(prog, cfg);
-    sampling::CheckpointSet switchSet = [&] {
-        ScopedDispatchEnv env("switch");
-        return sampling::captureCheckpoints(prog, cfg);
-    }();
+    sampling::CheckpointSet switchSet;
+    {
+        sampling::FunctionalEngine ff(prog, 0,
+                                      sampling::FuncDispatch::Switch);
+        for (uint64_t k = 1;; k++) {
+            ff.step(k * cfg.sample.interval - cfg.sample.warmup -
+                    ff.stats().instructions);
+            if (ff.halted())
+                break;
+            switchSet.checkpoints.push_back(ff.saveArch());
+        }
+        ff.run();
+        switchSet.totals = ff.stats();
+        switchSet.finalState = ff.saveArch();
+    }
 
     ASSERT_EQ(superSet.checkpoints.size(), switchSet.checkpoints.size());
     for (size_t i = 0; i < superSet.checkpoints.size(); i++) {

@@ -19,8 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include "driver/options.hh"
-#include "driver/runner.hh"
 #include "exp/artifact.hh"
 #include "exp/engine.hh"
 #include "exp/spec.hh"
@@ -233,32 +231,30 @@ TEST_F(SchedulerTest, RepeatedReconfigureAndShutdownStaysClean)
 
 // --- byte-identity of artifacts --------------------------------------
 
-/**
- * A sampled multi-seed batch: seeds fan out on the pool and each
- * seed's intervals fan out beneath them (the nested case the old
- * static pool could not schedule).
- */
-driver::DriverOptions
-sampledBatchOpts()
+TEST_F(SchedulerTest, SeedSweepArtifactByteIdenticalAcrossJobsAndPolicies)
 {
-    auto parsed = driver::parseArgs(
-        {"--workload", "pi", "--mode", "sampled", "--div", "20",
-         "--seeds", "2", "--sample-interval", "40000",
-         "--sample-warmup", "10000", "--sample-measure", "5000",
-         "--format", "json"});
-    EXPECT_TRUE(parsed.ok) << parsed.error;
-    return parsed.opts;
-}
-
-TEST_F(SchedulerTest, BatchArtifactByteIdenticalAcrossJobsAndPolicies)
-{
-    driver::DriverOptions opts = sampledBatchOpts();
+    // A sampled multi-seed sweep: seeds fan out on the pool and each
+    // seed's intervals fan out beneath them (the nested case the old
+    // static pool could not schedule).
+    auto parsed = exp::parseSpecText("workload = pi\n"
+                                     "mode = sampled\n"
+                                     "div = 20\n"
+                                     "seeds = 2\n"
+                                     "sample-interval = 40000\n"
+                                     "sample-warmup = 10000\n"
+                                     "sample-measure = 5000\n");
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    auto grid = exp::expandSpec(parsed.spec);
+    ASSERT_TRUE(grid.ok) << grid.error;
     pool::TaskPool &p = pool::TaskPool::instance();
 
     auto render = [&](pool::Policy policy, unsigned jobs) {
         p.setPolicy(policy);
-        opts.jobs = jobs;  // the batch engine sizes the pool from this
-        return driver::batchJson(opts, driver::measureBatch(opts));
+        exp::EngineConfig cfg;  // the engine sizes the pool from jobs
+        cfg.jobs = jobs;
+        exp::Engine engine(cfg);
+        engine.runAll(grid.points);
+        return exp::sweepJson(grid.points, engine);
     };
 
     const std::string reference = render(pool::Policy::Static, 1);
