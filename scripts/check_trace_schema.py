@@ -58,6 +58,7 @@ PHASES = {
 SUMMARY_FIELDS = {
     "exp.mem_hits": "mem_hits",
     "exp.disk_hits": "disk_hits",
+    "exp.disk_rejected": "disk_rejected",
     "exp.computed": "computed",
     "exp.stored": "stored",
     "exp.store_failed": "store_failed",

@@ -7,6 +7,7 @@
 
 #include "bpred/factory.hh"
 #include "cpu/execute.hh"
+#include "cpu/superblock.hh"
 #include "isa/assembler.hh"
 
 namespace pbs::cpu {
@@ -100,6 +101,9 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg)
 
     pbs_.setEnabled(cfg_.pbsEnabled);
     pc_ = prog.entry;
+    if (kSuperblocksBuilt && cfg_.mode != SimMode::Timing)
+        blocks_ = std::make_unique<SuperblockImage>(
+            SuperblockImage::build(image_));
 
     for (const auto &[addr, bytes] : prog.dataInit)
         mem_.writeBlock(addr, bytes);
@@ -203,10 +207,12 @@ Core::predictAndTrain(uint64_t pc, bool taken, bool isProb)
  * The core's view of one cpu::execute step: fetch and issue timing,
  * the store queue, the direction predictor, the PBS engine (steering
  * at fetch, value swaps at execution) and commit. One object lives for
- * one runLoop; @ref f and @ref done carry the current instruction's
+ * one step loop; @ref f and @ref done carry the current instruction's
  * fetch and completion cycles from onIssue to the later hooks. Under
- * !kTiming (mpki) every timing structure is compiled out; under !kPbs
- * the PBS engine and the probabilistic-group table are.
+ * !kTiming (mpki) every timing structure is compiled out, which leaves
+ * the data-op hooks with nothing to do, so the mpki hooks run on
+ * superblocks (kDataHooksNoOp); under !kPbs the PBS engine and the
+ * probabilistic-group table are compiled out.
  *
  * The object holds the loop's register-resident state: the
  * instruction count, the scoreboard's configuration constants and a
@@ -221,6 +227,11 @@ Core::predictAndTrain(uint64_t pc, bool taken, bool isProb)
 template <bool kTiming, bool kPbs>
 struct Core::Hooks
 {
+    /** Off-timing, no hook acts on a data op (onIssue only records
+     *  the instruction index for the PBS engine, onRetire is empty),
+     *  so the mpki loops run on superblocks (cpu/superblock.hh). */
+    static constexpr bool kDataHooksNoOp = !kTiming;
+
     Hooks(Core &core, Scoreboard &scoreboard)
         : c(core), instructions(core.stats_.instructions), sb(scoreboard),
           ring(core.commitRing_.data()), width(core.cfg_.width),
@@ -372,6 +383,9 @@ struct Core::Hooks
     onIssue(const DecodedOp &op, [[maybe_unused]] uint64_t pc,
             [[maybe_unused]] uint64_t ea)
     {
+        // Off-timing, f and done only time the PBS engine's records.
+        if constexpr (!kTiming && !kPbs)
+            return;
         if constexpr (kTiming)
             f = fetchTiming(pc);
         else
@@ -544,19 +558,18 @@ struct Core::Hooks
     }
 };
 
-template <bool kTiming, bool kPbs>
+template <bool kPbs>
 uint64_t
 Core::runLoop(uint64_t n, uint64_t limit)
 {
     const uint64_t start = stats_.instructions;
-    const uint64_t end =
-        start + (start >= limit ? 0 : std::min(n, limit - start));
+    const uint64_t end = stepEnd(start, n, limit);
     const DecodedOp *const ops = image_.ops().data();
     const uint64_t size = image_.size();
     const ExecCtx ctx{regs_.data(), &mem_, probSeq_.data(), &stats_,
                       &halted_};
     Scoreboard sb = sb_;
-    Hooks<kTiming, kPbs> hooks(*this, sb);
+    Hooks<true, kPbs> hooks(*this, sb);
 
     uint64_t pc = pc_;
     while (!halted_ && hooks.instructions < end) {
@@ -573,16 +586,32 @@ Core::runLoop(uint64_t n, uint64_t limit)
     return hooks.instructions - start;
 }
 
+template <bool kPbs>
+uint64_t
+Core::runSuperblocks(uint64_t n, uint64_t limit)
+{
+    const uint64_t start = stats_.instructions;
+    const uint64_t end = stepEnd(start, n, limit);
+    const ExecCtx ctx{regs_.data(), &mem_, probSeq_.data(), &stats_,
+                      &halted_};
+    Hooks<false, kPbs> hooks(*this, sb_);
+    pc_ = runBlocks(blocks_.get(), image_, pc_, end, ctx, hooks);
+    hooks.sync();
+    if (!halted_ && hooks.instructions < end)
+        throwPcOutOfRange(pc_);
+    return hooks.instructions - start;
+}
+
 uint64_t
 Core::runFor(uint64_t n, uint64_t limit)
 {
     const bool timing = cfg_.mode == SimMode::Timing;
     if (cfg_.pbsEnabled) {
-        return timing ? runLoop<true, true>(n, limit)
-                      : runLoop<false, true>(n, limit);
+        return timing ? runLoop<true>(n, limit)
+                      : runSuperblocks<true>(n, limit);
     }
-    return timing ? runLoop<true, false>(n, limit)
-                  : runLoop<false, false>(n, limit);
+    return timing ? runLoop<false>(n, limit)
+                  : runSuperblocks<false>(n, limit);
 }
 
 void

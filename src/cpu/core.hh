@@ -28,17 +28,27 @@
  * The steady-state loop performs no heap allocation (fixed rings, flat
  * tables and inline FU pools replace per-instruction container churn).
  *
- * Specialized step loops
- * ----------------------
+ * Step loops
+ * ----------
  * The fidelity (SimMode) and PBS on/off are fixed at construction, so
- * the step loop is compiled once per combination: run() and step(n)
- * both pick runLoop<kTiming, kPbs> once per call, and the hooks
+ * run() and step(n) pick one compiled loop per call, and the hooks
  * (Hooks<kTiming, kPbs>) resolve every fidelity and PBS test with
- * `if constexpr`. The mpki loop therefore contains no fetch, issue,
- * commit, cache or store-queue code, and a PBS-off loop never touches
- * the PBS engine.
+ * `if constexpr`; a PBS-off loop never touches the PBS engine.
  *
- * cpu::execute and every hook are always_inline. With four
+ *  - Timing: runLoop<kPbs> steps every instruction through
+ *    cpu::execute, since the scoreboard schedules each one.
+ *  - mpki (SimMode::Functional): the hooks act only on control and
+ *    probabilistic instructions, exactly the ones that end a
+ *    superblock. runSuperblocks<kPbs> runs the shared threaded
+ *    dispatcher (cpu::runBlocks, cpu/superblock.hh) over a
+ *    SuperblockImage built at construction: data superops run with no
+ *    hook, and each block's terminator runs through cpu::execute with
+ *    the mpki hooks at its exact instruction index, so the predictor,
+ *    the PBS engine, the Fig. 9 filter and the prob trace see the same
+ *    calls as under single-stepping. Timing cores build no
+ *    superblocks.
+ *
+ * cpu::execute and every hook are always_inline. With several
  * instantiations GCC (12, with LTO) otherwise outlines them, and the
  * calls cost the detailed loop more than the specialization saves:
  * each loop must be one flat function for the pruning to pay off.
@@ -70,6 +80,7 @@
 #include "cpu/arch_state.hh"
 #include "cpu/core_config.hh"
 #include "cpu/store_queue.hh"
+#include "cpu/superblock.hh"
 #include "isa/decoded_image.hh"
 #include "isa/program.hh"
 #include "mem/cache.hh"
@@ -88,6 +99,8 @@ struct ProbTraceEntry
     uint64_t consumedSeq = 0;  ///< instance whose values steered it
     bool taken = false;
     bool steered = false;
+
+    bool operator==(const ProbTraceEntry &) const = default;
 };
 
 /** The simulated core. */
@@ -122,6 +135,10 @@ class Core
     /** The predecoded image the core executes from. */
     const isa::DecodedImage &image() const { return image_; }
 
+    /** The mpki fidelity's superblocks; nullptr for a timing core or a
+     *  build without computed goto (every step single-steps then). */
+    const SuperblockImage *superblocks() const { return blocks_.get(); }
+
     uint64_t reg(unsigned r) const { return regs_[r]; }
     double regDouble(unsigned r) const;
     uint64_t pc() const { return pc_; }
@@ -155,14 +172,18 @@ class Core
     struct Hooks;
 
     /**
-     * The step loop: execute until HALT, @p n instructions, or
+     * The timing step loop: execute until HALT, @p n instructions, or
      * stats_.instructions reaching @p limit, whichever comes first.
      * @return #executed.
      */
-    template <bool kTiming, bool kPbs>
+    template <bool kPbs>
     uint64_t runLoop(uint64_t n, uint64_t limit);
 
-    /** runLoop instantiated for cfg_'s fidelity and PBS setting. */
+    /** The mpki step loop: runLoop's contract, on superblocks. */
+    template <bool kPbs>
+    uint64_t runSuperblocks(uint64_t n, uint64_t limit);
+
+    /** The loop for cfg_'s fidelity and PBS setting. */
     uint64_t runFor(uint64_t n, uint64_t limit);
 
     void writeReg(unsigned r, uint64_t v);
@@ -197,6 +218,7 @@ class Core
     // --- members ---
     isa::DecodedImage image_;
     const CoreConfig cfg_;  ///< fixed at construction (picks the loop)
+    std::unique_ptr<SuperblockImage> blocks_;  ///< see superblocks()
 
     // Functional state.
     std::array<uint64_t, isa::kNumRegs> regs_{};

@@ -5,7 +5,7 @@
  * says what an opcode does. The detailed cpu::Core and the sampling
  * subsystem's FunctionalEngine both step through it; the superblock
  * engine expands the same data-opcode list (cpu/data_ops.inc) into its
- * single-op handlers.
+ * single-op handlers, and its block terminators run through execute.
  *
  * What the simulator around the interpreter does with an instruction
  * — timing, branch prediction, caches, the PBS engine — is supplied as
@@ -30,9 +30,14 @@
  * NoHooks implements every hook as a no-op (onProbJmp returns cond),
  * which is exactly the ISA's PBS-off semantics at zero cost.
  *
+ * A policy that also runs on superblocks (cpu/superblock.hh) carries
+ * the instruction count its step loop advances (`instructions`) and
+ * declares `kDataHooksNoOp`: its hooks do nothing for data opcodes,
+ * which the superblock handlers execute without calling them.
+ *
  * execute is always inlined: each caller's step loop is one function
  * in which the hook policy's compile-time constants prune whole hooks
- * (see cpu/core.hh, "Specialized step loops").
+ * (see cpu/core.hh, "Step loops").
  */
 
 #ifndef PBS_CPU_EXECUTE_HH
@@ -62,6 +67,9 @@ struct ExecCtx
 /** The hook policy of a machine that only executes the ISA. */
 struct NoHooks
 {
+    static constexpr bool kDataHooksNoOp = true;
+    uint64_t instructions = 0;  ///< retired so far (runBlocks' count)
+
     void onIssue(const isa::DecodedOp &, uint64_t, uint64_t) {}
     void onProbCmp(const isa::DecodedOp &, uint64_t, uint64_t, bool) {}
     void onJump(uint64_t, uint64_t) {}
@@ -75,6 +83,20 @@ struct NoHooks
     }
     void onRetire(const isa::DecodedOp &, uint64_t, bool) {}
 };
+
+/**
+ * Mark the taken arm of a simulated conditional branch. Left alone,
+ * GCC if-converts `next = taken ? target : pc + 1` into a cmov, so the
+ * step loop's next loads (the next opcode, the next superblock) wait
+ * for the branch condition's operands; as a host branch the direction
+ * is predicted and the loop runs ahead. The empty asm is what keeps it
+ * a branch.
+ */
+[[gnu::always_inline]] inline void
+hostBranch()
+{
+    asm("");
+}
 
 /**
  * Execute @p op at @p pc against @p ctx, reporting its effects to
@@ -131,6 +153,7 @@ execute(const isa::DecodedOp &op, uint64_t pc, const ExecCtx &ctx,
         ctx.stats->branches++;
         hooks.onBranch(pc, op.target, taken);
         if (taken) {
+            hostBranch();
             next = op.target;
             redirected = true;
         }
@@ -155,6 +178,7 @@ execute(const isa::DecodedOp &op, uint64_t pc, const ExecCtx &ctx,
         // queue: never mispredicts, never touches the predictor.
         ctx.stats->branches++;
         if (regs[op.rs1] != 0) {
+            hostBranch();
             next = op.target;
             redirected = true;
         }
@@ -181,6 +205,7 @@ execute(const isa::DecodedOp &op, uint64_t pc, const ExecCtx &ctx,
         const uint64_t seq = ctx.probSeq[op.probId]++;
         // PBS-off semantics: JNZ on the condition register.
         if (hooks.onProbJmp(op, pc, seq, regs[op.rs1] != 0)) {
+            hostBranch();
             next = op.target;
             redirected = true;
         }

@@ -1,12 +1,8 @@
-#include "sampling/superblock.hh"
+#include "cpu/superblock.hh"
 
-#include <cmath>
 #include <stdexcept>
-#include <string>
 
-#include "isa/arith.hh"
-
-namespace pbs::sampling {
+namespace pbs::cpu {
 
 using isa::DecodedOp;
 using isa::Opcode;
@@ -166,37 +162,23 @@ makeXorshift(const DecodedOp *o)
     return s;
 }
 
-SuperOp
-makeTerminator(const DecodedOp &d)
+SbHandler
+terminatorFor(Opcode op)
 {
-    SuperOp s;
-    s.count = 1;
-    s.rd = d.rd;
-    s.rs1 = d.rs1;
-    s.rs2 = d.rs2;
-    s.cmp = static_cast<uint8_t>(d.cmp);
-    s.probId = d.probId;
-    s.target = d.target;
-    switch (d.op) {
-      case Opcode::JMP:     s.handler = H(SbHandler::T_JMP); break;
-      case Opcode::JZ:      s.handler = H(SbHandler::T_JZ); break;
-      case Opcode::JNZ:     s.handler = H(SbHandler::T_JNZ); break;
-      case Opcode::CFD_JNZ: s.handler = H(SbHandler::T_CFD_JNZ); break;
-      case Opcode::CALL:    s.handler = H(SbHandler::T_CALL); break;
-      case Opcode::RET:     s.handler = H(SbHandler::T_RET); break;
-      case Opcode::HALT:    s.handler = H(SbHandler::T_HALT); break;
-      case Opcode::PROB_CMP:
-        s.handler = H(SbHandler::T_PROB_CMP);
-        break;
-      case Opcode::PROB_JMP:
-        s.handler = d.isCarrierProbJmp() ? H(SbHandler::T_CARRIER)
-                                         : H(SbHandler::T_PROB_JMP);
-        break;
+    switch (op) {
+      case Opcode::JMP:      return SbHandler::T_JMP;
+      case Opcode::JZ:       return SbHandler::T_JZ;
+      case Opcode::JNZ:      return SbHandler::T_JNZ;
+      case Opcode::CFD_JNZ:  return SbHandler::T_CFD_JNZ;
+      case Opcode::CALL:     return SbHandler::T_CALL;
+      case Opcode::RET:      return SbHandler::T_RET;
+      case Opcode::HALT:     return SbHandler::T_HALT;
+      case Opcode::PROB_CMP: return SbHandler::T_PROB_CMP;
+      case Opcode::PROB_JMP: return SbHandler::T_PROB_JMP;
       default:
         throw std::logic_error(
             "superblock: opcode cannot terminate a block");
     }
-    return s;
 }
 
 }  // namespace
@@ -277,28 +259,22 @@ SuperblockImage::build(const isa::DecodedImage &img)
         }
 
         // Terminator superop (always present; T_FALL retires nothing).
+        // A fused one carries the data half; cpu::execute runs the
+        // terminating instruction itself, from the block's copy.
+        SuperOp s;
         if (termPc < 0) {
-            SuperOp s;
             s.handler = H(SbHandler::T_FALL);
             s.count = 0;
-            sbi.sops_.push_back(s);
         } else if (fusedTerm >= 0) {
-            const DecodedOp &p = ops[interiorEnd - 1];
-            const DecodedOp &t = ops[termPc];
-            SuperOp s;
+            s = makeSingle(ops[interiorEnd - 1]);
             s.handler = static_cast<uint16_t>(fusedTerm);
             s.count = 2;
-            s.rd = p.rd;
-            s.rs1 = p.rs1;
-            s.rs2 = p.rs2;
-            s.cmp = static_cast<uint8_t>(p.cmp);
-            s.imm = p.imm;
-            s.rs4 = t.rs1;
-            s.target = t.target;
-            sbi.sops_.push_back(s);
         } else {
-            sbi.sops_.push_back(makeTerminator(ops[termPc]));
+            s.handler = H(terminatorFor(ops[termPc].op));
         }
+        sbi.sops_.push_back(s);
+        if (termPc >= 0)
+            b.term = ops[termPc];
 
         b.nSops = static_cast<uint32_t>(sbi.sops_.size()) - b.first;
         sbi.blockAt_[lead] = static_cast<uint32_t>(sbi.blocks_.size());
@@ -317,102 +293,4 @@ SuperblockImage::build(const isa::DecodedImage &img)
     return sbi;
 }
 
-#if defined(PBS_HAVE_COMPUTED_GOTO)
-
-// ---------------------------------------------------------------------------
-// The dispatcher. Handler bodies see `ctx`, `op` and the accessor macros
-// below. Reads index the register file directly: regs[REG_ZERO] is
-// architecturally pinned to 0 (every writer guards it and restoreArch
-// re-normalizes), so no per-operand guard is needed.
-// ---------------------------------------------------------------------------
-
-#define SB_RR(r) (ctx.regs[r])
-#define SB_WR(r, v)                                                    \
-    do {                                                               \
-        const uint8_t sb_r_ = (r);                                     \
-        const uint64_t sb_v_ = (v);                                    \
-        if (sb_r_ != pbs::isa::REG_ZERO)                               \
-            ctx.regs[sb_r_] = sb_v_;                                   \
-    } while (0)
-#define SB_RD(r) (pbs::isa::bitsToDouble(ctx.regs[r]))
-#define SB_WD(r, v) SB_WR(r, pbs::isa::doubleBits(v))
-
-// The data-opcode list's accessors, bound to the current SuperOp.
-#define OP_RR(f) SB_RR(op->f)
-#define OP_RD(f) SB_RD(op->f)
-#define OP_WR(f, v) SB_WR(op->f, v)
-#define OP_WD(f, v) SB_WD(op->f, v)
-#define OP_IMM (op->imm)
-#define OP_CMP (static_cast<pbs::isa::CmpOp>(op->cmp))
-#define OP_MEM (*ctx.mem)
-
-uint64_t
-sbExecThreaded(const SuperblockImage &img, uint64_t pc, uint64_t budget,
-               SbCtx &ctx)
-{
-    // One label per handler, in SbHandler order (same list expansion
-    // order as the enum). Execution threads label-to-label inside a
-    // block and block-to-block through sb_chain without ever leaving
-    // this frame: the only indirect branches are the goto *s.
-    static const void *kLabels[] = {
-#define PBS_DATA_OP(name, ...) &&L_##name,
-#include "cpu/data_ops.inc"
-#undef PBS_DATA_OP
-#define SB_OP(name, ...) &&L_##name,
-#define SB_TERM(name, ...) &&L_##name,
-#include "sampling/superblock_ops.inc"
-#undef SB_OP
-#undef SB_TERM
-    };
-    static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
-                      static_cast<size_t>(SbHandler::NUM_HANDLERS),
-                  "label table out of sync with SbHandler");
-
-    const SuperOp *sops = img.sops().data();
-    const Superblock *blocks = img.blocks().data();
-    const uint32_t *blockAt = img.blockAtData();
-    const uint64_t pcLimit = img.pcLimit();
-
-    const Superblock *b = &blocks[blockAt[pc]];
-    uint64_t executed = b->instCount;
-    ctx.fall = b->fall;
-    const SuperOp *op = &sops[b->first];
-    goto *kLabels[op->handler];
-
-#define SB_OP(name, ...)                                               \
-    L_##name: {                                                        \
-        { __VA_ARGS__ }                                                \
-        ++op;                                                          \
-        goto *kLabels[op->handler];                                    \
-    }
-#define SB_TERM(name, ...)                                             \
-    L_##name: {                                                        \
-        { __VA_ARGS__ }                                                \
-        goto sb_chain;                                                 \
-    }
-#define PBS_DATA_OP(name, ...) SB_OP(name, __VA_ARGS__)
-#include "cpu/data_ops.inc"
-#include "sampling/superblock_ops.inc"
-#undef PBS_DATA_OP
-#undef SB_OP
-#undef SB_TERM
-
-  sb_chain:
-    if (!*ctx.halted && ctx.next < pcLimit) {
-        const uint32_t bi = blockAt[ctx.next];
-        if (bi != SuperblockImage::kNoBlock) {
-            b = &blocks[bi];
-            if (executed + b->instCount <= budget) {
-                executed += b->instCount;
-                ctx.fall = b->fall;
-                op = &sops[b->first];
-                goto *kLabels[op->handler];
-            }
-        }
-    }
-    return executed;
-}
-
-#endif  // PBS_HAVE_COMPUTED_GOTO
-
-}  // namespace pbs::sampling
+}  // namespace pbs::cpu

@@ -266,6 +266,7 @@ runSummaryJson(const EngineCounters &counters, size_t points,
     w.key("points").value(uint64_t(points));
     w.key("computed").value(counters.computed);
     w.key("disk_hits").value(counters.diskHits);
+    w.key("disk_rejected").value(counters.diskRejected);
     w.key("mem_hits").value(counters.memHits);
     w.key("stored").value(counters.stored);
     w.key("store_failed").value(counters.storeFailed);

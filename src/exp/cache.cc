@@ -42,32 +42,49 @@ readFile(const fs::path &path, std::string &out)
     return in.good() || in.eof();
 }
 
+constexpr CacheLoad kHit{CacheLoad::Hit};
+constexpr CacheLoad kRejected{CacheLoad::Rejected};
+
+/** Read the entry at @p path: Absent when there is no such file,
+ *  Rejected when it exists but cannot be read. */
+CacheLoad
+readEntry(const fs::path &path, std::string &out)
+{
+    if (readFile(path, out))
+        return kHit;
+    std::error_code ec;
+    return fs::exists(path, ec) ? kRejected : CacheLoad{};
+}
+
 /**
  * Parse the cache document at @p path and check that it belongs to this
  * code version and to @p key: the key recomputed from the stored point
  * (and, for a partial, its interval index) must be @p key, so a file
- * copied or renamed under another key is a miss. @return the parsed
- * document in @p v, or false on any mismatch.
+ * copied or renamed under another key is Rejected. @return the parsed
+ * document in @p v on a Hit.
  */
-bool
+CacheLoad
 readOwnDocument(const std::string &path, const std::string &key,
                 bool partial, JsonValue &v)
 {
     std::string text;
     std::string err;
-    if (!readFile(path, text) || !parseJson(text, v, err))
-        return false;
+    if (const CacheLoad r = readEntry(path, text); !r)
+        return r;
+    if (!parseJson(text, v, err))
+        return kRejected;
     const JsonValue *salt = v.find("salt");
     if (!salt || salt->asString() != versionSalt())
-        return false;
+        return kRejected;
     const JsonValue *stored = v.find("point");
     ExpPoint pt;
     if (!stored || !readPoint(*stored, pt))
-        return false;
+        return kRejected;
     if (!partial)
-        return cacheKey(pt) == key;
+        return cacheKey(pt) == key ? kHit : kRejected;
     const JsonValue *index = v.find("index");
-    return index && partialKey(pt, index->asU64()) == key;
+    return index && partialKey(pt, index->asU64()) == key ? kHit
+                                                          : kRejected;
 }
 
 /** The first line of the file at @p path, without its newline. */
@@ -172,18 +189,20 @@ ResultCache::checkpointSetPath(const std::string &setHash) const
     return (fs::path(dir_) / "ckpt" / (setHash + kSetExtension)).string();
 }
 
-bool
+CacheLoad
 ResultCache::load(const std::string &key, PointKind kind,
                   Measurement &out) const
 {
     if (!enabled())
-        return false;
+        return {};
     obs::Span span("cache_io", "load");
     JsonValue v;
-    if (!readOwnDocument(entryPath(key), key, false, v))
-        return false;
+    if (const CacheLoad r = readOwnDocument(entryPath(key), key, false, v);
+        !r)
+        return r;
     const JsonValue *result = v.find("result");
-    return result && readMeasurement(*result, kind, out);
+    return result && readMeasurement(*result, kind, out) ? kHit
+                                                         : kRejected;
 }
 
 bool
@@ -206,18 +225,19 @@ ResultCache::store(const std::string &key, const ExpPoint &pt,
     return util::publishFile(entryPath(key), w.str() + "\n");
 }
 
-bool
+CacheLoad
 ResultCache::loadPartial(const std::string &key,
                          sampling::IntervalSample &out) const
 {
     if (!enabled())
-        return false;
+        return {};
     obs::Span span("cache_io", "load-partial");
     JsonValue v;
-    if (!readOwnDocument(partialPath(key), key, true, v))
-        return false;
+    if (const CacheLoad r = readOwnDocument(partialPath(key), key, true, v);
+        !r)
+        return r;
     const JsonValue *sample = v.find("sample");
-    return sample && readIntervalSample(*sample, out);
+    return sample && readIntervalSample(*sample, out) ? kHit : kRejected;
 }
 
 bool
@@ -242,35 +262,35 @@ ResultCache::storePartial(const std::string &key, const ExpPoint &pt,
     return util::publishFile(partialPath(key), w.str() + "\n");
 }
 
-bool
+CacheLoad
 ResultCache::loadCheckpointSet(const StoreKey &key,
                                sampling::CheckpointSet &out) const
 {
     if (!enabled())
-        return false;
+        return {};
     obs::Span span("store_io", "load-checkpoint-set");
     const std::string setHash = storeSetHash(key);
     std::string text;
-    if (!readFile(checkpointSetPath(setHash), text))
-        return false;
+    if (const CacheLoad r = readEntry(checkpointSetPath(setHash), text); !r)
+        return r;
     const size_t eol = text.find('\n');
     JsonValue header;
     std::string err;
     if (eol == std::string::npos ||
         !parseJson(text.substr(0, eol), header, err))
-        return false;
+        return kRejected;
 
     // Stale generations, then identity: the stored key must hash to the
     // name the set was looked up under.
     const JsonValue *salt = header.find("salt");
     const JsonValue *stored = header.find("key");
     if (!salt || salt->asString() != key.salt || !stored)
-        return false;
+        return kRejected;
     const JsonValue *arch = stored->find("arch_version");
     if (!arch || arch->asU64() != cpu::kArchStateVersion)
-        return false;
+        return kRejected;
     if (storeSetHash(readStoreKey(*stored)) != setHash)
-        return false;
+        return kRejected;
 
     // The blob lengths must tile the payload exactly before anything is
     // decoded; the payload hash catches corruption that keeps lengths.
@@ -279,19 +299,19 @@ ResultCache::loadCheckpointSet(const StoreKey &key,
     const JsonValue *hash = header.find("hash");
     if (!totals || !hash || !blobs ||
         blobs->type != JsonValue::Type::Array || blobs->items.empty())
-        return false;
+        return kRejected;
     const char *payload = text.data() + eol + 1;
     const uint64_t payloadBytes = text.size() - eol - 1;
     uint64_t remaining = payloadBytes;
     for (const JsonValue &b : blobs->items) {
         const uint64_t n = b.asU64(UINT64_MAX);
         if (n > remaining)
-            return false;
+            return kRejected;
         remaining -= n;
     }
     if (remaining != 0 ||
         util::fnv1a128Hex(payload, payloadBytes) != hash->asString())
-        return false;
+        return kRejected;
 
     sampling::CheckpointSet set;
     set.checkpoints.reserve(blobs->items.size());
@@ -304,7 +324,7 @@ ResultCache::loadCheckpointSet(const StoreKey &key,
             payload += n;
         }
     } catch (const std::exception &) {
-        return false;
+        return kRejected;
     }
     set.finalState = std::move(set.checkpoints.back());
     set.checkpoints.pop_back();
@@ -312,7 +332,7 @@ ResultCache::loadCheckpointSet(const StoreKey &key,
     set.totals.branches = u64Field(*totals, "branches");
     set.totals.probBranches = u64Field(*totals, "prob_branches");
     out = std::move(set);
-    return true;
+    return kHit;
 }
 
 bool

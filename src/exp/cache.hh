@@ -64,6 +64,21 @@ std::string cacheKey(const ExpPoint &pt);
  */
 std::string partialKey(const ExpPoint &pt, uint64_t index);
 
+/**
+ * What a cache lookup found. Converts to true on a hit. A file that
+ * exists but is not used — unreadable, written under another salt,
+ * stored under a key its content does not hash to, or a corrupt
+ * checkpoint set — is Rejected rather than Absent, so the engine can
+ * count it (EngineCounters::diskRejected).
+ */
+struct CacheLoad
+{
+    enum Status : uint8_t { Hit, Absent, Rejected };
+    Status status = Absent;
+
+    operator bool() const { return status == Hit; }
+};
+
 /** Disk-backed result store. A copy is cheap (it is just the path). */
 class ResultCache
 {
@@ -75,12 +90,13 @@ class ResultCache
     const std::string &dir() const { return dir_; }
 
     /**
-     * Load the entry for @p key. @return false on a miss, a corrupt
-     * entry, or an entry whose stored point does not hash to @p key (a
-     * file copied or renamed under another point's key).
+     * Load the entry for @p key. @return Absent without a file (or a
+     * cache); Rejected for a corrupt entry, one of another salt, or one
+     * whose stored point does not hash to @p key (a file copied or
+     * renamed under another point's key).
      */
-    bool load(const std::string &key, PointKind kind,
-              Measurement &out) const;
+    CacheLoad load(const std::string &key, PointKind kind,
+                   Measurement &out) const;
 
     /**
      * Store @p m under @p key (atomic write-then-rename; the directory
@@ -91,11 +107,11 @@ class ResultCache
 
     /**
      * Load the per-interval partial stored under @p key. A partial
-     * whose stored point and index do not hash to @p key is a miss,
+     * whose stored point and index do not hash to @p key is Rejected,
      * like in load().
      */
-    bool loadPartial(const std::string &key,
-                     sampling::IntervalSample &out) const;
+    CacheLoad loadPartial(const std::string &key,
+                          sampling::IntervalSample &out) const;
 
     /**
      * Store one per-interval partial (atomic, like store()). The point
@@ -107,16 +123,16 @@ class ResultCache
                       const sampling::IntervalSample &s) const;
 
     /**
-     * Load the checkpoint set captured for @p key. A miss is a missing
-     * file or unreadable header, a stale salt or ArchState version, a
-     * stored key that does not hash to @p key's set hash (any key
-     * field differs, or the file was copied under another set's
-     * name), blob lengths that do not sum to the payload size, a
-     * payload hash mismatch, or a blob that does not decode. @p out is
-     * untouched on a miss.
+     * Load the checkpoint set captured for @p key. Absent without a
+     * file; Rejected for an unreadable file or header, a stale salt or
+     * ArchState version, a stored key that does not hash to @p key's
+     * set hash (any key field differs, or the file was copied under
+     * another set's name), blob lengths that do not sum to the payload
+     * size, a payload hash mismatch, or a blob that does not decode.
+     * @p out is untouched unless it is a Hit.
      */
-    bool loadCheckpointSet(const StoreKey &key,
-                           sampling::CheckpointSet &out) const;
+    CacheLoad loadCheckpointSet(const StoreKey &key,
+                                sampling::CheckpointSet &out) const;
 
     /**
      * Store @p set as the set captured for @p key (atomic, like

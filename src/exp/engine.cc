@@ -172,9 +172,20 @@ Engine::lookup(const std::string &key, const ExpPoint &pt)
         }
     }
     Measurement m;
-    if (cache_.load(key, pt.kind, m))
+    const CacheLoad r = cache_.load(key, pt.kind, m);
+    if (r)
         return &insert(key, pt, std::move(m), /*fromDisk=*/true);
+    noteRejected(r);
     return nullptr;
+}
+
+void
+Engine::noteRejected(CacheLoad r)
+{
+    if (r.status != CacheLoad::Rejected)
+        return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    counters_.diskRejected++;
 }
 
 const Measurement &
@@ -399,10 +410,12 @@ Engine::runCampaign(std::vector<PendingPoint> jobs)
         // The capture config is pt0's: capture only reads the
         // StoreKey-pinned fields, which are equal across the group.
         sampling::CheckpointSet set;
-        if (cache_.loadCheckpointSet(skey, set)) {
+        const CacheLoad loaded = cache_.loadCheckpointSet(skey, set);
+        if (loaded) {
             std::lock_guard<std::mutex> lock(mutex_);
             counters_.ckptSetLoads++;
         } else {
+            noteRejected(loaded);
             set = sampling::captureCheckpoints(prog,
                                                pointCoreConfig(pt0));
             {
@@ -453,10 +466,13 @@ Engine::runCampaign(std::vector<PendingPoint> jobs)
                     continue;
                 const std::string pk =
                     partialKey(works[c].job->pt, i);
-                if (cache_.loadPartial(pk, works[c].samples[i])) {
+                const CacheLoad r =
+                    cache_.loadPartial(pk, works[c].samples[i]);
+                if (r) {
                     std::lock_guard<std::mutex> lock(mutex_);
                     counters_.partialHits++;
                 } else {
+                    noteRejected(r);
                     tasks.push_back({c, i});
                 }
             }
@@ -539,6 +555,7 @@ recordEngineMetrics(const EngineCounters &c)
     obs::counterAdd("exp.requested", c.requested);
     obs::counterAdd("exp.mem_hits", c.memHits);
     obs::counterAdd("exp.disk_hits", c.diskHits);
+    obs::counterAdd("exp.disk_rejected", c.diskRejected);
     obs::counterAdd("exp.computed", c.computed);
     obs::counterAdd("exp.stored", c.stored);
     obs::counterAdd("exp.store_failed", c.storeFailed);

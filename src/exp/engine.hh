@@ -67,6 +67,9 @@ struct EngineCounters
     uint64_t requested = 0;   ///< measure()/runAll() point lookups
     uint64_t memHits = 0;     ///< served from the in-memory memo
     uint64_t diskHits = 0;    ///< loaded from the result cache
+    /** Cache files found but not used (unreadable, foreign salt, key
+     *  mismatch, corrupt): results, partials and checkpoint sets. */
+    uint64_t diskRejected = 0;
     uint64_t computed = 0;    ///< actually simulated
     uint64_t stored = 0;      ///< written to the result cache
     uint64_t storeFailed = 0; ///< cache writes that failed (I/O)
@@ -126,6 +129,9 @@ class Engine
 
     /** Checkpoint-set-grouped scheduling for sampled Sim points. */
     void runCampaign(std::vector<PendingPoint> jobs);
+
+    /** Count @p r if the cache rejected a file it found. */
+    void noteRejected(CacheLoad r);
 
     /** Count a failed cache write; warn on stderr the first time. */
     void noteStoreFailure(const char *what);

@@ -75,7 +75,7 @@ struct DecodedOp
      * instruction after any control or probabilistic opcode (prob-group
      * boundaries end blocks even though PROB_CMP itself falls through).
      * Consumers that stitch straight-line runs (the superblock builder,
-     * src/sampling/superblock.cc) must never fuse across a leader: a
+     * src/cpu/superblock.cc) must never fuse across a leader: a
      * branch may enter the stream there.
      */
     static constexpr uint16_t kIsLeader = 1u << 9;

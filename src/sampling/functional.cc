@@ -1,8 +1,7 @@
 #include "sampling/functional.hh"
 
 #include <stdexcept>
-
-#include "cpu/execute.hh"
+#include <string>
 
 namespace pbs::sampling {
 
@@ -12,30 +11,20 @@ funcDispatchName(FuncDispatch d)
     return d == FuncDispatch::Switch ? "switch" : "superblock";
 }
 
-bool
-superblockDispatchBuilt()
-{
-#if defined(PBS_HAVE_COMPUTED_GOTO)
-    return true;
-#else
-    return false;
-#endif
-}
-
 FunctionalEngine::FunctionalEngine(const isa::Program &prog,
                                    uint64_t maxInstructions,
                                    FuncDispatch dispatch)
     : image_(isa::DecodedImage::decode(prog)),
       maxInstructions_(maxInstructions),
-      dispatch_(superblockDispatchBuilt() ? dispatch : FuncDispatch::Switch)
+      dispatch_(cpu::kSuperblocksBuilt ? dispatch : FuncDispatch::Switch)
 {
     pc_ = prog.entry;
     for (const auto &[addr, bytes] : prog.dataInit)
         mem_.writeBlock(addr, bytes);
     probSeq_.assign(size_t(image_.maxProbId()) + 1, 0);
     if (dispatch_ == FuncDispatch::Superblock)
-        sb_ = std::make_unique<SuperblockImage>(
-            SuperblockImage::build(image_));
+        sb_ = std::make_unique<cpu::SuperblockImage>(
+            cpu::SuperblockImage::build(image_));
 }
 
 void
@@ -56,86 +45,19 @@ FunctionalEngine::run()
 uint64_t
 FunctionalEngine::step(uint64_t n)
 {
-#if defined(PBS_HAVE_COMPUTED_GOTO)
-    if (dispatch_ == FuncDispatch::Superblock)
-        return stepSuper(n);
-#endif
-    return stepSwitch(n);
-}
-
-cpu::ExecCtx
-FunctionalEngine::execCtx()
-{
-    return {regs_.data(), &mem_, probSeq_.data(), &stats_, &halted_};
-}
-
-uint64_t
-FunctionalEngine::stepSwitch(uint64_t n)
-{
-    const isa::DecodedOp *ops = image_.ops().data();
-    const uint64_t size = image_.size();
-    const cpu::ExecCtx ctx = execCtx();
+    const cpu::ExecCtx ctx{regs_.data(), &mem_, probSeq_.data(), &stats_,
+                           &halted_};
     cpu::NoHooks hooks;
-    uint64_t pc = pc_;
-    uint64_t executed = 0;
-    while (!halted_ && executed < n) {
-        if (pc >= size) {
-            pc_ = pc;
-            stats_.instructions += executed;
-            throw std::out_of_range("PC out of range: " +
-                                    std::to_string(pc));
-        }
-        pc = cpu::execute(ops[pc], pc, ctx, hooks);
-        executed++;
-    }
-    pc_ = pc;
-    stats_.instructions += executed;
-    return executed;
+    const uint64_t start = stats_.instructions;
+    hooks.instructions = start;
+    const uint64_t end = cpu::stepEnd(start, n, ~uint64_t(0));
+    pc_ = sb_ ? cpu::runBlocks(sb_.get(), image_, pc_, end, ctx, hooks)
+              : cpu::stepLoop(image_, pc_, end, ctx, hooks);
+    stats_.instructions = hooks.instructions;
+    if (!halted_ && hooks.instructions < end)
+        throw std::out_of_range("PC out of range: " + std::to_string(pc_));
+    return hooks.instructions - start;
 }
-
-#if defined(PBS_HAVE_COMPUTED_GOTO)
-
-uint64_t
-FunctionalEngine::stepSuper(uint64_t n)
-{
-    const isa::DecodedOp *ops = image_.ops().data();
-    const uint64_t size = image_.size();
-    const SuperblockImage &sb = *sb_;
-    SbCtx ctx;
-    static_cast<cpu::ExecCtx &>(ctx) = execCtx();
-    cpu::NoHooks hooks;
-
-    uint64_t pc = pc_;
-    uint64_t executed = 0;
-    while (!halted_ && executed < n) {
-        if (pc >= size) {
-            pc_ = pc;
-            stats_.instructions += executed;
-            throw std::out_of_range("PC out of range: " +
-                                    std::to_string(pc));
-        }
-        const uint32_t bi = sb.blockAt(pc);
-        if (bi != SuperblockImage::kNoBlock &&
-            sb.blocks()[bi].instCount <= n - executed) {
-            // The dispatcher chains whole blocks while they fit the
-            // remaining budget and stops at the first PC it cannot
-            // handle; ctx.next is where execution stopped.
-            executed += sbExecThreaded(sb, pc, n - executed, ctx);
-            pc = ctx.next;
-        } else {
-            // Epilogue / mid-block entry: retire one instruction at a
-            // time through the reference switch so step(n) stops at
-            // the exact instruction count.
-            pc = cpu::execute(ops[pc], pc, ctx, hooks);
-            executed++;
-        }
-    }
-    pc_ = pc;
-    stats_.instructions += executed;
-    return executed;
-}
-
-#endif  // PBS_HAVE_COMPUTED_GOTO
 
 cpu::ArchState
 FunctionalEngine::saveArch() const
@@ -161,8 +83,9 @@ FunctionalEngine::restoreArch(const cpu::ArchState &state)
     regs_ = state.regs;
     // Pin the REG_ZERO invariant (regs_[0] == 0): every writer guards
     // it, and cpu::execute and the superblock handlers read the
-    // register file unguarded on the strength of it. No engine- or core-captured state can
-    // violate it; this normalizes hand-crafted ArchStates too.
+    // register file unguarded on the strength of it. No engine- or
+    // core-captured state can violate it; this normalizes hand-crafted
+    // ArchStates too.
     regs_[isa::REG_ZERO] = 0;
     pc_ = state.pc;
     halted_ = state.halted;

@@ -18,13 +18,15 @@
  * engine's sequence bookkeeping.
  *
  * Dispatch: by default the engine executes through superinstruction
- * blocks (src/sampling/superblock.hh) — straight-line runs stitched
- * into fused handlers with threaded-code dispatch — and falls back to
- * single-stepping cpu::execute's opcode switch whenever the PC is not
- * a block leader or a whole block would overshoot the step budget, so
- * step(n) still stops at exact instruction counts. The switch is kept
- * as the differential oracle (tests/dispatch_equiv_test.cc, selected
- * with FuncDispatch::Switch) and is the only dispatch of builds
+ * blocks (src/cpu/superblock.hh) — straight-line runs stitched into
+ * fused handlers with threaded-code dispatch — through the same step
+ * loop as the core's mpki fidelity (cpu::runBlocks, here with
+ * cpu::NoHooks), which single-steps cpu::execute whenever the PC is
+ * not a block leader or a whole block would overshoot the step budget,
+ * so step(n) still stops at exact instruction counts. Switch dispatch
+ * single-steps every instruction (cpu::stepLoop); it is the
+ * differential oracle
+ * (tests/dispatch_equiv_test.cc) and the only dispatch of builds
  * without computed goto.
  *
  * This is the engine behind `--mode functional` and the fast-forward
@@ -41,10 +43,10 @@
 
 #include "cpu/arch_state.hh"
 #include "cpu/core_config.hh"
+#include "cpu/superblock.hh"
 #include "isa/decoded_image.hh"
 #include "isa/program.hh"
 #include "mem/memory.hh"
-#include "sampling/superblock.hh"
 
 namespace pbs::sampling {
 
@@ -57,12 +59,6 @@ enum class FuncDispatch : uint8_t {
 /** Stable name of @p d ("superblock", "switch"). */
 const char *funcDispatchName(FuncDispatch d);
 
-/**
- * Whether this build has the superblock dispatcher (it needs computed
- * goto). Without it every engine runs the switch and reports Switch.
- */
-bool superblockDispatchBuilt();
-
 /** Architectural-only execution of a decoded program. */
 class FunctionalEngine
 {
@@ -73,7 +69,8 @@ class FunctionalEngine
      * @param maxInstructions stop run() after this many instructions
      *        (0 = unlimited); step() is never limited.
      * @param dispatch execution strategy (builds without computed
-     *        goto run Switch whatever is asked).
+     *        goto, cpu::kSuperblocksBuilt false, run Switch whatever
+     *        is asked).
      */
     explicit FunctionalEngine(
         const isa::Program &prog, uint64_t maxInstructions = 0,
@@ -106,7 +103,7 @@ class FunctionalEngine
     FuncDispatch dispatch() const { return dispatch_; }
 
     /** Stitched blocks, or nullptr in Switch mode. */
-    const SuperblockImage *superblocks() const { return sb_.get(); }
+    const cpu::SuperblockImage *superblocks() const { return sb_.get(); }
 
     /** Snapshot the architectural state (checkpoint capture). */
     cpu::ArchState saveArch() const;
@@ -122,15 +119,6 @@ class FunctionalEngine
     void restoreArch(const cpu::ArchState &state);
 
   private:
-    /** The architectural state cpu::execute steps against. */
-    cpu::ExecCtx execCtx();
-
-    /** step(n) through the reference opcode switch. */
-    uint64_t stepSwitch(uint64_t n);
-
-    /** step(n) through superblocks, single-stepping at the edges. */
-    uint64_t stepSuper(uint64_t n);
-
     isa::DecodedImage image_;
     std::array<uint64_t, isa::kNumRegs> regs_{};
     mem::SparseMemory mem_;
@@ -142,7 +130,7 @@ class FunctionalEngine
     std::vector<uint64_t> probSeq_;  ///< dynamic instances per probId
 
     FuncDispatch dispatch_ = FuncDispatch::Superblock;
-    std::unique_ptr<SuperblockImage> sb_;  ///< null in Switch mode
+    std::unique_ptr<cpu::SuperblockImage> sb_;  ///< null in Switch mode
 };
 
 }  // namespace pbs::sampling

@@ -7,7 +7,7 @@
  * programs from the property_test generator, on programs that branch
  * into the middle of would-be-fused runs, and at every step(n)
  * boundary. This suite is the safety gate for the superinstruction
- * optimisation (src/sampling/superblock.cc): any rewriting of the
+ * optimisation (src/cpu/superblock.cc): any rewriting of the
  * instruction stream that is not exactly per-instruction equivalent
  * fails here before it can touch checkpoint capture. Builds without
  * computed goto have no superblock dispatcher and skip the suite.
@@ -21,7 +21,7 @@
 #include "isa/assembler.hh"
 #include "rng/rng.hh"
 #include "sampling/functional.hh"
-#include "sampling/superblock.hh"
+#include "cpu/superblock.hh"
 #include "workloads/common.hh"
 
 #include "support/random_program.hh"
@@ -31,8 +31,9 @@ namespace {
 using namespace pbs;
 using sampling::FuncDispatch;
 using sampling::FunctionalEngine;
-using sampling::SbHandler;
-using sampling::SuperblockImage;
+using cpu::SbHandler;
+using cpu::SuperblockImage;
+using testsupport::fuzzCorpus;
 using testsupport::randomProgram;
 
 /** Every test here exercises the superblock dispatcher. */
@@ -42,7 +43,7 @@ class SuperblockTest : public ::testing::Test
     void
     SetUp() override
     {
-        if (!sampling::superblockDispatchBuilt())
+        if (!cpu::kSuperblocksBuilt)
             GTEST_SKIP() << "built without computed goto: no superblock "
                             "dispatcher to compare against the switch";
     }
@@ -141,9 +142,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// Fuzzed programs: the property_test generator, 60 rounds x 4 seeds
-// (240 programs, >= the 200-program floor), plus randomized step(n)
-// schedules so block-budget epilogues are hit at arbitrary offsets.
+// Fuzzed programs: the shared 240-program corpus (60 per seed, >= the
+// 200-program floor), plus randomized step(n) schedules so
+// block-budget epilogues are hit at arbitrary offsets.
 // ---------------------------------------------------------------------
 
 class DispatchFuzz : public SuperblockTest,
@@ -153,10 +154,10 @@ class DispatchFuzz : public SuperblockTest,
 
 TEST_P(DispatchFuzz, RandomProgramsNeverDiverge)
 {
-    rng::XorShift64Star rng(GetParam());
-    for (int round = 0; round < 60; round++) {
-        const bool withProb = (rng.next() & 1) != 0;
-        const isa::Program prog = randomProgram(rng, withProb);
+    const std::vector<isa::Program> corpus = fuzzCorpus(GetParam());
+    rng::XorShift64Star schedule(GetParam() + 1);
+    for (size_t round = 0; round < corpus.size(); round++) {
+        const isa::Program &prog = corpus[round];
         const std::string what = "seed " + std::to_string(GetParam()) +
                                  " round " + std::to_string(round);
         expectAllDispatchesAgree(prog, what);
@@ -169,7 +170,7 @@ TEST_P(DispatchFuzz, RandomProgramsNeverDiverge)
         FunctionalEngine ref(prog, 0, FuncDispatch::Switch);
         FunctionalEngine sb(prog, 0, FuncDispatch::Superblock);
         while (!ref.halted()) {
-            const uint64_t chunk = 1 + rng.next() % 37;
+            const uint64_t chunk = 1 + schedule.next() % 37;
             const uint64_t dref = ref.step(chunk);
             const uint64_t dsb = sb.step(chunk);
             ASSERT_EQ(dref, dsb) << what;
@@ -182,7 +183,7 @@ TEST_P(DispatchFuzz, RandomProgramsNeverDiverge)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DispatchFuzz,
-                         ::testing::Values(11, 42, 1234, 9999));
+                         ::testing::ValuesIn(testsupport::kFuzzSeeds));
 
 // ---------------------------------------------------------------------
 // Branches into the middle of would-be-fused runs. The builder must

@@ -276,11 +276,14 @@ TEST_F(ExpCacheTest, StoreLoadRoundTripsBitExactly)
     ASSERT_TRUE(cache.load(key, pt.kind, loaded));
     EXPECT_EQ(loaded, m);
 
-    // Unknown keys and corrupt entries miss instead of failing.
-    EXPECT_FALSE(cache.load("0000", pt.kind, loaded));
+    // Unknown keys and corrupt entries miss instead of failing; only
+    // the corrupt one is a rejection.
+    EXPECT_EQ(cache.load("0000", pt.kind, loaded).status,
+              exp::CacheLoad::Absent);
     std::ofstream(fs::path(cacheDir()) / (key + ".json"))
         << "{not json";
-    EXPECT_FALSE(cache.load(key, pt.kind, loaded));
+    EXPECT_EQ(cache.load(key, pt.kind, loaded).status,
+              exp::CacheLoad::Rejected);
 }
 
 std::string
@@ -322,7 +325,8 @@ TEST_F(ExpCacheTest, EntryUnderAnotherPointsKeyLoadsAsAMiss)
     fs::copy_file(fs::path(cacheDir()) / (exp::cacheKey(a) + ".json"),
                   fs::path(cacheDir()) / (exp::cacheKey(b) + ".json"));
     exp::Measurement loaded;
-    EXPECT_FALSE(cache.load(exp::cacheKey(b), b.kind, loaded));
+    EXPECT_EQ(cache.load(exp::cacheKey(b), b.kind, loaded).status,
+              exp::CacheLoad::Rejected);
     EXPECT_TRUE(cache.load(exp::cacheKey(a), a.kind, loaded));
 
     // Partials check the interval index as well as the point.
@@ -336,9 +340,58 @@ TEST_F(ExpCacheTest, EntryUnderAnotherPointsKeyLoadsAsAMiss)
     fs::copy_file(partials / (exp::partialKey(s, 0) + ".json"),
                   partials / (exp::partialKey(s, 1) + ".json"));
     sampling::IntervalSample got;
-    EXPECT_FALSE(cache.loadPartial(exp::partialKey(s, 1), got));
+    EXPECT_EQ(cache.loadPartial(exp::partialKey(s, 1), got).status,
+              exp::CacheLoad::Rejected);
+    EXPECT_EQ(cache.loadPartial(exp::partialKey(s, 2), got).status,
+              exp::CacheLoad::Absent);
     ASSERT_TRUE(cache.loadPartial(exp::partialKey(s, 0), got));
     EXPECT_EQ(got, sample);
+}
+
+TEST_F(ExpCacheTest, EntryCopiedUnderAnotherKeyIsOneRejectionAndRecomputed)
+{
+    auto parsed = exp::parseSpecText(
+        "workload  = pi\n"
+        "predictor = tournament, tage-sc-l\n"
+        "mode      = mpki\n"
+        "div       = 100\n");
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    auto grid = exp::expandSpec(parsed.spec);
+    ASSERT_TRUE(grid.ok) << grid.error;
+    ASSERT_EQ(grid.points.size(), 2u);
+    const std::string echo = exp::specJson(parsed.spec);
+
+    auto render = [&](exp::EngineCounters &counters) {
+        exp::EngineConfig cfg;
+        cfg.cacheDir = cacheDir();
+        exp::Engine engine(cfg);
+        engine.runAll(grid.points);
+        counters = engine.counters();
+        return exp::sweepJson(grid.points, engine, echo);
+    };
+
+    fs::remove_all(cacheDir());
+    exp::EngineCounters cold;
+    const std::string want = render(cold);
+    EXPECT_EQ(cold.diskRejected, 0u);
+
+    // Point 1's entry now holds point 0's result.
+    const fs::path dir(cacheDir());
+    fs::copy_file(dir / (exp::cacheKey(grid.points[0]) + ".json"),
+                  dir / (exp::cacheKey(grid.points[1]) + ".json"),
+                  fs::copy_options::overwrite_existing);
+
+    exp::EngineCounters copied;
+    EXPECT_EQ(render(copied), want);
+    EXPECT_EQ(copied.diskRejected, 1u);
+    EXPECT_EQ(copied.diskHits, 1u);
+    EXPECT_EQ(copied.computed, 1u);
+
+    // The recomputed result replaced the copy.
+    exp::EngineCounters warm;
+    EXPECT_EQ(render(warm), want);
+    EXPECT_EQ(warm.diskRejected, 0u);
+    EXPECT_EQ(warm.diskHits, 2u);
 }
 
 TEST_F(ExpCacheTest, GcPrunesStaleGenerations)
@@ -1025,8 +1078,12 @@ TEST_F(CheckpointSetTest, SetCopiedUnderAnotherHashMisses)
 {
     exp::StoreKey other = storeKey();
     other.seed = 6;
+    sampling::CheckpointSet out;
+    EXPECT_EQ(cache().loadCheckpointSet(other, out).status,
+              exp::CacheLoad::Absent);
     fs::copy_file(setPath(storeKey()), setPath(other));
-    EXPECT_FALSE(loads(other));
+    EXPECT_EQ(cache().loadCheckpointSet(other, out).status,
+              exp::CacheLoad::Rejected);
     EXPECT_TRUE(loads(storeKey()));
 }
 
@@ -1062,7 +1119,9 @@ TEST_F(CheckpointSetTest, HeaderEditsMiss)
             text.replace(at, from.size(), to);
         }
         std::ofstream(setPath(storeKey()), std::ios::binary) << text;
-        EXPECT_FALSE(loads(storeKey()));
+        sampling::CheckpointSet out;
+        EXPECT_EQ(cache().loadCheckpointSet(storeKey(), out).status,
+                  exp::CacheLoad::Rejected);
     }
 }
 

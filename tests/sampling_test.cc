@@ -167,7 +167,7 @@ TEST(Checkpoint, RestoreRejectsForeignPrograms)
  */
 TEST(Checkpoint, AdversarialCountsMatchAcrossDispatch)
 {
-    if (!sampling::superblockDispatchBuilt())
+    if (!cpu::kSuperblocksBuilt)
         GTEST_SKIP() << "built without computed goto: no superblock "
                         "dispatcher to compare against the switch";
     isa::Program prog = buildWorkload("pi", 7, 100);
@@ -177,14 +177,14 @@ TEST(Checkpoint, AdversarialCountsMatchAcrossDispatch)
     sampling::FunctionalEngine probe(
         prog, 0, sampling::FuncDispatch::Superblock);
     ASSERT_NE(probe.superblocks(), nullptr);
-    const sampling::SuperblockImage &sb = *probe.superblocks();
+    const cpu::SuperblockImage &sb = *probe.superblocks();
     probe.step(10000);
     uint64_t c = 10000, edge = 0, interior = 0;
     while ((!edge || !interior) && !probe.halted()) {
         probe.step(1);
         c++;
         const bool leader =
-            sb.blockAt(probe.pc()) != sampling::SuperblockImage::kNoBlock;
+            sb.blockAt(probe.pc()) != cpu::SuperblockImage::kNoBlock;
         if (leader && !edge)
             edge = c;
         if (!leader && !interior)

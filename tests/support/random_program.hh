@@ -4,8 +4,8 @@
  *
  * property_test.cc uses it to diff the detailed core against the
  * functional engine, isa_test.cc to check predecode metadata, and
- * dispatch_equiv_test.cc to diff superblock dispatch against the
- * reference switch — one distribution, so any program shape that
+ * dispatch_equiv_test.cc and mpki_equiv_test.cc to diff superblock
+ * dispatch against single-stepping — one distribution, so any program shape that
  * exposed a bug in one consumer automatically stresses the others.
  */
 
@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "isa/assembler.hh"
 #include "rng/rng.hh"
@@ -89,6 +90,26 @@ randomProgram(rng::XorShift64Star &rng, bool withProb)
     a.jnz(3, "loop");
     a.halt();
     return a.finish();
+}
+
+/** The seeds of the dispatch suites' fuzz corpus. */
+inline constexpr uint64_t kFuzzSeeds[] = {11, 42, 1234, 9999};
+
+/**
+ * The fuzz corpus of the dispatch suites (dispatch_equiv_test,
+ * mpki_equiv_test): 60 programs per seed of kFuzzSeeds, 240 in all,
+ * each with a probabilistic group or not at random.
+ */
+inline std::vector<isa::Program>
+fuzzCorpus(uint64_t seed)
+{
+    rng::XorShift64Star rng(seed);
+    std::vector<isa::Program> progs;
+    for (int round = 0; round < 60; round++) {
+        const bool withProb = (rng.next() & 1) != 0;
+        progs.push_back(randomProgram(rng, withProb));
+    }
+    return progs;
 }
 
 }  // namespace pbs::testsupport
