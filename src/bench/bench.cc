@@ -9,6 +9,7 @@
 #include "cpu/core.hh"
 #include "exp/json.hh"
 #include "exp/point.hh"
+#include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "sampling/functional.hh"
 #include "sampling/sampled.hh"
@@ -28,12 +29,8 @@ elapsedMs(Clock::time_point from, Clock::time_point to)
     return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-/**
- * The experiment point a bench point measures (4-wide core, the
- * paper's baseline). `functional-switch` is the functional point run
- * on the reference opcode-switch dispatch: keeping both as bench
- * points makes the superblock speedup a tracked number.
- */
+/** The experiment point a bench point measures (4-wide core, the
+ *  paper's baseline). */
 exp::ExpPoint
 expPointFor(const BenchPoint &p, const BenchConfig &bench)
 {
@@ -44,7 +41,7 @@ expPointFor(const BenchPoint &p, const BenchConfig &bench)
     if (p.mode == "mpki")
         pt.functional = true;
     else
-        pt.mode = p.mode == "functional-switch" ? "functional" : p.mode;
+        pt.mode = p.mode;
     if (pt.mode == "sampled") {
         pt.sampleInterval = bench.sample.interval;
         pt.sampleWarmup = bench.sample.warmup;
@@ -56,8 +53,8 @@ expPointFor(const BenchPoint &p, const BenchConfig &bench)
     return pt;
 }
 
-const char *const kBenchModes[] = {"detailed", "functional",
-                                   "functional-switch", "sampled", "mpki"};
+const char *const kBenchModes[] = {"detailed", "functional", "sampled",
+                                   "mpki"};
 
 bool
 knownMode(const std::string &m)
@@ -253,16 +250,14 @@ runBench(const std::vector<BenchPoint> &points, const BenchConfig &cfg)
                                             workloads::Variant::Marked);
                 double ms;
                 cpu::CoreStats s;
+                cpu::DispatchCounts dc;
                 if (coreCfg.execMode == cpu::ExecMode::Functional) {
-                    const sampling::FuncDispatch fd =
-                        pt.mode == "functional-switch"
-                            ? sampling::FuncDispatch::Switch
-                            : sampling::FuncDispatch::Superblock;
-                    sampling::FunctionalEngine engine(prog, 0, fd);
+                    sampling::FunctionalEngine engine(prog);
                     auto t0 = Clock::now();
                     engine.run();
                     ms = elapsedMs(t0, Clock::now());
                     s = engine.stats();
+                    dc = engine.dispatchCounts();
                 } else if (coreCfg.execMode == cpu::ExecMode::Sampled) {
                     auto t0 = Clock::now();
                     sampling::SampledRun sr =
@@ -275,8 +270,11 @@ runBench(const std::vector<BenchPoint> &points, const BenchConfig &cfg)
                     core.run();
                     ms = elapsedMs(t0, Clock::now());
                     s = core.stats();
+                    dc = core.dispatchCounts();
                 }
                 repMs.push_back(ms);
+                obs::counterAdd("cpu.block_insts", dc.blockInsts);
+                obs::counterAdd("cpu.stepped_insts", dc.steppedInsts);
 
                 r.metrics.instructions = s.instructions;
                 r.metrics.cycles = s.cycles;

@@ -36,9 +36,8 @@ struct BenchPoint
     std::string predictor;  ///< canonical name
     bool pbs = false;
 
-    /** Execution mode: detailed | functional | functional-switch
-     *  (reference dispatch) | sampled | mpki (see README "Simulation
-     *  modes"). */
+    /** Execution mode: detailed | functional | sampled | mpki (see
+     *  README "Simulation modes"). */
     std::string mode = "detailed";
 };
 

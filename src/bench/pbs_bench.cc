@@ -51,8 +51,7 @@ usage(const char *msg = nullptr)
         "                 [--trace FILE] [--metrics FILE]\n"
         "                 [--manifest FILE] [--telemetry FILE]\n"
         "                 [--telemetry-interval MS] [--list]\n"
-        "modes: detailed (default), functional, functional-switch,\n"
-        "       sampled, mpki\n");
+        "modes: detailed (default), functional, sampled, mpki\n");
     return msg ? 2 : 0;
 }
 

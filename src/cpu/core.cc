@@ -595,7 +595,8 @@ Core::runSuperblocks(uint64_t n, uint64_t limit)
     const ExecCtx ctx{regs_.data(), &mem_, probSeq_.data(), &stats_,
                       &halted_};
     Hooks<false, kPbs> hooks(*this, sb_);
-    pc_ = runBlocks(blocks_.get(), image_, pc_, end, ctx, hooks);
+    pc_ = runBlocks(blocks_.get(), image_, pc_, end, ctx, hooks,
+                    counts_);
     hooks.sync();
     if (!halted_ && hooks.instructions < end)
         throwPcOutOfRange(pc_);

@@ -139,6 +139,10 @@ class Core
      *  build without computed goto (every step single-steps then). */
     const SuperblockImage *superblocks() const { return blocks_.get(); }
 
+    /** Instructions the mpki step loop retired through blocks vs
+     *  single steps (both 0 for a timing core). */
+    const DispatchCounts &dispatchCounts() const { return counts_; }
+
     uint64_t reg(unsigned r) const { return regs_[r]; }
     double regDouble(unsigned r) const;
     uint64_t pc() const { return pc_; }
@@ -273,6 +277,7 @@ class Core
     std::vector<ProbTraceEntry> probTrace_;
 
     CoreStats stats_;
+    DispatchCounts counts_;  ///< see dispatchCounts()
 
     /** Base byte address of the instruction image (I-cache stream). */
     static constexpr uint64_t kTextBase = uint64_t(1) << 32;

@@ -52,7 +52,7 @@ enum class SimMode {
 };
 
 /**
- * Which execution engine runs the program (the driver-level `--mode`).
+ * Which execution engine runs the program (the `--modes` axis of `pbs_exp`).
  *
  *  - Detailed: the cpu::Core (SimMode selects its fidelity; `--mode
  *    mpki` maps to SimMode::Functional — the fidelity that still

@@ -303,6 +303,18 @@ execBlocks(const SuperblockImage &img, uint64_t pc, uint64_t end,
 
 #endif  // PBS_HAVE_COMPUTED_GOTO
 
+/**
+ * The instructions a runBlocks caller retired, by path: whole blocks
+ * through the threaded dispatcher, or single steps through
+ * cpu::execute. Published as the `cpu.block_insts` and
+ * `cpu.stepped_insts` metrics counters.
+ */
+struct DispatchCounts
+{
+    uint64_t blockInsts = 0;
+    uint64_t steppedInsts = 0;
+};
+
 /** The instruction count a step loop stops at: @p n more than
  *  @p start, capped at @p limit. */
 inline uint64_t
@@ -314,9 +326,9 @@ stepEnd(uint64_t start, uint64_t n, uint64_t limit)
 /**
  * Single-step from @p pc through cpu::execute until the program halts,
  * hooks.instructions reaches @p end, or the PC leaves the image: the
- * step loop without superblocks (the functional engine's Switch
- * dispatch, and runBlocks in a build without computed goto). Kept out
- * of line, so the reference dispatch is one tight loop of its own and
+ * step loop without superblocks (runBlocks in a build without computed
+ * goto, and the reference the differential tests diff the dispatcher
+ * against). Kept out of line, so it is one tight loop of its own and
  * not code inlined beside the dispatcher's chaining loop.
  *
  * @return the PC execution stopped at.
@@ -350,6 +362,12 @@ stepLoop(const isa::DecodedImage &image, uint64_t pc, uint64_t end,
  * kSuperblocksBuilt; a build without computed goto ignores it and runs
  * stepLoop.
  *
+ * The retired instructions are added to @p counts, split by path, so
+ * the caller can tell how much of a run the dispatcher covered (none,
+ * in a build without computed goto). The single-step count lives in a
+ * local of the fall-back branch and is published once on return; the
+ * chained-block path does no extra work.
+ *
  * @return the PC execution stopped at. A PC outside the image with
  *         the program not halted and budget left is the caller's
  *         error to report.
@@ -358,7 +376,7 @@ template <class Hooks>
 [[gnu::always_inline]] inline uint64_t
 runBlocks([[maybe_unused]] const SuperblockImage *blocks,
           const isa::DecodedImage &image, uint64_t pc, uint64_t end,
-          const ExecCtx &ctx, Hooks &hooks)
+          const ExecCtx &ctx, Hooks &hooks, DispatchCounts &counts)
 {
     static_assert(Hooks::kDataHooksNoOp,
                   "superblocks run data ops without hooks: the policy's "
@@ -366,7 +384,9 @@ runBlocks([[maybe_unused]] const SuperblockImage *blocks,
 #if defined(PBS_HAVE_COMPUTED_GOTO)
     const isa::DecodedOp *const ops = image.ops().data();
     const uint64_t size = image.size();
-    uint64_t count = hooks.instructions;
+    const uint64_t start = hooks.instructions;
+    uint64_t count = start;
+    uint64_t steps = 0;
     while (!*ctx.halted && count < end && pc < size) {
         const uint32_t bi = blocks->blockAt(pc);
         hooks.instructions = count;
@@ -377,12 +397,18 @@ runBlocks([[maybe_unused]] const SuperblockImage *blocks,
         } else {
             pc = execute(ops[pc], pc, ctx, hooks);
             count++;
+            steps++;
         }
     }
     hooks.instructions = count;
+    counts.steppedInsts += steps;
+    counts.blockInsts += count - start - steps;
     return pc;
 #else
-    return stepLoop(image, pc, end, ctx, hooks);
+    const uint64_t start = hooks.instructions;
+    pc = stepLoop(image, pc, end, ctx, hooks);
+    counts.steppedInsts += hooks.instructions - start;
+    return pc;
 #endif
 }
 

@@ -124,11 +124,8 @@ ObsFlags::finish(const char *prog) const
                      prog, metricsFile.c_str());
     if (manifestFile.empty())
         return;
-    const pool::TaskPool &p = pool::TaskPool::instance();
     obs::manifestSetSalt(versionSalt());
-    obs::manifestSetJobs(p.jobs());
-    obs::manifestSetPolicy(p.policy() == pool::Policy::Static ? "static"
-                                                              : "steal");
+    obs::manifestSetJobs(pool::TaskPool::instance().jobs());
     if (!obs::writeManifest(manifestFile))
         std::fprintf(stderr, "%s: warning: cannot write manifest %s\n",
                      prog, manifestFile.c_str());

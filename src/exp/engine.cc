@@ -65,6 +65,10 @@ computeSim(const ExpPoint &pt)
         m.stats = engine.stats();
         m.outputs = b.simOutput(engine.memory());
         obs::counterAdd("insts.ff", m.stats.instructions);
+        obs::counterAdd("cpu.block_insts",
+                        engine.dispatchCounts().blockInsts);
+        obs::counterAdd("cpu.stepped_insts",
+                        engine.dispatchCounts().steppedInsts);
         return m;
       }
       case cpu::ExecMode::Sampled: {
@@ -86,6 +90,9 @@ computeSim(const ExpPoint &pt)
     m.pbs = core.pbs().stats();
     m.outputs = b.simOutput(core.memory());
     obs::counterAdd("insts.measure", m.stats.instructions);
+    obs::counterAdd("cpu.block_insts", core.dispatchCounts().blockInsts);
+    obs::counterAdd("cpu.stepped_insts",
+                    core.dispatchCounts().steppedInsts);
     return m;
 }
 

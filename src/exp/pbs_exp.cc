@@ -26,12 +26,12 @@
 #include <vector>
 
 #include "bpred/factory.hh"
-#include "driver/reports.hh"
 #include "exp/artifact.hh"
 #include "exp/cache.hh"
 #include "exp/cli.hh"
 #include "exp/engine.hh"
 #include "exp/pareto.hh"
+#include "exp/reports.hh"
 #include "exp/spec.hh"
 #include "obs/manifest.hh"
 #include "obs/obs.hh"
@@ -424,7 +424,7 @@ printLists()
     for (const auto &p : bpred::predictorNames())
         std::printf("  %s\n", p.c_str());
     std::printf("reports:\n");
-    for (const auto &r : driver::allReports())
+    for (const auto &r : exp::allReports())
         std::printf("  %-10s %s\n", r.name.c_str(), r.title.c_str());
     std::printf("spec keys: workload predictor variant width mode pbs "
                 "scale div seed seeds sample-interval sample-warmup "
@@ -547,8 +547,8 @@ main(int argc, char **argv)
                 return fail("--out/--csv have no effect with --report "
                             "(reports print to stdout)");
             // Reports print to stdout; keep the summary on stderr.
-            driver::ReportContext ctx{engine, o.divisor};
-            int rc = driver::runReport(o.report, ctx);
+            exp::ReportContext ctx{engine, o.divisor};
+            int rc = exp::runReport(o.report, ctx);
             std::fprintf(stderr, "%s",
                          exp::runSummaryJson(engine.counters(), 0, 0,
                                              "", "").c_str());

@@ -38,16 +38,6 @@ execModeFromName(const std::string &name)
                                 "sampled)");
 }
 
-const char *
-execModeName(cpu::ExecMode mode)
-{
-    switch (mode) {
-      case cpu::ExecMode::Functional: return "functional";
-      case cpu::ExecMode::Sampled: return "sampled";
-      default: return "detailed";
-    }
-}
-
 void
 writePoint(JsonWriter &w, const ExpPoint &pt)
 {

@@ -43,7 +43,7 @@ struct ExpPoint
 
     /**
      * Execution mode: detailed | functional | sampled (the
-     * driver-level cpu::ExecMode). Part of the canonical point JSON,
+     * cpu::ExecMode it selects). Part of the canonical point JSON,
      * so results from different modes can never collide in the cache.
      */
     std::string mode = "detailed";
@@ -156,7 +156,6 @@ workloads::Variant variantFromName(const std::string &name);
  * @throws std::invalid_argument naming any other spelling.
  */
 cpu::ExecMode execModeFromName(const std::string &name);
-const char *execModeName(cpu::ExecMode mode);
 
 /** What came out of running a point. */
 struct Measurement

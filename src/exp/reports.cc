@@ -1,8 +1,8 @@
-#include "driver/reports.hh"
+#include "exp/reports.hh"
 
 #include <cstdio>
 
-namespace pbs::driver {
+namespace pbs::exp {
 
 const std::vector<Report> &
 allReports()
@@ -74,4 +74,4 @@ randPoint(const workloads::BenchmarkDesc &b, bool pbs, unsigned divisor,
     return pt;
 }
 
-}  // namespace pbs::driver
+}  // namespace pbs::exp

@@ -12,10 +12,10 @@
  * branches never mispredict) and resulting MPKI.
  */
 
-#include "driver/reports.hh"
+#include "exp/reports.hh"
 #include "stats/table.hh"
 
-namespace pbs::driver {
+namespace pbs::exp {
 
 namespace {
 
@@ -170,4 +170,4 @@ reportAblation(ReportContext &ctx)
     return 0;
 }
 
-}  // namespace pbs::driver
+}  // namespace pbs::exp

@@ -9,11 +9,11 @@
  * and their share of mispredictions *grows* under the better predictor.
  */
 
-#include "driver/reports.hh"
+#include "exp/reports.hh"
 #include "stats/stats.hh"
 #include "stats/table.hh"
 
-namespace pbs::driver {
+namespace pbs::exp {
 
 int
 reportFig01(ReportContext &ctx)
@@ -64,4 +64,4 @@ reportFig01(ReportContext &ctx)
     return 0;
 }
 
-}  // namespace pbs::driver
+}  // namespace pbs::exp

@@ -8,11 +8,11 @@
  * larger share of its remaining misses is probabilistic.
  */
 
-#include "driver/reports.hh"
+#include "exp/reports.hh"
 #include "stats/stats.hh"
 #include "stats/table.hh"
 
-namespace pbs::driver {
+namespace pbs::exp {
 
 int
 reportFig06(ReportContext &ctx)
@@ -84,4 +84,4 @@ reportFig06(ReportContext &ctx)
     return 0;
 }
 
-}  // namespace pbs::driver
+}  // namespace pbs::exp

@@ -14,11 +14,11 @@
  * Genetic is averaged over 8 random seeds (paper Sec. VI-A).
  */
 
-#include "driver/reports.hh"
+#include "exp/reports.hh"
 #include "stats/stats.hh"
 #include "stats/table.hh"
 
-namespace pbs::driver {
+namespace pbs::exp {
 
 namespace {
 
@@ -112,4 +112,4 @@ reportFig08(ReportContext &ctx)
     return normalizedIpc(ctx, true);
 }
 
-}  // namespace pbs::driver
+}  // namespace pbs::exp

@@ -11,11 +11,11 @@
  * negligible for TAGE-SC-L).
  */
 
-#include "driver/reports.hh"
+#include "exp/reports.hh"
 #include "stats/stats.hh"
 #include "stats/table.hh"
 
-namespace pbs::driver {
+namespace pbs::exp {
 
 namespace {
 
@@ -100,4 +100,4 @@ reportFig09(ReportContext &ctx)
     return 0;
 }
 
-}  // namespace pbs::driver
+}  // namespace pbs::exp

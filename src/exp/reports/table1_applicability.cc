@@ -6,10 +6,10 @@
  * qualitative discussion of CFD overhead vs PBS).
  */
 
-#include "driver/reports.hh"
+#include "exp/reports.hh"
 #include "stats/table.hh"
 
-namespace pbs::driver {
+namespace pbs::exp {
 
 namespace {
 
@@ -77,4 +77,4 @@ reportTable1(ReportContext &ctx)
     return 0;
 }
 
-}  // namespace pbs::driver
+}  // namespace pbs::exp

@@ -4,10 +4,10 @@
  * counts, category, and simulated instruction counts.
  */
 
-#include "driver/reports.hh"
+#include "exp/reports.hh"
 #include "stats/table.hh"
 
-namespace pbs::driver {
+namespace pbs::exp {
 
 int
 reportTable2(ReportContext &ctx)
@@ -43,4 +43,4 @@ reportTable2(ReportContext &ctx)
     return 0;
 }
 
-}  // namespace pbs::driver
+}  // namespace pbs::exp

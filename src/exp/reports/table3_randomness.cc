@@ -19,11 +19,11 @@
 
 #include <algorithm>
 
-#include "driver/reports.hh"
+#include "exp/reports.hh"
 #include "stats/stats.hh"
 #include "stats/table.hh"
 
-namespace pbs::driver {
+namespace pbs::exp {
 
 namespace {
 
@@ -94,4 +94,4 @@ reportTable3(ReportContext &ctx)
     return 0;
 }
 
-}  // namespace pbs::driver
+}  // namespace pbs::exp

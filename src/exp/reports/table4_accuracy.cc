@@ -14,11 +14,11 @@
 
 #include <algorithm>
 
-#include "driver/reports.hh"
+#include "exp/reports.hh"
 #include "stats/stats.hh"
 #include "stats/table.hh"
 
-namespace pbs::driver {
+namespace pbs::exp {
 
 namespace {
 
@@ -112,4 +112,4 @@ reportTable4(ReportContext &ctx)
     return 0;
 }
 
-}  // namespace pbs::driver
+}  // namespace pbs::exp

@@ -27,7 +27,6 @@ struct ManifestState
     std::string binary;
     std::vector<std::string> argv;
     std::string salt;
-    std::string policy;
     unsigned jobs = 0;
     uint64_t startNs = 0;
     std::vector<Artifact> artifacts;
@@ -87,14 +86,6 @@ manifestSetJobs(unsigned jobs)
 }
 
 void
-manifestSetPolicy(const std::string &policy)
-{
-    ManifestState &m = manifest();
-    std::lock_guard<std::mutex> lk(m.mu);
-    m.policy = policy;
-}
-
-void
 manifestAddArtifact(const std::string &path, const std::string &bytes,
                     const char *schema)
 {
@@ -137,7 +128,6 @@ manifestJson()
     w.endArray();
     w.key("code_salt").value(m.salt);
     w.key("jobs").value(m.jobs);
-    w.key("pool_policy").value(m.policy);
     w.key("wall_ms").value(wallNs / 1000000u);
     w.key("artifacts").beginArray();
     for (const Artifact &a : m.artifacts) {
@@ -176,7 +166,6 @@ resetManifestForTest()
     m.binary.clear();
     m.argv.clear();
     m.salt.clear();
-    m.policy.clear();
     m.jobs = 0;
     m.startNs = 0;
     m.artifacts.clear();

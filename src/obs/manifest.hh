@@ -3,7 +3,7 @@
  * Run manifests (`pbs-run-v1`): one small JSON document per run that
  * makes every artifact-writing invocation self-describing — the exact
  * argv, the code salt the result cache keys on, the scheduler shape
- * (jobs, policy), total wall time, and an FNV-1a-128 hash of every
+ * (jobs), total wall time, and an FNV-1a-128 hash of every
  * artifact the run wrote. A manifest plus its artifacts is a complete,
  * verifiable record of what produced what; scripts/check_trace_schema.py
  * re-hashes the files on disk and fails on any mismatch.
@@ -44,9 +44,6 @@ void manifestSetSalt(const std::string &salt);
 
 /** Record the worker count the run executed with. */
 void manifestSetJobs(unsigned jobs);
-
-/** Record the scheduler policy name ("steal" / "static"). */
-void manifestSetPolicy(const std::string &policy);
 
 /**
  * Register one written artifact: @p path as passed to the writer,

@@ -5,24 +5,16 @@
 
 namespace pbs::sampling {
 
-const char *
-funcDispatchName(FuncDispatch d)
-{
-    return d == FuncDispatch::Switch ? "switch" : "superblock";
-}
-
 FunctionalEngine::FunctionalEngine(const isa::Program &prog,
-                                   uint64_t maxInstructions,
-                                   FuncDispatch dispatch)
+                                   uint64_t maxInstructions)
     : image_(isa::DecodedImage::decode(prog)),
-      maxInstructions_(maxInstructions),
-      dispatch_(cpu::kSuperblocksBuilt ? dispatch : FuncDispatch::Switch)
+      maxInstructions_(maxInstructions)
 {
     pc_ = prog.entry;
     for (const auto &[addr, bytes] : prog.dataInit)
         mem_.writeBlock(addr, bytes);
     probSeq_.assign(size_t(image_.maxProbId()) + 1, 0);
-    if (dispatch_ == FuncDispatch::Superblock)
+    if (cpu::kSuperblocksBuilt)
         sb_ = std::make_unique<cpu::SuperblockImage>(
             cpu::SuperblockImage::build(image_));
 }
@@ -51,8 +43,8 @@ FunctionalEngine::step(uint64_t n)
     const uint64_t start = stats_.instructions;
     hooks.instructions = start;
     const uint64_t end = cpu::stepEnd(start, n, ~uint64_t(0));
-    pc_ = sb_ ? cpu::runBlocks(sb_.get(), image_, pc_, end, ctx, hooks)
-              : cpu::stepLoop(image_, pc_, end, ctx, hooks);
+    pc_ = cpu::runBlocks(sb_.get(), image_, pc_, end, ctx, hooks,
+                         counts_);
     stats_.instructions = hooks.instructions;
     if (!halted_ && hooks.instructions < end)
         throw std::out_of_range("PC out of range: " + std::to_string(pc_));

@@ -17,17 +17,16 @@
  * so a checkpoint restored into a detailed core continues the PBS
  * engine's sequence bookkeeping.
  *
- * Dispatch: by default the engine executes through superinstruction
- * blocks (src/cpu/superblock.hh) — straight-line runs stitched into
- * fused handlers with threaded-code dispatch — through the same step
- * loop as the core's mpki fidelity (cpu::runBlocks, here with
- * cpu::NoHooks), which single-steps cpu::execute whenever the PC is
- * not a block leader or a whole block would overshoot the step budget,
- * so step(n) still stops at exact instruction counts. Switch dispatch
- * single-steps every instruction (cpu::stepLoop); it is the
- * differential oracle
- * (tests/dispatch_equiv_test.cc) and the only dispatch of builds
- * without computed goto.
+ * Dispatch: the engine executes through superinstruction blocks
+ * (src/cpu/superblock.hh) — straight-line runs stitched into fused
+ * handlers with threaded-code dispatch — through the same step loop as
+ * the core's mpki fidelity (cpu::runBlocks, here with cpu::NoHooks),
+ * which single-steps cpu::execute whenever the PC is not a block
+ * leader or a whole block would overshoot the step budget, so step(n)
+ * still stops at exact instruction counts. Builds without computed
+ * goto single-step every instruction (cpu::stepLoop), which is also
+ * the reference tests/dispatch_equiv_test.cc diffs the dispatcher
+ * against.
  *
  * This is the engine behind `--mode functional` and the fast-forward
  * phase of `--mode sampled` (src/sampling/sampled.hh).
@@ -50,15 +49,6 @@
 
 namespace pbs::sampling {
 
-/** How FunctionalEngine::step executes instructions. */
-enum class FuncDispatch : uint8_t {
-    Superblock,  ///< stitched blocks, computed-goto threaded dispatch
-    Switch,      ///< reference per-instruction opcode switch
-};
-
-/** Stable name of @p d ("superblock", "switch"). */
-const char *funcDispatchName(FuncDispatch d);
-
 /** Architectural-only execution of a decoded program. */
 class FunctionalEngine
 {
@@ -68,13 +58,9 @@ class FunctionalEngine
      * segments written, PC at the entry point).
      * @param maxInstructions stop run() after this many instructions
      *        (0 = unlimited); step() is never limited.
-     * @param dispatch execution strategy (builds without computed
-     *        goto, cpu::kSuperblocksBuilt false, run Switch whatever
-     *        is asked).
      */
-    explicit FunctionalEngine(
-        const isa::Program &prog, uint64_t maxInstructions = 0,
-        FuncDispatch dispatch = FuncDispatch::Superblock);
+    explicit FunctionalEngine(const isa::Program &prog,
+                              uint64_t maxInstructions = 0);
 
     /** Run until HALT (or the instruction limit). */
     void run();
@@ -98,12 +84,12 @@ class FunctionalEngine
     /** The predecoded image the engine executes from. */
     const isa::DecodedImage &image() const { return image_; }
 
-    /** The dispatch mode this engine runs (Switch when the build has
-     *  no superblock dispatcher, whatever was requested). */
-    FuncDispatch dispatch() const { return dispatch_; }
-
-    /** Stitched blocks, or nullptr in Switch mode. */
+    /** Stitched blocks, or nullptr in a build without computed goto
+     *  (every step single-steps then). */
     const cpu::SuperblockImage *superblocks() const { return sb_.get(); }
+
+    /** Instructions step() retired through blocks vs single steps. */
+    const cpu::DispatchCounts &dispatchCounts() const { return counts_; }
 
     /** Snapshot the architectural state (checkpoint capture). */
     cpu::ArchState saveArch() const;
@@ -129,8 +115,8 @@ class FunctionalEngine
     cpu::CoreStats stats_;
     std::vector<uint64_t> probSeq_;  ///< dynamic instances per probId
 
-    FuncDispatch dispatch_ = FuncDispatch::Superblock;
-    std::unique_ptr<cpu::SuperblockImage> sb_;  ///< null in Switch mode
+    std::unique_ptr<cpu::SuperblockImage> sb_;  ///< see superblocks()
+    cpu::DispatchCounts counts_;
 };
 
 }  // namespace pbs::sampling

@@ -91,6 +91,8 @@ captureCheckpoints(const isa::Program &prog, const cpu::CoreConfig &cfg)
     set.totals = ff.stats();
     set.finalState = ff.saveArch();
     obs::counterAdd("insts.ff", set.totals.instructions);
+    obs::counterAdd("cpu.block_insts", ff.dispatchCounts().blockInsts);
+    obs::counterAdd("cpu.stepped_insts", ff.dispatchCounts().steppedInsts);
     obs::counterAdd("sampling.checkpoints_captured", set.checkpoints.size());
     return set;
 }

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -143,7 +142,6 @@ xorshift(uint64_t &s)
 }
 
 thread_local WorkerState *tState = nullptr;
-thread_local bool tInStaticRegion = false;
 
 }  // namespace
 
@@ -151,10 +149,9 @@ thread_local bool tInStaticRegion = false;
 struct PoolImpl
 {
     // -- configuration ------------------------------------------------
-    Policy policy = Policy::Steal;
     unsigned jobs = 1;
 
-    // -- persistent workers (Policy::Steal) ---------------------------
+    // -- persistent workers -------------------------------------------
     std::vector<std::thread> threads;
     std::vector<std::unique_ptr<WorkerState>> workerStates;
     std::atomic<bool> stop{false};
@@ -200,9 +197,7 @@ struct PoolImpl
 
     void spawnWorkers()
     {
-        const unsigned n = policy == Policy::Steal && jobs > 1
-                               ? jobs - 1
-                               : 0;
+        const unsigned n = jobs > 1 ? jobs - 1 : 0;
         workerStates.reserve(n);
         threads.reserve(n);
         for (unsigned i = 0; i < n; i++) {
@@ -433,40 +428,6 @@ struct PoolImpl
         if (job.error)
             std::rethrow_exception(job.error);
     }
-
-    /** The pre-scheduler reference: threads per region, index loop. */
-    void runStatic(size_t n, const std::function<void(size_t)> &body,
-                   const char *label)
-    {
-        const unsigned nt =
-            unsigned(std::min<size_t>(jobs, n));
-        RootJob job;
-        job.body = &body;
-        job.label = label;
-        cRegions.fetch_add(1, std::memory_order_relaxed);
-
-        std::atomic<size_t> next{0};
-        auto loop = [&]() {
-            for (size_t i = next.fetch_add(1); i < n;
-                 i = next.fetch_add(1))
-                runLeaf(job, i);
-        };
-
-        obs::Span span("task", label);
-        std::vector<std::thread> pool;
-        pool.reserve(nt);
-        for (unsigned t = 0; t < nt; t++)
-            pool.emplace_back([&loop, label, t]() {
-                tInStaticRegion = true;
-                obs::newTrack(std::string(label) + " worker " +
-                              std::to_string(t));
-                loop();
-            });
-        for (auto &th : pool)
-            th.join();
-        if (job.error)
-            std::rethrow_exception(job.error);
-    }
 };
 
 namespace {
@@ -484,12 +445,7 @@ impl()
 // TaskPool facade.
 // ---------------------------------------------------------------------
 
-TaskPool::TaskPool()
-{
-    const char *env = std::getenv("PBS_TASK_POOL");
-    if (env && std::string(env) == "static")
-        impl().policy = Policy::Static;
-}
+TaskPool::TaskPool() = default;
 
 TaskPool::~TaskPool() = default;
 
@@ -509,9 +465,7 @@ TaskPool::configure(unsigned jobs)
         if (jobs == 0)
             jobs = 1;
     }
-    if (jobs == p.jobs && (p.policy != Policy::Steal ||
-                           p.threads.size() + 1 == size_t(jobs) ||
-                           jobs == 1))
+    if (jobs == p.jobs && p.threads.size() + 1 == size_t(jobs))
         return;
     p.joinWorkers();
     p.jobs = jobs;
@@ -525,23 +479,6 @@ TaskPool::jobs() const
 }
 
 void
-TaskPool::setPolicy(Policy pol)
-{
-    PoolImpl &p = impl();
-    if (pol == p.policy)
-        return;
-    p.joinWorkers();
-    p.policy = pol;
-    p.spawnWorkers();
-}
-
-Policy
-TaskPool::policy() const
-{
-    return impl().policy;
-}
-
-void
 TaskPool::parallelFor(size_t n,
                       const std::function<void(size_t)> &body,
                       const char *label)
@@ -551,15 +488,6 @@ TaskPool::parallelFor(size_t n,
     PoolImpl &p = impl();
     if (n == 1 || p.jobs == 1) {
         p.runSerial(n, body);
-        return;
-    }
-    if (p.policy == Policy::Static) {
-        // The old pool never nested: an inner fan-out inside a static
-        // region ran serially on its worker. Reproduce that exactly.
-        if (tInStaticRegion)
-            p.runSerial(n, body);
-        else
-            p.runStatic(n, body, label);
         return;
     }
     p.runSteal(n, body, label);

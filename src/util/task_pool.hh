@@ -15,8 +15,8 @@
  *    and from every body to the return. Callers write results into
  *    pre-allocated slots keyed by index; nothing the pool does (worker
  *    count, steal order, jitter) can change an artifact byte.
- *    tests/scheduler_test.cc pins this across --jobs {1,2,8}, both
- *    policies, and seeded steal jitter.
+ *    tests/scheduler_test.cc pins this across --jobs {1,2,8} against
+ *    the serial (jobs=1) reference, and under seeded steal jitter.
  *
  *  - **Chase-Lev deques, parlaylib-style fork/join.** Each worker owns
  *    a bounded lock-free deque: the owner pushes/pops at the bottom
@@ -32,15 +32,9 @@
  *
  *  - **Nested parallelism is the point.** A task may call parallelFor
  *    again; its sub-tasks land on the executing worker's own deque
- *    and are stolen like any others. jobs=1 (or Policy::Static inside
- *    a static region) degenerates to a plain serial loop on the
- *    calling thread.
- *
- *  - **Policy::Static is the old pool, kept as a reference.** It
- *    reproduces the pre-scheduler behavior — fresh threads per region,
- *    atomic-increment task claiming, serial nested fan-out — so tests
- *    can diff artifacts old-vs-new (`PBS_TASK_POOL=static` selects it
- *    at process start; setPolicy() programmatically).
+ *    and are stolen like any others. jobs=1 degenerates to a plain
+ *    serial loop on the calling thread: `--jobs 1` is the reference
+ *    run that rules a scheduling bug in or out.
  *
  * Observability: the caller's parallelFor is wrapped in a "task" span;
  * every stolen execution is wrapped in a "steal" span on the thief's
@@ -59,12 +53,6 @@
 
 namespace pbs::pool {
 
-/** Scheduler selection (see file comment). */
-enum class Policy {
-    Steal,   ///< work-stealing fork-join pool (the default)
-    Static,  ///< pre-scheduler reference: threads-per-region + index loop
-};
-
 /** Schedule-dependent tallies (volatile; never in artifacts). */
 struct Counters
 {
@@ -78,23 +66,19 @@ struct Counters
 class TaskPool
 {
   public:
-    /** The process-wide pool. First call reads PBS_TASK_POOL. */
+    /** The process-wide pool. */
     static TaskPool &instance();
 
     /**
      * Set the worker budget: @p jobs total workers including the
-     * calling thread (0 means hardware concurrency). Under
-     * Policy::Steal this (re)spawns jobs-1 persistent workers. Call
-     * only from the top level, never while a region is running.
+     * calling thread (0 means hardware concurrency). This (re)spawns
+     * jobs-1 persistent workers. Call only from the top level, never
+     * while a region is running.
      */
     void configure(unsigned jobs);
 
     /** The configured worker budget (>= 1). */
     unsigned jobs() const;
-
-    /** Select the scheduler (top level only; respawns workers). */
-    void setPolicy(Policy p);
-    Policy policy() const;
 
     /**
      * Run body(0) .. body(n-1), each exactly once, potentially in

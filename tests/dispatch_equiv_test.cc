@@ -1,10 +1,11 @@
 /**
  * @file
  * Differential harness for functional-mode dispatch: the superblock
- * dispatcher vs the reference opcode switch (cpu::execute) must
- * leave registers, memory, the prob-sequence counters and every shared
- * statistic bit-identical — on every registered workload, on fuzzed
- * programs from the property_test generator, on programs that branch
+ * dispatcher vs single-stepping the opcode switch (cpu::execute,
+ * through cpu::stepLoop) must leave registers, memory, the
+ * prob-sequence counters and every shared statistic bit-identical —
+ * on every registered workload, on fuzzed programs from the
+ * property_test generator, on programs that branch
  * into the middle of would-be-fused runs, and at every step(n)
  * boundary. This suite is the safety gate for the superinstruction
  * optimisation (src/cpu/superblock.cc): any rewriting of the
@@ -25,16 +26,17 @@
 #include "workloads/common.hh"
 
 #include "support/random_program.hh"
+#include "support/step_reference.hh"
 
 namespace {
 
 using namespace pbs;
-using sampling::FuncDispatch;
 using sampling::FunctionalEngine;
 using cpu::SbHandler;
 using cpu::SuperblockImage;
 using testsupport::fuzzCorpus;
 using testsupport::randomProgram;
+using testsupport::StepReference;
 
 /** Every test here exercises the superblock dispatcher. */
 class SuperblockTest : public ::testing::Test
@@ -49,12 +51,12 @@ class SuperblockTest : public ::testing::Test
     }
 };
 
-/** Full architectural + statistics diff between two engines. */
+/** Full architectural + statistics diff of an engine vs the reference. */
 void
-expectSameState(const FunctionalEngine &ref, const FunctionalEngine &got,
+expectSameState(const StepReference &ref, const FunctionalEngine &got,
                 const std::string &what)
 {
-    const cpu::ArchState a = ref.saveArch();
+    const cpu::ArchState &a = ref.arch;
     const cpu::ArchState b = got.saveArch();
     for (unsigned r = 0; r < isa::kNumRegs; r++)
         EXPECT_EQ(a.regs[r], b.regs[r]) << what << " r" << r;
@@ -65,17 +67,18 @@ expectSameState(const FunctionalEngine &ref, const FunctionalEngine &got,
     for (size_t i = 0; i < a.probSeq.size(); i++)
         EXPECT_EQ(a.probSeq[i], b.probSeq[i]) << what << " probSeq " << i;
     EXPECT_TRUE(a.mem.sameContents(b.mem)) << what;
-    EXPECT_EQ(ref.stats().branches, got.stats().branches) << what;
-    EXPECT_EQ(ref.stats().probBranches, got.stats().probBranches) << what;
+    EXPECT_EQ(ref.stats.branches, got.stats().branches) << what;
+    EXPECT_EQ(ref.stats.probBranches, got.stats().probBranches) << what;
 }
 
-/** Run @p prog to completion under both dispatch modes and diff. */
+/** Run @p prog to completion on superblocks and single-stepped, and
+ *  diff. */
 void
 expectAllDispatchesAgree(const isa::Program &prog, const std::string &what)
 {
-    FunctionalEngine ref(prog, 0, FuncDispatch::Switch);
+    FunctionalEngine sb(prog);
+    StepReference ref(sb);
     ref.run();
-    FunctionalEngine sb(prog, 0, FuncDispatch::Superblock);
     sb.run();
     expectSameState(ref, sb, what + " [superblock]");
 }
@@ -167,15 +170,15 @@ TEST_P(DispatchFuzz, RandomProgramsNeverDiverge)
         // stepping must hold mid-run, not just at halt).
         if (round % 8 != 0)
             continue;
-        FunctionalEngine ref(prog, 0, FuncDispatch::Switch);
-        FunctionalEngine sb(prog, 0, FuncDispatch::Superblock);
-        while (!ref.halted()) {
+        FunctionalEngine sb(prog);
+        StepReference ref(sb);
+        while (!ref.arch.halted) {
             const uint64_t chunk = 1 + schedule.next() % 37;
             const uint64_t dref = ref.step(chunk);
             const uint64_t dsb = sb.step(chunk);
             ASSERT_EQ(dref, dsb) << what;
-            ASSERT_EQ(ref.pc(), sb.pc()) << what;
-            ASSERT_EQ(ref.stats().instructions, sb.stats().instructions)
+            ASSERT_EQ(ref.arch.pc, sb.pc()) << what;
+            ASSERT_EQ(ref.arch.instructions, sb.stats().instructions)
                 << what;
         }
         expectSameState(ref, sb, what + " [stepped]");
@@ -296,8 +299,8 @@ TEST_F(DispatchStepBoundary, EveryPrefixLengthIsExact)
     rng::XorShift64Star rng(7);
     const isa::Program prog = randomProgram(rng, true);
     for (uint64_t k = 1; k <= 48; k++) {
-        FunctionalEngine ref(prog, 0, FuncDispatch::Switch);
-        FunctionalEngine sb(prog, 0, FuncDispatch::Superblock);
+        FunctionalEngine sb(prog);
+        StepReference ref(sb);
         EXPECT_EQ(ref.step(k), k);
         EXPECT_EQ(sb.step(k), k);
         EXPECT_EQ(sb.stats().instructions, k);

@@ -9,8 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include "driver/reports.hh"
 #include "exp/artifact.hh"
+#include "exp/reports.hh"
 #include "exp/spec.hh"
 
 namespace {
@@ -24,7 +24,7 @@ TEST(DriverReports, RegistryHasAllHarnesses)
     const char *expected[] = {"fig01", "fig06", "fig07", "fig08",
                               "fig09", "table1", "table2", "table3",
                               "table4", "ablation"};
-    const auto &reports = driver::allReports();
+    const auto &reports = exp::allReports();
     for (const char *name : expected) {
         bool found = false;
         for (const auto &rep : reports)
@@ -32,8 +32,8 @@ TEST(DriverReports, RegistryHasAllHarnesses)
         EXPECT_TRUE(found) << "missing report " << name;
     }
     exp::Engine engine;
-    driver::ReportContext ctx{engine, 1};
-    EXPECT_EQ(driver::runReport("nonesuch", ctx), 2);
+    exp::ReportContext ctx{engine, 1};
+    EXPECT_EQ(exp::runReport("nonesuch", ctx), 2);
 }
 
 // --- Seed-sweep determinism ------------------------------------------
@@ -109,7 +109,7 @@ TEST(SweepDeterminism, MatchesReportHarnessPoint)
     ASSERT_TRUE(grid.ok) << grid.error;
     ASSERT_EQ(grid.points.size(), 1u);
 
-    exp::ExpPoint harness = driver::functionalPoint(
+    exp::ExpPoint harness = exp::functionalPoint(
         workloads::benchmarkByName("pi"), "tage-sc-l", false, 1);
     harness.scale = 2000;
     EXPECT_EQ(grid.points[0], harness);

@@ -18,12 +18,12 @@
 
 #include <gtest/gtest.h>
 
-#include "driver/reports.hh"
 #include "exp/artifact.hh"
 #include "exp/cache.hh"
 #include "exp/engine.hh"
 #include "exp/json.hh"
 #include "exp/pareto.hh"
+#include "exp/reports.hh"
 #include "exp/spec.hh"
 #include "sampling/checkpoint.hh"
 #include "util/hash.hh"
@@ -502,9 +502,9 @@ TEST_F(ExpCacheTest, ReportRendersIdenticallyColdAndWarm)
         cfg.cacheDir = cacheDir();
         cfg.jobs = 2;
         exp::Engine engine(cfg);
-        driver::ReportContext ctx{engine, 200};
+        exp::ReportContext ctx{engine, 200};
         ::testing::internal::CaptureStdout();
-        EXPECT_EQ(driver::runReport("fig01", ctx), 0);
+        EXPECT_EQ(exp::runReport("fig01", ctx), 0);
         return ::testing::internal::GetCapturedStdout();
     };
     const std::string cold = render();

@@ -3,8 +3,8 @@
  * Functional-mode correctness: the sampling subsystem's
  * FunctionalEngine must leave registers, memory, the PC and the
  * program outputs bit-identical to a detailed (timing) run with PBS
- * disabled, on every registered workload across multiple seeds — under
- * both the superblock dispatcher and the reference opcode switch — and
+ * disabled, on every registered workload across multiple seeds — as must
+ * the single-stepping reference (tests/support/step_reference.hh) — and
  * both must reproduce the native reference outputs exactly (the RNG
  * ISA twins guarantee bit-equality end to end).
  */
@@ -16,6 +16,8 @@
 #include "cpu/core.hh"
 #include "sampling/functional.hh"
 #include "workloads/common.hh"
+
+#include "support/step_reference.hh"
 
 namespace {
 
@@ -41,28 +43,37 @@ TEST_P(FunctionalEquiv, MatchesDetailedAndNative)
         const auto native = b.nativeOutput(p);
         const auto detOut = b.simOutput(detailed.memory());
 
-        for (auto fd : {sampling::FuncDispatch::Superblock,
-                        sampling::FuncDispatch::Switch}) {
-            const std::string what =
-                base + " [" + sampling::funcDispatchName(fd) + "]";
-            sampling::FunctionalEngine functional(
-                b.build(p, workloads::Variant::Marked), 0, fd);
-            functional.run();
+        sampling::FunctionalEngine functional(
+            b.build(p, workloads::Variant::Marked));
+        testsupport::StepReference stepped(functional);
+        functional.run();
+        stepped.run();
+
+        struct End
+        {
+            const char *name;
+            cpu::ArchState arch;
+            cpu::CoreStats stats;
+        };
+        for (const End &e :
+             {End{"superblock", functional.saveArch(), functional.stats()},
+              End{"single-step", stepped.arch, stepped.stats}}) {
+            const std::string what = base + " [" + e.name + "]";
 
             // Architectural end state, register by register.
             for (unsigned r = 0; r < isa::kNumRegs; r++)
-                EXPECT_EQ(detailed.reg(r), functional.reg(r))
+                EXPECT_EQ(detailed.reg(r), e.arch.regs[r])
                     << what << " r" << r;
-            EXPECT_EQ(detailed.pc(), functional.pc()) << what;
-            EXPECT_TRUE(functional.halted()) << what;
+            EXPECT_EQ(detailed.pc(), e.arch.pc) << what;
+            EXPECT_TRUE(e.arch.halted) << what;
 
             // Memory, byte for byte (zero pages treated as absent).
-            EXPECT_TRUE(detailed.memory().sameContents(
-                functional.memory())) << what;
+            EXPECT_TRUE(detailed.memory().sameContents(e.arch.mem))
+                << what;
 
             // Instruction-stream statistics the engines share.
             const auto &ds = detailed.stats();
-            const auto &fs = functional.stats();
+            const auto &fs = e.stats;
             EXPECT_EQ(ds.instructions, fs.instructions) << what;
             EXPECT_EQ(ds.branches, fs.branches) << what;
             EXPECT_EQ(ds.probBranches, fs.probBranches) << what;
@@ -72,7 +83,7 @@ TEST_P(FunctionalEquiv, MatchesDetailedAndNative)
             // Outputs: functional == detailed bit for bit, and both
             // match the native reference (same tolerance as the golden
             // tests).
-            const auto funOut = b.simOutput(functional.memory());
+            const auto funOut = b.simOutput(e.arch.mem);
             EXPECT_EQ(detOut, funOut) << what;
             ASSERT_EQ(funOut.size(), native.size()) << what;
             for (size_t i = 0; i < native.size(); i++)

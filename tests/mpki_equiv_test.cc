@@ -16,15 +16,23 @@
  * PBS off and on, plus a Fig. 9 filter row and a traceProbBranches
  * (Table III) row. Builds without computed goto run it too: there
  * every path single-steps, and the cores must have no superblocks.
+ *
+ * The block-share gate: on the eight workloads, the functional engine
+ * and the mpki core must retire at least 99% of their instructions
+ * through whole blocks (cpu::DispatchCounts). A silent fallback to
+ * single-stepping leaves every result above intact, so only this
+ * count catches it.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
 
 #include "cpu/core.hh"
+#include "sampling/functional.hh"
 #include "workloads/common.hh"
 
 #include "support/random_program.hh"
@@ -237,6 +245,46 @@ TEST(MpkiSuperblocks, OnlyTheMpkiFidelityBuildsThem)
     mpki.mode = cpu::SimMode::Functional;
     EXPECT_EQ(cpu::Core(prog, mpki).superblocks() != nullptr,
               cpu::kSuperblocksBuilt);
+}
+
+// Every workload, in functional and in mpki (perfect and tage-sc-l,
+// PBS off and on), runs at least 99% of its instructions through
+// whole blocks; without computed goto, every instruction single-steps.
+TEST(MpkiSuperblocks, BlockShareCoversTheRun)
+{
+    double minShare = 1.0;
+    auto check = [&](const cpu::DispatchCounts &c, uint64_t insts,
+                     const std::string &what) {
+        EXPECT_EQ(c.blockInsts + c.steppedInsts, insts) << what;
+        if (!cpu::kSuperblocksBuilt) {
+            EXPECT_EQ(c.steppedInsts, insts) << what;
+            return;
+        }
+        const double share = double(c.blockInsts) / double(insts);
+        minShare = std::min(minShare, share);
+        EXPECT_GE(share, 0.99)
+            << what << ": " << c.steppedInsts << " of " << insts
+            << " instructions single-stepped";
+    };
+    for (const auto &b : workloads::allBenchmarks()) {
+        workloads::WorkloadParams p;
+        p.scale = std::max<uint64_t>(1, b.defaultScale / 50);
+        const isa::Program prog = b.build(p, workloads::Variant::Marked);
+
+        sampling::FunctionalEngine engine(prog);
+        engine.run();
+        check(engine.dispatchCounts(), engine.stats().instructions,
+              b.name + " functional");
+        for (const char *pred : {"perfect", "tage-sc-l"}) {
+            for (bool pbs : {false, true}) {
+                cpu::Core core(prog, mpkiConfig({pred, pbs}));
+                core.run();
+                check(core.dispatchCounts(), core.stats().instructions,
+                      b.name + " mpki " + rowName({pred, pbs}));
+            }
+        }
+    }
+    RecordProperty("min_block_share", std::to_string(minShare));
 }
 
 }  // namespace

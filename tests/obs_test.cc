@@ -529,7 +529,6 @@ TEST_F(ObsTest, ManifestHashesReconcileWithArtifactBytes)
     ASSERT_TRUE(obs::manifestEnabled());
     obs::manifestSetSalt("test-salt");
     obs::manifestSetJobs(2);
-    obs::manifestSetPolicy("steal");
 
     const std::string bytesA = "{\"schema\":\"pbs-sweep-v1\"}\n";
     const std::string bytesB = "seed,ipc\n1,0.5\n";
@@ -542,7 +541,6 @@ TEST_F(ObsTest, ManifestHashesReconcileWithArtifactBytes)
     EXPECT_EQ(v.find("binary")->asString(), "obs_test");
     EXPECT_EQ(v.find("code_salt")->asString(), "test-salt");
     EXPECT_EQ(v.find("jobs")->asU64(), 2u);
-    EXPECT_EQ(v.find("pool_policy")->asString(), "steal");
     ASSERT_NE(v.find("wall_ms"), nullptr);
 
     // argv[0] is skipped; the rest is recorded verbatim.

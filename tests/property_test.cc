@@ -2,7 +2,7 @@
  * @file
  * Property-based tests: encoder fuzzing, predictor invariants across
  * the whole suite, cache geometry sweeps, PBS configuration sweeps,
- * core-vs-functional-engine fuzzing, and cross-mode timing invariants.
+ * core-vs-single-stepping fuzzing, and cross-mode timing invariants.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "workloads/common.hh"
 
 #include "support/random_program.hh"
+#include "support/step_reference.hh"
 
 namespace {
 
@@ -328,8 +329,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------
 // Interpreter fuzzing: randomly generated valid programs must leave the
-// detailed core (mpki fidelity, PBS off) and the functional engine
-// (reference switch) in the same architectural state — the core's
+// detailed core (mpki fidelity, PBS off) and the single-stepping
+// reference (tests/support/step_reference.hh) in the same
+// architectural state — the core's
 // hooks may observe an instruction but never change what it does.
 // Malformed programs must be rejected at predecode time with a
 // diagnostic, never a crash.
@@ -355,20 +357,21 @@ TEST_P(CoreFunctionalFuzz, RandomProgramsNeverDiverge)
         cfg.predictor = "tournament";
         cpu::Core core(prog, cfg);
         core.run();
-        sampling::FunctionalEngine fe(prog, 0,
-                                      sampling::FuncDispatch::Switch);
-        fe.run();
+        const sampling::FunctionalEngine fresh(prog);
+        testsupport::StepReference ref(fresh);
+        ref.run();
 
         ASSERT_TRUE(core.halted()) << what;
-        ASSERT_TRUE(fe.halted()) << what;
+        ASSERT_TRUE(ref.arch.halted) << what;
         for (unsigned r = 0; r < isa::kNumRegs; r++)
-            EXPECT_EQ(core.reg(r), fe.reg(r)) << what << " reg " << r;
-        EXPECT_TRUE(core.memory().sameContents(fe.memory())) << what;
-        EXPECT_EQ(core.pc(), fe.pc()) << what;
-        EXPECT_EQ(core.stats().instructions, fe.stats().instructions)
+            EXPECT_EQ(core.reg(r), ref.arch.regs[r])
+                << what << " reg " << r;
+        EXPECT_TRUE(core.memory().sameContents(ref.arch.mem)) << what;
+        EXPECT_EQ(core.pc(), ref.arch.pc) << what;
+        EXPECT_EQ(core.stats().instructions, ref.stats.instructions)
             << what;
-        EXPECT_EQ(core.stats().branches, fe.stats().branches) << what;
-        EXPECT_EQ(core.stats().probBranches, fe.stats().probBranches)
+        EXPECT_EQ(core.stats().branches, ref.stats.branches) << what;
+        EXPECT_EQ(core.stats().probBranches, ref.stats.probBranches)
             << what;
     }
 }

@@ -16,6 +16,8 @@
 #include "util/task_pool.hh"
 #include "workloads/common.hh"
 
+#include "support/step_reference.hh"
+
 namespace {
 
 using namespace pbs;
@@ -161,9 +163,9 @@ TEST(Checkpoint, RestoreRejectsForeignPrograms)
  * edge, inside a block, and at the +/-1 neighbors of the edge. The
  * engine must stop at the exact count under superblock dispatch (the
  * block epilogue decomposes to single steps), the captured checkpoint
- * must serialize to the same bytes as a reference-switch capture, and
- * resuming from it — under either dispatch — must reach the same end
- * state as an uninterrupted run.
+ * must serialize to the same bytes as a single-stepped capture, and
+ * resuming from it — on superblocks or single-stepped — must reach the
+ * same end state as an uninterrupted run.
  */
 TEST(Checkpoint, AdversarialCountsMatchAcrossDispatch)
 {
@@ -174,8 +176,7 @@ TEST(Checkpoint, AdversarialCountsMatchAcrossDispatch)
 
     // Classify instruction counts by where the PC lands: on a block
     // leader (edge) or mid-block (interior).
-    sampling::FunctionalEngine probe(
-        prog, 0, sampling::FuncDispatch::Superblock);
+    sampling::FunctionalEngine probe(prog);
     ASSERT_NE(probe.superblocks(), nullptr);
     const cpu::SuperblockImage &sb = *probe.superblocks();
     probe.step(10000);
@@ -201,41 +202,40 @@ TEST(Checkpoint, AdversarialCountsMatchAcrossDispatch)
                            interior, interior + 1}) {
         const std::string what = "count " + std::to_string(count);
 
-        sampling::FunctionalEngine super(
-            prog, 0, sampling::FuncDispatch::Superblock);
+        sampling::FunctionalEngine super(prog);
+        testsupport::StepReference ref(super);
         EXPECT_EQ(super.step(count), count) << what;
         EXPECT_EQ(super.stats().instructions, count) << what;
-        sampling::FunctionalEngine ref(
-            prog, 0, sampling::FuncDispatch::Switch);
         EXPECT_EQ(ref.step(count), count) << what;
 
         // Captures are bit-identical down to the serialized bytes.
         sampling::Checkpoint superChk{super.saveArch()};
-        sampling::Checkpoint refChk{ref.saveArch()};
+        sampling::Checkpoint refChk{ref.arch};
         expectSameArch(superChk.state, refChk.state, what);
         EXPECT_EQ(superChk.serialize(), refChk.serialize()) << what;
 
-        // Round trip: restore under both dispatches, finish, compare
-        // with the uninterrupted run.
-        for (auto mode : {sampling::FuncDispatch::Superblock,
-                          sampling::FuncDispatch::Switch}) {
-            sampling::FunctionalEngine resumed(prog, 0, mode);
-            resumed.restoreArch(
-                sampling::Checkpoint::deserialize(superChk.serialize())
-                    .state);
-            resumed.run();
-            expectSameArch(fullEnd, resumed.saveArch(),
-                           what + " resume " +
-                               sampling::funcDispatchName(mode));
-        }
+        // Round trip: restore on superblocks and single-stepped,
+        // finish, compare with the uninterrupted run.
+        const cpu::ArchState restored =
+            sampling::Checkpoint::deserialize(superChk.serialize()).state;
+        sampling::FunctionalEngine resumed(prog);
+        testsupport::StepReference resumedRef(resumed);
+        resumed.restoreArch(restored);
+        resumed.run();
+        expectSameArch(fullEnd, resumed.saveArch(),
+                       what + " resume superblock");
+        resumedRef.arch = restored;
+        resumedRef.run();
+        expectSameArch(fullEnd, resumedRef.arch,
+                       what + " resume single-step");
     }
 }
 
 /**
  * The sampled-simulation artifacts must be byte-identical with
  * superblocks on vs off: capture the set through captureCheckpoints
- * (superblock dispatch) and again by stepping a switch-dispatch engine
- * to each k * interval - warmup, diff every serialized checkpoint, and
+ * (superblock dispatch) and again by single-stepping the reference to
+ * each k * interval - warmup, diff every serialized checkpoint, and
  * diff the sampled results computed from either set.
  */
 TEST(Sampled, ArtifactsByteIdenticalAcrossDispatch)
@@ -250,37 +250,37 @@ TEST(Sampled, ArtifactsByteIdenticalAcrossDispatch)
 
     sampling::CheckpointSet superSet =
         sampling::captureCheckpoints(prog, cfg);
-    sampling::CheckpointSet switchSet;
+    sampling::CheckpointSet steppedSet;
     {
-        sampling::FunctionalEngine ff(prog, 0,
-                                      sampling::FuncDispatch::Switch);
+        const sampling::FunctionalEngine fresh(prog);
+        testsupport::StepReference ff(fresh);
         for (uint64_t k = 1;; k++) {
             ff.step(k * cfg.sample.interval - cfg.sample.warmup -
-                    ff.stats().instructions);
-            if (ff.halted())
+                    ff.arch.instructions);
+            if (ff.arch.halted)
                 break;
-            switchSet.checkpoints.push_back(ff.saveArch());
+            steppedSet.checkpoints.push_back(ff.arch);
         }
         ff.run();
-        switchSet.totals = ff.stats();
-        switchSet.finalState = ff.saveArch();
+        steppedSet.totals = ff.stats;
+        steppedSet.finalState = ff.arch;
     }
 
-    ASSERT_EQ(superSet.checkpoints.size(), switchSet.checkpoints.size());
+    ASSERT_EQ(superSet.checkpoints.size(), steppedSet.checkpoints.size());
     for (size_t i = 0; i < superSet.checkpoints.size(); i++) {
-        expectSameArch(superSet.checkpoints[i], switchSet.checkpoints[i],
+        expectSameArch(superSet.checkpoints[i], steppedSet.checkpoints[i],
                        "checkpoint " + std::to_string(i));
         EXPECT_EQ(
             sampling::Checkpoint{superSet.checkpoints[i]}.serialize(),
-            sampling::Checkpoint{switchSet.checkpoints[i]}.serialize())
+            sampling::Checkpoint{steppedSet.checkpoints[i]}.serialize())
             << "checkpoint " << i;
     }
-    expectSameArch(superSet.finalState, switchSet.finalState, "final");
+    expectSameArch(superSet.finalState, steppedSet.finalState, "final");
 
     sampling::SampledRun a = sampling::runSampledOnSet(prog, cfg,
                                                        superSet);
     sampling::SampledRun b = sampling::runSampledOnSet(prog, cfg,
-                                                       switchSet);
+                                                       steppedSet);
     EXPECT_TRUE(a.stats == b.stats);
     EXPECT_TRUE(a.est == b.est);
     expectSameArch(a.finalState, b.finalState, "sampled final");

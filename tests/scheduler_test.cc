@@ -3,11 +3,10 @@
  * The work-stealing scheduler (src/util/task_pool): exactly-once
  * execution across edge shapes and nesting, fuzzed fork/join trees,
  * exception propagation out of a stolen task, clean repeated
- * shutdown, and the byte-identity contract — batch and sweep
- * artifacts identical across --jobs {1,2,8}, both policies (stealing
- * vs the pre-scheduler static reference), and seeded steal-order
- * jitter. Built with TSan in CI (the deque is fence-free seq_cst so
- * the tool can actually verify it).
+ * shutdown, and the byte-identity contract — sweep artifacts at
+ * --jobs {2,8} and under seeded steal-order jitter identical to the
+ * serial (--jobs 1) reference. Built with TSan in CI (the deque is
+ * fence-free seq_cst so the tool can actually verify it).
  */
 
 #include <atomic>
@@ -39,7 +38,6 @@ class SchedulerTest : public ::testing::Test
     {
         pool::TaskPool &p = pool::TaskPool::instance();
         p.setStealJitter(0, 0);
-        p.setPolicy(pool::Policy::Steal);
         p.configure(1);
         p.resetCounters();
     }
@@ -182,7 +180,7 @@ TEST_F(SchedulerTest, ExceptionFromStolenTaskPropagatesToCaller)
     EXPECT_GT(p.counters().steals, 0u);
 }
 
-TEST_F(SchedulerTest, ExceptionPropagatesInSerialAndStaticModes)
+TEST_F(SchedulerTest, ExceptionPropagatesSerialAndParallel)
 {
     pool::TaskPool &p = pool::TaskPool::instance();
 
@@ -196,7 +194,6 @@ TEST_F(SchedulerTest, ExceptionPropagatesInSerialAndStaticModes)
                      "test"),
                  std::invalid_argument);
 
-    p.setPolicy(pool::Policy::Static);
     p.configure(4);
     EXPECT_THROW(p.parallelFor(
                      8,
@@ -231,11 +228,10 @@ TEST_F(SchedulerTest, RepeatedReconfigureAndShutdownStaysClean)
 
 // --- byte-identity of artifacts --------------------------------------
 
-TEST_F(SchedulerTest, SeedSweepArtifactByteIdenticalAcrossJobsAndPolicies)
+TEST_F(SchedulerTest, SeedSweepArtifactByteIdenticalAcrossJobs)
 {
     // A sampled multi-seed sweep: seeds fan out on the pool and each
-    // seed's intervals fan out beneath them (the nested case the old
-    // static pool could not schedule).
+    // seed's intervals fan out beneath them (nested regions).
     auto parsed = exp::parseSpecText("workload = pi\n"
                                      "mode = sampled\n"
                                      "div = 20\n"
@@ -246,10 +242,8 @@ TEST_F(SchedulerTest, SeedSweepArtifactByteIdenticalAcrossJobsAndPolicies)
     ASSERT_TRUE(parsed.ok) << parsed.error;
     auto grid = exp::expandSpec(parsed.spec);
     ASSERT_TRUE(grid.ok) << grid.error;
-    pool::TaskPool &p = pool::TaskPool::instance();
 
-    auto render = [&](pool::Policy policy, unsigned jobs) {
-        p.setPolicy(policy);
+    auto render = [&](unsigned jobs) {
         exp::EngineConfig cfg;  // the engine sizes the pool from jobs
         cfg.jobs = jobs;
         exp::Engine engine(cfg);
@@ -257,13 +251,9 @@ TEST_F(SchedulerTest, SeedSweepArtifactByteIdenticalAcrossJobsAndPolicies)
         return exp::sweepJson(grid.points, engine);
     };
 
-    const std::string reference = render(pool::Policy::Static, 1);
-    for (unsigned jobs : {1u, 2u, 8u}) {
-        EXPECT_EQ(render(pool::Policy::Static, jobs), reference)
-            << "static jobs=" << jobs;
-        EXPECT_EQ(render(pool::Policy::Steal, jobs), reference)
-            << "steal jobs=" << jobs;
-    }
+    const std::string reference = render(1);
+    for (unsigned jobs : {1u, 2u, 8u})
+        EXPECT_EQ(render(jobs), reference) << "jobs=" << jobs;
 }
 
 TEST_F(SchedulerTest, SweepArtifactByteIdenticalUnderStealJitter)
@@ -282,9 +272,7 @@ TEST_F(SchedulerTest, SweepArtifactByteIdenticalUnderStealJitter)
     ASSERT_TRUE(grid.ok) << grid.error;
 
     pool::TaskPool &p = pool::TaskPool::instance();
-    auto render = [&](pool::Policy policy, unsigned jobs,
-                      uint64_t jitterSeed) {
-        p.setPolicy(policy);
+    auto render = [&](unsigned jobs, uint64_t jitterSeed) {
         p.setStealJitter(jitterSeed, jitterSeed ? 100 : 0);
         exp::EngineConfig cfg;
         cfg.jobs = jobs;
@@ -296,15 +284,12 @@ TEST_F(SchedulerTest, SweepArtifactByteIdenticalUnderStealJitter)
         return doc;
     };
 
-    const std::string reference =
-        render(pool::Policy::Steal, 1, 0);
-    EXPECT_EQ(render(pool::Policy::Static, 8, 0), reference)
-        << "old static pool must reproduce the stealing reference";
-    EXPECT_EQ(render(pool::Policy::Steal, 2, 0), reference);
-    EXPECT_EQ(render(pool::Policy::Steal, 8, 0), reference);
+    const std::string reference = render(1, 0);
+    EXPECT_EQ(render(2, 0), reference);
+    EXPECT_EQ(render(8, 0), reference);
     // Seeded steal-order perturbation must not change a byte.
-    EXPECT_EQ(render(pool::Policy::Steal, 8, 7), reference);
-    EXPECT_EQ(render(pool::Policy::Steal, 8, 1234567), reference);
+    EXPECT_EQ(render(8, 7), reference);
+    EXPECT_EQ(render(8, 1234567), reference);
 }
 
 }  // namespace
