@@ -7,8 +7,10 @@ Usage:
     scripts/check_cli_docs.py pbs_exp=./build/pbs_exp \
         pbs_bench=./build/pbs_bench pbs_prof=./build/pbs_prof
 
-docs/cli.md is split into sections by its "## `<binary>`" headings;
-within each section every `--long-flag` token is collected and checked
+docs/cli.md is split into sections by its "## `<binary>`" headings; a
+section ends at the next "## " heading of any kind, so a trailing
+section such as "## Environment" belongs to no binary. Within each
+binary's section every `--long-flag` token is collected and checked
 against the corresponding binary's --help text — and vice versa, so a
 newly-added flag cannot ship undocumented. Flags mentioned for a
 binary that has no section (or sections for unknown binaries) fail the
@@ -22,6 +24,7 @@ from pathlib import Path
 
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 SECTION_RE = re.compile(r"^##\s+`([a-z_]+)`", re.MULTILINE)
+HEADING_RE = re.compile(r"^##\s", re.MULTILINE)
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "cli.md"
 
 
@@ -38,11 +41,12 @@ def help_text(binary: str) -> str:
 
 
 def sections(text: str) -> dict:
-    """Map binary name -> its section text (heading to next heading)."""
+    """Map binary name -> its section text (its heading to the next
+    level-2 heading of any kind, or the end of the file)."""
     out = {}
-    matches = list(SECTION_RE.finditer(text))
-    for i, m in enumerate(matches):
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(text)
+    for m in SECTION_RE.finditer(text):
+        nxt = HEADING_RE.search(text, m.end())
+        end = nxt.start() if nxt else len(text)
         out[m.group(1)] = text[m.start():end]
     return out
 

@@ -68,6 +68,7 @@ SUMMARY_FIELDS = {
     "exp.partial_hits": "partial_hits",
     "exp.partial_computed": "partial_computed",
     "exp.partial_stored": "partial_stored",
+    "exp.stream_replays": "stream_replays",
 }
 
 

@@ -4,6 +4,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "bpred/factory.hh"
 #include "cpu/execute.hh"
@@ -86,6 +87,42 @@ validated(const CoreConfig &cfg)
 throwPcOutOfRange(uint64_t pc)
 {
     throw std::out_of_range("PC out of range: " + std::to_string(pc));
+}
+
+/**
+ * Where the mpki hooks record a run's branch directions. Bits gather
+ * in a word the step loop keeps in a register and go to the stream
+ * every 64 bits and at the end of the loop, so recording does not make
+ * the loop reload its state.
+ */
+struct DirectionRecorder
+{
+    DirectionStream *stream = nullptr;  ///< nullptr: record nothing
+    uint64_t word = 0;
+    unsigned bits = 0;
+
+    [[gnu::always_inline]] void
+    record(bool bit)
+    {
+        word |= uint64_t(bit) << bits;
+        if (++bits == 64) {
+            stream->append(word, 64);
+            word = 0;
+            bits = 0;
+        }
+    }
+};
+
+/** The timing hooks' recorder: none. */
+struct NoRecorder
+{};
+
+[[noreturn, gnu::cold]] void
+throwStreamMismatch(const char *what, uint64_t pc)
+{
+    throw std::logic_error(std::string("direction stream does not fit "
+                                       "the program: ") +
+                           what + " at PC " + std::to_string(pc));
 }
 
 }  // namespace
@@ -223,6 +260,11 @@ Core::predictAndTrain(uint64_t pc, bool taken, bool isProb)
  * state back to the core; runLoop calls it when it returns and before
  * it throws. (A destructor would also cover the other, internal-error
  * throws, but its cleanup paths cost the mpki loops about 15%.)
+ *
+ * Off-timing, the hooks also record the run's branch directions into
+ * the core's DirectionStream when recordDirections() set one (@ref
+ * recorder); with none set, each conditional branch, call and return
+ * pays one test of a null pointer. The timing hooks carry no recorder.
  */
 template <bool kTiming, bool kPbs>
 struct Core::Hooks
@@ -240,12 +282,19 @@ struct Core::Hooks
           slack(core.cfg_.frontendDepth + 2 * core.cfg_.width),
           mispredictPenalty(core.cfg_.mispredictPenalty),
           l1iHit(core.cfg_.memory.l1i.hitLatency)
-    {}
+    {
+        if constexpr (!kTiming)
+            recorder.stream = core.capture_;
+    }
 
     /** Write the loop's state back to the core. */
     [[gnu::always_inline]] void
     sync()
     {
+        if constexpr (!kTiming) {
+            if (recorder.stream)
+                recorder.stream->append(recorder.word, recorder.bits);
+        }
         c.stats_.instructions = instructions;
         if constexpr (kTiming) {
             c.sb_ = sb;
@@ -274,6 +323,19 @@ struct Core::Hooks
 
     /** The PBS steering decision of a PROB_CMP, taken at fetch. */
     core::PbsInstance probFetch;
+
+    [[no_unique_address]]
+    std::conditional_t<kTiming, NoRecorder, DirectionRecorder> recorder;
+
+    /** Record one branch direction, if recording (off-timing only:
+     *  the timing hooks must not even call it, or GCC lays out their
+     *  loops differently). */
+    [[gnu::always_inline]] void
+    record(bool bit)
+    {
+        if (recorder.stream)
+            recorder.record(bit);
+    }
 
     /** The fetch cycle of the instruction at @p pc. */
     [[gnu::always_inline]] uint64_t
@@ -461,6 +523,8 @@ struct Core::Hooks
     [[gnu::always_inline]] void
     onBranch(uint64_t pc, [[maybe_unused]] uint64_t target, bool taken)
     {
+        if constexpr (!kTiming)
+            record(taken);
         resolve(pc, taken, false);
         if constexpr (kPbs)
             c.pbs_.noteBranch(pc, target, taken);
@@ -469,6 +533,10 @@ struct Core::Hooks
     [[gnu::always_inline]] void
     onCall([[maybe_unused]] uint64_t pc)
     {
+        if constexpr (!kTiming) {
+            if (recorder.stream)
+                recorder.stream->noteCall(pc + 1);
+        }
         if constexpr (kPbs)
             c.pbs_.noteCall(pc);
     }
@@ -476,6 +544,11 @@ struct Core::Hooks
     [[gnu::always_inline]] void
     onReturn()
     {
+        // RET jumps to REG_RA and leaves it as it is.
+        if constexpr (!kTiming) {
+            if (recorder.stream)
+                recorder.stream->noteReturn(c.regs_[isa::REG_RA]);
+        }
         if constexpr (kPbs)
             c.pbs_.noteReturn();
     }
@@ -528,6 +601,11 @@ struct Core::Hooks
             }
             grp.open = false;
         }
+        if constexpr (!kTiming) {
+            if (kPbs)
+                record(steered);
+            record(taken);
+        }
         if (predict)
             resolve(pc, taken, true);
         if (c.cfg_.traceProbBranches) {
@@ -554,6 +632,9 @@ struct Core::Hooks
             if (redirected)
                 endFetchGroup();
             commitTiming();
+        } else if (op.op == Opcode::CFD_JNZ) {
+            // The one conditional branch with no hook of its own.
+            record(redirected);
         }
     }
 };
@@ -598,6 +679,8 @@ Core::runSuperblocks(uint64_t n, uint64_t limit)
     pc_ = runBlocks(blocks_.get(), image_, pc_, end, ctx, hooks,
                     counts_);
     hooks.sync();
+    if (capture_ && halted_)
+        capture_->noteHalt();
     if (!halted_ && hooks.instructions < end)
         throwPcOutOfRange(pc_);
     return hooks.instructions - start;
@@ -628,6 +711,130 @@ Core::step(uint64_t n)
 {
     // step() ignores maxInstructions: callers count their own budget.
     return runFor(n, ~uint64_t(0));
+}
+
+void
+Core::recordDirections(DirectionStream *stream)
+{
+    if (stream && cfg_.mode == SimMode::Timing)
+        throw std::logic_error("recordDirections: a timing core does "
+                               "not record directions");
+    capture_ = stream;
+    if (stream)
+        stream->start(cfg_.pbsEnabled);
+}
+
+void
+Core::replay(const DirectionStream &stream)
+{
+    if (cfg_.mode == SimMode::Timing || stats_.instructions != 0 ||
+        halted_) {
+        throw std::invalid_argument("replay: needs an mpki core that "
+                                    "has not run");
+    }
+    if (!stream.usable() || stream.pbs() != cfg_.pbsEnabled) {
+        throw std::invalid_argument("replay: the stream is unusable or "
+                                    "was recorded with the other PBS "
+                                    "setting");
+    }
+
+    // The walk follows the recorded path from one control op to the
+    // next: the instructions in between are counted, not executed.
+    const bool pbsOn = cfg_.pbsEnabled;
+    const DecodedOp *const ops = image_.ops().data();
+    const uint64_t size = image_.size();
+
+    // nextControl[pc]: the first op at or after pc that can redirect
+    // (a carrier PROB_JMP never does); size when none follows.
+    std::vector<uint32_t> nextControl(size + 1);
+    nextControl[size] = uint32_t(size);
+    for (uint64_t pc = size; pc-- > 0;) {
+        const bool control =
+            ops[pc].isControl() && !ops[pc].isCarrierProbJmp();
+        nextControl[pc] = control ? uint32_t(pc) : nextControl[pc + 1];
+    }
+
+    const uint64_t *const words = stream.words();
+    const uint64_t nbits = stream.size();
+    uint64_t bit = 0;
+    auto nextBit = [&](uint64_t at) {
+        if (bit == nbits)
+            throwStreamMismatch("stream exhausted", at);
+        const bool b = (words[bit >> 6] >> (bit & 63)) & 1;
+        bit++;
+        return b;
+    };
+
+    std::vector<uint64_t> returns;
+    uint64_t insts = 0;
+    uint64_t pc = pc_;
+    for (;;) {
+        // pc <= size: branch targets are checked at predecode, and a
+        // return goes to the op after its call.
+        const uint64_t at = nextControl[pc];
+        if (at == size)
+            throwStreamMismatch("path runs off the image", pc);
+        const DecodedOp &op = ops[at];
+        insts += at - pc + 1;
+        pc = at + 1;
+        switch (op.op) {
+          case Opcode::JMP:
+            pc = op.target;
+            break;
+          case Opcode::CALL:
+            returns.push_back(at + 1);
+            pc = op.target;
+            break;
+          case Opcode::RET:
+            if (returns.empty())
+                throwStreamMismatch("RET without a CALL", at);
+            pc = returns.back();
+            returns.pop_back();
+            break;
+          case Opcode::JZ:
+          case Opcode::JNZ: {
+            const bool taken = nextBit(at);
+            stats_.branches++;
+            predictAndTrain(at, taken, false);
+            if (taken)
+                pc = op.target;
+            break;
+          }
+          case Opcode::CFD_JNZ:
+            stats_.branches++;
+            if (nextBit(at))
+                pc = op.target;
+            break;
+          case Opcode::PROB_JMP: {
+            stats_.branches++;
+            stats_.probBranches++;
+            // With PBS on, a steered bit comes first; a steered
+            // branch is never predicted (as in the hooks' onProbJmp).
+            const bool steered = pbsOn && nextBit(at);
+            const bool taken = nextBit(at);
+            if (steered)
+                stats_.steeredBranches++;
+            else
+                predictAndTrain(at, taken, true);
+            if (taken)
+                pc = op.target;
+            break;
+          }
+          case Opcode::HALT:
+            if (bit != nbits)
+                throwStreamMismatch("bits left at HALT", at);
+            if (cfg_.maxInstructions && insts > cfg_.maxInstructions)
+                throwStreamMismatch("path longer than maxInstructions",
+                                    at);
+            stats_.instructions = insts;
+            stats_.cycles = insts;  // off-timing, a cycle is an instruction
+            pc_ = pc;
+            halted_ = true;
+            return;
+          default:
+            throwStreamMismatch("not a control op", at);
+        }
+    }
 }
 
 }  // namespace pbs::cpu

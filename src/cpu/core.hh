@@ -47,6 +47,12 @@
  *    the PBS engine, the Fig. 9 filter and the prob trace see the same
  *    calls as under single-stepping. Timing cores build no
  *    superblocks.
+ *  - Replay (mpki only): replay() executes nothing. It walks the
+ *    image's control ops along a DirectionStream an earlier mpki run
+ *    of the same program recorded (cpu/direction_stream.hh), and
+ *    resolves each conditional branch PBS did not steer through the
+ *    same predictAndTrain as the hooks, so a replay under another
+ *    predictor leaves the CoreStats that run() would.
  *
  * cpu::execute and every hook are always_inline. With several
  * instantiations GCC (12, with LTO) otherwise outlines them, and the
@@ -79,6 +85,7 @@
 #include "core/pbs_engine.hh"
 #include "cpu/arch_state.hh"
 #include "cpu/core_config.hh"
+#include "cpu/direction_stream.hh"
 #include "cpu/store_queue.hh"
 #include "cpu/superblock.hh"
 #include "isa/decoded_image.hh"
@@ -162,6 +169,29 @@ class Core
      *         not match this core's program.
      */
     void restoreArch(const ArchState &state);
+
+    /**
+     * Record the branch directions of this mpki core's run into
+     * @p stream (see cpu/direction_stream.hh); nullptr records
+     * nothing. Call before the first step, so the stream covers the
+     * whole run; it is usable() once the run halts.
+     * @throws std::logic_error on a timing core.
+     */
+    void recordDirections(DirectionStream *stream);
+
+    /**
+     * Re-predict the run @p stream recorded without executing it: walk
+     * the image's control ops from the entry point along the recorded
+     * directions, and resolve every conditional branch PBS did not
+     * steer against this core's predictor (or the Fig. 9 filter).
+     * Leaves stats() as run() would have and the core halted; the
+     * registers, memory, PBS engine and prob trace are not touched.
+     * @throws std::invalid_argument unless this is an mpki core that
+     *         has not run and @p stream is usable() and was recorded
+     *         with this core's PBS setting.
+     * @throws std::logic_error if @p stream does not fit the program.
+     */
+    void replay(const DirectionStream &stream);
 
     /** Per-dynamic-probabilistic-branch trace (traceProbBranches). */
     const std::vector<ProbTraceEntry> &probTrace() const
@@ -278,6 +308,7 @@ class Core
 
     CoreStats stats_;
     DispatchCounts counts_;  ///< see dispatchCounts()
+    DirectionStream *capture_ = nullptr;  ///< see recordDirections()
 
     /** Base byte address of the instruction image (I-cache stream). */
     static constexpr uint64_t kTextBase = uint64_t(1) << 32;

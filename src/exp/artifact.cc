@@ -276,6 +276,7 @@ runSummaryJson(const EngineCounters &counters, size_t points,
     w.key("partial_hits").value(counters.partialHits);
     w.key("partial_computed").value(counters.partialComputed);
     w.key("partial_stored").value(counters.partialStored);
+    w.key("stream_replays").value(counters.streamReplays);
     w.key("elapsed_ms").value(elapsedMs);
     if (!out.empty())
         w.key("out").value(out);

@@ -41,6 +41,29 @@ extractUniformStream(const cpu::Core &core,
 }
 
 /**
+ * A run of @p prog on the detailed core (either fidelity), recording
+ * its branch directions into @p capture when that is non-null.
+ */
+Measurement
+runCore(const isa::Program &prog, const cpu::CoreConfig &cfg,
+        OutputsFn outputsOf, cpu::DirectionStream *capture)
+{
+    obs::Span span("measure", "detailed");
+    cpu::Core core(prog, cfg);
+    core.recordDirections(capture);
+    core.run();
+    Measurement m;
+    m.stats = core.stats();
+    m.pbs = core.pbs().stats();
+    m.outputs = outputsOf(core.memory());
+    obs::counterAdd("insts.measure", m.stats.instructions);
+    obs::counterAdd("cpu.block_insts", core.dispatchCounts().blockInsts);
+    obs::counterAdd("cpu.stepped_insts",
+                    core.dispatchCounts().steppedInsts);
+    return m;
+}
+
+/**
  * One Sim point on the engine its mode selects: the functional
  * fast-forward engine, the sampled simulator, or the detailed core
  * (detailed and mpki fidelities).
@@ -82,18 +105,7 @@ computeSim(const ExpPoint &pt)
       case cpu::ExecMode::Detailed:
         break;
     }
-
-    obs::Span span("measure", "detailed");
-    cpu::Core core(build(), cfg);
-    core.run();
-    m.stats = core.stats();
-    m.pbs = core.pbs().stats();
-    m.outputs = b.simOutput(core.memory());
-    obs::counterAdd("insts.measure", m.stats.instructions);
-    obs::counterAdd("cpu.block_insts", core.dispatchCounts().blockInsts);
-    obs::counterAdd("cpu.stepped_insts",
-                    core.dispatchCounts().steppedInsts);
-    return m;
+    return runCore(build(), cfg, b.simOutput, nullptr);
 }
 
 Measurement
@@ -159,6 +171,54 @@ Measurement
 Engine::computePoint(const ExpPoint &pt)
 {
     return pt.kind == PointKind::Rand ? computeRand(pt) : computeSim(pt);
+}
+
+Measurement
+streamedRun(const isa::Program &prog, const cpu::CoreConfig &cfg,
+            const std::string &key, OutputsFn outputsOf, StreamSlot &slot,
+            bool &replayed)
+{
+    replayed = false;
+    if (slot.key == key && !slot.stream.usable())
+        return runCore(prog, cfg, outputsOf, nullptr);
+    if (slot.key == key) {
+        cpu::Core core(prog, cfg);
+        core.replay(slot.stream);
+        Measurement m;
+        m.stats = core.stats();
+        m.pbs = slot.pbs;
+        m.outputs = slot.outputs;
+        obs::counterAdd("insts.replay", m.stats.instructions);
+        replayed = true;
+        return m;
+    }
+    // Free the previous stream before recording the next one.
+    slot = StreamSlot{};
+    cpu::DirectionStream stream;
+    Measurement m = runCore(prog, cfg, outputsOf, &stream);
+    slot.key = key;
+    slot.stream = std::move(stream);
+    slot.pbs = m.pbs;
+    slot.outputs = m.outputs;
+    return m;
+}
+
+Measurement
+Engine::computeStreamed(const ExpPoint &pt, StreamSlot &slot)
+{
+    const std::string key = directionStreamKey(pt);
+    if (key.empty())
+        return computePoint(pt);
+    const auto &b = workloads::benchmarkByName(pt.workload);
+    bool replayed = false;
+    Measurement m = streamedRun(
+        b.build(pointParams(pt), variantFromName(pt.variant)),
+        pointCoreConfig(pt), key, b.simOutput, slot, replayed);
+    if (replayed) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        counters_.streamReplays++;
+    }
+    return m;
 }
 
 Engine::Engine(EngineConfig cfg)
@@ -290,7 +350,19 @@ Engine::measure(const ExpPoint &pt)
     const std::string key = cacheKey(pt);
     if (const Measurement *m = lookup(key, pt))
         return *m;
-    return insert(key, pt, computePoint(pt), /*fromDisk=*/false);
+    // Take the slot while computing, so concurrent callers never share
+    // it (one of them then finds it empty and records its own).
+    StreamSlot slot;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        slot = std::move(slot_);
+    }
+    Measurement m = computeStreamed(pt, slot);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        slot_ = std::move(slot);
+    }
+    return insert(key, pt, std::move(m), /*fromDisk=*/false);
 }
 
 void
@@ -350,36 +422,71 @@ Engine::runPool(std::vector<PendingPoint> jobs)
     if (jobs.empty())
         return;
 
-    // Cost-aware ordering: big points first. With the stealing
+    // One task per point, except that the points of one direction-
+    // stream key form one task: its first point records the stream,
+    // then the rest fan out over the pool and replay it (they only
+    // read the task's slot). Grouping follows the job order, so it
+    // is deterministic.
+    struct Task
+    {
+        std::vector<size_t> points;  ///< indices into jobs
+        uint64_t cost = 0;
+    };
+    std::vector<Task> tasks;
+    {
+        std::unordered_map<std::string, size_t> taskOfKey;
+        for (size_t i = 0; i < jobs.size(); i++) {
+            const std::string key = directionStreamKey(jobs[i].pt);
+            size_t t = tasks.size();
+            if (!key.empty())
+                t = taskOfKey.emplace(key, t).first->second;
+            if (t == tasks.size())
+                tasks.emplace_back();
+            tasks[t].points.push_back(i);
+            tasks[t].cost += jobs[i].cost;
+        }
+    }
+
+    // Cost-aware ordering: big tasks first. With the stealing
     // scheduler this is only a placement hint — the caller starts at
     // index 0 and thieves take the largest remaining range — but it
     // still front-loads the expensive points (results are
     // order-independent either way).
-    std::stable_sort(jobs.begin(), jobs.end(),
-                     [](const PendingPoint &a, const PendingPoint &b) {
+    std::stable_sort(tasks.begin(), tasks.end(),
+                     [](const Task &a, const Task &b) {
                          return a.cost > b.cost;
                      });
 
     std::atomic<size_t> done{0};
+    auto runPoint = [&](const PendingPoint &job, StreamSlot &slot) {
+        {
+            obs::Span span("point", pointLabel(job.pt));
+            insert(job.key, job.pt, computeStreamed(job.pt, slot),
+                   /*fromDisk=*/false);
+        }
+        size_t n = done.fetch_add(1) + 1;
+        if (cfg_.progress) {
+            obs::logLinef("[%zu/%zu] %s %s%s scale=%llu seed=%llu", n,
+                          jobs.size(), job.pt.workload.c_str(),
+                          job.pt.predictor.c_str(),
+                          job.pt.pbs ? "+pbs" : "",
+                          (unsigned long long)job.pt.scale,
+                          (unsigned long long)job.pt.seed);
+        }
+        noteHeartbeat(job.cost);
+    };
     pool::TaskPool::instance().parallelFor(
-        jobs.size(),
-        [&](size_t i) {
-            const PendingPoint &job = jobs[i];
-            {
-                obs::Span span("point", pointLabel(job.pt));
-                insert(job.key, job.pt, computePoint(job.pt),
-                       /*fromDisk=*/false);
-            }
-            size_t n = done.fetch_add(1) + 1;
-            if (cfg_.progress) {
-                obs::logLinef("[%zu/%zu] %s %s%s scale=%llu seed=%llu",
-                              n, jobs.size(), job.pt.workload.c_str(),
-                              job.pt.predictor.c_str(),
-                              job.pt.pbs ? "+pbs" : "",
-                              (unsigned long long)job.pt.scale,
-                              (unsigned long long)job.pt.seed);
-            }
-            noteHeartbeat(job.cost);
+        tasks.size(),
+        [&](size_t t) {
+            const std::vector<size_t> &points = tasks[t].points;
+            StreamSlot slot;
+            runPoint(jobs[points.front()], slot);
+            if (points.size() == 1)
+                return;
+            pool::TaskPool::instance().parallelFor(
+                points.size() - 1,
+                [&](size_t r) { runPoint(jobs[points[r + 1]], slot); },
+                "replay");
         },
         "sweep");
 }
@@ -572,6 +679,7 @@ recordEngineMetrics(const EngineCounters &c)
     obs::counterAdd("exp.partial_hits", c.partialHits);
     obs::counterAdd("exp.partial_computed", c.partialComputed);
     obs::counterAdd("exp.partial_stored", c.partialStored);
+    obs::counterAdd("exp.stream_replays", c.streamReplays);
 }
 
 }  // namespace pbs::exp

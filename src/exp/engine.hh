@@ -25,6 +25,15 @@
  * i with i mod N == K-1, stores them as partials, and aggregates
  * nothing; an unsharded campaign over the same cache then assembles
  * every result from the partials with zero re-simulation.
+ *
+ * Direction streams (docs/architecture.md) serve mpki points that
+ * differ only in the direction predictor: the first such point runs
+ * and records its branch directions, and every later one with the
+ * same directionStreamKey() replays them through its own predictor
+ * instead of executing the program. measure() keeps the most recent
+ * stream; runAll() runs each key's points as one task, the first
+ * recording and the rest replaying. Results are byte-identical to
+ * computePoint(), which never uses a stream.
  */
 
 #ifndef PBS_EXP_ENGINE_HH
@@ -37,8 +46,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cpu/direction_stream.hh"
 #include "exp/cache.hh"
 #include "exp/point.hh"
+#include "isa/program.hh"
+#include "mem/memory.hh"
 
 namespace pbs::exp {
 
@@ -83,7 +95,45 @@ struct EngineCounters
     uint64_t partialHits = 0;      ///< intervals reused from partials
     uint64_t partialComputed = 0;  ///< intervals actually measured
     uint64_t partialStored = 0;    ///< partials written to the cache
+
+    /** Computed mpki points served by replaying a direction stream
+     *  (also counted in computed). */
+    uint64_t streamReplays = 0;
 };
+
+/**
+ * What an engine keeps between the mpki points of one direction-stream
+ * key: the stream the key's last full run recorded and that run's
+ * predictor-independent results. An empty key holds nothing.
+ */
+struct StreamSlot
+{
+    std::string key;              ///< directionStreamKey(); empty: none
+    cpu::DirectionStream stream;  ///< unusable if the path can't replay
+    core::PbsStats pbs;
+    std::vector<double> outputs;
+};
+
+/** A benchmark's outputs, read from a finished run's memory. */
+using OutputsFn = std::vector<double> (*)(const mem::SparseMemory &);
+
+/**
+ * One mpki run of @p prog under @p cfg, whose direction-stream key is
+ * @p key, served through @p slot:
+ *  - the slot holds a usable stream of @p key: a replay, which
+ *    executes nothing and takes the PBS counters and outputs from the
+ *    slot (@p replayed is set);
+ *  - it holds an unusable one: a plain run (recording the same path
+ *    again would not make it replayable);
+ *  - otherwise: a run that records its directions and leaves them,
+ *    with its PBS counters and @p outputsOf outputs, in the slot.
+ *    A run that throws leaves the slot empty.
+ * The Measurement equals an unstreamed run's in every case.
+ */
+Measurement streamedRun(const isa::Program &prog,
+                        const cpu::CoreConfig &cfg, const std::string &key,
+                        OutputsFn outputsOf, StreamSlot &slot,
+                        bool &replayed);
 
 class Engine
 {
@@ -118,13 +168,19 @@ class Engine
         uint64_t cost = 0;
     };
 
+    /** computePoint(), except that an mpki point is served through
+     *  @p slot (streamedRun); counts the replays. */
+    Measurement computeStreamed(const ExpPoint &pt, StreamSlot &slot);
+
     /** Memo lookup/disk load; nullptr when the point needs computing. */
     const Measurement *lookup(const std::string &key,
                               const ExpPoint &pt);
     const Measurement &insert(const std::string &key, const ExpPoint &pt,
                               Measurement m, bool fromDisk);
 
-    /** Cost-ordered point-at-a-time pool (the non-campaign path). */
+    /** Cost-ordered pool of tasks (the non-campaign path): one point
+     *  each, except that the points of one direction-stream key form
+     *  one task. */
     void runPool(std::vector<PendingPoint> jobs);
 
     /** Checkpoint-set-grouped scheduling for sampled Sim points. */
@@ -153,6 +209,7 @@ class Engine
     std::mutex mutex_;
     std::unordered_map<std::string, Measurement> memo_;
     bool storeWarned_ = false;
+    StreamSlot slot_;  ///< measure()'s most recent stream (under mutex_)
 
     size_t hbTotal_ = 0;
     uint64_t hbTotalCost_ = 0;

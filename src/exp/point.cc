@@ -188,6 +188,24 @@ checkpointStoreKey(const ExpPoint &pt, const std::string &salt)
 }
 
 std::string
+directionStreamKey(const ExpPoint &pt)
+{
+    if (pt.kind != PointKind::Sim || pt.mode != "detailed" ||
+        !pt.functional)
+        return {};
+    ExpPoint path = pt;
+    path.predictor.clear();
+    path.filterProb = false;
+    JsonWriter w;
+    w.beginObject();
+    w.key("point");
+    writePoint(w, path);
+    w.key("max_instructions").value(pointCoreConfig(pt).maxInstructions);
+    w.endObject();
+    return w.str();
+}
+
+std::string
 storeKeyJson(const StoreKey &key)
 {
     JsonWriter w;

@@ -148,6 +148,16 @@ std::string storeKeyJson(const StoreKey &key);
 /** Content hash identifying the set a key describes (32 hex chars). */
 std::string storeSetHash(const StoreKey &key);
 
+/**
+ * The direction-stream key of a point (docs/architecture.md,
+ * "Direction streams"): everything that shapes an mpki run's path —
+ * the point minus its predictor and Fig. 9 filter, plus the
+ * instruction cap. Two mpki points with equal keys execute the same
+ * instructions, so one recorded stream serves both. Empty for a point
+ * that is not an mpki Sim point (its path is not shared).
+ */
+std::string directionStreamKey(const ExpPoint &pt);
+
 /** Variant enum from its canonical spelling ("marked" on unknown). */
 workloads::Variant variantFromName(const std::string &name);
 

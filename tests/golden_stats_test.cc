@@ -9,7 +9,9 @@
  * an explanation of the semantic change.
  *
  * Also pins the experiment-engine contract that a cache-hit replay of a
- * run is bit-identical to the cold run.
+ * run is bit-identical to the cold run, and that the mpki and filter
+ * rows come out the same when an engine serves the later rows of a
+ * workload by replaying a recorded direction stream.
  *
  * Regenerate with:
  *   PBS_PRINT_GOLDEN=1 ./build/golden_stats_test
@@ -18,6 +20,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -223,11 +229,50 @@ TEST(GoldenStats, PinnedStatsPerWorkload)
     }
 }
 
+// Each workload's mpki and filter rows through one engine: the filter
+// row shares the PBS-off mpki row's path, so it is served by replaying
+// that row's direction stream, and must still read the pinned numbers.
+TEST(GoldenStats, StreamReplaysReadThePinnedStats)
+{
+    uint64_t replays = 0;
+    for (const auto &b : workloads::allBenchmarks()) {
+        std::vector<const WorkloadGolden *> rows;
+        std::vector<exp::ExpPoint> pts;
+        uint64_t filterRows = 0;
+        for (const auto &g : kWorkloadGolden) {
+            if (g.workload != b.name ||
+                (g.shape != Shape::Mpki && g.shape != Shape::Filter))
+                continue;
+            rows.push_back(&g);
+            pts.push_back(workloadPoint(g));
+            filterRows += g.shape == Shape::Filter;
+        }
+        exp::Engine eng;
+        eng.runAll(pts);
+        EXPECT_EQ(eng.counters().streamReplays, filterRows) << b.name;
+        replays += eng.counters().streamReplays;
+        for (size_t i = 0; i < rows.size(); i++) {
+            const WorkloadGolden &g = *rows[i];
+            SCOPED_TRACE(std::string(g.workload) + "/" +
+                         shapeName(g.shape) + (g.pbs ? "+pbs" : ""));
+            const exp::Measurement &r = eng.measure(pts[i]);
+            EXPECT_EQ(r.stats.instructions, g.instructions);
+            EXPECT_EQ(r.stats.cycles, g.cycles);
+            EXPECT_EQ(r.stats.mispredicts, g.mispredicts);
+            EXPECT_EQ(r.stats.steeredBranches, g.steered);
+            EXPECT_EQ(r, runWorkloadPinned(g));
+        }
+    }
+    EXPECT_EQ(replays, 2u);  // the dop and greeks filter rows
+}
+
 TEST(GoldenStats, CacheHitReplaysAreBitIdenticalToColdRuns)
 {
     namespace fs = std::filesystem;
-    const fs::path dir =
-        fs::path(::testing::TempDir()) / "pbs-golden-cache";
+    // Per process: concurrent runs of this test (two builds side by
+    // side) must not see each other's entries.
+    const fs::path dir = fs::path(::testing::TempDir()) /
+                         ("pbs-golden-cache-" + std::to_string(getpid()));
     fs::remove_all(dir);
 
     for (const auto &g : kWorkloadGolden) {
