@@ -90,7 +90,6 @@ main()
         {
             cpu::CoreConfig cfg;
             cfg.predictor = "tage-sc-l";
-            cfg.execMode = cpu::ExecMode::Sampled;
             pool::TaskPool::instance().configure(4);
             auto t0 = std::chrono::steady_clock::now();
             sampling::SampledRun s = sampling::runSampled(prog, cfg);

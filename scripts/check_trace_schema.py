@@ -53,7 +53,7 @@ PHASES = {
 
 # metrics counter name -> pbs-exp-summary-v1 field. exp.requested has
 # no summary twin: it counts engine lookups, which exceed the grid
-# size whenever campaign scheduling probes a point twice — it is
+# size whenever an artifact re-reads a computed point — it is
 # checked against the lookup identity instead (see check_summary).
 SUMMARY_FIELDS = {
     "exp.mem_hits": "mem_hits",
@@ -288,7 +288,7 @@ def check_summary(metrics: dict, summary: dict) -> None:
     mismatches = []
     for counter, field in sorted(SUMMARY_FIELDS.items()):
         if counter not in counters and field not in cache:
-            continue  # neither side reports it (e.g. non-campaign run)
+            continue  # neither side reports it
         got = counters.get(counter, 0)
         want = cache.get(field, 0)
         if got != want:

@@ -251,14 +251,16 @@ runBench(const std::vector<BenchPoint> &points, const BenchConfig &cfg)
                 double ms;
                 cpu::CoreStats s;
                 cpu::DispatchCounts dc;
-                if (coreCfg.execMode == cpu::ExecMode::Functional) {
+                const exp::ExecMode mode =
+                    exp::execModeFromName(ept.mode);
+                if (mode == exp::ExecMode::Functional) {
                     sampling::FunctionalEngine engine(prog);
                     auto t0 = Clock::now();
                     engine.run();
                     ms = elapsedMs(t0, Clock::now());
                     s = engine.stats();
                     dc = engine.dispatchCounts();
-                } else if (coreCfg.execMode == cpu::ExecMode::Sampled) {
+                } else if (mode == exp::ExecMode::Sampled) {
                     auto t0 = Clock::now();
                     sampling::SampledRun sr =
                         sampling::runSampled(prog, coreCfg);

@@ -51,27 +51,7 @@ enum class SimMode {
     Functional,  ///< architectural state only (fast accuracy runs)
 };
 
-/**
- * Which execution engine runs the program (the `--modes` axis of `pbs_exp`).
- *
- *  - Detailed: the cpu::Core (SimMode selects its fidelity; `--mode
- *    mpki` maps to SimMode::Functional — the fidelity that still
- *    updates predictors and the PBS engine but models no timing).
- *  - Functional: the sampling subsystem's FunctionalEngine —
- *    architectural state only, no predictors, no caches, no timing.
- *  - Sampled: SMARTS-style systematic sampling (functional
- *    fast-forward, detailed warmup, measured detailed intervals).
- *
- * The cpu::Core itself only ever executes Detailed configurations;
- * the sampling subsystem resolves the other two.
- */
-enum class ExecMode {
-    Detailed,
-    Functional,
-    Sampled,
-};
-
-/** Systematic-sampling parameters (ExecMode::Sampled). */
+/** Systematic-sampling parameters (read by the sampling subsystem). */
 struct SampleParams
 {
     /** Instructions between the starts of consecutive measurements. */
@@ -92,15 +72,7 @@ struct CoreConfig
 {
     SimMode mode = SimMode::Timing;
 
-    /**
-     * Driver-level engine selection. The cpu::Core ignores this field
-     * (it is resolved above the cpu layer: the experiment engine
-     * dispatches Functional/Sampled configurations to the sampling
-     * subsystem).
-     */
-    ExecMode execMode = ExecMode::Detailed;
-
-    /** Sampling parameters (used when execMode == ExecMode::Sampled). */
+    /** Sampling parameters (the cpu::Core ignores them). */
     SampleParams sample{};
 
     unsigned width = 4;          ///< fetch/dispatch/commit width

@@ -15,7 +15,7 @@
  *    ExpPoint, Sim and Rand alike;
  *  - per-interval partials (`partials/<hash>.json`): one integer
  *    IntervalSample of one sampled point at one interval index — the
- *    unit of work campaign scheduling computes, resumes, and shares
+ *    unit of work a durable campaign stores, resumes, and shares
  *    between processes (`pbs_exp --campaign --shard K/N`);
  *  - checkpoint sets (`ckpt/<set-hash>.pbsckpts`): one captured
  *    sampling::CheckpointSet per StoreKey, so a campaign captures each

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <map>
 
 #include "cpu/core.hh"
 #include "obs/metrics.hh"
@@ -80,8 +79,8 @@ computeSim(const ExpPoint &pt)
     };
 
     Measurement m;
-    switch (cfg.execMode) {
-      case cpu::ExecMode::Functional: {
+    switch (execModeFromName(pt.mode)) {
+      case ExecMode::Functional: {
         obs::Span span("ff", "functional");
         sampling::FunctionalEngine engine(build(), cfg.maxInstructions);
         engine.run();
@@ -94,7 +93,7 @@ computeSim(const ExpPoint &pt)
                         engine.dispatchCounts().steppedInsts);
         return m;
       }
-      case cpu::ExecMode::Sampled: {
+      case ExecMode::Sampled: {
         sampling::SampledRun s = sampling::runSampled(build(), cfg);
         m.stats = s.stats;
         m.hasSampling = true;
@@ -102,7 +101,7 @@ computeSim(const ExpPoint &pt)
         m.outputs = b.simOutput(s.finalState.mem);
         return m;
       }
-      case cpu::ExecMode::Detailed:
+      case ExecMode::Detailed:
         break;
     }
     return runCore(build(), cfg, b.simOutput, nullptr);
@@ -128,6 +127,13 @@ computeRand(const ExpPoint &pt)
     m.randWeak = tally.weak;
     m.randFail = tally.fail;
     return m;
+}
+
+/** A sampled Sim point: it runs on a checkpoint set. */
+bool
+isSampled(const ExpPoint &pt)
+{
+    return pt.kind == PointKind::Sim && pt.mode == "sampled";
 }
 
 /** Display label for a point's trace span. */
@@ -300,15 +306,15 @@ Engine::noteStoreFailure(const char *what)
 }
 
 void
-Engine::armHeartbeat(const std::vector<PendingPoint> &jobs)
+Engine::armProgress(const std::vector<PendingPoint> &jobs)
 {
+    hbTotal_ = jobs.size();
+    hbDone_.store(0, std::memory_order_relaxed);
     if (!cfg_.heartbeat)
         return;
-    hbTotal_ = jobs.size();
     hbTotalCost_ = 0;
     for (const PendingPoint &job : jobs)
         hbTotalCost_ += job.cost;
-    hbDone_.store(0, std::memory_order_relaxed);
     hbDoneCost_.store(0, std::memory_order_relaxed);
     hbStartNs_ = util::monotonicNowNs();
     hbLastNs_.store(hbStartNs_, std::memory_order_relaxed);
@@ -316,13 +322,21 @@ Engine::armHeartbeat(const std::vector<PendingPoint> &jobs)
 }
 
 void
-Engine::noteHeartbeat(uint64_t cost)
+Engine::notePointDone(const PendingPoint &job)
 {
+    const size_t done = hbDone_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (cfg_.progress) {
+        obs::logLinef("[%zu/%zu] %s %s%s scale=%llu seed=%llu", done,
+                      hbTotal_, job.pt.workload.c_str(),
+                      job.pt.predictor.c_str(), job.pt.pbs ? "+pbs" : "",
+                      (unsigned long long)job.pt.scale,
+                      (unsigned long long)job.pt.seed);
+    }
     if (!cfg_.heartbeat || hbTotal_ == 0)
         return;
     const uint64_t doneCost =
-        hbDoneCost_.fetch_add(cost, std::memory_order_relaxed) + cost;
-    const size_t done = hbDone_.fetch_add(1, std::memory_order_relaxed) + 1;
+        hbDoneCost_.fetch_add(job.cost, std::memory_order_relaxed) +
+        job.cost;
     const uint64_t now = util::monotonicNowNs();
     uint64_t last = hbLastNs_.load(std::memory_order_relaxed);
     const bool final = done == hbTotal_;
@@ -368,9 +382,9 @@ Engine::measure(const ExpPoint &pt)
 void
 Engine::runAll(const std::vector<ExpPoint> &points)
 {
-    // All fan-out below this point — sweep points, campaign interval
-    // tasks, and the nested per-interval fan-out inside each sampled
-    // point — shares one scheduler, sized here.
+    // All fan-out below this point — sweep points, checkpoint-set
+    // interval tasks, and stream replays — shares one scheduler,
+    // sized here.
     pool::TaskPool::instance().configure(std::max(1u, cfg_.jobs));
 
     // Pre-pass (serial): resolve memo/disk hits and deduplicate, so the
@@ -388,60 +402,51 @@ Engine::runAll(const std::vector<ExpPoint> &points)
             jobs.push_back({pt, std::move(key), pointCost(pt)});
         }
     }
-    const auto isSampled = [](const PendingPoint &job) {
-        return job.pt.kind == PointKind::Sim && job.pt.mode == "sampled";
-    };
     // A campaign shard measures interval slices only; every other
     // point is left to the unsharded run.
-    if (cfg_.campaign && cfg_.shardCount)
-        std::erase_if(jobs, [&](const PendingPoint &job) {
-            return !isSampled(job);
+    if (sharded())
+        std::erase_if(jobs, [](const PendingPoint &job) {
+            return !isSampled(job.pt);
         });
     if (jobs.empty())
         return;
-    armHeartbeat(jobs);
-
-    if (cfg_.campaign) {
-        // Sampled Sim points reschedule around their shared checkpoint
-        // sets; everything else (detailed, functional, rand) runs on
-        // the ordinary pool. Both paths land in the same memo/cache,
-        // so artifacts are byte-identical either way.
-        std::vector<PendingPoint> sampled, rest;
-        for (auto &job : jobs)
-            (isSampled(job) ? sampled : rest).push_back(std::move(job));
-        runCampaign(std::move(sampled));
-        runPool(std::move(rest));
-        return;
-    }
+    armProgress(jobs);
     runPool(std::move(jobs));
 }
 
 void
 Engine::runPool(std::vector<PendingPoint> jobs)
 {
-    if (jobs.empty())
-        return;
-
-    // One task per point, except that the points of one direction-
-    // stream key form one task: its first point records the stream,
-    // then the rest fan out over the pool and replay it (they only
-    // read the task's slot). Grouping follows the job order, so it
-    // is deterministic.
+    // One task per point, except for points that share work:
+    //  - the points of one direction-stream key: the first records the
+    //    stream, then the rest fan out over the pool and replay it
+    //    (they only read the task's slot);
+    //  - the sampled points of one checkpoint set: the set is captured
+    //    (or loaded) once and every (point, interval) fans out over it.
+    // Grouping follows the job order, so it is deterministic.
     struct Task
     {
         std::vector<size_t> points;  ///< indices into jobs
         uint64_t cost = 0;
+        bool checkpointSet = false;
     };
     std::vector<Task> tasks;
     {
+        const std::string salt = versionSalt();
         std::unordered_map<std::string, size_t> taskOfKey;
         for (size_t i = 0; i < jobs.size(); i++) {
-            const std::string key = directionStreamKey(jobs[i].pt);
+            const ExpPoint &pt = jobs[i].pt;
+            const bool sampled = isSampled(pt);
+            // A set hash is 32 hex digits, a stream key a JSON object:
+            // the two kinds of key never collide.
+            const std::string key =
+                sampled ? storeSetHash(checkpointStoreKey(pt, salt))
+                        : directionStreamKey(pt);
             size_t t = tasks.size();
             if (!key.empty())
                 t = taskOfKey.emplace(key, t).first->second;
             if (t == tasks.size())
-                tasks.emplace_back();
+                tasks.push_back({{}, 0, sampled});
             tasks[t].points.push_back(i);
             tasks[t].cost += jobs[i].cost;
         }
@@ -457,28 +462,20 @@ Engine::runPool(std::vector<PendingPoint> jobs)
                          return a.cost > b.cost;
                      });
 
-    std::atomic<size_t> done{0};
     auto runPoint = [&](const PendingPoint &job, StreamSlot &slot) {
-        {
-            obs::Span span("point", pointLabel(job.pt));
-            insert(job.key, job.pt, computeStreamed(job.pt, slot),
-                   /*fromDisk=*/false);
-        }
-        size_t n = done.fetch_add(1) + 1;
-        if (cfg_.progress) {
-            obs::logLinef("[%zu/%zu] %s %s%s scale=%llu seed=%llu", n,
-                          jobs.size(), job.pt.workload.c_str(),
-                          job.pt.predictor.c_str(),
-                          job.pt.pbs ? "+pbs" : "",
-                          (unsigned long long)job.pt.scale,
-                          (unsigned long long)job.pt.seed);
-        }
-        noteHeartbeat(job.cost);
+        obs::Span span("point", pointLabel(job.pt));
+        insert(job.key, job.pt, computeStreamed(job.pt, slot),
+               /*fromDisk=*/false);
+        notePointDone(job);
     };
     pool::TaskPool::instance().parallelFor(
         tasks.size(),
         [&](size_t t) {
             const std::vector<size_t> &points = tasks[t].points;
+            if (tasks[t].checkpointSet) {
+                runCheckpointSet(jobs, points);
+                return;
+            }
             StreamSlot slot;
             runPoint(jobs[points.front()], slot);
             if (points.size() == 1)
@@ -492,145 +489,127 @@ Engine::runPool(std::vector<PendingPoint> jobs)
 }
 
 void
-Engine::runCampaign(std::vector<PendingPoint> jobs)
+Engine::runCheckpointSet(const std::vector<PendingPoint> &jobs,
+                         const std::vector<size_t> &group)
 {
-    if (jobs.empty())
-        return;
+    // Every point in a group shares workload, variant, scale, seed,
+    // instruction cap, and the capture-shaping sampling parameters —
+    // only the detailed-measure configuration differs.
+    const ExpPoint &pt0 = jobs[group.front()].pt;
+    const auto &b = workloads::benchmarkByName(pt0.workload);
+    const isa::Program prog =
+        b.build(pointParams(pt0), variantFromName(pt0.variant));
 
-    // Group by checkpoint-set identity (std::map: deterministic group
-    // order). Every point in a group shares workload, variant, scale,
-    // seed, instruction cap, and the capture-shaping sampling
-    // parameters — only the detailed-measure configuration differs.
-    const std::string salt = versionSalt();
-    std::map<std::string, std::vector<PendingPoint>> groups;
-    for (auto &job : jobs) {
-        const std::string setHash =
-            storeSetHash(checkpointStoreKey(job.pt, salt));
-        groups[setHash].push_back(std::move(job));
+    // A durable campaign loads the persisted set, else captures it
+    // once and persists it; any other sweep just captures it. The
+    // capture config is pt0's: capture only reads the StoreKey-pinned
+    // fields, which are equal across the group.
+    const bool durable = cfg_.campaign;
+    const StoreKey skey = checkpointStoreKey(pt0, versionSalt());
+    sampling::CheckpointSet set;
+    const CacheLoad loaded =
+        durable ? cache_.loadCheckpointSet(skey, set) : CacheLoad{};
+    if (!loaded) {
+        noteRejected(loaded);
+        set = sampling::captureCheckpoints(prog, pointCoreConfig(pt0));
+        if (durable && cache_.enabled() &&
+            !cache_.storeCheckpointSet(skey, set))
+            noteStoreFailure("checkpoint-set");
     }
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        counters_.campaignGroups += groups.size();
+        counters_.campaignGroups++;
+        (loaded ? counters_.ckptSetLoads : counters_.captures)++;
     }
 
-    for (auto &[setHash, group] : groups) {
-        const ExpPoint &pt0 = group.front().pt;
-        const auto &b = workloads::benchmarkByName(pt0.workload);
-        const isa::Program prog =
-            b.build(pointParams(pt0), variantFromName(pt0.variant));
-        const StoreKey skey = checkpointStoreKey(pt0, salt);
+    // One work record per configuration in the group.
+    const size_t intervals = set.checkpoints.size();
+    struct ConfigWork
+    {
+        const PendingPoint *job = nullptr;
+        cpu::CoreConfig detCfg;
+        std::vector<sampling::IntervalSample> samples;
+    };
+    std::vector<ConfigWork> works(group.size());
+    for (size_t c = 0; c < group.size(); c++) {
+        ConfigWork &cw = works[c];
+        cw.job = &jobs[group[c]];
+        const cpu::CoreConfig cfg = pointCoreConfig(cw.job->pt);
+        sampling::validateParams(cfg.sample);
+        cw.detCfg = sampling::detailedMeasureConfig(cfg);
+        cw.samples.resize(intervals);
+    }
 
-        // Load the persisted set, else capture once and persist it.
-        // The capture config is pt0's: capture only reads the
-        // StoreKey-pinned fields, which are equal across the group.
-        sampling::CheckpointSet set;
-        const CacheLoad loaded = cache_.loadCheckpointSet(skey, set);
-        if (loaded) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            counters_.ckptSetLoads++;
-        } else {
-            noteRejected(loaded);
-            set = sampling::captureCheckpoints(prog,
-                                               pointCoreConfig(pt0));
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                counters_.captures++;
-            }
-            if (cache_.enabled() && !cache_.storeCheckpointSet(skey, set))
-                noteStoreFailure("checkpoint-set");
-        }
-
-        // One work record per configuration in the group.
-        const size_t intervals = set.checkpoints.size();
-        struct ConfigWork
-        {
-            const PendingPoint *job = nullptr;
-            cpu::CoreConfig detCfg;
-            uint64_t warmup = 0;
-            uint64_t measure = 0;
-            std::vector<sampling::IntervalSample> samples;
-        };
-        std::vector<ConfigWork> works(group.size());
-        for (size_t c = 0; c < group.size(); c++) {
-            ConfigWork &cw = works[c];
-            cw.job = &group[c];
-            const cpu::CoreConfig cfg = pointCoreConfig(group[c].pt);
-            cw.detCfg = sampling::detailedMeasureConfig(cfg);
-            cw.warmup = cfg.sample.warmup;
-            cw.measure = cfg.sample.measure;
-            cw.samples.resize(intervals);
-        }
-
-        // Partial pre-pass (serial): resume every (config, interval)
-        // the cache already holds; only the gaps hit the pool. A shard
-        // considers only its own slice of the intervals. A set too
-        // small to sample (< 2 intervals) measures nothing — every
-        // configuration takes the exact-detailed fallback below, just
-        // as runSampledOnSet() would.
-        struct Task
-        {
-            size_t config = 0;
-            size_t interval = 0;
-        };
-        std::vector<Task> tasks;
-        for (size_t c = 0; intervals >= 2 && c < works.size(); c++) {
-            for (size_t i = 0; i < intervals; i++) {
-                if (cfg_.shardCount &&
-                    i % cfg_.shardCount != cfg_.shardIndex - 1)
-                    continue;
-                const std::string pk =
-                    partialKey(works[c].job->pt, i);
-                const CacheLoad r =
-                    cache_.loadPartial(pk, works[c].samples[i]);
+    // Partial pre-pass (serial): a durable campaign resumes every
+    // (config, interval) the cache already holds; only the gaps hit
+    // the pool. A shard considers only its own slice of the
+    // intervals. A set too small to sample (< 2 intervals) measures
+    // nothing — every configuration takes the exact-detailed fallback
+    // below, just as runSampledOnSet() would.
+    struct Gap
+    {
+        size_t config = 0;
+        size_t interval = 0;
+    };
+    std::vector<Gap> gaps;
+    for (size_t c = 0; intervals >= 2 && c < works.size(); c++) {
+        for (size_t i = 0; i < intervals; i++) {
+            if (sharded() && i % cfg_.shardCount != cfg_.shardIndex - 1)
+                continue;
+            if (durable) {
+                const CacheLoad r = cache_.loadPartial(
+                    partialKey(works[c].job->pt, i), works[c].samples[i]);
                 if (r) {
                     std::lock_guard<std::mutex> lock(mutex_);
                     counters_.partialHits++;
-                } else {
-                    noteRejected(r);
-                    tasks.push_back({c, i});
+                    continue;
                 }
+                noteRejected(r);
             }
+            gaps.push_back({c, i});
         }
+    }
 
-        // Fan out the gaps: one task per missing (config, interval),
-        // all against the shared, never-released checkpoint set.
-        // Results land in the pre-sized samples slots, so steal order
-        // cannot change a byte of the aggregate.
-        pool::TaskPool::instance().parallelFor(
-            tasks.size(),
-            [&](size_t t) {
-                ConfigWork &cw = works[tasks[t].config];
-                const size_t i = tasks[t].interval;
-                const sampling::IntervalSample s =
-                    sampling::measureInterval(prog, cw.detCfg,
-                                              set.checkpoints[i],
-                                              cw.warmup, cw.measure);
-                cw.samples[i] = s;
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    counters_.partialComputed++;
-                }
-                if (!cache_.enabled())
-                    return;
-                if (cache_.storePartial(partialKey(cw.job->pt, i),
-                                        cw.job->pt, i, s)) {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    counters_.partialStored++;
-                } else {
-                    noteStoreFailure("partial");
-                }
-            },
-            "campaign");
+    // Fan out the gaps: one task per missing (config, interval), all
+    // against the shared, never-released checkpoint set. Results land
+    // in the pre-sized samples slots, so steal order cannot change a
+    // byte of the aggregate.
+    pool::TaskPool::instance().parallelFor(
+        gaps.size(),
+        [&](size_t g) {
+            ConfigWork &cw = works[gaps[g].config];
+            const size_t i = gaps[g].interval;
+            const sampling::IntervalSample s = sampling::measureInterval(
+                prog, cw.detCfg, set.checkpoints[i],
+                cw.detCfg.sample.warmup, cw.detCfg.sample.measure);
+            cw.samples[i] = s;
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                counters_.partialComputed++;
+            }
+            if (!durable || !cache_.enabled())
+                return;
+            if (cache_.storePartial(partialKey(cw.job->pt, i), cw.job->pt,
+                                    i, s)) {
+                std::lock_guard<std::mutex> lock(mutex_);
+                counters_.partialStored++;
+            } else {
+                noteStoreFailure("partial");
+            }
+        },
+        "intervals");
 
-        // Aggregate each configuration — bit-identical to the
-        // per-point runSampled() path, including the exact-detailed
-        // fallback for sets too small to sample. A shard holds only
-        // its slice, so it leaves aggregation to the unsharded run.
-        size_t done = 0;
-        for (ConfigWork &cw : works) {
-            if (cfg_.shardCount) {
-                noteHeartbeat(cw.job->cost);
-                continue;
+    // Aggregate each configuration — bit-identical to runSampled(),
+    // including the exact-detailed fallback for sets too small to
+    // sample. A shard holds only its slice, so it leaves aggregation
+    // to the unsharded run.
+    pool::TaskPool::instance().parallelFor(
+        works.size(),
+        [&](size_t c) {
+            const ConfigWork &cw = works[c];
+            if (sharded()) {
+                notePointDone(*cw.job);
+                return;
             }
             sampling::SampledRun run;
             if (intervals < 2 ||
@@ -645,20 +624,9 @@ Engine::runCampaign(std::vector<PendingPoint> jobs)
             m.outputs = b.simOutput(run.finalState.mem);
             insert(cw.job->key, cw.job->pt, std::move(m),
                    /*fromDisk=*/false);
-            done++;
-            if (cfg_.progress) {
-                obs::logLinef("[campaign %zu/%zu] %s %s%s scale=%llu "
-                              "seed=%llu",
-                              done, works.size(),
-                              cw.job->pt.workload.c_str(),
-                              cw.job->pt.predictor.c_str(),
-                              cw.job->pt.pbs ? "+pbs" : "",
-                              (unsigned long long)cw.job->pt.scale,
-                              (unsigned long long)cw.job->pt.seed);
-            }
-            noteHeartbeat(cw.job->cost);
-        }
-    }
+            notePointDone(*cw.job);
+        },
+        "aggregate");
 }
 
 void

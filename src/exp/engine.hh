@@ -9,16 +9,14 @@
  * but results are keyed by point value, so artifacts and reports are
  * byte-identical for any jobs count and any schedule.
  *
- * Campaign mode (EngineConfig::campaign) reschedules sampled points
- * around their shared checkpoint sets: points are grouped by
- * checkpointStoreKey() — which deliberately excludes the predictor,
- * width, PBS knobs, and measure length — each group's set is captured
- * exactly once (or loaded from the cache's `ckpt/` store), and every
- * configuration in the group fans its warmup/measure intervals out
- * over the shared set. Per-interval IntervalSamples are persisted as
- * content-addressed cache partials, so an interrupted campaign resumes
- * with zero re-simulation and concurrent campaigns compose through the
- * shared cache. Results are byte-identical to the per-point path.
+ * Sampled points with one checkpointStoreKey() — which excludes the
+ * predictor, width, PBS knobs and measure length — capture their set
+ * once and fan every configuration's intervals out over it. A durable
+ * sweep (EngineConfig::campaign) also keeps the set in the cache's
+ * `ckpt/` store and every IntervalSample as a cache partial, so an
+ * interrupted campaign resumes with zero re-simulation and concurrent
+ * campaigns compose through the shared cache. Results are
+ * byte-identical to computePoint(), which runs each point alone.
  *
  * A sharded campaign (EngineConfig::shardCount > 0) is the
  * cross-process fan-out: shard K of N measures only the intervals
@@ -60,14 +58,14 @@ struct EngineConfig
     std::string cacheDir;     ///< empty: in-memory memoization only
     unsigned jobs = 1;        ///< worker threads for runAll()
     bool progress = false;    ///< per-point progress lines on stderr
-    bool campaign = false;    ///< group sampled points by ckpt set
+    bool campaign = false;    ///< durable: persist ckpt sets, partials
     bool heartbeat = false;   ///< ~1 Hz done/total + ETA summary line
 
     /**
-     * Campaign shard K of N (1-based; 0 = unsharded). A shard measures
-     * and stores its slice of every sampled point's intervals and
-     * produces no results; non-sampled points are left to the
-     * unsharded run.
+     * Campaign shard K of N (1-based; 0 = unsharded; read only with
+     * campaign). A shard measures and stores its slice of every
+     * sampled point's intervals and produces no results; non-sampled
+     * points are left to the unsharded run.
      */
     unsigned shardIndex = 0;
     unsigned shardCount = 0;
@@ -86,7 +84,7 @@ struct EngineCounters
     uint64_t stored = 0;      ///< written to the result cache
     uint64_t storeFailed = 0; ///< cache writes that failed (I/O)
 
-    // Campaign mode. The capture-once contract is captures ==
+    // Checkpoint-set groups. The capture-once contract is captures ==
     // distinct StoreKeys among the scheduled points that were neither
     // memo/disk hits nor satisfied by a persisted set (ckptSetLoads).
     uint64_t campaignGroups = 0;   ///< distinct checkpoint StoreKeys
@@ -178,13 +176,19 @@ class Engine
     const Measurement &insert(const std::string &key, const ExpPoint &pt,
                               Measurement m, bool fromDisk);
 
-    /** Cost-ordered pool of tasks (the non-campaign path): one point
-     *  each, except that the points of one direction-stream key form
-     *  one task. */
+    /** The one scheduler: a cost-ordered pool of tasks, one point
+     *  each, except that the points of one direction-stream key and
+     *  the sampled points of one checkpoint set each form one task. */
     void runPool(std::vector<PendingPoint> jobs);
 
-    /** Checkpoint-set-grouped scheduling for sampled Sim points. */
-    void runCampaign(std::vector<PendingPoint> jobs);
+    /** One checkpoint set's task over jobs[group]: load or capture the
+     *  set once, fan the (point, interval) gaps out, aggregate each
+     *  point. */
+    void runCheckpointSet(const std::vector<PendingPoint> &jobs,
+                          const std::vector<size_t> &group);
+
+    /** A campaign shard: only its interval slice is measured. */
+    bool sharded() const { return cfg_.campaign && cfg_.shardCount; }
 
     /** Count @p r if the cache rejected a file it found. */
     void noteRejected(CacheLoad r);
@@ -193,15 +197,15 @@ class Engine
     void noteStoreFailure(const char *what);
 
     /**
-     * --progress heartbeat bookkeeping: runAll() seeds the totals from
-     * the pending job list; every point completion calls
-     * noteHeartbeat(cost), which emits a rate-limited (~1 Hz, plus the
-     * final point) done/total + ETA line through the log sink. The ETA
+     * Progress: runAll() seeds the totals from the pending job list;
+     * every point completion calls notePointDone(), which prints the
+     * per-point line and the rate-limited (~1 Hz, plus the final point)
+     * --progress done/total + ETA line through the log sink. The ETA
      * extrapolates elapsed wall time over the remaining pointCost()
      * mass, so one huge tail point does not read as "almost done".
      */
-    void armHeartbeat(const std::vector<PendingPoint> &jobs);
-    void noteHeartbeat(uint64_t cost);
+    void armProgress(const std::vector<PendingPoint> &jobs);
+    void notePointDone(const PendingPoint &job);
 
     EngineConfig cfg_;
     ResultCache cache_;

@@ -113,11 +113,10 @@ const char *kUsage =
     "                       table and the run summary goes to stderr)\n"
     "  --cache-dir <dir>    result cache location (default .pbs-cache)\n"
     "  --no-cache           disable the result cache\n"
-    "  --campaign           group sampled points by checkpoint set:\n"
-    "                       capture each (workload, variant, scale,\n"
-    "                       seed, interval) once, fan every config out\n"
-    "                       over the shared set, and resume from\n"
-    "                       per-interval cache partials\n"
+    "  --campaign           make a sampled sweep durable: keep each\n"
+    "                       checkpoint set and per-interval sample in\n"
+    "                       the cache, so an interrupted sweep resumes\n"
+    "                       mid-point and --shard can split it\n"
     "  --shard <k/n>        with --campaign: measure only intervals\n"
     "                       i mod n == k-1 into the cache as partials\n"
     "                       and aggregate nothing; a later unsharded\n"
@@ -225,6 +224,14 @@ validateCli(const ExpCliOptions &o)
                         "exists to fill the shared cache)");
         if (!o.report.empty())
             return fail("--shard applies to sweeps, not --report");
+    }
+    if (o.campaign) {
+        if (o.noCache)
+            return fail("--campaign has no effect with --no-cache (a "
+                        "campaign keeps its work in the cache)");
+        if (!o.report.empty() || o.gc)
+            return fail(std::string("--campaign applies to sweeps, not ") +
+                        (o.gc ? "--gc" : "--report"));
     }
     return 0;
 }
@@ -434,8 +441,9 @@ printLists()
 /**
  * Reject axis values the sweep would silently ignore (exit 2, naming
  * the flag, or the spec key when the spec file set it): sample-* keys
- * on a grid with no sampled mode, and PBS on a functional-only grid
- * (the functional engine executes with PBS-off semantics).
+ * and --campaign on a grid with no sampled mode, and PBS on a
+ * functional-only grid (the functional engine executes with PBS-off
+ * semantics).
  */
 int
 rejectIgnoredAxes(const exp::SweepSpec &spec, const ExpCliOptions &o)
@@ -460,6 +468,9 @@ rejectIgnoredAxes(const exp::SweepSpec &spec, const ExpCliOptions &o)
                 return fail(name(key) + " applies only to sampled "
                             "points (the grid has no sampled mode)");
         }
+        if (o.campaign)
+            return fail("--campaign applies only to sampled points (the "
+                        "grid has no sampled mode)");
     }
     const bool functionalOnly =
         std::all_of(modes.begin(), modes.end(),

@@ -24,15 +24,15 @@ variantFromName(const std::string &name)
     return workloads::Variant::Marked;
 }
 
-cpu::ExecMode
+ExecMode
 execModeFromName(const std::string &name)
 {
     if (name == "detailed")
-        return cpu::ExecMode::Detailed;
+        return ExecMode::Detailed;
     if (name == "functional")
-        return cpu::ExecMode::Functional;
+        return ExecMode::Functional;
     if (name == "sampled")
-        return cpu::ExecMode::Sampled;
+        return ExecMode::Sampled;
     throw std::invalid_argument("unknown execution mode '" + name +
                                 "' (expected detailed, functional or "
                                 "sampled)");
@@ -126,7 +126,7 @@ pointCoreConfig(const ExpPoint &pt)
 {
     cpu::CoreConfig cfg = pt.wide ? cpu::CoreConfig::eightWide()
                                   : cpu::CoreConfig::fourWide();
-    cfg.execMode = execModeFromName(pt.mode);
+    execModeFromName(pt.mode);  // refuse unknown modes
     if (pt.sampleInterval)
         cfg.sample.interval = pt.sampleInterval;
     if (pt.sampleWarmup)

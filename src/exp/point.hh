@@ -32,6 +32,14 @@ enum class PointKind {
     Rand,  ///< randomness-battery PASS/WEAK/FAIL tally (Table III)
 };
 
+/**
+ * Which engine runs a Sim point, from its `mode`: the cpu::Core
+ * (Detailed; SimMode picks timing or the mpki fidelity), the sampling
+ * subsystem's FunctionalEngine (Functional, architectural state only)
+ * or SMARTS sampling (Sampled). The cpu::Core only runs Detailed.
+ */
+enum class ExecMode { Detailed, Functional, Sampled };
+
 /** One fully-resolved grid point. */
 struct ExpPoint
 {
@@ -42,9 +50,9 @@ struct ExpPoint
     bool wide = false;                ///< 8-wide / 256-entry ROB
 
     /**
-     * Execution mode: detailed | functional | sampled (the
-     * cpu::ExecMode it selects). Part of the canonical point JSON,
-     * so results from different modes can never collide in the cache.
+     * Execution mode: detailed | functional | sampled (the ExecMode
+     * it selects). Part of the canonical point JSON, so results from
+     * different modes can never collide in the cache.
      */
     std::string mode = "detailed";
 
@@ -89,7 +97,7 @@ void writePoint(JsonWriter &w, const ExpPoint &pt);
 /** Parse a point back from its canonical JSON object. */
 bool readPoint(const JsonValue &v, ExpPoint &out);
 
-/** The core configuration a point describes. */
+/** The core configuration a point describes (throws on unknown modes). */
 cpu::CoreConfig pointCoreConfig(const ExpPoint &pt);
 
 /** The workload parameters a point describes. */
@@ -165,7 +173,7 @@ workloads::Variant variantFromName(const std::string &name);
  * ExecMode from its canonical spelling.
  * @throws std::invalid_argument naming any other spelling.
  */
-cpu::ExecMode execModeFromName(const std::string &name);
+ExecMode execModeFromName(const std::string &name);
 
 /** What came out of running a point. */
 struct Measurement

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <stdexcept>
 
 #include "randtest/pvalue.hh"
 
@@ -154,6 +155,9 @@ testPermutation(const double *v, size_t n, unsigned t)
 {
     // Order patterns of consecutive non-overlapping t-tuples must be
     // uniform over t! permutations.
+    if (t < 2 || t > 8)
+        throw std::invalid_argument(
+            "testPermutation: tuple size must be in [2, 8]");
     size_t groups = n / t;
     unsigned fact = 1;
     for (unsigned i = 2; i <= t; i++)

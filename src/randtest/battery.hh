@@ -62,6 +62,7 @@ double testRunsAboveBelow(const double *v, size_t n);
 double testSerialCorrelation(const double *v, size_t n, unsigned lag);
 double testGap(const double *v, size_t n, double lo, double hi);
 double testMaxOfT(const double *v, size_t n, unsigned t);
+/** @throws std::invalid_argument unless 2 <= t <= 8. */
 double testPermutation(const double *v, size_t n, unsigned t);
 double testCouponCollector(const double *v, size_t n, unsigned d);
 double testMean(const double *v, size_t n);

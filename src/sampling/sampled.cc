@@ -15,6 +15,14 @@ namespace pbs::sampling {
 
 namespace {
 
+uint64_t
+scaled(uint64_t counter, double factor)
+{
+    return uint64_t(std::llround(double(counter) * factor));
+}
+
+}  // namespace
+
 void
 validateParams(const cpu::SampleParams &sp)
 {
@@ -26,19 +34,10 @@ validateParams(const cpu::SampleParams &sp)
             "sampled mode: warmup + measure must not exceed interval");
 }
 
-uint64_t
-scaled(uint64_t counter, double factor)
-{
-    return uint64_t(std::llround(double(counter) * factor));
-}
-
-}  // namespace
-
 cpu::CoreConfig
 detailedMeasureConfig(const cpu::CoreConfig &cfg)
 {
     cpu::CoreConfig detCfg = cfg;
-    detCfg.execMode = cpu::ExecMode::Detailed;
     detCfg.mode = cpu::SimMode::Timing;
     return detCfg;
 }

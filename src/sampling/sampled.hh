@@ -98,18 +98,22 @@ SampledRun runSampled(const isa::Program &prog,
 
 // ---------------------------------------------------------------------
 // The three phases of a sampled run, exposed individually so the
-// experiment cache can persist phase 1 and the experiment engine's
-// campaign mode can schedule phase 2 one interval at a time
-// (across processes, through cache partials) and re-run phase 3 over
-// the collected per-interval samples — bit-identical to a
-// single-process run.
+// experiment engine can capture phase 1 once for every configuration
+// that shares it (and persist it in the cache), schedule phase 2 one
+// interval at a time (across processes too, through cache partials)
+// and re-run phase 3 over the collected per-interval samples —
+// bit-identical to a single-process run.
 // ---------------------------------------------------------------------
 
+/** Every phase's check of @p sp (throws std::invalid_argument). */
+void validateParams(const cpu::SampleParams &sp);
+
 /**
- * Integer deltas of one measured interval: the unit of work a campaign
- * stores as a cache partial and aggregates. All counters are exact, so
- * samples measured by different processes combine without any
- * floating-point order sensitivity.
+ * Integer deltas of one measured interval: the unit of work the
+ * experiment engine fans out, stores as a cache partial in a durable
+ * campaign, and aggregates. All counters are exact, so samples
+ * measured by different processes combine without any floating-point
+ * order sensitivity.
  */
 struct IntervalSample
 {
@@ -150,9 +154,10 @@ CheckpointSet captureCheckpoints(const isa::Program &prog,
 
 /**
  * The detailed configuration warmup/measure intervals run under:
- * @p cfg with execMode/mode forced back to Detailed/Timing. Exposed so
- * out-of-process schedulers (the exp engine's campaign mode) measure
- * under *exactly* the configuration the in-process phases use.
+ * @p cfg with its fidelity forced back to SimMode::Timing. Exposed so
+ * schedulers outside this module (the exp engine's checkpoint-set
+ * groups) measure under *exactly* the configuration the in-process
+ * phases use.
  */
 cpu::CoreConfig detailedMeasureConfig(const cpu::CoreConfig &cfg);
 
@@ -160,7 +165,7 @@ cpu::CoreConfig detailedMeasureConfig(const cpu::CoreConfig &cfg);
  * The exact fallback every sampled path takes when a program is too
  * short to sample (fewer than two valid intervals): one full detailed
  * run under detailedMeasureConfig(). Exposed for the same reason —
- * a campaign's fallback must be bit-identical to runSampledOnSet's.
+ * the exp engine's fallback must be bit-identical to runSampledOnSet's.
  */
 SampledRun runExactDetailed(const isa::Program &prog,
                             const cpu::CoreConfig &detCfg);

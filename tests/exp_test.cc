@@ -611,7 +611,70 @@ TEST(ExpSpec, SampleGridMultipliesSampledPointsOnly)
         exp::parseSpecText("sample-grid = 1000/900/200\n").ok);
 }
 
-// --- campaign mode ---------------------------------------------------
+// --- shared work and campaigns --------------------------------------
+
+/**
+ * The reference artifact of @p points: each one run on its own by
+ * Engine::computePoint (no stream, no shared checkpoint set), stored
+ * in a scratch cache at @p dir and rendered through an engine that
+ * only loads. @p dir is removed afterwards.
+ */
+std::string
+computePointArtifact(const std::vector<exp::ExpPoint> &points,
+                     const fs::path &dir)
+{
+    {
+        exp::ResultCache cache(dir.string());
+        for (const auto &pt : points)
+            EXPECT_TRUE(cache.store(exp::cacheKey(pt), pt,
+                                    exp::Engine::computePoint(pt)));
+    }
+    exp::EngineConfig cfg;
+    cfg.cacheDir = dir.string();
+    exp::Engine engine(cfg);
+    const std::string json = exp::sweepJson(points, engine, "");
+    EXPECT_EQ(engine.counters().computed, 0u);
+    EXPECT_EQ(engine.counters().diskHits, points.size());
+    fs::remove_all(dir);
+    return json;
+}
+
+TEST_F(ExpCacheTest, MixedGridRunAllMatchesComputePoint)
+{
+    // One runAll over detailed, mpki and sampled points: the mpki
+    // points of each program path share a direction stream, the
+    // sampled points of each workload share a checkpoint set, and the
+    // artifact must equal the one every point computed alone gives.
+    auto parsed = exp::parseSpecText(
+        "workload = pi, bandit\n"
+        "predictor = tournament, tage-sc-l\n"
+        "pbs = off, on\n"
+        "mode = detailed, mpki, sampled\n"
+        "sample-grid = 40000/10000/5000\n"
+        "div = 20\n");
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    auto grid = exp::expandSpec(parsed.spec);
+    ASSERT_TRUE(grid.ok) << grid.error;
+    ASSERT_EQ(grid.points.size(), 24u);
+
+    const std::string reference =
+        computePointArtifact(grid.points, dir_ / "reference");
+
+    exp::EngineConfig cfg;
+    cfg.jobs = 2;
+    exp::Engine engine(cfg);
+    engine.runAll(grid.points);
+    EXPECT_EQ(exp::sweepJson(grid.points, engine, ""), reference);
+
+    const exp::EngineCounters &c = engine.counters();
+    EXPECT_EQ(c.computed, 24u);
+    // 2 workloads x 2 PBS settings x (2 - 1) predictors.
+    EXPECT_EQ(c.streamReplays, 4u);
+    EXPECT_EQ(c.campaignGroups, 2u);
+    EXPECT_EQ(c.captures, 2u);
+    EXPECT_GT(c.partialComputed, 0u);
+    EXPECT_EQ(c.partialStored, 0u);
+}
 
 /** A fig07-style predictor x PBS grid over one sampled workload. */
 class CampaignTest : public ExpCacheTest
@@ -631,6 +694,13 @@ class CampaignTest : public ExpCacheTest
         auto expanded = exp::expandSpec(parsed.spec);
         EXPECT_TRUE(expanded.ok) << expanded.error;
         return expanded.points;
+    }
+
+    /** The grid's points each computed alone (computePointArtifact). */
+    std::string
+    referenceArtifact(const std::vector<exp::ExpPoint> &points) const
+    {
+        return computePointArtifact(points, dir_ / "reference");
     }
 
     /** Run the grid; return (sweep JSON, counters). */
@@ -661,10 +731,8 @@ TEST_F(CampaignTest, CapturesOncePerStoreKeyAndMatchesPerPointPath)
             exp::checkpointStoreKey(pt, exp::versionSalt())));
     ASSERT_EQ(storeKeys.size(), 1u);
 
-    // Reference: the per-point path, cache disabled.
-    const auto [reference, refCounters] = run(points, false, "");
-    EXPECT_EQ(refCounters.computed, 4u);
-    EXPECT_EQ(refCounters.captures, 0u);
+    // Reference: every point computed on its own.
+    const std::string reference = referenceArtifact(points);
 
     // Campaign: one capture serves the whole grid, every interval is
     // measured exactly once per config and persisted as a partial.
@@ -690,6 +758,55 @@ TEST_F(CampaignTest, CapturesOncePerStoreKeyAndMatchesPerPointPath)
     EXPECT_EQ(w.captures, 0u);
     EXPECT_EQ(w.partialComputed, 0u);
     EXPECT_EQ(w.diskHits, 4u);
+}
+
+TEST_F(CampaignTest, EverySweepSharesItsSetWithoutPersistingIt)
+{
+    // Without --campaign the grid still captures its one set once and
+    // fans every config out over it, but keeps neither the set nor
+    // the per-interval samples: only the four results reach the cache.
+    const auto points = grid();
+    const std::string reference = referenceArtifact(points);
+    for (unsigned jobs : {1u, 2u}) {
+        fs::remove_all(cacheDir());
+        const auto [artifact, c] = run(points, false, cacheDir(), jobs);
+        EXPECT_EQ(artifact, reference) << "--jobs " << jobs;
+        EXPECT_EQ(c.campaignGroups, 1u);
+        EXPECT_EQ(c.captures, 1u);
+        EXPECT_EQ(c.ckptSetLoads, 0u);
+        EXPECT_EQ(c.partialHits, 0u);
+        EXPECT_GT(c.partialComputed, 0u);
+        EXPECT_EQ(c.partialComputed % 4u, 0u);
+        EXPECT_EQ(c.partialStored, 0u);
+        EXPECT_EQ(c.computed, 4u);
+        EXPECT_EQ(c.stored, 4u);
+        EXPECT_FALSE(fs::exists(fs::path(cacheDir()) / "ckpt"));
+        EXPECT_FALSE(fs::exists(fs::path(cacheDir()) / "partials"));
+    }
+}
+
+TEST_F(CampaignTest, EveryPointOfASetIsValidated)
+{
+    // The measure length is not part of the checkpoint set, so a point
+    // whose warmup + measure overruns its interval joins a valid
+    // point's group. It is refused as runSampled() refuses it alone,
+    // instead of measuring across the next interval's checkpoint.
+    auto points = grid();
+    points[1].sampleMeasure = 35000;  // 10000 + 35000 > 40000
+    ASSERT_EQ(exp::storeSetHash(exp::checkpointStoreKey(
+                  points[0], exp::versionSalt())),
+              exp::storeSetHash(exp::checkpointStoreKey(
+                  points[1], exp::versionSalt())));
+    EXPECT_THROW(exp::Engine::computePoint(points[1]),
+                 std::invalid_argument);
+    for (bool campaign : {false, true}) {
+        exp::EngineConfig cfg;
+        cfg.cacheDir = cacheDir();
+        cfg.campaign = campaign;
+        exp::Engine engine(cfg);
+        EXPECT_THROW(engine.runAll(points), std::invalid_argument)
+            << "campaign " << campaign;
+    }
 }
 
 TEST_F(CampaignTest, ResumesInterruptedRunWithZeroResimulation)
@@ -744,7 +861,7 @@ TEST_F(CampaignTest, ShardsFillTheCacheAndTheFinalRunAssemblesIt)
     // unsharded campaign over that cache assembles the artifact
     // without simulating anything.
     const auto points = grid();
-    const auto [reference, refCounters] = run(points, false, "");
+    const std::string reference = referenceArtifact(points);
 
     const exp::ExpPoint &pt0 = points.front();
     const size_t intervals =
@@ -969,7 +1086,6 @@ class CheckpointSetTest : public ExpCacheTest
     sampledConfig()
     {
         cpu::CoreConfig cfg;
-        cfg.execMode = cpu::ExecMode::Sampled;
         cfg.sample.interval = 40000;
         cfg.sample.warmup = 10000;
         cfg.sample.measure = 5000;

@@ -696,7 +696,7 @@ TEST_F(ObsTest, EngineHeartbeatReportsProgressAndCompletion)
             sawDone = true;
     }
     std::fclose(tmp);
-    EXPECT_TRUE(sawStart);  // armHeartbeat announces the workload size
+    EXPECT_TRUE(sawStart);  // armProgress announces the workload size
     EXPECT_TRUE(sawDone);   // the final point always reports
 }
 

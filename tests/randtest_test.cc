@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "randtest/battery.hh"
 #include "randtest/pvalue.hh"
@@ -138,6 +140,24 @@ TEST(BatteryTest, IndividualTestsDetectTargetedDefects)
         pairs[i + 1] = u;  // duplicated in pairs
     }
     EXPECT_LT(testSerialPairs(pairs.data(), n, 8), 1e-9);
+}
+
+TEST(BatteryTest, PermutationRejectsTupleSizesOutsideTwoToEight)
+{
+    // t indexes a fixed 8-slot tuple and divides the stream length, so
+    // t > 8 and t == 0 must be refused before either happens; t == 1
+    // has a single order pattern and tests nothing.
+    pbs::rng::XorShift64Star rng(5);
+    std::vector<double> v(4096);
+    for (auto &x : v)
+        x = rng.nextDouble();
+    for (unsigned t : {0u, 1u, 9u})
+        EXPECT_THROW(testPermutation(v.data(), v.size(), t),
+                     std::invalid_argument)
+            << "t = " << t;
+    for (unsigned t : {2u, 8u})
+        EXPECT_NO_THROW(testPermutation(v.data(), v.size(), t))
+            << "t = " << t;
 }
 
 TEST(BatteryTest, Lcg48PassesBasicBattery)

@@ -242,7 +242,6 @@ TEST(Sampled, ArtifactsByteIdenticalAcrossDispatch)
 {
     isa::Program prog = buildWorkload("pi", 5, 20);
     cpu::CoreConfig cfg;
-    cfg.execMode = cpu::ExecMode::Sampled;
     cfg.sample.interval = 40000;
     cfg.sample.warmup = 10000;
     cfg.sample.measure = 5000;
@@ -300,7 +299,6 @@ TEST(Sampled, EstimatesTrackDetailedRunsWithinTolerance)
         const double detIpc = detailed.stats().ipc();
         const double detMpki = detailed.stats().mpki();
 
-        cfg.execMode = cpu::ExecMode::Sampled;
         cfg.sample.interval = 50000;
         cfg.sample.warmup = 20000;
         cfg.sample.measure = 10000;
@@ -330,7 +328,6 @@ TEST(Sampled, DeterministicAcrossFanOutThreadCounts)
 {
     isa::Program prog = buildWorkload("pi", 5, 20);
     cpu::CoreConfig cfg;
-    cfg.execMode = cpu::ExecMode::Sampled;
     cfg.sample.interval = 40000;
     cfg.sample.warmup = 10000;
     cfg.sample.measure = 5000;
@@ -356,7 +353,6 @@ TEST(Sampled, ShortProgramsFallBackToExactDetailedRun)
     cpu::Core detailed(prog, cfg);
     detailed.run();
 
-    cfg.execMode = cpu::ExecMode::Sampled;  // defaults: 1M interval
     sampling::SampledRun s = sampling::runSampled(prog, cfg);
     EXPECT_TRUE(s.est.exact);
     EXPECT_EQ(s.est.intervals, 0u);
@@ -368,7 +364,6 @@ TEST(Sampled, RejectsInconsistentParameters)
 {
     isa::Program prog = buildWorkload("pi", 1, 1000);
     cpu::CoreConfig cfg;
-    cfg.execMode = cpu::ExecMode::Sampled;
 
     cfg.sample.interval = 0;
     EXPECT_THROW(sampling::runSampled(prog, cfg),
@@ -391,7 +386,6 @@ TEST(Sampled, MaxSamplesCapsTheFanOut)
 {
     isa::Program prog = buildWorkload("pi", 8, 10);
     cpu::CoreConfig cfg;
-    cfg.execMode = cpu::ExecMode::Sampled;
     cfg.sample.interval = 50000;
     cfg.sample.warmup = 10000;
     cfg.sample.measure = 5000;
