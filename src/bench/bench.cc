@@ -7,7 +7,7 @@
 
 #include "bpred/factory.hh"
 #include "cpu/core.hh"
-#include "exp/json.hh"
+#include "util/json.hh"
 #include "exp/point.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
@@ -72,7 +72,7 @@ knownMode(const std::string &m)
  * the hash contract cannot drift from the artifact.
  */
 void
-writeHeaderFields(exp::JsonWriter &w, const BenchConfig &cfg)
+writeHeaderFields(util::JsonWriter &w, const BenchConfig &cfg)
 {
     w.key("schema").value("pbs-bench-v2");
     w.key("config").beginObject();
@@ -86,7 +86,7 @@ writeHeaderFields(exp::JsonWriter &w, const BenchConfig &cfg)
 
 /** Emit one point's deterministic members (hashed; no wall times). */
 void
-writePointFields(exp::JsonWriter &w, const BenchResult &r)
+writePointFields(util::JsonWriter &w, const BenchResult &r)
 {
     w.key("workload").value(r.point.workload);
     w.key("predictor").value(r.point.predictor);
@@ -104,7 +104,7 @@ std::string
 deterministicBody(const std::vector<BenchResult> &results,
                   const BenchConfig &cfg)
 {
-    exp::JsonWriter w;
+    util::JsonWriter w;
     w.beginObject();
     writeHeaderFields(w, cfg);
     w.key("points").beginArray();
@@ -342,7 +342,7 @@ benchJson(const std::vector<BenchResult> &results,
     // volatile timing fields per point, but the hash covers only the
     // deterministic body (recomputable from the artifact by dropping
     // `wall_ms`, `mips` and `timing`).
-    exp::JsonWriter w;
+    util::JsonWriter w;
     w.beginObject();
     writeHeaderFields(w, cfg);
     w.key("points").beginArray();
@@ -374,14 +374,14 @@ compareBaseline(const std::vector<BenchResult> &results,
                 const std::string &baselineJson, double maxRegress,
                 std::string &report)
 {
-    exp::JsonValue root;
+    util::JsonValue root;
     std::string err;
-    if (!exp::parseJson(baselineJson, root, err))
+    if (!util::parseJson(baselineJson, root, err))
         throw std::invalid_argument("baseline: malformed JSON: " + err);
-    const exp::JsonValue *schema = root.find("schema");
+    const util::JsonValue *schema = root.find("schema");
     if (!schema || schema->asString() != "pbs-bench-v2")
         throw std::invalid_argument("baseline: not a pbs-bench-v2 file");
-    const exp::JsonValue *points = root.find("points");
+    const util::JsonValue *points = root.find("points");
     if (!points)
         throw std::invalid_argument("baseline: missing points");
 

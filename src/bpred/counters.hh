@@ -37,13 +37,12 @@ class SatCounter
         return value_ == kWeakTaken || value_ == kWeakNotTaken;
     }
 
+    /** Step toward @p taken, saturating; branch-free (the direction
+     *  of a predicted branch is the least predictable bit there is). */
     void
     train(bool taken)
     {
-        if (taken && value_ < kMax)
-            value_++;
-        else if (!taken && value_ > 0)
-            value_--;
+        value_ += int(taken & (value_ < kMax)) - int(!taken & (value_ > 0));
     }
 
     void set(uint8_t v) { value_ = v > kMax ? kMax : v; }
@@ -74,13 +73,11 @@ class SignedSatCounter
     /** Weak: the two central states (-1 and 0). */
     bool weak() const { return value_ == 0 || value_ == -1; }
 
+    /** Step toward @p taken, saturating; branch-free. */
     void
     train(bool taken)
     {
-        if (taken && value_ < kMax)
-            value_++;
-        else if (!taken && value_ > kMin)
-            value_--;
+        value_ += int(taken & (value_ < kMax)) - int(!taken & (value_ > kMin));
     }
 
     void set(int v)

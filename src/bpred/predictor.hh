@@ -8,6 +8,13 @@
  * immediate update). The timing model never fetches wrong-path
  * instructions, so speculative-history repair is not modeled; this is
  * the same methodology the paper's Sniper setup uses.
+ *
+ * Protocol: either predictAndUpdate(pc, taken) once per branch, or
+ * predict(pc) followed by update(pc, taken) for the same pc. update()
+ * reuses what predict() looked up and must not be called without it;
+ * nothing detects or repairs a broken pairing. The two forms make the
+ * same predictions and leave the same state, so one stream may mix
+ * them branch by branch.
  */
 
 #ifndef PBS_BPRED_PREDICTOR_HH
@@ -29,9 +36,16 @@ class BranchPredictor
 
     /**
      * Train with the resolved direction and update all histories.
-     * Must be called exactly once per predicted branch, in order.
+     * Precondition: the previous call was predict(pc) for the same pc.
      */
     virtual void update(uint64_t pc, bool taken) = 0;
+
+    /**
+     * predict(pc) then update(pc, taken) in one call, looking every
+     * table up once. The core calls it once per predicted branch.
+     * @return the prediction predict(pc) would have made.
+     */
+    virtual bool predictAndUpdate(uint64_t pc, bool taken) = 0;
 
     /** @return predictor storage budget in bits. */
     virtual size_t storageBits() const = 0;
@@ -43,13 +57,14 @@ class BranchPredictor
 };
 
 /** Always predicts one direction. */
-class StaticPredictor : public BranchPredictor
+class StaticPredictor final : public BranchPredictor
 {
   public:
     explicit StaticPredictor(bool taken) : taken_(taken) {}
 
     bool predict(uint64_t) override { return taken_; }
     void update(uint64_t, bool) override {}
+    bool predictAndUpdate(uint64_t, bool) override { return taken_; }
     size_t storageBits() const override { return 0; }
 
     std::string
@@ -63,18 +78,19 @@ class StaticPredictor : public BranchPredictor
 };
 
 /** Oracle: the core treats its predictions as always correct. */
-class PerfectPredictor : public BranchPredictor
+class PerfectPredictor final : public BranchPredictor
 {
   public:
     bool predict(uint64_t) override { return true; }
     void update(uint64_t, bool) override {}
+    bool predictAndUpdate(uint64_t, bool) override { return true; }
     size_t storageBits() const override { return 0; }
     std::string name() const override { return "perfect"; }
     bool isPerfect() const override { return true; }
 };
 
 /** Deterministic pseudo-random predictions (testing aid). */
-class RandomPredictor : public BranchPredictor
+class RandomPredictor final : public BranchPredictor
 {
   public:
     explicit RandomPredictor(uint64_t seed = 1)
@@ -91,6 +107,7 @@ class RandomPredictor : public BranchPredictor
     }
 
     void update(uint64_t, bool) override {}
+    bool predictAndUpdate(uint64_t pc, bool) override { return predict(pc); }
     size_t storageBits() const override { return 64; }
     std::string name() const override { return "random"; }
 

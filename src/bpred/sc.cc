@@ -4,70 +4,49 @@
 
 namespace pbs::bpred {
 
-size_t
-StatisticalCorrector::biasIndex(uint64_t pc, bool pred) const
-{
-    return ((pc << 1) | (pred ? 1 : 0)) & (bias_.size() - 1);
-}
-
-size_t
-StatisticalCorrector::gehlIndex(unsigned t, uint64_t pc) const
+StatisticalCorrector::Lookup
+StatisticalCorrector::lookup(uint64_t pc, bool primaryPred) const
 {
     static_assert(kHistLengths.back() < 64);
-    uint64_t hist = ghist_ & ((uint64_t(1) << kHistLengths[t]) - 1);
-    uint64_t h = pc ^ (hist * 0x9e3779b97f4a7c15ull >> 40) ^ (hist << 3);
-    return h & (gehl_[t].size() - 1);
-}
-
-int
-StatisticalCorrector::sum(uint64_t pc, bool primaryPred) const
-{
-    if (memoPc_ == pc && memoPred_ == primaryPred)
-        return memoSum_;
-    memoBiasIdx_ = biasIndex(pc, primaryPred);
-    int s = 2 * bias_[memoBiasIdx_].raw() + 1;
+    Lookup l;
+    l.primaryPred = primaryPred;
+    l.biasIdx = uint16_t(((pc << 1) | (primaryPred ? 1 : 0)) &
+                         (bias_.size() - 1));
+    int s = 2 * bias_[l.biasIdx].raw() + 1;
     for (unsigned t = 0; t < kNumGehl; t++) {
-        memoGehlIdx_[t] = gehlIndex(t, pc);
-        s += 2 * gehl_[t][memoGehlIdx_[t]].raw() + 1;
+        const uint64_t hist =
+            ghist_ & ((uint64_t(1) << kHistLengths[t]) - 1);
+        const uint64_t h =
+            pc ^ (hist * 0x9e3779b97f4a7c15ull >> 40) ^ (hist << 3);
+        l.gehlIdx[t] = uint16_t(h & (gehl_[t].size() - 1));
+        s += 2 * gehl_[t][l.gehlIdx[t]].raw() + 1;
     }
     // Bias the sum toward the primary prediction so the corrector only
     // overrides on clear statistical evidence.
-    s += primaryPred ? 2 : -2;
-    memoPc_ = pc;
-    memoPred_ = primaryPred;
-    memoSum_ = s;
-    return s;
+    l.sum = s + (primaryPred ? 2 : -2);
+    return l;
 }
 
 bool
-StatisticalCorrector::refine(uint64_t pc, bool primaryPred,
-                             unsigned primaryConf)
+StatisticalCorrector::refine(const Lookup &l, unsigned primaryConf) const
 {
-    int s = sum(pc, primaryPred);
-    bool sc_pred = s >= 0;
-    lastOverrode_ = false;
-
-    if (sc_pred == primaryPred)
-        return primaryPred;
+    const bool sc_pred = l.sum >= 0;
+    if (sc_pred == l.primaryPred)
+        return l.primaryPred;
 
     // Override threshold scales with the primary confidence.
-    int needed = threshold_ * (1 + static_cast<int>(primaryConf));
-    if (std::abs(s) >= needed) {
-        lastOverrode_ = true;
-        return sc_pred;
-    }
-    return primaryPred;
+    const int needed = threshold_ * (1 + static_cast<int>(primaryConf));
+    return std::abs(l.sum) >= needed ? sc_pred : l.primaryPred;
 }
 
 void
-StatisticalCorrector::update(uint64_t pc, bool primaryPred, bool taken)
+StatisticalCorrector::train(const Lookup &l, bool taken)
 {
-    int s = sum(pc, primaryPred);
-    bool sc_pred = s >= 0;
+    const bool sc_pred = l.sum >= 0;
 
     // Dynamic threshold adaptation (Seznec): tune so that overrides are
     // profitable on balance.
-    if (sc_pred != primaryPred) {
+    if (sc_pred != l.primaryPred) {
         bool override_correct = sc_pred == taken;
         thresholdCtr_.train(!override_correct);
         if (thresholdCtr_.raw() >= SignedSatCounter<6>::kMax) {
@@ -81,15 +60,13 @@ StatisticalCorrector::update(uint64_t pc, bool primaryPred, bool taken)
     }
 
     // Train counters while the sum is not saturated away.
-    if (std::abs(s) < 8 * threshold_ || sc_pred != taken) {
-        // sum(pc, primaryPred) above primed the index memo.
-        bias_[memoBiasIdx_].train(taken);
+    if (std::abs(l.sum) < 8 * threshold_ || sc_pred != taken) {
+        bias_[l.biasIdx].train(taken);
         for (unsigned t = 0; t < kNumGehl; t++)
-            gehl_[t][memoGehlIdx_[t]].train(taken);
+            gehl_[t][l.gehlIdx[t]].train(taken);
     }
 
     ghist_ = (ghist_ << 1) | (taken ? 1 : 0);
-    memoPc_ = ~uint64_t(0);
 }
 
 size_t

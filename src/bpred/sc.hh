@@ -19,6 +19,9 @@ namespace pbs::bpred {
 /**
  * Statistical corrector. Not a standalone predictor: it refines a
  * primary prediction. See TageSclPredictor for composition.
+ *
+ * A branch computes its counter indices and sum once (lookup()); the
+ * refinement and the training both work on that one Lookup.
  */
 class StatisticalCorrector
 {
@@ -31,28 +34,35 @@ class StatisticalCorrector
     static constexpr std::array<unsigned, 3> kHistLengths = {4, 10, 25};
     static constexpr unsigned kNumGehl = kHistLengths.size();
 
+    /** One branch's counter indices and the sum they read. */
+    struct Lookup
+    {
+        int sum;
+        bool primaryPred;
+        uint16_t biasIdx;
+        std::array<uint16_t, kNumGehl> gehlIdx;
+    };
+
     /**
      * @param pc branch address
      * @param primaryPred prediction of the primary (TAGE) predictor
-     * @param primaryConf primary confidence (0 low .. 2 high)
-     * @return the possibly-overridden prediction
      */
-    bool refine(uint64_t pc, bool primaryPred, unsigned primaryConf);
+    Lookup lookup(uint64_t pc, bool primaryPred) const;
 
-    /** Train with the outcome. Call once per branch, after refine(). */
-    void update(uint64_t pc, bool primaryPred, bool taken);
+    /**
+     * @param primaryConf primary confidence (0 low .. 2 high)
+     * @return the possibly-overridden primary prediction
+     */
+    bool refine(const Lookup &l, unsigned primaryConf) const;
+
+    /** Train with the outcome and shift the history. Call once per
+     *  branch, with this branch's lookup(). */
+    void train(const Lookup &l, bool taken);
 
     size_t storageBits() const;
 
-    /** @return true if the last refine() call overrode the primary. */
-    bool lastOverrode() const { return lastOverrode_; }
-
   private:
     using Counter = SignedSatCounter<kCtrBits>;
-
-    int sum(uint64_t pc, bool primaryPred) const;
-    size_t biasIndex(uint64_t pc, bool pred) const;
-    size_t gehlIndex(unsigned t, uint64_t pc) const;
 
     std::array<Counter, size_t(1) << kLog2Bias> bias_{};
     std::array<std::array<Counter, size_t(1) << kLog2Gehl>, kNumGehl>
@@ -60,19 +70,6 @@ class StatisticalCorrector
     uint64_t ghist_ = 0;
     int threshold_ = kInitialThreshold;
     SignedSatCounter<6> thresholdCtr_;
-    bool lastOverrode_ = false;
-
-    /**
-     * Memo of the last sum() evaluation: refine() and update() see the
-     * same (pc, primaryPred, ghist) for a given branch, so the second
-     * sum and the training-loop indices reuse the first computation.
-     * Invalidated when ghist_ shifts.
-     */
-    mutable uint64_t memoPc_ = ~uint64_t(0);
-    mutable bool memoPred_ = false;
-    mutable int memoSum_ = 0;
-    mutable size_t memoBiasIdx_ = 0;
-    mutable std::array<size_t, kNumGehl> memoGehlIdx_{};
 };
 
 }  // namespace pbs::bpred

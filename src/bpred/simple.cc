@@ -7,41 +7,10 @@ BimodalPredictor::BimodalPredictor(unsigned log2Entries)
 {
 }
 
-bool
-BimodalPredictor::predict(uint64_t pc)
-{
-    return table_[index(pc)].taken();
-}
-
-void
-BimodalPredictor::update(uint64_t pc, bool taken)
-{
-    table_[index(pc)].train(taken);
-}
-
 GsharePredictor::GsharePredictor(unsigned log2Entries, unsigned historyLen)
-    : table_(size_t(1) << log2Entries), historyLen_(historyLen)
+    : table_(size_t(1) << log2Entries), historyLen_(historyLen),
+      histMask_((uint64_t(1) << historyLen) - 1)
 {
-}
-
-size_t
-GsharePredictor::index(uint64_t pc) const
-{
-    uint64_t hist = ghr_ & ((uint64_t(1) << historyLen_) - 1);
-    return (pc ^ hist) & (table_.size() - 1);
-}
-
-bool
-GsharePredictor::predict(uint64_t pc)
-{
-    return table_[index(pc)].taken();
-}
-
-void
-GsharePredictor::update(uint64_t pc, bool taken)
-{
-    table_[index(pc)].train(taken);
-    ghr_ = (ghr_ << 1) | (taken ? 1 : 0);
 }
 
 size_t
@@ -55,30 +24,9 @@ LocalPredictor::LocalPredictor(unsigned log2HistEntries,
                                unsigned log2PatternEntries)
     : histories_(size_t(1) << log2HistEntries),
       patterns_(size_t(1) << log2PatternEntries),
-      historyLen_(historyLen)
+      historyLen_(historyLen),
+      histMask_(uint16_t((uint16_t(1) << historyLen) - 1))
 {
-}
-
-size_t
-LocalPredictor::patternIndex(uint64_t pc) const
-{
-    uint16_t hist = histories_[histIndex(pc)] &
-                    ((uint16_t(1) << historyLen_) - 1);
-    return hist & (patterns_.size() - 1);
-}
-
-bool
-LocalPredictor::predict(uint64_t pc)
-{
-    return patterns_[patternIndex(pc)].taken();
-}
-
-void
-LocalPredictor::update(uint64_t pc, bool taken)
-{
-    patterns_[patternIndex(pc)].train(taken);
-    uint16_t &hist = histories_[histIndex(pc)];
-    hist = static_cast<uint16_t>((hist << 1) | (taken ? 1 : 0));
 }
 
 size_t

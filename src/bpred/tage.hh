@@ -9,8 +9,10 @@
  * mispredictions; usefulness counters arbitrate replacement.
  *
  * The geometry is fixed at compile time (see bpred/tage_scl.hh): every
- * fold width and history tap is a constant, so the per-branch history
- * update is straight-line code with constant shifts.
+ * fold width and history tap is a constant. The global history is a
+ * 192-bit shift register and the twelve folded histories are packed
+ * six to a 64-bit word, so the per-branch history update is two
+ * lane-parallel folds of straight-line code.
  */
 
 #ifndef PBS_BPRED_TAGE_HH
@@ -24,7 +26,7 @@
 namespace pbs::bpred {
 
 /** TAGE predictor. */
-class TagePredictor : public BranchPredictor
+class TagePredictor final : public BranchPredictor
 {
   public:
     static constexpr unsigned kNumTables = 6;   ///< tagged components
@@ -44,23 +46,26 @@ class TagePredictor : public BranchPredictor
 
     bool predict(uint64_t pc) override;
     void update(uint64_t pc, bool taken) override;
+    bool predictAndUpdate(uint64_t pc, bool taken) override;
     size_t storageBits() const override;
     std::string name() const override { return "tage"; }
 
-    /**
-     * Confidence of the last predict() call: 0 = low (weak/new entry),
-     * 1 = medium, 2 = high.
-     */
-    unsigned lastConfidence() const { return lastConf_; }
-
   private:
+    friend class TageSclPredictor;
+
     static constexpr size_t kEntries = size_t(1) << kLog2Entries;
     static constexpr unsigned kMaxHistory = kHistoryLengths.back();
 
-    /** Global-history ring: a power of two above the longest tap, so
-     *  indexing is a mask. */
-    static constexpr size_t kHistRing = 256;
-    static_assert(kHistRing > kMaxHistory);
+    /** Global history: bit i of the 192-bit word array is the outcome
+     *  i branches before the newest (bit 0). */
+    static constexpr unsigned kHistWords = 3;
+    static_assert(kHistWords * 64 > kMaxHistory);
+
+    /** Folded-history packing: table t's fold is the 10-bit lane at
+     *  bit t * kLane of a 64-bit word, one bit wider than the widest
+     *  fold so a lane-wide shift cannot carry into the next lane. */
+    static constexpr unsigned kLane = 10;
+    static_assert(kLog2Entries < kLane && kNumTables * kLane <= 64);
 
     struct TaggedEntry
     {
@@ -69,22 +74,30 @@ class TagePredictor : public BranchPredictor
         uint8_t u = 0;
     };
 
-    /** Everything update() needs from the predict() of one branch. */
+    /**
+     * Everything training needs from one branch's lookup. No default
+     * member initializers: lookup() assigns every field, and zeroing a
+     * local first costs a store-forwarding stall.
+     */
     struct PredictContext
     {
-        uint64_t pc = 0;
-        int provider = -1;        ///< table index, -1 = bimodal
-        bool providerPred = false;
-        bool altPred = false;
-        bool finalPred = false;
-        bool providerNew = false;
-        bool valid = false;
+        int provider;        ///< table index, -1 = bimodal
+        bool providerPred;
+        bool altPred;
+        bool finalPred;
+        bool providerNew;
+        unsigned conf;       ///< 0 = low (weak/new entry) .. 2 = high
         /** Each table's flat index and tag for this branch. */
-        std::array<uint16_t, kNumTables> idx{};
-        std::array<uint16_t, kNumTables> tag{};
+        std::array<uint16_t, kNumTables> idx;
+        std::array<uint16_t, kNumTables> tag;
     };
 
-    void allocate(bool taken, int fromTable);
+    /** Look the branch at @p pc up; changes no state. */
+    void lookup(uint64_t pc, PredictContext &ctx) const;
+    /** Train the branch @p ctx looked up and push its outcome. */
+    void train(uint64_t pc, const PredictContext &ctx, bool taken);
+
+    void allocate(const PredictContext &ctx, bool taken);
     void pushHistory(bool taken);
     unsigned lfsrNext();
 
@@ -95,23 +108,22 @@ class TagePredictor : public BranchPredictor
     std::array<TaggedEntry, kNumTables * kEntries> tables_{};
     std::array<SatCounter<2>, size_t(1) << kLog2Bimodal> bimodal_{};
 
-    std::array<uint8_t, kHistRing> ghist_{};  ///< one outcome per byte
-    size_t ghistHead_ = 0;                     ///< newest outcome
+    std::array<uint64_t, kHistWords> ghist_{};
 
     /**
-     * Seznec's incrementally folded histories, one per table: the
+     * Seznec's incrementally folded histories, one lane per table: the
      * kHistoryLengths[t] newest outcomes folded to kLog2Entries bits
      * (the index hash, also the tag's first fold, which has the same
-     * width) and to kTagBits - 1 bits (the tag's second fold).
+     * width) in foldIdx_, and to kTagBits - 1 bits (the tag's second
+     * fold) in foldTag_.
      */
-    std::array<unsigned, kNumTables> foldIdx_{};
-    std::array<unsigned, kNumTables> foldTag_{};
+    uint64_t foldIdx_ = 0;
+    uint64_t foldTag_ = 0;
 
     SignedSatCounter<4> useAltOnNa_;
     uint64_t tick_ = 0;
     unsigned lfsr_ = 0xace1u;
-    unsigned lastConf_ = 0;
-    PredictContext ctx_;
+    PredictContext ctx_{};  ///< predict()'s lookup, for update()
 };
 
 }  // namespace pbs::bpred

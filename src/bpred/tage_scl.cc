@@ -2,39 +2,52 @@
 
 namespace pbs::bpred {
 
-TageSclPredictor::TageSclPredictor()
-    : loop_(kLog2Loop, kLoopTagBits, kLoopIterBits)
+void
+TageSclPredictor::lookup(uint64_t pc, Lookup &l)
 {
+    tage_.lookup(pc, l.tage);
+    l.sc = sc_.lookup(pc, l.tage.finalPred);
+    l.loop = loop_.lookup(pc);
+    l.prediction = l.loop.confident() ? l.loop.predict()
+                                      : sc_.refine(l.sc, l.tage.conf);
+}
+
+void
+TageSclPredictor::train(uint64_t pc, const Lookup &l, bool taken)
+{
+    sc_.train(l.sc, taken);
+    Loop::train(l.loop, taken);
+    tage_.train(pc, l.tage, taken);  // also advances the global history
 }
 
 bool
 TageSclPredictor::predict(uint64_t pc)
 {
-    lastPc_ = pc;
-    lastTagePred_ = tage_.predict(pc);
-    lastUsedLoop_ = loop_.confident(pc);
-    if (lastUsedLoop_)
-        return loop_.predict(pc);
-    return sc_.refine(pc, lastTagePred_, tage_.lastConfidence());
+    lookup(pc, last_);
+    return last_.prediction;
 }
 
 void
 TageSclPredictor::update(uint64_t pc, bool taken)
 {
-    if (lastPc_ != pc) {
-        // Protocol violation recovery: recompute prediction state.
-        predict(pc);
-    }
-    sc_.update(pc, lastTagePred_, taken);
-    loop_.update(pc, taken);
-    tage_.update(pc, taken);  // also advances the global history
-    lastPc_ = ~uint64_t(0);
+    train(pc, last_, taken);
+}
+
+// Flattened so the lookup, the training and the history update are
+// one function, and the context never leaves the stack frame.
+[[gnu::flatten]] bool
+TageSclPredictor::predictAndUpdate(uint64_t pc, bool taken)
+{
+    Lookup l;
+    lookup(pc, l);
+    train(pc, l, taken);
+    return l.prediction;
 }
 
 size_t
 TageSclPredictor::storageBits() const
 {
-    return tage_.storageBits() + sc_.storageBits() + loop_.storageBits();
+    return tage_.storageBits() + sc_.storageBits() + Loop::storageBits();
 }
 
 }  // namespace pbs::bpred

@@ -9,9 +9,10 @@
  * (TagePredictor::k*); the statistical corrector has a 2^10-entry bias
  * table and three 2^9-entry GEHL tables over histories {4, 10, 25}
  * (StatisticalCorrector::k*); the loop predictor has 2^5 entries with
- * 10-bit tags and 12-bit trip counts (kLoop* below). Every run of the
- * simulator used this one geometry, so fixing it lets the compiler
- * turn the per-branch history folds into constant shifts.
+ * 10-bit tags and 12-bit trip counts (TageSclPredictor::Loop). Every
+ * run of the simulator used this one geometry, so fixing it lets the
+ * compiler turn the per-branch history folds into constant shifts and
+ * every table mask into an immediate.
  */
 
 #ifndef PBS_BPRED_TAGE_SCL_HH
@@ -26,30 +27,38 @@ namespace pbs::bpred {
 /**
  * The composed TAGE-SC-L predictor. Component priority:
  * loop (when confident) > statistical corrector override > TAGE.
+ * Each branch looks every component up once; predict() keeps the
+ * lookups for update().
  */
-class TageSclPredictor : public BranchPredictor
+class TageSclPredictor final : public BranchPredictor
 {
   public:
-    static constexpr unsigned kLog2Loop = 5;
-    static constexpr unsigned kLoopTagBits = 10;
-    static constexpr unsigned kLoopIterBits = 12;
-
-    TageSclPredictor();
+    /** 32 entries, 10-bit tags, 12-bit trip counts. */
+    using Loop = LoopTable<5, 10, 12>;
 
     bool predict(uint64_t pc) override;
     void update(uint64_t pc, bool taken) override;
+    bool predictAndUpdate(uint64_t pc, bool taken) override;
     size_t storageBits() const override;
     std::string name() const override { return "tage-sc-l"; }
 
   private:
+    /** One branch's lookups in every component, and the prediction. */
+    struct Lookup
+    {
+        TagePredictor::PredictContext tage;
+        StatisticalCorrector::Lookup sc;
+        Loop::Lookup loop;
+        bool prediction;
+    };
+
+    void lookup(uint64_t pc, Lookup &l);
+    void train(uint64_t pc, const Lookup &l, bool taken);
+
     TagePredictor tage_;
     StatisticalCorrector sc_;
-    LoopPredictor loop_;
-
-    // Per-branch state between predict and update.
-    bool lastTagePred_ = false;
-    bool lastUsedLoop_ = false;
-    uint64_t lastPc_ = ~uint64_t(0);
+    Loop loop_;
+    Lookup last_{};  ///< predict()'s lookup, for update()
 };
 
 }  // namespace pbs::bpred

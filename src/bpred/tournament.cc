@@ -2,44 +2,16 @@
 
 namespace pbs::bpred {
 
-TournamentPredictor::TournamentPredictor(const TournamentConfig &cfg)
-    : bimodal_(cfg.log2Bimodal),
-      global_(cfg.log2Global, cfg.globalHistory),
-      loop_(cfg.log2Loop, cfg.loopTagBits, cfg.loopIterBits),
-      chooser_(size_t(1) << cfg.log2Chooser)
+TournamentPredictor::TournamentPredictor()
+    : bimodal_(kLog2Bimodal), global_(kLog2Global, kGlobalHistory)
 {
-}
-
-bool
-TournamentPredictor::predict(uint64_t pc)
-{
-    if (loop_.confident(pc))
-        return loop_.predict(pc);
-    bool use_global = chooser_[chooserIndex(pc)].taken();
-    return use_global ? global_.predict(pc) : bimodal_.predict(pc);
-}
-
-void
-TournamentPredictor::update(uint64_t pc, bool taken)
-{
-    bool bim = bimodal_.predict(pc);
-    bool glo = global_.predict(pc);
-
-    // Chooser trains toward the component that was right when they
-    // disagree (taken state of the chooser counter selects global).
-    if (bim != glo)
-        chooser_[chooserIndex(pc)].train(glo == taken);
-
-    bimodal_.update(pc, taken);
-    global_.update(pc, taken);
-    loop_.update(pc, taken);
 }
 
 size_t
 TournamentPredictor::storageBits() const
 {
     return bimodal_.storageBits() + global_.storageBits() +
-           loop_.storageBits() + chooser_.size() * 2;
+           Loop::storageBits() + chooser_.size() * 2;
 }
 
 }  // namespace pbs::bpred

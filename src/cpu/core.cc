@@ -7,6 +7,7 @@
 #include <type_traits>
 
 #include "bpred/factory.hh"
+#include "bpred/zoo.hh"
 #include "cpu/execute.hh"
 #include "cpu/superblock.hh"
 #include "isa/assembler.hh"
@@ -133,8 +134,6 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg)
 {
     pred_ = bpred::makePredictor(cfg_.predictor);
     predIsPerfect_ = pred_->isPerfect();
-    if (cfg_.filterProbFromPredictor)
-        sidePred_ = std::make_unique<bpred::StaticPredictor>(false);
 
     pbs_.setEnabled(cfg_.pbsEnabled);
     pc_ = prog.entry;
@@ -220,15 +219,12 @@ bool
 Core::predictAndTrain(uint64_t pc, bool taken, bool isProb)
 {
     bool predicted;
-    if (isProb && cfg_.filterProbFromPredictor) {
-        predicted = sidePred_->predict(pc);
-        sidePred_->update(pc, taken);
-    } else if (predIsPerfect_) {
+    if (isProb && cfg_.filterProbFromPredictor)
+        predicted = sidePred_.predictAndUpdate(pc, taken);
+    else if (predIsPerfect_)
         predicted = taken;
-    } else {
-        predicted = pred_->predict(pc);
-        pred_->update(pc, taken);
-    }
+    else
+        predicted = pred_->predictAndUpdate(pc, taken);
 
     if (predicted == taken)
         return false;
@@ -737,7 +733,20 @@ Core::replay(const DirectionStream &stream)
                                     "was recorded with the other PBS "
                                     "setting");
     }
+    // The predictor's type and the Fig. 9 filter are picked here, once:
+    // every branch of the walk then calls a concrete predictAndUpdate.
+    bpred::visitPredictor(*pred_, [&](auto &pred) {
+        if (cfg_.filterProbFromPredictor)
+            replayWalk<true>(stream, pred);
+        else
+            replayWalk<false>(stream, pred);
+    });
+}
 
+template <bool kFilter, class Pred>
+void
+Core::replayWalk(const DirectionStream &stream, Pred &pred)
+{
     // The walk follows the recorded path from one control op to the
     // next: the instructions in between are counted, not executed.
     const bool pbsOn = cfg_.pbsEnabled;
@@ -763,6 +772,23 @@ Core::replay(const DirectionStream &stream)
         const bool b = (words[bit >> 6] >> (bit & 63)) & 1;
         bit++;
         return b;
+    };
+
+    // predictAndTrain for this predictor type and filter setting. The
+    // counts live in locals until HALT: the predictor's byte-sized
+    // counters may alias stats_, which would force a reload per branch.
+    uint64_t branches = 0, probBranches = 0, steered = 0;
+    uint64_t regularMisses = 0, probMisses = 0;
+    auto resolve = [&](uint64_t at, bool taken, bool isProb)
+        [[gnu::always_inline]] {
+        bool predicted;
+        if (kFilter && isProb)
+            predicted = sidePred_.predictAndUpdate(at, taken);
+        else if constexpr (std::is_same_v<Pred, bpred::PerfectPredictor>)
+            predicted = taken;  // the oracle is never wrong
+        else
+            predicted = pred.predictAndUpdate(at, taken);
+        (isProb ? probMisses : regularMisses) += predicted != taken;
     };
 
     std::vector<uint64_t> returns;
@@ -794,28 +820,28 @@ Core::replay(const DirectionStream &stream)
           case Opcode::JZ:
           case Opcode::JNZ: {
             const bool taken = nextBit(at);
-            stats_.branches++;
-            predictAndTrain(at, taken, false);
+            branches++;
+            resolve(at, taken, false);
             if (taken)
                 pc = op.target;
             break;
           }
           case Opcode::CFD_JNZ:
-            stats_.branches++;
+            branches++;
             if (nextBit(at))
                 pc = op.target;
             break;
           case Opcode::PROB_JMP: {
-            stats_.branches++;
-            stats_.probBranches++;
+            branches++;
+            probBranches++;
             // With PBS on, a steered bit comes first; a steered
             // branch is never predicted (as in the hooks' onProbJmp).
-            const bool steered = pbsOn && nextBit(at);
+            const bool isSteered = pbsOn && nextBit(at);
             const bool taken = nextBit(at);
-            if (steered)
-                stats_.steeredBranches++;
+            if (isSteered)
+                steered++;
             else
-                predictAndTrain(at, taken, true);
+                resolve(at, taken, true);
             if (taken)
                 pc = op.target;
             break;
@@ -828,6 +854,12 @@ Core::replay(const DirectionStream &stream)
                                     at);
             stats_.instructions = insts;
             stats_.cycles = insts;  // off-timing, a cycle is an instruction
+            stats_.branches = branches;
+            stats_.probBranches = probBranches;
+            stats_.steeredBranches = steered;
+            stats_.mispredicts = regularMisses + probMisses;
+            stats_.regularMispredicts = regularMisses;
+            stats_.probMispredicts = probMisses;
             pc_ = pc;
             halted_ = true;
             return;

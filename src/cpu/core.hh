@@ -50,9 +50,13 @@
  *  - Replay (mpki only): replay() executes nothing. It walks the
  *    image's control ops along a DirectionStream an earlier mpki run
  *    of the same program recorded (cpu/direction_stream.hh), and
- *    resolves each conditional branch PBS did not steer through the
- *    same predictAndTrain as the hooks, so a replay under another
- *    predictor leaves the CoreStats that run() would.
+ *    resolves each conditional branch PBS did not steer the way the
+ *    hooks' predictAndTrain does, so a replay under another predictor
+ *    leaves the CoreStats that run() would. The walk is compiled once
+ *    per concrete predictor type (bpred::visitPredictor) and Fig. 9
+ *    filter setting, so each branch's predictAndUpdate is a direct,
+ *    usually inlined, call and the filter and oracle tests are gone
+ *    from the per-branch path.
  *
  * cpu::execute and every hook are always_inline. With several
  * instantiations GCC (12, with LTO) otherwise outlines them, and the
@@ -227,6 +231,11 @@ class Core
      *  (the timing hooks then redirect the front end). */
     bool predictAndTrain(uint64_t pc, bool taken, bool isProb);
 
+    /** replay()'s walk, with the predictor's concrete type @p Pred and
+     *  the Fig. 9 filter setting fixed at compile time. */
+    template <bool kFilter, class Pred>
+    void replayWalk(const DirectionStream &stream, Pred &pred);
+
     /**
      * The timing scoreboard's scalar state and register readiness.
      * The timing loop works on a local copy, which the compiler can
@@ -264,7 +273,9 @@ class Core
     mem::MemoryHierarchy hierarchy_;
     std::unique_ptr<bpred::BranchPredictor> pred_;
     bool predIsPerfect_ = false;  ///< cached virtual isPerfect()
-    std::unique_ptr<bpred::BranchPredictor> sidePred_;  ///< Fig. 9 filter
+    /** Fig. 9 filter: with filterProbFromPredictor, prob branches go to
+     *  this static not-taken predictor instead of pred_. */
+    bpred::StaticPredictor sidePred_{false};
     Scoreboard sb_;  ///< between timing loops; see Scoreboard
 
     /** One FU class's units: the cycle each is next free, ascending

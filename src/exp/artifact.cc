@@ -12,7 +12,7 @@ namespace pbs::exp {
 namespace {
 
 void
-writeEntry(JsonWriter &w, const ExpPoint &pt, const Measurement &m)
+writeEntry(util::JsonWriter &w, const ExpPoint &pt, const Measurement &m)
 {
     w.beginObject();
     w.key("point");
@@ -153,7 +153,7 @@ std::string
 sweepJson(const std::vector<ExpPoint> &points, Engine &engine,
           const std::string &specEcho)
 {
-    JsonWriter w;
+    util::JsonWriter w;
     w.beginObject();
     w.key("schema").value("pbs-sweep-v1");
     if (!specEcho.empty())
@@ -213,8 +213,8 @@ sweepCsv(const std::vector<ExpPoint> &points, Engine &engine)
         }
         u64(m.stats.instructions);
         u64(m.stats.cycles);
-        out += canonicalDouble(m.stats.ipc()) + ',';
-        out += canonicalDouble(m.stats.mpki()) + ',';
+        out += util::canonicalDouble(m.stats.ipc()) + ',';
+        out += util::canonicalDouble(m.stats.mpki()) + ',';
         u64(m.stats.branches);
         u64(m.stats.probBranches);
         u64(m.stats.mispredicts);
@@ -224,12 +224,12 @@ sweepCsv(const std::vector<ExpPoint> &points, Engine &engine)
         u64(m.pbs.fetchSteered);
         u64(m.pbs.stallCycles);
         out += m.outputs.empty() ? ""
-                                 : canonicalDouble(m.outputs[0]);
+                                 : util::canonicalDouble(m.outputs[0]);
         out += ",,,";  // rand-only columns
         if (m.hasSampling) {
             out += ',' + std::to_string(m.sampling.intervals) + ',' +
-                   canonicalDouble(m.sampling.ipcCi95) + ',' +
-                   canonicalDouble(m.sampling.mpkiCi95) + '\n';
+                   util::canonicalDouble(m.sampling.ipcCi95) + ',' +
+                   util::canonicalDouble(m.sampling.mpkiCi95) + '\n';
         } else {
             out += ",,,\n";
         }
@@ -260,7 +260,7 @@ runSummaryJson(const EngineCounters &counters, size_t points,
                uint64_t elapsedMs, const std::string &out,
                const std::string &csv)
 {
-    JsonWriter w;
+    util::JsonWriter w;
     w.beginObject();
     w.key("schema").value("pbs-exp-summary-v1");
     w.key("points").value(uint64_t(points));

@@ -65,24 +65,24 @@ readEntry(const fs::path &path, std::string &out)
  */
 CacheLoad
 readOwnDocument(const std::string &path, const std::string &key,
-                bool partial, JsonValue &v)
+                bool partial, util::JsonValue &v)
 {
     std::string text;
     std::string err;
     if (const CacheLoad r = readEntry(path, text); !r)
         return r;
-    if (!parseJson(text, v, err))
+    if (!util::parseJson(text, v, err))
         return kRejected;
-    const JsonValue *salt = v.find("salt");
+    const util::JsonValue *salt = v.find("salt");
     if (!salt || salt->asString() != versionSalt())
         return kRejected;
-    const JsonValue *stored = v.find("point");
+    const util::JsonValue *stored = v.find("point");
     ExpPoint pt;
     if (!stored || !readPoint(*stored, pt))
         return kRejected;
     if (!partial)
         return cacheKey(pt) == key ? kHit : kRejected;
-    const JsonValue *index = v.find("index");
+    const util::JsonValue *index = v.find("index");
     return index && partialKey(pt, index->asU64()) == key ? kHit
                                                           : kRejected;
 }
@@ -97,18 +97,18 @@ readFirstLine(const fs::path &path, std::string &out)
 
 /** Member @p k of @p obj as a u64 (0 when absent). */
 uint64_t
-u64Field(const JsonValue &obj, const char *k)
+u64Field(const util::JsonValue &obj, const char *k)
 {
-    const JsonValue *f = obj.find(k);
+    const util::JsonValue *f = obj.find(k);
     return f ? f->asU64() : 0;
 }
 
 /** The checkpoint-set key stored in a set header's `key` object. */
 StoreKey
-readStoreKey(const JsonValue &v)
+readStoreKey(const util::JsonValue &v)
 {
     auto str = [&](const char *k) {
-        const JsonValue *f = v.find(k);
+        const util::JsonValue *f = v.find(k);
         return f ? f->asString() : std::string();
     };
     StoreKey key;
@@ -196,11 +196,11 @@ ResultCache::load(const std::string &key, PointKind kind,
     if (!enabled())
         return {};
     obs::Span span("cache_io", "load");
-    JsonValue v;
+    util::JsonValue v;
     if (const CacheLoad r = readOwnDocument(entryPath(key), key, false, v);
         !r)
         return r;
-    const JsonValue *result = v.find("result");
+    const util::JsonValue *result = v.find("result");
     return result && readMeasurement(*result, kind, out) ? kHit
                                                          : kRejected;
 }
@@ -213,7 +213,7 @@ ResultCache::store(const std::string &key, const ExpPoint &pt,
         return false;
     obs::Span span("cache_io", "store");
 
-    JsonWriter w;
+    util::JsonWriter w;
     w.beginObject();
     w.key("salt").value(versionSalt());
     w.key("point");
@@ -232,11 +232,11 @@ ResultCache::loadPartial(const std::string &key,
     if (!enabled())
         return {};
     obs::Span span("cache_io", "load-partial");
-    JsonValue v;
+    util::JsonValue v;
     if (const CacheLoad r = readOwnDocument(partialPath(key), key, true, v);
         !r)
         return r;
-    const JsonValue *sample = v.find("sample");
+    const util::JsonValue *sample = v.find("sample");
     return sample && readIntervalSample(*sample, out) ? kHit : kRejected;
 }
 
@@ -249,7 +249,7 @@ ResultCache::storePartial(const std::string &key, const ExpPoint &pt,
         return false;
     obs::Span span("cache_io", "store-partial");
 
-    JsonWriter w;
+    util::JsonWriter w;
     w.beginObject();
     w.key("salt").value(versionSalt());
     w.key("point");
@@ -274,19 +274,19 @@ ResultCache::loadCheckpointSet(const StoreKey &key,
     if (const CacheLoad r = readEntry(checkpointSetPath(setHash), text); !r)
         return r;
     const size_t eol = text.find('\n');
-    JsonValue header;
+    util::JsonValue header;
     std::string err;
     if (eol == std::string::npos ||
-        !parseJson(text.substr(0, eol), header, err))
+        !util::parseJson(text.substr(0, eol), header, err))
         return kRejected;
 
     // Stale generations, then identity: the stored key must hash to the
     // name the set was looked up under.
-    const JsonValue *salt = header.find("salt");
-    const JsonValue *stored = header.find("key");
+    const util::JsonValue *salt = header.find("salt");
+    const util::JsonValue *stored = header.find("key");
     if (!salt || salt->asString() != key.salt || !stored)
         return kRejected;
-    const JsonValue *arch = stored->find("arch_version");
+    const util::JsonValue *arch = stored->find("arch_version");
     if (!arch || arch->asU64() != cpu::kArchStateVersion)
         return kRejected;
     if (storeSetHash(readStoreKey(*stored)) != setHash)
@@ -294,16 +294,16 @@ ResultCache::loadCheckpointSet(const StoreKey &key,
 
     // The blob lengths must tile the payload exactly before anything is
     // decoded; the payload hash catches corruption that keeps lengths.
-    const JsonValue *totals = header.find("totals");
-    const JsonValue *blobs = header.find("blobs");
-    const JsonValue *hash = header.find("hash");
+    const util::JsonValue *totals = header.find("totals");
+    const util::JsonValue *blobs = header.find("blobs");
+    const util::JsonValue *hash = header.find("hash");
     if (!totals || !hash || !blobs ||
-        blobs->type != JsonValue::Type::Array || blobs->items.empty())
+        blobs->type != util::JsonValue::Type::Array || blobs->items.empty())
         return kRejected;
     const char *payload = text.data() + eol + 1;
     const uint64_t payloadBytes = text.size() - eol - 1;
     uint64_t remaining = payloadBytes;
-    for (const JsonValue &b : blobs->items) {
+    for (const util::JsonValue &b : blobs->items) {
         const uint64_t n = b.asU64(UINT64_MAX);
         if (n > remaining)
             return kRejected;
@@ -316,7 +316,7 @@ ResultCache::loadCheckpointSet(const StoreKey &key,
     sampling::CheckpointSet set;
     set.checkpoints.reserve(blobs->items.size());
     try {
-        for (const JsonValue &b : blobs->items) {
+        for (const util::JsonValue &b : blobs->items) {
             const auto *p = reinterpret_cast<const uint8_t *>(payload);
             const uint64_t n = b.asU64();
             set.checkpoints.push_back(
@@ -357,7 +357,7 @@ ResultCache::storeCheckpointSet(const StoreKey &key,
         append(state);
     append(set.finalState);
 
-    JsonWriter w;
+    util::JsonWriter w;
     w.beginObject();
     w.key("salt").value(key.salt);
     w.key("key").raw(storeKeyJson(key));
@@ -419,10 +419,11 @@ ResultCache::gc(bool all, uint64_t graceSeconds) const
             bool stale = true;
             if (!all && file && ext != ".tmp") {
                 std::string line;
-                JsonValue v;
+                util::JsonValue v;
                 std::string err;
-                if (readFirstLine(path, line) && parseJson(line, v, err)) {
-                    const JsonValue *s = v.find("salt");
+                if (readFirstLine(path, line) &&
+                    util::parseJson(line, v, err)) {
+                    const util::JsonValue *s = v.find("salt");
                     stale = !s || s->asString() != salt;
                 }
             }

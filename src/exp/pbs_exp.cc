@@ -53,6 +53,7 @@ struct ExpCliOptions
     std::string report;
     unsigned divisor = 1;
     unsigned jobs = 1;
+    bool jobsSet = false;                 ///< --jobs given
     std::string cacheDir = exp::kDefaultCacheDir;
     bool cacheDirSet = false;             ///< --cache-dir given
     bool noCache = false;
@@ -233,6 +234,23 @@ validateCli(const ExpCliOptions &o)
             return fail(std::string("--campaign applies to sweeps, not ") +
                         (o.gc ? "--gc" : "--report"));
     }
+    if (o.gc) {
+        if (!o.specFile.empty() || !o.axes.empty() || !o.out.empty() ||
+            !o.csv.empty() || !o.report.empty()) {
+            return fail("--gc only prunes the cache; run the sweep or "
+                        "report as a separate invocation");
+        }
+        // gc runs no points and prints one summary line: the sweep's
+        // worker count, progress lines and their timestamps do nothing.
+        const char *ignored = o.jobsSet        ? "--jobs"
+                              : o.progress     ? "--progress"
+                              : o.quiet        ? "--quiet"
+                              : o.logTimestamps ? "--log-timestamps"
+                              : o.noCache      ? "--no-cache"
+                                               : nullptr;
+        if (ignored)
+            return fail(std::string(ignored) + " has no effect with --gc");
+    }
     return 0;
 }
 
@@ -385,6 +403,7 @@ parseCli(int argc, char **argv, ExpCliOptions &o)
                 return fail(arg + " needs a value");
             if (!exp::parseUnsignedArg(v, o.jobs) || o.jobs == 0)
                 return fail("bad --jobs value: " + v);
+            o.jobsSet = true;
             continue;
         }
         if ((m = takeValue(arg, "--div")) != 0) {
@@ -520,11 +539,6 @@ main(int argc, char **argv)
         obs::setSinkTimestamps(true);
 
     if (o.gc) {
-        if (!o.specFile.empty() || !o.axes.empty() || !o.out.empty() ||
-            !o.csv.empty() || !o.report.empty()) {
-            return fail("--gc only prunes the cache; run the sweep or "
-                        "report as a separate invocation");
-        }
         exp::ResultCache cache(cacheDir);
         auto r = cache.gc(o.gcAll, o.gcGrace);
         std::printf("{\"schema\":\"pbs-exp-gc-v1\",\"kept\":%llu,"

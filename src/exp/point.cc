@@ -39,7 +39,7 @@ execModeFromName(const std::string &name)
 }
 
 void
-writePoint(JsonWriter &w, const ExpPoint &pt)
+writePoint(util::JsonWriter &w, const ExpPoint &pt)
 {
     w.beginObject();
     w.key("kind").value(pt.kind == PointKind::Rand ? "rand" : "sim");
@@ -67,18 +67,18 @@ writePoint(JsonWriter &w, const ExpPoint &pt)
 std::string
 pointJson(const ExpPoint &pt)
 {
-    JsonWriter w;
+    util::JsonWriter w;
     writePoint(w, pt);
     return w.str();
 }
 
 bool
-readPoint(const JsonValue &v, ExpPoint &out)
+readPoint(const util::JsonValue &v, ExpPoint &out)
 {
-    if (v.type != JsonValue::Type::Object)
+    if (v.type != util::JsonValue::Type::Object)
         return false;
     out = ExpPoint{};
-    const JsonValue *f;
+    const util::JsonValue *f;
     if ((f = v.find("kind")))
         out.kind = f->asString() == "rand" ? PointKind::Rand
                                            : PointKind::Sim;
@@ -196,7 +196,7 @@ directionStreamKey(const ExpPoint &pt)
     ExpPoint path = pt;
     path.predictor.clear();
     path.filterProb = false;
-    JsonWriter w;
+    util::JsonWriter w;
     w.beginObject();
     w.key("point");
     writePoint(w, path);
@@ -208,7 +208,7 @@ directionStreamKey(const ExpPoint &pt)
 std::string
 storeKeyJson(const StoreKey &key)
 {
-    JsonWriter w;
+    util::JsonWriter w;
     w.beginObject();
     w.key("workload").value(key.workload);
     w.key("variant").value(key.variant);
@@ -233,7 +233,7 @@ storeSetHash(const StoreKey &key)
 namespace {
 
 void
-writeU64Field(JsonWriter &w, const char *k, uint64_t v)
+writeU64Field(util::JsonWriter &w, const char *k, uint64_t v)
 {
     w.key(k).value(v);
 }
@@ -241,7 +241,7 @@ writeU64Field(JsonWriter &w, const char *k, uint64_t v)
 }  // namespace
 
 void
-writeMeasurement(JsonWriter &w, PointKind kind, const Measurement &m)
+writeMeasurement(util::JsonWriter &w, PointKind kind, const Measurement &m)
 {
     w.beginObject();
     if (kind == PointKind::Rand) {
@@ -304,17 +304,17 @@ writeMeasurement(JsonWriter &w, PointKind kind, const Measurement &m)
 }
 
 bool
-readMeasurement(const JsonValue &v, PointKind kind, Measurement &out)
+readMeasurement(const util::JsonValue &v, PointKind kind, Measurement &out)
 {
-    if (v.type != JsonValue::Type::Object)
+    if (v.type != util::JsonValue::Type::Object)
         return false;
     out = Measurement{};
 
     if (kind == PointKind::Rand) {
-        const JsonValue *r = v.find("rand");
+        const util::JsonValue *r = v.find("rand");
         if (!r)
             return false;
-        const JsonValue *f;
+        const util::JsonValue *f;
         if ((f = r->find("pass")))
             out.randPass = unsigned(f->asU64());
         if ((f = r->find("weak")))
@@ -324,14 +324,14 @@ readMeasurement(const JsonValue &v, PointKind kind, Measurement &out)
         return true;
     }
 
-    const JsonValue *s = v.find("stats");
-    const JsonValue *p = v.find("pbs");
-    const JsonValue *o = v.find("outputs");
-    if (!s || !p || !o || o->type != JsonValue::Type::Array)
+    const util::JsonValue *s = v.find("stats");
+    const util::JsonValue *p = v.find("pbs");
+    const util::JsonValue *o = v.find("outputs");
+    if (!s || !p || !o || o->type != util::JsonValue::Type::Array)
         return false;
 
-    auto u64 = [](const JsonValue *obj, const char *k) {
-        const JsonValue *f = obj->find(k);
+    auto u64 = [](const util::JsonValue *obj, const char *k) {
+        const util::JsonValue *f = obj->find(k);
         return f ? f->asU64() : 0;
     };
     out.stats.instructions = u64(s, "instructions");
@@ -356,21 +356,21 @@ readMeasurement(const JsonValue &v, PointKind kind, Measurement &out)
     out.pbs.entriesAllocated = u64(p, "entries_allocated");
     out.pbs.entriesEvicted = u64(p, "entries_evicted");
 
-    if (const JsonValue *e = v.find("sampling")) {
+    if (const util::JsonValue *e = v.find("sampling")) {
         out.hasSampling = true;
         out.sampling.intervals = u64(e, "intervals");
         out.sampling.ffInstructions = u64(e, "ff_instructions");
         out.sampling.detailedInstructions =
             u64(e, "detailed_instructions");
-        auto dbl = [](const JsonValue *obj, const char *k) {
-            const JsonValue *f = obj->find(k);
+        auto dbl = [](const util::JsonValue *obj, const char *k) {
+            const util::JsonValue *f = obj->find(k);
             return f ? f->asDouble() : 0.0;
         };
         out.sampling.ipc = dbl(e, "ipc");
         out.sampling.ipcCi95 = dbl(e, "ipc_ci95");
         out.sampling.mpki = dbl(e, "mpki");
         out.sampling.mpkiCi95 = dbl(e, "mpki_ci95");
-        const JsonValue *x = e->find("exact");
+        const util::JsonValue *x = e->find("exact");
         out.sampling.exact = x && x->asBool();
     }
 
@@ -381,7 +381,7 @@ readMeasurement(const JsonValue &v, PointKind kind, Measurement &out)
 }
 
 void
-writeIntervalSample(JsonWriter &w, const sampling::IntervalSample &s)
+writeIntervalSample(util::JsonWriter &w, const sampling::IntervalSample &s)
 {
     w.beginObject();
     w.key("instructions").value(s.instructions);
@@ -396,13 +396,13 @@ writeIntervalSample(JsonWriter &w, const sampling::IntervalSample &s)
 }
 
 bool
-readIntervalSample(const JsonValue &v, sampling::IntervalSample &out)
+readIntervalSample(const util::JsonValue &v, sampling::IntervalSample &out)
 {
-    if (v.type != JsonValue::Type::Object)
+    if (v.type != util::JsonValue::Type::Object)
         return false;
     out = sampling::IntervalSample{};
     auto u64 = [&](const char *k) {
-        const JsonValue *f = v.find(k);
+        const util::JsonValue *f = v.find(k);
         return f ? f->asU64() : 0;
     };
     out.instructions = u64("instructions");
@@ -412,7 +412,7 @@ readIntervalSample(const JsonValue &v, sampling::IntervalSample &out)
     out.probMispredicts = u64("prob_mispredicts");
     out.steered = u64("steered");
     out.detailed = u64("detailed");
-    const JsonValue *valid = v.find("valid");
+    const util::JsonValue *valid = v.find("valid");
     out.valid = valid && valid->asBool();
     return true;
 }

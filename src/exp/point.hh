@@ -20,7 +20,7 @@
 
 #include "core/pbs_config.hh"
 #include "cpu/core_config.hh"
-#include "exp/json.hh"
+#include "util/json.hh"
 #include "sampling/sampled.hh"
 #include "workloads/common.hh"
 
@@ -92,10 +92,10 @@ uint64_t resolvedScale(const workloads::BenchmarkDesc &b,
 std::string pointJson(const ExpPoint &pt);
 
 /** Write the point object through an existing writer. */
-void writePoint(JsonWriter &w, const ExpPoint &pt);
+void writePoint(util::JsonWriter &w, const ExpPoint &pt);
 
 /** Parse a point back from its canonical JSON object. */
-bool readPoint(const JsonValue &v, ExpPoint &out);
+bool readPoint(const util::JsonValue &v, ExpPoint &out);
 
 /** The core configuration a point describes (throws on unknown modes). */
 cpu::CoreConfig pointCoreConfig(const ExpPoint &pt);
@@ -195,15 +195,15 @@ struct Measurement
 };
 
 /** Canonical JSON of a measurement. */
-void writeMeasurement(JsonWriter &w, PointKind kind,
+void writeMeasurement(util::JsonWriter &w, PointKind kind,
                       const Measurement &m);
-bool readMeasurement(const JsonValue &v, PointKind kind,
+bool readMeasurement(const util::JsonValue &v, PointKind kind,
                      Measurement &out);
 
 /** Canonical JSON of one per-interval sample (a cache partial's body). */
-void writeIntervalSample(JsonWriter &w,
+void writeIntervalSample(util::JsonWriter &w,
                          const sampling::IntervalSample &s);
-bool readIntervalSample(const JsonValue &v,
+bool readIntervalSample(const util::JsonValue &v,
                         sampling::IntervalSample &out);
 
 /** 128-bit FNV-1a content hash, as 32 lowercase hex characters. */

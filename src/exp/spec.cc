@@ -334,7 +334,7 @@ expandSpec(const SweepSpec &spec)
 std::string
 specJson(const SweepSpec &spec)
 {
-    JsonWriter w;
+    util::JsonWriter w;
     auto strings = [&](const char *k,
                        const std::vector<std::string> &xs) {
         w.key(k).beginArray();

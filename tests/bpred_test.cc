@@ -3,7 +3,8 @@
  * Branch predictor tests: learning behavior on canonical patterns,
  * storage budgets (the paper's 1 KB tournament and 8 KB TAGE-SC-L),
  * accuracy ordering across predictors, and an exact pin of every zoo
- * predictor's prediction stream on one seeded synthetic trace.
+ * predictor's prediction stream on seeded synthetic traces, through
+ * both predict + update and predictAndUpdate.
  */
 
 #include <gtest/gtest.h>
@@ -262,17 +263,16 @@ struct Branch
 };
 
 /**
- * About 200k branches over 64 static PCs, interleaved at random. The
+ * @p count branches over 64 static PCs, interleaved at random. The
  * PCs come in five kinds: biased (90% or 10% taken), periodic (a
  * period-2..13 pattern), fixed-trip loops (3..40 takens, then one
  * not-taken), history-correlated (the XOR of two recent global
  * outcomes) and fair coins.
  */
 std::vector<Branch>
-syntheticStream()
+syntheticStream(unsigned count)
 {
     constexpr unsigned kPcs = 64;
-    constexpr unsigned kBranches = 200'000;
     struct PcState
     {
         unsigned kind;
@@ -296,9 +296,9 @@ syntheticStream()
     }
 
     std::vector<Branch> out;
-    out.reserve(kBranches);
+    out.reserve(count);
     uint64_t ghist = 0;
-    for (unsigned n = 0; n < kBranches; n++) {
+    for (unsigned n = 0; n < count; n++) {
         const uint64_t r = rng.next();
         const unsigned k = unsigned(r % kPcs);
         PcState &s = pcs[k];
@@ -350,24 +350,59 @@ const StreamPin kStreamPins[] = {
 };
 // clang-format on
 
-TEST(PredictorPins, SyntheticStreamIsBitExact)
+/**
+ * Run @p stream through a fresh pin.predictor twice, once through
+ * predict + update and once through predictAndUpdate, and check both
+ * against @p pin.
+ */
+void
+expectPin(const std::vector<Branch> &stream, const StreamPin &pin)
 {
-    const std::vector<Branch> stream = syntheticStream();
-    ASSERT_EQ(stream.size(), 200'000u);
-    for (const StreamPin &pin : kStreamPins) {
+    for (const bool fused : {false, true}) {
         auto pred = makePredictor(pin.predictor);
         uint64_t mispredicts = 0;
         uint64_t hash = 0xcbf29ce484222325ull;
         for (const Branch &b : stream) {
-            const bool p = pred->predict(b.pc);
-            pred->update(b.pc, b.taken);
+            bool p;
+            if (fused) {
+                p = pred->predictAndUpdate(b.pc, b.taken);
+            } else {
+                p = pred->predict(b.pc);
+                pred->update(b.pc, b.taken);
+            }
             mispredicts += p != b.taken;
             hash = (hash ^ (p ? 1 : 0)) * 0x100000001b3ull;
         }
-        EXPECT_EQ(mispredicts, pin.mispredicts) << pin.predictor;
+        const char *form = fused ? " (predictAndUpdate)" : "";
+        EXPECT_EQ(mispredicts, pin.mispredicts) << pin.predictor << form;
         EXPECT_EQ(hash, pin.hash)
-            << pin.predictor << " hash 0x" << std::hex << hash;
+            << pin.predictor << form << " hash 0x" << std::hex << hash;
     }
+}
+
+TEST(PredictorPins, SyntheticStreamIsBitExact)
+{
+    const std::vector<Branch> stream = syntheticStream(200'000);
+    for (const StreamPin &pin : kStreamPins)
+        expectPin(stream, pin);
+}
+
+// A stream three usefulness-aging periods long: the 200k stream above
+// never reaches TagePredictor::kResetPeriod, so only these pins cover
+// the aging path. Recorded before TAGE's histories were packed.
+// clang-format off
+const StreamPin kLongStreamPins[] = {
+    {"tage",      214200ull, 0x9cb9d10bf02816f0ull},
+    {"tage-sc-l", 205370ull, 0x5eca34bd8494e6e0ull},
+};
+// clang-format on
+
+TEST(PredictorPins, LongStreamCoversUsefulnessAging)
+{
+    constexpr unsigned kCount = 3 * TagePredictor::kResetPeriod + 1000;
+    const std::vector<Branch> stream = syntheticStream(kCount);
+    for (const StreamPin &pin : kLongStreamPins)
+        expectPin(stream, pin);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@
 #include "exp/artifact.hh"
 #include "exp/cache.hh"
 #include "exp/engine.hh"
-#include "exp/json.hh"
+#include "util/json.hh"
 #include "exp/pareto.hh"
 #include "exp/reports.hh"
 #include "exp/spec.hh"
@@ -76,17 +76,17 @@ TEST(ExpJson, CanonicalDoubleRoundTrips)
                              0.1,     1.0 / 3, 1e300,  -1e-300,
                              3.14159, 2e53,    123456.75};
     for (double v : values) {
-        const std::string s = exp::canonicalDouble(v);
+        const std::string s = util::canonicalDouble(v);
         EXPECT_EQ(std::strtod(s.c_str(), nullptr), v) << s;
     }
-    EXPECT_EQ(exp::canonicalDouble(2.0), "2");
-    EXPECT_EQ(exp::canonicalDouble(-0.0), "-0");
-    EXPECT_EQ(exp::canonicalDouble(0.5), "0.5");
+    EXPECT_EQ(util::canonicalDouble(2.0), "2");
+    EXPECT_EQ(util::canonicalDouble(-0.0), "-0");
+    EXPECT_EQ(util::canonicalDouble(0.5), "0.5");
 }
 
 TEST(ExpJson, WriterParserRoundTrip)
 {
-    exp::JsonWriter w;
+    util::JsonWriter w;
     w.beginObject();
     w.key("u64").value(uint64_t(18446744073709551615ull));
     w.key("str").value(std::string("a\"b\\c\nd\te"));
@@ -94,9 +94,9 @@ TEST(ExpJson, WriterParserRoundTrip)
     w.key("nested").beginObject().key("x").value(0.25).endObject();
     w.endObject();
 
-    exp::JsonValue v;
+    util::JsonValue v;
     std::string err;
-    ASSERT_TRUE(exp::parseJson(w.str(), v, err)) << err;
+    ASSERT_TRUE(util::parseJson(w.str(), v, err)) << err;
     EXPECT_EQ(v.find("u64")->asU64(), 18446744073709551615ull);
     EXPECT_EQ(v.find("str")->asString(), "a\"b\\c\nd\te");
     ASSERT_EQ(v.find("arr")->items.size(), 3u);
@@ -106,13 +106,13 @@ TEST(ExpJson, WriterParserRoundTrip)
 
 TEST(ExpJson, RejectsMalformedInput)
 {
-    exp::JsonValue v;
+    util::JsonValue v;
     std::string err;
-    EXPECT_FALSE(exp::parseJson("{", v, err));
-    EXPECT_FALSE(exp::parseJson("{\"a\":}", v, err));
-    EXPECT_FALSE(exp::parseJson("[1,2", v, err));
-    EXPECT_FALSE(exp::parseJson("12 34", v, err));
-    EXPECT_TRUE(exp::parseJson("  [1, 2]  ", v, err)) << err;
+    EXPECT_FALSE(util::parseJson("{", v, err));
+    EXPECT_FALSE(util::parseJson("{\"a\":}", v, err));
+    EXPECT_FALSE(util::parseJson("[1,2", v, err));
+    EXPECT_FALSE(util::parseJson("12 34", v, err));
+    EXPECT_TRUE(util::parseJson("  [1, 2]  ", v, err)) << err;
 }
 
 // --- points and hashing ----------------------------------------------
@@ -123,9 +123,9 @@ TEST(ExpPoint, JsonRoundTripsAndHashesDiscriminate)
     pt.variant = "predicated";
     pt.numBranches = 8;
 
-    exp::JsonValue v;
+    util::JsonValue v;
     std::string err;
-    ASSERT_TRUE(exp::parseJson(exp::pointJson(pt), v, err)) << err;
+    ASSERT_TRUE(util::parseJson(exp::pointJson(pt), v, err)) << err;
     exp::ExpPoint back;
     ASSERT_TRUE(exp::readPoint(v, back));
     EXPECT_EQ(back, pt);
@@ -214,9 +214,9 @@ TEST(ExpSpec, ExecutionModesExpandAndKeySeparately)
     EXPECT_NE(exp::cacheKey(tweaked), exp::cacheKey(grid.points[4]));
 
     // Round trip through the canonical JSON preserves the new fields.
-    exp::JsonValue v;
+    util::JsonValue v;
     std::string err;
-    ASSERT_TRUE(exp::parseJson(exp::pointJson(grid.points[4]), v, err))
+    ASSERT_TRUE(util::parseJson(exp::pointJson(grid.points[4]), v, err))
         << err;
     exp::ExpPoint back;
     ASSERT_TRUE(exp::readPoint(v, back));
@@ -488,9 +488,9 @@ TEST_F(ExpCacheTest, SweepArtifactsAreByteIdenticalAcrossJobsAndCache)
     EXPECT_EQ(serial.second, warm.second);
 
     // And the artifact parses back.
-    exp::JsonValue v;
+    util::JsonValue v;
     std::string err;
-    ASSERT_TRUE(exp::parseJson(serial.first, v, err)) << err;
+    ASSERT_TRUE(util::parseJson(serial.first, v, err)) << err;
     EXPECT_EQ(v.find("schema")->asString(), "pbs-sweep-v1");
     EXPECT_EQ(v.find("points")->items.size(), grid.points.size());
 }

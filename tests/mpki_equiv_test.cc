@@ -31,7 +31,10 @@
  * corpus, PBS off and on. Paths a stream cannot describe (a return
  * through a rewritten RA, a run cut by maxInstructions, a run that
  * throws) must fall back to a plain run with the same result, and the
- * engine must group and count replays the same way at any --jobs.
+ * engine must group and count replays the same way at any --jobs. A
+ * replay under every predictorNames() entry, filter off and on, must
+ * leave a plain run's CoreStats, so the per-type replay dispatch
+ * cannot miss a predictor.
  */
 
 #include <gtest/gtest.h>
@@ -42,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "bpred/factory.hh"
 #include "cpu/core.hh"
 #include "exp/engine.hh"
 #include "isa/assembler.hh"
@@ -625,6 +629,45 @@ TEST(DirectionStreams, ThrowingRunLeavesNoStream)
             << pred;
         EXPECT_FALSE(replayed);
         EXPECT_TRUE(slot.key.empty()) << pred;
+    }
+}
+
+// Core::replay picks the predictor's concrete type once per replay
+// (bpred::visitPredictor). Every name makePredictor accepts, including
+// always-taken, always-not-taken and random, must replay to a plain
+// run's CoreStats, PBS off and on, with and without the Fig. 9 filter;
+// a type the dispatch lacks throws instead of falling back.
+TEST(DirectionStreams, ReplayDispatchCoversEveryPredictor)
+{
+    for (const char *workload : {"pi", "bandit"}) {
+        const auto &b = workloads::benchmarkByName(workload);
+        workloads::WorkloadParams params;
+        params.scale = std::max<uint64_t>(1, b.defaultScale / 50);
+        const isa::Program prog =
+            b.build(params, workloads::Variant::Marked);
+        for (bool pbs : {false, true}) {
+            cpu::DirectionStream stream;
+            cpu::Core rec(prog, mpkiConfig({"perfect", pbs}));
+            rec.recordDirections(&stream);
+            rec.run();
+            ASSERT_TRUE(stream.usable()) << workload;
+            for (const std::string &pred : bpred::predictorNames()) {
+                for (bool filter : {false, true}) {
+                    const MpkiRow row{pred, pbs, filter};
+                    const std::string what =
+                        std::string(workload) + " [" + rowName(row) + "]";
+                    cpu::Core plain(prog, mpkiConfig(row));
+                    plain.run();
+                    cpu::Core replayed(prog, mpkiConfig(row));
+                    replayed.replay(stream);
+                    EXPECT_TRUE(plain.stats() == replayed.stats())
+                        << what << ": mispredicts "
+                        << plain.stats().mispredicts << " vs "
+                        << replayed.stats().mispredicts;
+                    EXPECT_TRUE(replayed.halted()) << what;
+                }
+            }
+        }
     }
 }
 
