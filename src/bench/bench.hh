@@ -3,9 +3,9 @@
  * The throughput-benchmark subsystem behind `pbs_bench`: times
  * simulated-MIPS for workload x predictor x mode points over the
  * deterministic thread pool and renders the canonical `pbs-bench-v2`
- * artifact (per-point `mode` field). Each point's core configuration
- * comes from the exp::ExpPoint it describes (exp::pointCoreConfig), the
- * same mapping every sweep uses.
+ * artifact (per-point `mode` field). Every point is an exp::ExpPoint cut
+ * from a SweepSpec and timed by exp::timePoint, the same run and timed
+ * region the Pareto sweep uses.
  *
  * Determinism contract (mirrors the experiment engine's rules): the
  * artifact's *content-hashed body* contains only deterministic
@@ -21,96 +21,53 @@
 #ifndef PBS_BENCH_BENCH_HH
 #define PBS_BENCH_BENCH_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "cpu/core_config.hh"
+#include "exp/engine.hh"
+#include "exp/spec.hh"
 
 namespace pbs::bench {
 
-/** One measured configuration. */
-struct BenchPoint
-{
-    std::string workload;
-    std::string predictor;  ///< canonical name
-    bool pbs = false;
-
-    /** Execution mode: detailed | functional | sampled | mpki (see
-     *  README "Simulation modes"). */
-    std::string mode = "detailed";
-};
+/** The default axes: every workload and predictor, detailed, div 4. */
+exp::SweepSpec standardSpec();
 
 /** Benchmark-run configuration. */
 struct BenchConfig
 {
-    /** Workload scale divisor (quick mode raises it). */
-    unsigned divisor = 4;
-    uint64_t seed = 12345;
+    /** The axes the grid is cut from: workloads, predictors, modes,
+     *  div, seed and the sampled-mode parameters, the ones pbs_bench
+     *  sets and the artifact's config echoes. */
+    exp::SweepSpec spec = standardSpec();
     unsigned jobs = 1;
     /** Timing repetitions per point; the best (minimum) wall time is
      *  reported, which is the standard noise-robust estimator. */
     unsigned repeats = 1;
-    bool quick = false;  ///< --quick: divisor 50, for CI
-
-    /** Sampled-mode parameters (points with mode == "sampled"; the
-     *  fan-out runs sequentially inside the timed region so sampled
-     *  MIPS stays comparable across --jobs counts). */
-    cpu::SampleParams sample{};
 };
 
-/** Deterministic simulation metrics of one point (content-hashed). */
-struct BenchMetrics
-{
-    uint64_t instructions = 0;
-    uint64_t cycles = 0;
-    uint64_t branches = 0;
-    uint64_t mispredicts = 0;
-    uint64_t steered = 0;
-};
+/**
+ * The standard measurement grid cut from @p spec: for each selected
+ * workload in registry order, every selected predictor in registry
+ * order with PBS off, then tage-sc-l with PBS on when it is selected;
+ * each crossed with the spec's modes in their given order (point-major,
+ * so a pair's modes print next to each other). The spec's PBS axis is
+ * ignored. Unknown names fail the result as expandSpec does.
+ */
+exp::ExpandResult standardGrid(exp::SweepSpec spec);
 
-/** One measured result: metrics plus (volatile) timing. */
+/** One measured point: its deterministic result plus wall times. */
 struct BenchResult
 {
-    BenchPoint point;
-    BenchMetrics metrics;
-    double wallMs = 0.0;        ///< best-of-repeats simulation wall time
-    double wallMsMedian = 0.0;  ///< median across --repeats
-    double wallMsMean = 0.0;    ///< mean across --repeats
-    double mips = 0.0;          ///< instructions / wallMs / 1000
+    exp::ExpPoint point;
+    exp::TimedRun run;
 };
-
-/**
- * The standard measurement grid: every registered workload crossed
- * with every direction predictor (PBS off), plus every workload with
- * the paper's default predictor and PBS on.
- */
-std::vector<BenchPoint> standardPoints();
-
-/**
- * Filter @p points to the given comma-separated workload / predictor
- * lists (empty string = no filtering on that axis). Unknown names are
- * rejected with std::invalid_argument.
- */
-std::vector<BenchPoint> filterPoints(const std::vector<BenchPoint> &points,
-                                     const std::string &workloads,
-                                     const std::string &predictors);
-
-/**
- * Cross @p points with a comma-separated list of execution modes
- * (point-major: each pair's modes stay adjacent, so detailed,
- * functional and sampled MIPS print next to each other). Unknown
- * modes are rejected with std::invalid_argument.
- */
-std::vector<BenchPoint> expandModes(const std::vector<BenchPoint> &points,
-                                    const std::string &modes);
 
 /**
  * Measure @p points on a deterministic thread pool (results are
  * ordered by point index regardless of worker interleaving; the
  * simulations themselves are bit-deterministic, only wall times vary).
  */
-std::vector<BenchResult> runBench(const std::vector<BenchPoint> &points,
+std::vector<BenchResult> runBench(const std::vector<exp::ExpPoint> &points,
                                   const BenchConfig &cfg);
 
 /**

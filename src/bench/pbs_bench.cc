@@ -1,21 +1,17 @@
 /**
  * @file
- * `pbs_bench`: the simulated-MIPS throughput harness.
+ * `pbs_bench`: the simulated-MIPS throughput harness (flags: --help or
+ * docs/cli.md).
  *
- * Usage:
- *   pbs_bench [--quick] [--jobs N] [--repeats N] [--div N] [--seed S]
- *             [--modes M1,M2] [--sample-interval N] [--sample-warmup N]
- *             [--sample-measure N] [--out FILE] [--baseline FILE]
- *             [--max-regress F] [--write-baseline FILE] [--list]
- *
- * Measures every registered workload x predictor pair (plus PBS-on
- * points), optionally crossed with execution modes (--modes
- * detailed,functional,sampled prints each pair's detailed, functional
- * and sampled MIPS next to each other), and emits the canonical
- * `pbs-bench-v2` JSON artifact (see src/bench/bench.hh for the
- * determinism contract). With --baseline, exits non-zero when any
- * point regresses more than --max-regress (default 0.20) below the
- * baseline MIPS.
+ * Measures the standard grid (bench::standardGrid: every registered
+ * workload x predictor pair plus tage-sc-l with PBS on), cut by
+ * --workloads/--predictors and crossed with --modes (pbs_exp's spec
+ * keys and vocabulary: --modes detailed,functional,sampled prints each
+ * pair's detailed, functional and sampled MIPS next to each other),
+ * and emits the canonical `pbs-bench-v2` JSON artifact (see
+ * src/bench/bench.hh for the determinism contract). With --baseline,
+ * exits non-zero when any point regresses more than --max-regress
+ * (default 0.20) below the baseline MIPS.
  *
  * Refreshing the checked-in baseline after an intentional perf change:
  *   ./build/pbs_bench --quick --write-baseline bench/baseline.json
@@ -23,13 +19,15 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/bench.hh"
 #include "exp/cli.hh"
+#include "exp/spec.hh"
 #include "obs/manifest.hh"
 
 namespace {
@@ -51,7 +49,8 @@ usage(const char *msg = nullptr)
         "                 [--trace FILE] [--metrics FILE]\n"
         "                 [--manifest FILE] [--telemetry FILE]\n"
         "                 [--telemetry-interval MS] [--list]\n"
-        "modes: detailed (default), functional, sampled, mpki\n");
+        "modes: detailed (default; timing is an alias), functional,\n"
+        "       sampled, mpki\n");
     return msg ? 2 : 0;
 }
 
@@ -72,128 +71,125 @@ main(int argc, char **argv)
     bench::BenchConfig cfg;
     std::string out, baseline, writeBaseline;
     exp::ObsFlags obsFlags;
-    std::string workloads, predictors, modes;
     double maxRegress = 0.20;
+    bool quick = false;
     bool list = false;
-    bool divisorExplicit = false;
+    bool divisorSet = false;
+    bool maxRegressSet = false;
+    // Flags that only shape a measuring run, in command-line order.
+    std::vector<std::string> runFlags;
 
-    using exp::parseU64Arg;
-    using exp::parseUnsignedArg;
-    using exp::takeOptionValue;
+    // Grid flags map straight onto pbs_exp's spec keys.
+    const std::pair<const char *, const char *> specFlags[] = {
+        {"--workloads", "workload"},
+        {"--predictors", "predictor"},
+        {"--modes", "mode"},
+        {"--mode", "mode"},
+        {"--div", "div"},
+        {"--seed", "seed"},
+        {"--sample-interval", "sample-interval"},
+        {"--sample-warmup", "sample-warmup"},
+        {"--sample-measure", "sample-measure"},
+    };
+    const std::pair<const char *, std::string *> fileFlags[] = {
+        {"--out", &out},
+        {"--baseline", &baseline},
+        {"--write-baseline", &writeBaseline},
+    };
+    const std::pair<const char *, unsigned *> countFlags[] = {
+        {"--jobs", &cfg.jobs},
+        {"--repeats", &cfg.repeats},
+    };
+
     std::vector<std::string> args(argv + 1, argv + argc);
     for (size_t i = 0; i < args.size(); i++) {
+        const std::string arg = args[i];
+        const std::string flag = arg.substr(0, arg.find('='));
         std::string v, err;
+        auto take = [&](const char *name, std::string &value) {
+            return exp::takeOptionValue(args, i, name, value);
+        };
         int r;
         if ((r = obsFlags.take(args, i, err))) {
             if (r < 0)
                 return usage(err.c_str());
-        } else if (args[i] == "--quick") {
-            cfg.quick = true;
-        } else if (args[i] == "--list") {
-            list = true;
-        } else if (args[i] == "--help" || args[i] == "-h") {
+            runFlags.push_back(flag);
+            continue;
+        }
+        if (arg == "--quick" || arg == "--list") {
+            (arg == "--list" ? list : quick) = true;
+            continue;
+        }
+        if (arg == "--help" || arg == "-h")
             return usage();
-        } else if ((r = takeOptionValue(args, i, "--jobs", v))) {
-            if (r < 0 || !parseUnsignedArg(v, cfg.jobs))
-                return usage("bad --jobs");
-        } else if ((r = takeOptionValue(args, i, "--repeats", v))) {
-            if (r < 0 || !parseUnsignedArg(v, cfg.repeats))
-                return usage("bad --repeats");
-        } else if ((r = takeOptionValue(args, i, "--div", v))) {
-            if (r < 0 || !parseUnsignedArg(v, cfg.divisor))
-                return usage("bad --div");
-            divisorExplicit = true;
-        } else if ((r = takeOptionValue(args, i, "--seed", v))) {
-            uint64_t seed;
-            if (r < 0 || !parseU64Arg(v, seed))
-                return usage("bad --seed");
-            cfg.seed = seed;
-        } else if ((r = takeOptionValue(args, i, "--workloads", v))) {
-            if (r < 0)
-                return usage("bad --workloads");
-            workloads = v;
-        } else if ((r = takeOptionValue(args, i, "--predictors", v))) {
-            if (r < 0)
-                return usage("bad --predictors");
-            predictors = v;
-        } else if ((r = takeOptionValue(args, i, "--modes", v)) ||
-                   (r = takeOptionValue(args, i, "--mode", v))) {
-            if (r < 0)
-                return usage("bad --modes");
-            modes = v;
-        } else if ((r = takeOptionValue(args, i, "--sample-interval",
-                                        v))) {
-            if (r < 0 || !parseU64Arg(v, cfg.sample.interval) ||
-                cfg.sample.interval == 0) {
-                return usage("bad --sample-interval");
-            }
-        } else if ((r = takeOptionValue(args, i, "--sample-warmup",
-                                        v))) {
-            // 0 is not a warmup length: an ExpPoint reads it as
-            // "subsystem default".
-            if (r < 0 || !parseU64Arg(v, cfg.sample.warmup) ||
-                cfg.sample.warmup == 0) {
-                return usage("bad --sample-warmup");
-            }
-        } else if ((r = takeOptionValue(args, i, "--sample-measure",
-                                        v))) {
-            if (r < 0 || !parseU64Arg(v, cfg.sample.measure) ||
-                cfg.sample.measure == 0) {
-                return usage("bad --sample-measure");
-            }
-        } else if ((r = takeOptionValue(args, i, "--out", v))) {
-            if (r < 0)
-                return usage("bad --out");
-            out = v;
-        } else if ((r = takeOptionValue(args, i, "--baseline", v))) {
-            if (r < 0)
-                return usage("bad --baseline");
-            baseline = v;
-        } else if ((r = takeOptionValue(args, i, "--write-baseline",
-                                        v))) {
-            if (r < 0)
-                return usage("bad --write-baseline");
-            writeBaseline = v;
-        } else if ((r = takeOptionValue(args, i, "--max-regress", v))) {
+        if ((r = take("--max-regress", v))) {
             char *end = nullptr;
             maxRegress = r > 0 ? std::strtod(v.c_str(), &end) : 0.0;
             if (r < 0 || !end || *end != '\0' || v.empty() ||
                 maxRegress < 0.0 || maxRegress >= 1.0) {
-                return usage("bad --max-regress (want a fraction in "
-                             "[0, 1))");
+                return usage("--max-regress: bad value (want a fraction "
+                             "in [0, 1))");
             }
-        } else {
-            return usage(("unknown option: " + args[i]).c_str());
+            maxRegressSet = true;
+            runFlags.push_back(flag);
+            continue;
         }
+        bool matched = false;
+        for (const auto &[name, key] : specFlags) {
+            if (matched || !(r = take(name, v)))
+                continue;
+            matched = true;
+            if (r < 0)
+                return usage((flag + " needs a value").c_str());
+            err = exp::applySpecKey(cfg.spec, key, v);
+            if (!err.empty())
+                return usage((flag + ": " + err).c_str());
+            divisorSet = divisorSet || flag == "--div";
+        }
+        for (const auto &[name, file] : fileFlags) {
+            if (matched || !(r = take(name, *file)))
+                continue;
+            matched = true;
+            if (r < 0)
+                return usage((flag + " needs a value").c_str());
+            runFlags.push_back(flag);
+        }
+        for (const auto &[name, count] : countFlags) {
+            if (matched || !(r = take(name, v)))
+                continue;
+            matched = true;
+            if (r < 0 || !exp::parseUnsignedArg(v, *count) || *count == 0)
+                return usage((flag + ": bad value (want >= 1)").c_str());
+            runFlags.push_back(flag);
+        }
+        if (!matched)
+            return usage(("unknown option: " + arg).c_str());
     }
+
+    // Reject what the chosen action would silently ignore.
+    if (list && !runFlags.empty())
+        return usage((runFlags.front() + " has no effect with --list "
+                      "(it only prints the grid)").c_str());
+    if (maxRegressSet && baseline.empty())
+        return usage("--max-regress applies only with --baseline");
+    const std::string sampleKey = exp::ignoredSampleKey(cfg.spec);
+    if (!sampleKey.empty())
+        return usage(("--" + sampleKey + " applies only to sampled "
+                      "points (no sampled mode in --modes)").c_str());
 
     // --quick picks the CI-fast scale unless --div was given explicitly.
-    if (cfg.quick && !divisorExplicit)
-        cfg.divisor = 50;
+    if (quick && !divisorSet)
+        cfg.spec.divisor = 50;
 
-    // Sampling parameters only shape sampled-mode points.
-    const cpu::SampleParams defaults{};
-    if (!(cfg.sample == defaults) &&
-        modes.find("sampled") == std::string::npos) {
-        return usage("--sample-* options require sampled in --modes");
-    }
-
-    std::vector<bench::BenchPoint> points;
-    try {
-        points = bench::expandModes(
-            bench::filterPoints(bench::standardPoints(), workloads,
-                                predictors),
-            modes);
-    } catch (const std::exception &e) {
-        return usage(e.what());
-    }
-    if (points.empty())
-        return usage("no points match the filters");
+    const exp::ExpandResult grid = bench::standardGrid(cfg.spec);
+    if (!grid.ok)
+        return usage(grid.error.c_str());
+    const std::vector<exp::ExpPoint> &points = grid.points;
     if (list) {
         for (const auto &p : points)
             std::printf("%s %s pbs=%d %s\n", p.workload.c_str(),
                         p.predictor.c_str(), p.pbs ? 1 : 0,
-                        p.mode.c_str());
+                        exp::modeName(p).c_str());
         return 0;
     }
 
@@ -201,8 +197,7 @@ main(int argc, char **argv)
 
     std::fprintf(stderr,
                  "pbs_bench: %zu points, div %u, %u job(s), %u repeat(s)\n",
-                 points.size(), cfg.divisor, cfg.jobs,
-                 std::max(1u, cfg.repeats));
+                 points.size(), cfg.spec.divisor, cfg.jobs, cfg.repeats);
 
     const auto results = bench::runBench(points, cfg);
 
@@ -213,10 +208,10 @@ main(int argc, char **argv)
     for (const auto &r : results) {
         std::printf("%-10s %-16s %-4d %-10s %14llu %10.2f %10.2f\n",
                     r.point.workload.c_str(), r.point.predictor.c_str(),
-                    r.point.pbs ? 1 : 0, r.point.mode.c_str(),
+                    r.point.pbs ? 1 : 0, exp::modeName(r.point).c_str(),
                     static_cast<unsigned long long>(
-                        r.metrics.instructions),
-                    r.wallMs, r.mips);
+                        r.run.result.stats.instructions),
+                    r.run.bestMs, r.run.mips());
     }
     std::printf("geomean: %.2f MIPS\n", bench::geomeanMips(results));
 

@@ -50,8 +50,7 @@ std::string
 configTitle(const ExpPoint &pt)
 {
     std::string t = pt.workload + ", " + pt.predictor + ", pbs " +
-                    pbsSetting(pt) + ", " +
-                    (pt.functional ? "mpki" : pt.mode) + ", " +
+                    pbsSetting(pt) + ", " + modeName(pt) + ", " +
                     pt.variant + (pt.wide ? ", 8-wide" : ", 4-wide") +
                     ", scale " + std::to_string(pt.scale);
     if (pt.mode == "sampled") {

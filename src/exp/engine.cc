@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <stdexcept>
 
 #include "cpu/core.hh"
 #include "obs/metrics.hh"
@@ -40,17 +41,33 @@ extractUniformStream(const cpu::Core &core,
 }
 
 /**
+ * Run @p region, timing it into @p ms when that is non-null; untimed
+ * runs read no clock.
+ */
+template <class Region>
+void
+timed(double *ms, Region &&region)
+{
+    const uint64_t t0 = ms ? util::monotonicNowNs() : 0;
+    region();
+    if (ms)
+        *ms = util::nsToMs(util::monotonicNowNs() - t0);
+}
+
+/**
  * A run of @p prog on the detailed core (either fidelity), recording
- * its branch directions into @p capture when that is non-null.
+ * its branch directions into @p capture when that is non-null and
+ * timing core.run() into @p simMs when that is non-null.
  */
 Measurement
 runCore(const isa::Program &prog, const cpu::CoreConfig &cfg,
-        OutputsFn outputsOf, cpu::DirectionStream *capture)
+        OutputsFn outputsOf, cpu::DirectionStream *capture,
+        double *simMs = nullptr)
 {
     obs::Span span("measure", "detailed");
     cpu::Core core(prog, cfg);
     core.recordDirections(capture);
-    core.run();
+    timed(simMs, [&] { core.run(); });
     Measurement m;
     m.stats = core.stats();
     m.pbs = core.pbs().stats();
@@ -65,10 +82,11 @@ runCore(const isa::Program &prog, const cpu::CoreConfig &cfg,
 /**
  * One Sim point on the engine its mode selects: the functional
  * fast-forward engine, the sampled simulator, or the detailed core
- * (detailed and mpki fidelities).
+ * (detailed and mpki fidelities). With @p simMs, the simulation's wall
+ * time lands there (timePoint() documents the timed regions).
  */
 Measurement
-computeSim(const ExpPoint &pt)
+computeSim(const ExpPoint &pt, double *simMs = nullptr)
 {
     const auto &b = workloads::benchmarkByName(pt.workload);
     const cpu::CoreConfig cfg = pointCoreConfig(pt);
@@ -83,7 +101,7 @@ computeSim(const ExpPoint &pt)
       case ExecMode::Functional: {
         obs::Span span("ff", "functional");
         sampling::FunctionalEngine engine(build(), cfg.maxInstructions);
-        engine.run();
+        timed(simMs, [&] { engine.run(); });
         m.stats = engine.stats();
         m.outputs = b.simOutput(engine.memory());
         obs::counterAdd("insts.ff", m.stats.instructions);
@@ -94,7 +112,9 @@ computeSim(const ExpPoint &pt)
         return m;
       }
       case ExecMode::Sampled: {
-        sampling::SampledRun s = sampling::runSampled(build(), cfg);
+        const isa::Program prog = build();
+        sampling::SampledRun s;
+        timed(simMs, [&] { s = sampling::runSampled(prog, cfg); });
         m.stats = s.stats;
         m.hasSampling = true;
         m.sampling = s.est;
@@ -104,7 +124,7 @@ computeSim(const ExpPoint &pt)
       case ExecMode::Detailed:
         break;
     }
-    return runCore(build(), cfg, b.simOutput, nullptr);
+    return runCore(build(), cfg, b.simOutput, nullptr, simMs);
 }
 
 Measurement
@@ -177,6 +197,37 @@ Measurement
 Engine::computePoint(const ExpPoint &pt)
 {
     return pt.kind == PointKind::Rand ? computeRand(pt) : computeSim(pt);
+}
+
+double
+TimedRun::mips() const
+{
+    return bestMs > 0.0
+        ? double(result.stats.instructions) / bestMs / 1000.0
+        : 0.0;
+}
+
+TimedRun
+timePoint(const ExpPoint &pt, unsigned repeats)
+{
+    if (pt.kind != PointKind::Sim)
+        throw std::invalid_argument("timePoint: only Sim points are "
+                                    "timed");
+    std::vector<double> ms(std::max(1u, repeats));
+    TimedRun run;
+    for (double &rep : ms)
+        run.result = computeSim(pt, &rep);
+    // Best-of is the noise-robust estimate; median and mean show how
+    // noisy the host was.
+    std::sort(ms.begin(), ms.end());
+    const size_t n = ms.size();
+    run.bestMs = ms.front();
+    run.medianMs = n % 2 ? ms[n / 2] : 0.5 * (ms[n / 2 - 1] + ms[n / 2]);
+    double sum = 0.0;
+    for (double x : ms)
+        sum += x;
+    run.meanMs = sum / double(n);
+    return run;
 }
 
 Measurement

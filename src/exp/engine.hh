@@ -223,6 +223,33 @@ class Engine
     std::atomic<uint64_t> hbLastNs_{0};
 };
 
+/** A point's measurement and the wall times of its simulation. */
+struct TimedRun
+{
+    Measurement result;
+    double bestMs = 0.0;    ///< minimum over the repeats
+    double medianMs = 0.0;  ///< median over the repeats
+    double meanMs = 0.0;    ///< mean over the repeats
+
+    /** Simulated MIPS at the best time (0 when nothing was timed). */
+    double mips() const;
+};
+
+/**
+ * Run a Sim point @p repeats times (at least once) on the engine its
+ * mode selects, as Engine::computePoint does, and time only the
+ * simulation: the detailed core (either fidelity) and the functional
+ * engine from after program build and engine construction, a sampled
+ * point over its whole sampled run (capture, intervals, aggregation)
+ * after program build. Program build, predecode and table construction
+ * are per-point constants, not per-instruction costs, so simulated MIPS
+ * tracks the hot loops; a sampled run's per-interval core construction
+ * and checkpointing are costs of the run itself. Never records or
+ * replays a direction stream.
+ * @throws std::invalid_argument for a Rand point.
+ */
+TimedRun timePoint(const ExpPoint &pt, unsigned repeats);
+
 /** Relative cost estimate used for scheduling (big first). */
 uint64_t pointCost(const ExpPoint &pt);
 

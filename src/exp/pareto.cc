@@ -1,7 +1,6 @@
 #include "exp/pareto.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -13,32 +12,6 @@
 namespace pbs::exp {
 
 namespace {
-
-/** Best-of-repeats wall time of a point, plus its measurement. */
-double
-timePoint(const ExpPoint &pt, unsigned repeats, Measurement &out)
-{
-    double bestMs = 0.0;
-    for (unsigned rep = 0; rep < std::max(1u, repeats); rep++) {
-        const auto t0 = std::chrono::steady_clock::now();
-        Measurement m = Engine::computePoint(pt);
-        const double ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        if (rep == 0 || ms < bestMs) {
-            bestMs = ms;
-            out = std::move(m);
-        }
-    }
-    return bestMs;
-}
-
-double
-mips(uint64_t instructions, double wallMs)
-{
-    return wallMs > 0.0 ? double(instructions) / wallMs / 1000.0 : 0.0;
-}
 
 /** Mark the error-vs-speed frontier within [begin, end). */
 void
@@ -98,14 +71,8 @@ runParetoSweep(const ParetoConfig &cfg)
             // Scalar sample-* keys form a one-triple grid (defaults
             // resolved), so explicitly requested parameters are never
             // silently replaced by the built-in grid.
-            const cpu::SampleParams d{};
-            SampleTriple t;
-            t.interval =
-                spec.sampleInterval ? spec.sampleInterval : d.interval;
-            t.warmup = spec.sampleWarmup ? spec.sampleWarmup : d.warmup;
-            t.measure =
-                spec.sampleMeasure ? spec.sampleMeasure : d.measure;
-            spec.sampleGrid = {t};
+            const cpu::SampleParams sp = sampleParams(spec);
+            spec.sampleGrid = {{sp.interval, sp.warmup, sp.measure}};
         } else {
             spec.sampleGrid = defaultSampleGrid();
         }
@@ -122,11 +89,10 @@ runParetoSweep(const ParetoConfig &cfg)
     const size_t totalRuns =
         expanded.points.size() * (1 + spec.sampleGrid.size());
     for (const ExpPoint &ref : expanded.points) {
-        Measurement det;
-        const double detMs = timePoint(ref, cfg.repeats, det);
-        const double detIpc = det.stats.ipc();
-        const double detMpki = det.stats.mpki();
-        const double detMips = mips(det.stats.instructions, detMs);
+        const TimedRun det = timePoint(ref, cfg.repeats);
+        const double detIpc = det.result.stats.ipc();
+        const double detMpki = det.result.stats.mpki();
+        const double detMips = det.mips();
         if (cfg.progress) {
             std::fprintf(stderr,
                          "[%zu/%zu] %s %s%s detailed: %.1f MIPS\n",
@@ -143,8 +109,8 @@ runParetoSweep(const ParetoConfig &cfg)
             pt.sampleWarmup = t.warmup;
             pt.sampleMeasure = t.measure;
 
-            Measurement smp;
-            const double smpMs = timePoint(pt, cfg.repeats, smp);
+            const TimedRun timed = timePoint(pt, cfg.repeats);
+            const Measurement &smp = timed.result;
 
             ParetoRow r;
             r.workload = ref.workload;
@@ -169,7 +135,7 @@ runParetoSweep(const ParetoConfig &cfg)
                 std::fabs(smp.sampling.mpki - detMpki) /
                 std::max(detMpki, 1.0);
             r.detailedMips = detMips;
-            r.sampledMips = mips(smp.stats.instructions, smpMs);
+            r.sampledMips = timed.mips();
             r.speedup =
                 detMips > 0.0 ? r.sampledMips / detMips : 0.0;
             rows.push_back(r);

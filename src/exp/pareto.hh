@@ -11,9 +11,10 @@
  * error and speed are flagged as the Pareto frontier — the defensible
  * parameter choices.
  *
- * Timing is wall-clock (monotonic, best-of-repeats, sequential — the
- * same noise-robust protocol as pbs_bench's regression gate), so MIPS
- * and speedup columns are machine-specific; the error columns are
+ * Timing is wall-clock (monotonic, best-of-repeats, sequential) through
+ * exp::timePoint, the same timed run as pbs_bench's: program build and
+ * core construction are left out, so MIPS and speedup columns are
+ * machine-specific simulation throughput; the error columns are
  * bit-deterministic. Points deliberately bypass the result cache: a
  * Pareto sweep is a throughput experiment, and cached wall times would
  * be meaningless.

@@ -100,7 +100,7 @@ const char *kUsage =
     "  --seed <n>           first seed (default 12345)\n"
     "  --seeds <n>          consecutive seeds per config (default 1)\n"
     "  --sample-interval <n>  sampled: insts between measurements\n"
-    "  --sample-warmup <n>    sampled: detailed warmup per sample\n"
+    "  --sample-warmup <n>    sampled: detailed warmup per sample (>= 1)\n"
     "  --sample-measure <n>   sampled: measured insts per sample\n"
     "  --sample-grid <list>   sampled: interval/warmup/measure triples\n"
     "                       (a true axis over sampled points; drives\n"
@@ -474,23 +474,15 @@ rejectIgnoredAxes(const exp::SweepSpec &spec, const ExpCliOptions &o)
         }
         return o.specFile + ": " + key;
     };
+    const std::string sampleKey = exp::ignoredSampleKey(spec);
+    if (!sampleKey.empty())
+        return fail(name(sampleKey) + " applies only to sampled points "
+                    "(the grid has no sampled mode)");
     const auto &modes = spec.modes;
-    if (std::find(modes.begin(), modes.end(), "sampled") == modes.end()) {
-        const std::pair<const char *, bool> sampleKeys[] = {
-            {"sample-interval", spec.sampleInterval != 0},
-            {"sample-warmup", spec.sampleWarmup != 0},
-            {"sample-measure", spec.sampleMeasure != 0},
-            {"sample-grid", !spec.sampleGrid.empty()},
-        };
-        for (const auto &[key, set] : sampleKeys) {
-            if (set)
-                return fail(name(key) + " applies only to sampled "
-                            "points (the grid has no sampled mode)");
-        }
-        if (o.campaign)
-            return fail("--campaign applies only to sampled points (the "
-                        "grid has no sampled mode)");
-    }
+    if (o.campaign &&
+        std::find(modes.begin(), modes.end(), "sampled") == modes.end())
+        return fail("--campaign applies only to sampled points (the "
+                    "grid has no sampled mode)");
     const bool functionalOnly =
         std::all_of(modes.begin(), modes.end(),
                     [](const std::string &m) { return m == "functional"; });

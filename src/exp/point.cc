@@ -8,6 +8,12 @@
 
 namespace pbs::exp {
 
+std::string
+modeName(const ExpPoint &pt)
+{
+    return pt.functional ? "mpki" : pt.mode;
+}
+
 uint64_t
 resolvedScale(const workloads::BenchmarkDesc &b, unsigned divisor)
 {

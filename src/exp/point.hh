@@ -84,6 +84,12 @@ struct ExpPoint
     bool operator==(const ExpPoint &) const = default;
 };
 
+/**
+ * The mode a point is swept and reported under: `mpki` for the mpki
+ * fidelity, else its `mode` (the spec and artifact vocabulary).
+ */
+std::string modeName(const ExpPoint &pt);
+
 /** Resolve a workload's effective scale at a divisor. */
 uint64_t resolvedScale(const workloads::BenchmarkDesc &b,
                        unsigned divisor);

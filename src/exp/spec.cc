@@ -102,9 +102,10 @@ applySpecKey(SweepSpec &spec, const std::string &rawKey,
         return "";
     }
     if (key == "sample-warmup") {
+        // 0 is not a warmup length: a point reads it as "default".
         uint64_t n;
-        if (list.size() != 1 || !parseU64Arg(list[0], n))
-            return "bad sample-warmup '" + values + "'";
+        if (list.size() != 1 || !parseU64Arg(list[0], n) || n == 0)
+            return "bad sample-warmup '" + values + "' (need >= 1)";
         spec.sampleWarmup = n;
         return "";
     }
@@ -129,10 +130,10 @@ applySpecKey(SweepSpec &spec, const std::string &rawKey,
                 return "bad sample-grid triple '" + v +
                        "' (expected interval/warmup/measure)";
             }
-            if (t.interval == 0 || t.measure == 0 ||
+            if (t.interval == 0 || t.warmup == 0 || t.measure == 0 ||
                 t.warmup + t.measure > t.interval) {
                 return "inconsistent sample-grid triple '" + v +
-                       "' (need interval > 0, measure > 0, "
+                       "' (need interval, warmup and measure > 0, "
                        "warmup + measure <= interval)";
             }
             grid.push_back(t);
@@ -236,6 +237,34 @@ parseSpecFile(const std::string &path)
     std::ostringstream ss;
     ss << in.rdbuf();
     return parseSpecText(ss.str());
+}
+
+cpu::SampleParams
+sampleParams(const SweepSpec &spec)
+{
+    cpu::SampleParams sp;
+    if (spec.sampleInterval)
+        sp.interval = spec.sampleInterval;
+    if (spec.sampleWarmup)
+        sp.warmup = spec.sampleWarmup;
+    if (spec.sampleMeasure)
+        sp.measure = spec.sampleMeasure;
+    return sp;
+}
+
+std::string
+ignoredSampleKey(const SweepSpec &spec)
+{
+    const auto &modes = spec.modes;
+    if (std::find(modes.begin(), modes.end(), "sampled") != modes.end())
+        return "";
+    if (spec.sampleInterval)
+        return "sample-interval";
+    if (spec.sampleWarmup)
+        return "sample-warmup";
+    if (spec.sampleMeasure)
+        return "sample-measure";
+    return spec.sampleGrid.empty() ? "" : "sample-grid";
 }
 
 ExpandResult

@@ -20,7 +20,7 @@
  *   seed      = first seed
  *   seeds     = number of consecutive seeds
  *   sample-interval = insts between sampled-mode measurements
- *   sample-warmup   = sampled-mode detailed warmup instructions
+ *   sample-warmup   = sampled-mode detailed warmup instructions (>= 1)
  *   sample-measure  = sampled-mode measured instructions
  *   sample-grid     = interval/warmup/measure triples; a true axis
  *                     that multiplies *sampled* points only (the
@@ -69,7 +69,8 @@ struct SweepSpec
     unsigned seeds = 1;
 
     // Sampled-mode parameters (applied to every sampled point;
-    // 0 = the sampling subsystem's defaults).
+    // 0 = unset, the sampling subsystem's defaults; a key never sets
+    // 0).
     uint64_t sampleInterval = 0;
     uint64_t sampleWarmup = 0;
     uint64_t sampleMeasure = 0;
@@ -103,6 +104,18 @@ SpecResult parseSpecFile(const std::string &path);
  */
 std::string applySpecKey(SweepSpec &spec, const std::string &key,
                          const std::string &values);
+
+/**
+ * The sampling parameters @p spec's scalar sample-* keys select, with
+ * the subsystem defaults for the keys it leaves unset.
+ */
+cpu::SampleParams sampleParams(const SweepSpec &spec);
+
+/**
+ * The first sample-* key @p spec sets although none of its modes is
+ * sampled, so that a sweep would ignore it ("" = none).
+ */
+std::string ignoredSampleKey(const SweepSpec &spec);
 
 /**
  * Validate axis values and expand the cartesian grid in canonical

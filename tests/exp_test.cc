@@ -4,7 +4,8 @@
  * trips, point hashing, spec parsing/expansion, the content-addressed
  * result cache, and the determinism contract — the same sweep produces
  * byte-identical artifacts for --jobs 1, --jobs 4, and a warm cache,
- * and a warm-cache rerun performs zero simulation work.
+ * and a warm-cache rerun performs zero simulation work — plus the timed
+ * run (exp::timePoint) and the pbs_bench grid (src/bench) built on it.
  */
 
 #include <algorithm>
@@ -18,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench.hh"
+#include "bpred/factory.hh"
 #include "exp/artifact.hh"
 #include "exp/cache.hh"
 #include "exp/engine.hh"
@@ -609,6 +612,195 @@ TEST(ExpSpec, SampleGridMultipliesSampledPointsOnly)
     EXPECT_FALSE(exp::parseSpecText("sample-grid = 0/0/0\n").ok);
     EXPECT_FALSE(
         exp::parseSpecText("sample-grid = 1000/900/200\n").ok);
+}
+
+TEST(ExpSpec, ZeroWarmupIsRejectedNotReadAsTheDefault)
+{
+    // A point reads warmup 0 as "subsystem default", so a spec that
+    // says 0 would silently run with the default warmup.
+    exp::SweepSpec spec;
+    const std::string err = exp::applySpecKey(spec, "sample-warmup", "0");
+    EXPECT_NE(err.find("sample-warmup"), std::string::npos) << err;
+    EXPECT_EQ(spec.sampleWarmup, 0u);
+    EXPECT_FALSE(exp::parseSpecText("sample-warmup = 0\n").ok);
+    EXPECT_FALSE(
+        exp::parseSpecText("sample-grid = 200000/0/10000\n").ok);
+    EXPECT_EQ(exp::applySpecKey(spec, "sample-warmup", "1"), "");
+    EXPECT_EQ(exp::applySpecKey(spec, "sample-grid", "3/1/1"), "");
+}
+
+TEST(ExpSpec, IgnoredSampleKeyNamesTheFirstKeyWithoutASampledMode)
+{
+    exp::SweepSpec spec;
+    spec.modes = {"detailed", "mpki"};
+    EXPECT_EQ(exp::ignoredSampleKey(spec), "");
+    spec.sampleGrid = {{40000, 10000, 5000}};
+    EXPECT_EQ(exp::ignoredSampleKey(spec), "sample-grid");
+    spec.sampleWarmup = 10000;
+    EXPECT_EQ(exp::ignoredSampleKey(spec), "sample-warmup");
+    spec.modes.push_back("sampled");
+    EXPECT_EQ(exp::ignoredSampleKey(spec), "");
+
+    // Unset keys resolve to the subsystem defaults.
+    const cpu::SampleParams d{};
+    const cpu::SampleParams sp = exp::sampleParams(spec);
+    EXPECT_EQ(sp.interval, d.interval);
+    EXPECT_EQ(sp.warmup, 10000u);
+    EXPECT_EQ(sp.measure, d.measure);
+}
+
+// --- timed points and the pbs_bench grid -----------------------------
+
+/** "workload predictor pbs mode" of every point, in order. */
+std::vector<std::string>
+gridRows(const std::vector<exp::ExpPoint> &points)
+{
+    std::vector<std::string> rows;
+    for (const auto &pt : points)
+        rows.push_back(pt.workload + " " + pt.predictor +
+                       (pt.pbs ? " on " : " off ") + exp::modeName(pt));
+    return rows;
+}
+
+TEST(BenchGrid, DefaultGridIsEveryPredictorPlusTageScLWithPbs)
+{
+    const auto grid = bench::standardGrid(bench::standardSpec());
+    ASSERT_TRUE(grid.ok) << grid.error;
+    const auto &preds = bpred::predictorNames();
+    const auto &benches = workloads::allBenchmarks();
+    ASSERT_EQ(grid.points.size(), benches.size() * (preds.size() + 1));
+
+    size_t i = 0;
+    for (const auto &b : benches) {
+        for (const auto &p : preds) {
+            const exp::ExpPoint &pt = grid.points[i++];
+            EXPECT_EQ(pt.workload, b.name);
+            EXPECT_EQ(pt.predictor, p);
+            EXPECT_FALSE(pt.pbs);
+            EXPECT_EQ(exp::modeName(pt), "detailed");
+        }
+        const exp::ExpPoint &on = grid.points[i++];
+        EXPECT_EQ(on.workload, b.name);
+        EXPECT_EQ(on.predictor, "tage-sc-l");
+        EXPECT_TRUE(on.pbs);
+        EXPECT_EQ(on.scale, exp::resolvedScale(b, 4));
+        EXPECT_EQ(on.seed, 12345u);
+    }
+}
+
+TEST(BenchGrid, FiltersKeepRegistryOrderAndModesStayPointMajor)
+{
+    exp::SweepSpec spec = bench::standardSpec();
+    ASSERT_EQ(exp::applySpecKey(spec, "workload", "pi,dop"), "");
+    ASSERT_EQ(exp::applySpecKey(spec, "predictor", "tage-sc-l,tournament"),
+              "");
+    auto grid = bench::standardGrid(spec);
+    ASSERT_TRUE(grid.ok) << grid.error;
+    // The registry lists dop before pi and tournament before
+    // tage-sc-l, whatever order the filters name them in.
+    const std::vector<std::string> detailed = {
+        "dop tournament off detailed", "dop tage-sc-l off detailed",
+        "dop tage-sc-l on detailed",   "pi tournament off detailed",
+        "pi tage-sc-l off detailed",   "pi tage-sc-l on detailed",
+    };
+    EXPECT_EQ(gridRows(grid.points), detailed);
+
+    // All four modes, in the order given, next to each other per pair;
+    // "timing" is the alias of detailed.
+    ASSERT_EQ(exp::applySpecKey(spec, "mode",
+                                "mpki,timing,functional,sampled"),
+              "");
+    grid = bench::standardGrid(spec);
+    ASSERT_TRUE(grid.ok) << grid.error;
+    ASSERT_EQ(grid.points.size(), 4 * detailed.size());
+    const char *modes[] = {"mpki", "detailed", "functional", "sampled"};
+    const auto rows = gridRows(grid.points);
+    for (size_t i = 0; i < rows.size(); i++) {
+        const std::string base =
+            detailed[i / 4].substr(0, detailed[i / 4].rfind(' '));
+        EXPECT_EQ(rows[i], base + " " + modes[i % 4]) << i;
+    }
+
+    // Without tage-sc-l there is no PBS-on point.
+    ASSERT_EQ(exp::applySpecKey(spec, "predictor", "tournament"), "");
+    grid = bench::standardGrid(spec);
+    ASSERT_TRUE(grid.ok) << grid.error;
+    EXPECT_EQ(grid.points.size(), 2u * 4u);
+    for (const auto &pt : grid.points)
+        EXPECT_FALSE(pt.pbs);
+
+    ASSERT_EQ(exp::applySpecKey(spec, "predictor", "nonesuch"), "");
+    EXPECT_FALSE(bench::standardGrid(spec).ok);
+}
+
+TEST(TimePoint, MeasuresWhatComputePointMeasures)
+{
+    // One point per mode: the timed run is the untimed run, and it
+    // reports a wall time for each repeat.
+    for (const char *mode : {"detailed", "mpki", "functional", "sampled"}) {
+        exp::SweepSpec spec;
+        spec.workloads = {"pi"};
+        spec.predictors = {"tournament"};
+        spec.pbsModes = {"on"};
+        spec.modes = {mode};
+        spec.sampleGrid = {{40000, 10000, 5000}};
+        spec.divisor = 20;
+        const auto grid = exp::expandSpec(spec);
+        ASSERT_TRUE(grid.ok) << grid.error;
+        ASSERT_EQ(grid.points.size(), 1u);
+        const exp::ExpPoint &pt = grid.points[0];
+
+        const exp::TimedRun run = exp::timePoint(pt, 3);
+        const exp::Measurement ref = exp::Engine::computePoint(pt);
+        EXPECT_EQ(run.result.stats, ref.stats) << mode;
+        EXPECT_EQ(run.result, ref) << mode;
+        EXPECT_GT(run.result.stats.instructions, 0u) << mode;
+        EXPECT_GT(run.bestMs, 0.0) << mode;
+        EXPECT_LE(run.bestMs, run.medianMs) << mode;
+        EXPECT_LE(run.bestMs, run.meanMs) << mode;
+        EXPECT_GT(run.mips(), 0.0) << mode;
+    }
+    exp::ExpPoint rand = tinyPoint();
+    rand.kind = exp::PointKind::Rand;
+    EXPECT_THROW(exp::timePoint(rand, 1), std::invalid_argument);
+}
+
+TEST(BenchRun, ContentHashIsEqualAtOneAndTwoJobs)
+{
+    bench::BenchConfig cfg;
+    ASSERT_EQ(exp::applySpecKey(cfg.spec, "workload", "pi,bandit"), "");
+    ASSERT_EQ(
+        exp::applySpecKey(cfg.spec, "predictor", "tournament,tage-sc-l"),
+        "");
+    ASSERT_EQ(exp::applySpecKey(cfg.spec, "mode",
+                                "detailed,mpki,functional,sampled"),
+              "");
+    ASSERT_EQ(exp::applySpecKey(cfg.spec, "sample-interval", "200000"),
+              "");
+    ASSERT_EQ(exp::applySpecKey(cfg.spec, "sample-measure", "10000"), "");
+    cfg.spec.divisor = 50;
+    const auto grid = bench::standardGrid(cfg.spec);
+    ASSERT_TRUE(grid.ok) << grid.error;
+
+    cfg.jobs = 1;
+    const auto serial = bench::runBench(grid.points, cfg);
+    cfg.jobs = 2;
+    const auto parallel = bench::runBench(grid.points, cfg);
+    ASSERT_EQ(serial.size(), grid.points.size());
+    EXPECT_EQ(bench::contentHash(serial, cfg),
+              bench::contentHash(parallel, cfg));
+    for (size_t i = 0; i < serial.size(); i++) {
+        EXPECT_EQ(serial[i].point, grid.points[i]);
+        EXPECT_EQ(serial[i].run.result.stats,
+                  parallel[i].run.result.stats);
+    }
+    // The artifact echoes the effective sampling parameters.
+    const std::string json = bench::benchJson(serial, cfg);
+    EXPECT_NE(json.find("\"sample_interval\":200000,\"sample_warmup\":"
+                        "100000,\"sample_measure\":10000"),
+              std::string::npos)
+        << json.substr(0, 200);
+    pool::TaskPool::instance().configure(1);
 }
 
 // --- shared work and campaigns --------------------------------------
