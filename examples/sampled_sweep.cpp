@@ -16,26 +16,11 @@
  * Build tree:  ./build/examples/sampled_sweep
  */
 
-#include <chrono>
 #include <cstdio>
 
-#include "cpu/core.hh"
-#include "sampling/functional.hh"
-#include "sampling/sampled.hh"
+#include "exp/engine.hh"
 #include "util/task_pool.hh"
 #include "workloads/common.hh"
-
-namespace {
-
-double
-msSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-}  // namespace
 
 int
 main()
@@ -44,26 +29,31 @@ main()
 
     const auto &b = workloads::benchmarkByName("pi");
     double detailedMsAt1x = 0.0;
+    // Sampled intervals fan out over 4 workers.
+    pool::TaskPool::instance().configure(4);
 
     std::printf("%-6s %-10s %14s %10s %22s %16s\n", "scale", "mode",
                 "instructions", "wall_ms", "ipc (95% CI)",
                 "mpki (95% CI)");
 
     for (unsigned mult : {1u, 4u, 16u}) {
-        workloads::WorkloadParams p;
-        p.seed = 12345;
-        p.scale = b.defaultScale * mult;
-        isa::Program prog = b.build(p, workloads::Variant::Marked);
+        // Each mode is one point, timed by exp::timePoint: simulation
+        // only, after program build.
+        exp::ExpPoint pt;
+        pt.workload = "pi";
+        pt.predictor = "tage-sc-l";
+        pt.seed = 12345;
+        pt.scale = b.defaultScale * mult;
+        auto run = [&](const char *mode) {
+            pt.mode = mode;
+            return exp::timePoint(pt, 1);
+        };
 
         // Detailed baseline: only affordable at 1x.
         if (mult == 1) {
-            cpu::CoreConfig cfg;
-            cfg.predictor = "tage-sc-l";
-            cpu::Core core(prog, cfg);
-            auto t0 = std::chrono::steady_clock::now();
-            core.run();
-            detailedMsAt1x = msSince(t0);
-            const auto &s = core.stats();
+            const exp::TimedRun r = run("detailed");
+            detailedMsAt1x = r.bestMs;
+            const auto &s = r.result.stats;
             std::printf("%-6u %-10s %14llu %10.0f %15.3f %s %10.2f\n",
                         mult, "detailed",
                         (unsigned long long)s.instructions,
@@ -75,32 +65,23 @@ main()
 
         // Functional: exact architectural results at every scale.
         {
-            sampling::FunctionalEngine engine(prog);
-            auto t0 = std::chrono::steady_clock::now();
-            engine.run();
-            double ms = msSince(t0);
+            const exp::TimedRun r = run("functional");
             std::printf("%-6u %-10s %14llu %10.0f %15s %17s   pi=%.5f\n",
                         mult, "functional",
-                        (unsigned long long)engine.stats().instructions,
-                        ms, "-", "-",
-                        b.simOutput(engine.memory())[0]);
+                        (unsigned long long)r.result.stats.instructions,
+                        r.bestMs, "-", "-", r.result.outputs[0]);
         }
 
         // Sampled: timing estimates with confidence intervals.
         {
-            cpu::CoreConfig cfg;
-            cfg.predictor = "tage-sc-l";
-            pool::TaskPool::instance().configure(4);
-            auto t0 = std::chrono::steady_clock::now();
-            sampling::SampledRun s = sampling::runSampled(prog, cfg);
-            double ms = msSince(t0);
+            const exp::TimedRun r = run("sampled");
+            const sampling::SampleEstimate &e = r.result.sampling;
             std::printf("%-6u %-10s %14llu %10.0f %9.3f +/- %-6.3f "
                         "%7.2f +/- %-5.2f  (%llu samples)\n",
                         mult, "sampled",
-                        (unsigned long long)s.stats.instructions, ms,
-                        s.est.ipc, s.est.ipcCi95, s.est.mpki,
-                        s.est.mpkiCi95,
-                        (unsigned long long)s.est.intervals);
+                        (unsigned long long)r.result.stats.instructions,
+                        r.bestMs, e.ipc, e.ipcCi95, e.mpki, e.mpkiCi95,
+                        (unsigned long long)e.intervals);
         }
     }
 

@@ -61,8 +61,6 @@ struct SampleParams
     uint64_t warmup = 100'000;
     /** Detailed instructions measured per interval. */
     uint64_t measure = 60'000;
-    /** Cap on measured intervals (0 = every interval). */
-    uint64_t maxSamples = 0;
 
     bool operator==(const SampleParams &) const = default;
 };

@@ -119,7 +119,6 @@ readStoreKey(const util::JsonValue &v)
     key.maxInstructions = u64Field(v, "max_instructions");
     key.interval = u64Field(v, "interval");
     key.warmup = u64Field(v, "warmup");
-    key.maxSamples = u64Field(v, "max_samples");
     key.salt = str("salt");
     return key;
 }

@@ -79,52 +79,41 @@ runCore(const isa::Program &prog, const cpu::CoreConfig &cfg,
     return m;
 }
 
+/** The program of a Sim point. */
+isa::Program
+buildProgram(const ExpPoint &pt)
+{
+    return workloads::benchmarkByName(pt.workload)
+        .build(pointParams(pt), variantFromName(pt.variant));
+}
+
 /**
- * One Sim point on the engine its mode selects: the functional
- * fast-forward engine, the sampled simulator, or the detailed core
- * (detailed and mpki fidelities). With @p simMs, the simulation's wall
- * time lands there (timePoint() documents the timed regions).
+ * A Sim point that is not sampled, on the engine its mode selects: the
+ * functional fast-forward engine or the detailed core (detailed and
+ * mpki fidelities). With @p simMs, the simulation's wall time lands
+ * there (timePoint() documents the timed regions).
  */
 Measurement
-computeSim(const ExpPoint &pt, double *simMs = nullptr)
+computeSim(const ExpPoint &pt, double *simMs)
 {
     const auto &b = workloads::benchmarkByName(pt.workload);
     const cpu::CoreConfig cfg = pointCoreConfig(pt);
-    // A temporary per engine: Core and FunctionalEngine keep their own
-    // decoded copy, so the program is freed before they run.
-    auto build = [&] {
-        return b.build(pointParams(pt), variantFromName(pt.variant));
-    };
+    // The program is a temporary: Core and FunctionalEngine keep their
+    // own decoded copy, so it is freed before they run.
+    if (execModeFromName(pt.mode) != ExecMode::Functional)
+        return runCore(buildProgram(pt), cfg, b.simOutput, nullptr, simMs);
 
+    obs::Span span("ff", "functional");
+    sampling::FunctionalEngine engine(buildProgram(pt), cfg.maxInstructions);
+    timed(simMs, [&] { engine.run(); });
     Measurement m;
-    switch (execModeFromName(pt.mode)) {
-      case ExecMode::Functional: {
-        obs::Span span("ff", "functional");
-        sampling::FunctionalEngine engine(build(), cfg.maxInstructions);
-        timed(simMs, [&] { engine.run(); });
-        m.stats = engine.stats();
-        m.outputs = b.simOutput(engine.memory());
-        obs::counterAdd("insts.ff", m.stats.instructions);
-        obs::counterAdd("cpu.block_insts",
-                        engine.dispatchCounts().blockInsts);
-        obs::counterAdd("cpu.stepped_insts",
-                        engine.dispatchCounts().steppedInsts);
-        return m;
-      }
-      case ExecMode::Sampled: {
-        const isa::Program prog = build();
-        sampling::SampledRun s;
-        timed(simMs, [&] { s = sampling::runSampled(prog, cfg); });
-        m.stats = s.stats;
-        m.hasSampling = true;
-        m.sampling = s.est;
-        m.outputs = b.simOutput(s.finalState.mem);
-        return m;
-      }
-      case ExecMode::Detailed:
-        break;
-    }
-    return runCore(build(), cfg, b.simOutput, nullptr, simMs);
+    m.stats = engine.stats();
+    m.outputs = b.simOutput(engine.memory());
+    obs::counterAdd("insts.ff", m.stats.instructions);
+    obs::counterAdd("cpu.block_insts", engine.dispatchCounts().blockInsts);
+    obs::counterAdd("cpu.stepped_insts",
+                    engine.dispatchCounts().steppedInsts);
+    return m;
 }
 
 Measurement
@@ -194,9 +183,18 @@ pointCost(const ExpPoint &pt)
 }
 
 Measurement
-Engine::computePoint(const ExpPoint &pt)
+Engine::computePoint(const ExpPoint &pt, double *simMs)
 {
-    return pt.kind == PointKind::Rand ? computeRand(pt) : computeSim(pt);
+    if (pt.kind == PointKind::Rand)
+        return computeRand(pt);
+    if (!isSampled(pt))
+        return computeSim(pt, simMs);
+    // A one-point group on a cacheless engine: it captures its own set.
+    Engine alone;
+    const PendingPoint job{pt, cacheKey(pt), pointCost(pt)};
+    const isa::Program prog = buildProgram(pt);
+    timed(simMs, [&] { alone.runCheckpointSet(prog, {job}, {0}); });
+    return alone.memo_.at(job.key);
 }
 
 double
@@ -216,7 +214,7 @@ timePoint(const ExpPoint &pt, unsigned repeats)
     std::vector<double> ms(std::max(1u, repeats));
     TimedRun run;
     for (double &rep : ms)
-        run.result = computeSim(pt, &rep);
+        run.result = Engine::computePoint(pt, &rep);
     // Best-of is the noise-robust estimate; median and mean show how
     // noisy the host was.
     std::sort(ms.begin(), ms.end());
@@ -266,11 +264,10 @@ Engine::computeStreamed(const ExpPoint &pt, StreamSlot &slot)
     const std::string key = directionStreamKey(pt);
     if (key.empty())
         return computePoint(pt);
-    const auto &b = workloads::benchmarkByName(pt.workload);
     bool replayed = false;
     Measurement m = streamedRun(
-        b.build(pointParams(pt), variantFromName(pt.variant)),
-        pointCoreConfig(pt), key, b.simOutput, slot, replayed);
+        buildProgram(pt), pointCoreConfig(pt), key,
+        workloads::benchmarkByName(pt.workload).simOutput, slot, replayed);
     if (replayed) {
         std::lock_guard<std::mutex> lock(mutex_);
         counters_.streamReplays++;
@@ -415,6 +412,16 @@ Engine::measure(const ExpPoint &pt)
     const std::string key = cacheKey(pt);
     if (const Measurement *m = lookup(key, pt))
         return *m;
+    if (isSampled(pt)) {
+        if (sharded())
+            throw std::logic_error("Engine::measure: a campaign shard "
+                                   "aggregates no sampled result");
+        // A one-point group through the sweep's runner: a campaign
+        // engine loads and publishes the set and its partials.
+        runCheckpointSet(buildProgram(pt), {{pt, key, pointCost(pt)}}, {0});
+        std::lock_guard<std::mutex> lock(mutex_);
+        return memo_.at(key);
+    }
     // Take the slot while computing, so concurrent callers never share
     // it (one of them then finds it empty and records its own).
     StreamSlot slot;
@@ -524,7 +531,10 @@ Engine::runPool(std::vector<PendingPoint> jobs)
         [&](size_t t) {
             const std::vector<size_t> &points = tasks[t].points;
             if (tasks[t].checkpointSet) {
-                runCheckpointSet(jobs, points);
+                runCheckpointSet(buildProgram(jobs[points.front()].pt),
+                                 jobs, points);
+                for (size_t i : points)
+                    notePointDone(jobs[i]);
                 return;
             }
             StreamSlot slot;
@@ -540,16 +550,33 @@ Engine::runPool(std::vector<PendingPoint> jobs)
 }
 
 void
-Engine::runCheckpointSet(const std::vector<PendingPoint> &jobs,
+Engine::runCheckpointSet(const isa::Program &prog,
+                         const std::vector<PendingPoint> &jobs,
                          const std::vector<size_t> &group)
 {
+    // One work record per point, each validated before the set is
+    // touched: the measure length is not part of the set, so a point
+    // whose warmup + measure overruns its interval can join a valid
+    // point's group.
+    struct ConfigWork
+    {
+        const PendingPoint *job = nullptr;
+        cpu::CoreConfig detCfg;
+        std::vector<sampling::IntervalSample> samples;
+    };
+    std::vector<ConfigWork> works(group.size());
+    for (size_t c = 0; c < group.size(); c++) {
+        ConfigWork &cw = works[c];
+        cw.job = &jobs[group[c]];
+        const cpu::CoreConfig cfg = pointCoreConfig(cw.job->pt);
+        sampling::validateParams(cfg.sample);
+        cw.detCfg = sampling::detailedMeasureConfig(cfg);
+    }
+
     // Every point in a group shares workload, variant, scale, seed,
     // instruction cap, and the capture-shaping sampling parameters —
     // only the detailed-measure configuration differs.
     const ExpPoint &pt0 = jobs[group.front()].pt;
-    const auto &b = workloads::benchmarkByName(pt0.workload);
-    const isa::Program prog =
-        b.build(pointParams(pt0), variantFromName(pt0.variant));
 
     // A durable campaign loads the persisted set, else captures it
     // once and persists it; any other sweep just captures it. The
@@ -572,31 +599,16 @@ Engine::runCheckpointSet(const std::vector<PendingPoint> &jobs,
         counters_.campaignGroups++;
         (loaded ? counters_.ckptSetLoads : counters_.captures)++;
     }
-
-    // One work record per configuration in the group.
     const size_t intervals = set.checkpoints.size();
-    struct ConfigWork
-    {
-        const PendingPoint *job = nullptr;
-        cpu::CoreConfig detCfg;
-        std::vector<sampling::IntervalSample> samples;
-    };
-    std::vector<ConfigWork> works(group.size());
-    for (size_t c = 0; c < group.size(); c++) {
-        ConfigWork &cw = works[c];
-        cw.job = &jobs[group[c]];
-        const cpu::CoreConfig cfg = pointCoreConfig(cw.job->pt);
-        sampling::validateParams(cfg.sample);
-        cw.detCfg = sampling::detailedMeasureConfig(cfg);
+    for (ConfigWork &cw : works)
         cw.samples.resize(intervals);
-    }
 
     // Partial pre-pass (serial): a durable campaign resumes every
     // (config, interval) the cache already holds; only the gaps hit
     // the pool. A shard considers only its own slice of the
     // intervals. A set too small to sample (< 2 intervals) measures
     // nothing — every configuration takes the exact-detailed fallback
-    // below, just as runSampledOnSet() would.
+    // below.
     struct Gap
     {
         size_t config = 0;
@@ -650,18 +662,16 @@ Engine::runCheckpointSet(const std::vector<PendingPoint> &jobs,
         },
         "intervals");
 
-    // Aggregate each configuration — bit-identical to runSampled(),
-    // including the exact-detailed fallback for sets too small to
-    // sample. A shard holds only its slice, so it leaves aggregation
-    // to the unsharded run.
+    // Aggregate each configuration, with the exact-detailed fallback
+    // for sets too small to sample. A shard holds only its slice, so
+    // it leaves aggregation to the unsharded run.
+    if (sharded())
+        return;
+    const auto &b = workloads::benchmarkByName(pt0.workload);
     pool::TaskPool::instance().parallelFor(
         works.size(),
         [&](size_t c) {
             const ConfigWork &cw = works[c];
-            if (sharded()) {
-                notePointDone(*cw.job);
-                return;
-            }
             sampling::SampledRun run;
             if (intervals < 2 ||
                 !sampling::aggregateSamples(set.totals, set.finalState,
@@ -675,7 +685,6 @@ Engine::runCheckpointSet(const std::vector<PendingPoint> &jobs,
             m.outputs = b.simOutput(run.finalState.mem);
             insert(cw.job->key, cw.job->pt, std::move(m),
                    /*fromDisk=*/false);
-            notePointDone(*cw.job);
         },
         "aggregate");
 }

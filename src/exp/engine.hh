@@ -11,11 +11,13 @@
  *
  * Sampled points with one checkpointStoreKey() — which excludes the
  * predictor, width, PBS knobs and measure length — capture their set
- * once and fan every configuration's intervals out over it. A durable
- * sweep (EngineConfig::campaign) also keeps the set in the cache's
- * `ckpt/` store and every IntervalSample as a cache partial, so an
- * interrupted campaign resumes with zero re-simulation and concurrent
- * campaigns compose through the shared cache. Results are
+ * once and fan every configuration's intervals out over it. One runner
+ * does this for every sampled point: a sweep's group, a lone measure()
+ * and computePoint() are all groups, the last two of one point. A
+ * durable engine (EngineConfig::campaign) also keeps the set in the
+ * cache's `ckpt/` store and every IntervalSample as a cache partial,
+ * so an interrupted campaign resumes with zero re-simulation and
+ * concurrent campaigns compose through the shared cache. Results are
  * byte-identical to computePoint(), which runs each point alone.
  *
  * A sharded campaign (EngineConfig::shardCount > 0) is the
@@ -140,7 +142,10 @@ class Engine
 
     /**
      * Result of one point: memo -> disk cache -> simulate (and
-     * persist). References stay valid for the engine's lifetime.
+     * persist). References stay valid for the engine's lifetime. A
+     * sampled point runs as a one-point checkpoint-set group; a
+     * campaign shard, which aggregates nothing, throws
+     * std::logic_error for one.
      */
     const Measurement &measure(const ExpPoint &pt);
 
@@ -154,8 +159,14 @@ class Engine
     const EngineCounters &counters() const { return counters_; }
     const ResultCache &cache() const { return cache_; }
 
-    /** Compute a point directly, bypassing memo and cache. */
-    static Measurement computePoint(const ExpPoint &pt);
+    /**
+     * Compute a point directly, bypassing memo and cache (a sampled
+     * point runs alone on a cacheless engine). With @p simMs, the
+     * simulation's wall time lands there (timePoint() documents the
+     * timed regions).
+     */
+    static Measurement computePoint(const ExpPoint &pt,
+                                    double *simMs = nullptr);
 
   private:
     /** One deduplicated, cache-missing point awaiting computation. */
@@ -181,10 +192,12 @@ class Engine
      *  the sampled points of one checkpoint set each form one task. */
     void runPool(std::vector<PendingPoint> jobs);
 
-    /** One checkpoint set's task over jobs[group]: load or capture the
-     *  set once, fan the (point, interval) gaps out, aggregate each
-     *  point. */
-    void runCheckpointSet(const std::vector<PendingPoint> &jobs,
+    /** The one sampled runner, over jobs[group] (one checkpoint set)
+     *  and their program @p prog: validate every point, load or capture
+     *  the set once, fan the (point, interval) gaps out, aggregate and
+     *  memoize each point (a shard only measures its slice). */
+    void runCheckpointSet(const isa::Program &prog,
+                          const std::vector<PendingPoint> &jobs,
                           const std::vector<size_t> &group);
 
     /** A campaign shard: only its interval slice is measured. */
@@ -236,12 +249,12 @@ struct TimedRun
 };
 
 /**
- * Run a Sim point @p repeats times (at least once) on the engine its
- * mode selects, as Engine::computePoint does, and time only the
- * simulation: the detailed core (either fidelity) and the functional
- * engine from after program build and engine construction, a sampled
- * point over its whole sampled run (capture, intervals, aggregation)
- * after program build. Program build, predecode and table construction
+ * Run a Sim point @p repeats times (at least once) through
+ * Engine::computePoint, and time only the simulation: the detailed
+ * core (either fidelity) and the functional engine from after program
+ * build and engine construction, a sampled point over its whole run
+ * through the sampled runner (capture, intervals, aggregation) after
+ * program build. Program build, predecode and table construction
  * are per-point constants, not per-instruction costs, so simulated MIPS
  * tracks the hot loops; a sampled run's per-interval core construction
  * and checkpointing are costs of the run itself. Never records or

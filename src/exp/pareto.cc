@@ -7,6 +7,7 @@
 
 #include "exp/engine.hh"
 #include "exp/point.hh"
+#include "obs/sink.hh"
 #include "stats/table.hh"
 
 namespace pbs::exp {
@@ -94,11 +95,10 @@ runParetoSweep(const ParetoConfig &cfg)
         const double detMpki = det.result.stats.mpki();
         const double detMips = det.mips();
         if (cfg.progress) {
-            std::fprintf(stderr,
-                         "[%zu/%zu] %s %s%s detailed: %.1f MIPS\n",
-                         ++done, totalRuns, ref.workload.c_str(),
-                         ref.predictor.c_str(), ref.pbs ? "+pbs" : "",
-                         detMips);
+            obs::logLinef("[%zu/%zu] %s %s%s detailed: %.1f MIPS", ++done,
+                          totalRuns, ref.workload.c_str(),
+                          ref.predictor.c_str(), ref.pbs ? "+pbs" : "",
+                          detMips);
         }
 
         const size_t groupBegin = rows.size();
@@ -141,10 +141,9 @@ runParetoSweep(const ParetoConfig &cfg)
             rows.push_back(r);
 
             if (cfg.progress) {
-                std::fprintf(
-                    stderr,
+                obs::logLinef(
                     "[%zu/%zu] %s %s%s %llu/%llu/%llu: %.1f MIPS, "
-                    "ipc err %.2f%%\n",
+                    "ipc err %.2f%%",
                     ++done, totalRuns, r.workload.c_str(),
                     r.predictor.c_str(), r.pbs ? "+pbs" : "",
                     (unsigned long long)t.interval,

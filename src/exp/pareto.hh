@@ -44,7 +44,7 @@ struct ParetoConfig
     /** Wall-time repetitions per point (best, i.e. minimum, is kept). */
     unsigned repeats = 1;
 
-    /** Per-point progress lines on stderr. */
+    /** Per-point progress lines through the log sink (obs::logLinef). */
     bool progress = false;
 };
 

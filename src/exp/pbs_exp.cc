@@ -67,6 +67,8 @@ struct ExpCliOptions
     bool quiet = false;
     bool list = false;
     bool help = false;
+    /** The first option other than --list/--help, as typed. */
+    std::string firstRunFlag;
 
     bool pareto = false;
     unsigned repeats = 1;                 ///< --pareto timing repeats
@@ -192,8 +194,15 @@ writeFileOrComplain(const std::string &path, const std::string &text,
 int
 validateCli(const ExpCliOptions &o)
 {
-    if (o.help || o.list)
+    if (o.help)
         return 0;
+    // --list only prints the lists: every other flag would be ignored.
+    if (o.list) {
+        return o.firstRunFlag.empty()
+            ? 0
+            : fail(o.firstRunFlag + " has no effect with --list (it only "
+                   "prints the lists)");
+    }
     if (o.pareto) {
         // The Pareto sweep times every point serially and uncached.
         if (o.jobs > 1)
@@ -206,6 +215,9 @@ validateCli(const ExpCliOptions &o)
                                               : "--cache-dir") +
                         " has no effect with --pareto (the Pareto "
                         "sweep never uses the result cache)");
+        if (o.progress)
+            return fail("--progress has no effect with --pareto (the "
+                        "sweep prints one line per point unless --quiet)");
     } else if (o.repeatsSet) {
         return fail("--repeats applies only to --pareto");
     }
@@ -286,6 +298,9 @@ parseCli(int argc, char **argv, ExpCliOptions &o)
 
     for (i = 0; i < args.size(); i++) {
         const std::string &arg = args[i];
+        if (o.firstRunFlag.empty() && arg != "--list" && arg != "--help" &&
+            arg != "-h")
+            o.firstRunFlag = arg.substr(0, arg.find('='));
         int m;
         std::string err;
         if ((m = o.obsFlags.take(args, i, err)) != 0) {

@@ -188,7 +188,6 @@ checkpointStoreKey(const ExpPoint &pt, const std::string &salt)
     key.maxInstructions = cfg.maxInstructions;
     key.interval = cfg.sample.interval;
     key.warmup = cfg.sample.warmup;
-    key.maxSamples = cfg.sample.maxSamples;
     key.salt = salt;
     return key;
 }
@@ -223,7 +222,6 @@ storeKeyJson(const StoreKey &key)
     w.key("max_instructions").value(key.maxInstructions);
     w.key("interval").value(key.interval);
     w.key("warmup").value(key.warmup);
-    w.key("max_samples").value(key.maxSamples);
     w.key("arch_version").value(cpu::kArchStateVersion);
     w.key("salt").value(key.salt);
     w.endObject();

@@ -137,7 +137,6 @@ struct StoreKey
     // affects the detailed replay, never the captured states).
     uint64_t interval = 0;
     uint64_t warmup = 0;
-    uint64_t maxSamples = 0;
 
     /** Code-version salt (versionSalt()). */
     std::string salt;

@@ -9,7 +9,6 @@
 #include "obs/obs.hh"
 #include "sampling/functional.hh"
 #include "stats/stats.hh"
-#include "util/task_pool.hh"
 
 namespace pbs::sampling {
 
@@ -83,8 +82,6 @@ captureCheckpoints(const isa::Program &prog, const cpu::CoreConfig &cfg)
             obs::Span cap("capture");
             set.checkpoints.push_back(ff.saveArch());
         }
-        if (sp.maxSamples && set.checkpoints.size() >= sp.maxSamples)
-            break;
     }
     ff.run();  // to completion: exact totals, outputs, final memory
     set.totals = ff.stats();
@@ -132,33 +129,6 @@ measureInterval(const isa::Program &prog, const cpu::CoreConfig &detCfg,
     s.detailed = m.instructions;
     s.valid = s.instructions > 0 && s.cycles > 0;
     return s;
-}
-
-std::vector<IntervalSample>
-measureIntervals(const isa::Program &prog, const cpu::CoreConfig &cfg,
-                 CheckpointSet &set)
-{
-    const cpu::SampleParams &sp = cfg.sample;
-    validateParams(sp);
-    const cpu::CoreConfig detCfg = detailedMeasureConfig(cfg);
-
-    // One task per interval on the shared scheduler: a huge sampled
-    // point at the tail of a sweep decomposes into these and fills
-    // otherwise-idle workers. Samples land in index-keyed slots, so
-    // worker count and steal order cannot change a byte.
-    std::vector<IntervalSample> samples(set.checkpoints.size());
-    pool::TaskPool::instance().parallelFor(
-        samples.size(),
-        [&](size_t i) {
-            cpu::ArchState &chk = set.checkpoints[i];
-            samples[i] = measureInterval(prog, detCfg, chk, sp.warmup,
-                                         sp.measure);
-            // Each checkpoint feeds exactly one sample: release its
-            // memory pages as soon as it is consumed.
-            chk.mem = mem::SparseMemory{};
-        },
-        "sample");
-    return samples;
 }
 
 bool
@@ -223,30 +193,6 @@ aggregateSamples(const cpu::CoreStats &totals,
     r.finalState = finalState;
     out = std::move(r);
     return true;
-}
-
-SampledRun
-runSampledOnSet(const isa::Program &prog, const cpu::CoreConfig &cfg,
-                CheckpointSet &set)
-{
-    validateParams(cfg.sample);
-    const cpu::CoreConfig detCfg = detailedMeasureConfig(cfg);
-    if (set.checkpoints.size() < 2)
-        return runExactDetailed(prog, detCfg);
-
-    const auto samples = measureIntervals(prog, cfg, set);
-
-    SampledRun r;
-    if (!aggregateSamples(set.totals, set.finalState, samples, r))
-        return runExactDetailed(prog, detCfg);
-    return r;
-}
-
-SampledRun
-runSampled(const isa::Program &prog, const cpu::CoreConfig &cfg)
-{
-    CheckpointSet set = captureCheckpoints(prog, cfg);
-    return runSampledOnSet(prog, cfg, set);
 }
 
 }  // namespace pbs::sampling

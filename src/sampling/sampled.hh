@@ -31,11 +31,11 @@
  *    the startup transient — contribute to the exact totals but are
  *    never timed. Shrink `interval` if the startup phase matters.
  *  - Checkpoints for the whole run are captured before the fan-out
- *    begins, so peak memory is O(intervals x workload footprint)
- *    during phase 2 (each checkpoint's pages are released as soon as
- *    its sample completes). The registered workloads keep footprints
- *    in the KB-to-MB range; revisit with a streaming capture if a
- *    future workload does not.
+ *    begins and kept until every configuration sharing them has been
+ *    measured, so peak memory is O(intervals x workload footprint)
+ *    during phase 2. The registered workloads keep footprints in the
+ *    KB-to-MB range; revisit with a streaming capture if a future
+ *    workload does not.
  */
 
 #ifndef PBS_SAMPLING_SAMPLED_HH
@@ -85,24 +85,13 @@ struct SampledRun
     cpu::ArchState finalState;
 };
 
-/**
- * Run @p prog under systematic sampling. @p cfg describes the detailed
- * core used for warmup/measure intervals (predictor, width, PBS...);
- * cfg.sample supplies the sampling parameters and fan-out thread
- * count.
- * @throws std::invalid_argument when cfg.sample is inconsistent
- *         (interval == 0, measure == 0, or warmup+measure > interval).
- */
-SampledRun runSampled(const isa::Program &prog,
-                      const cpu::CoreConfig &cfg);
-
 // ---------------------------------------------------------------------
-// The three phases of a sampled run, exposed individually so the
-// experiment engine can capture phase 1 once for every configuration
-// that shares it (and persist it in the cache), schedule phase 2 one
-// interval at a time (across processes too, through cache partials)
-// and re-run phase 3 over the collected per-interval samples —
-// bit-identical to a single-process run.
+// The three phases of a sampled run. The experiment engine's one
+// sampled runner (exp::Engine) drives them: it captures phase 1 once
+// for every configuration that shares it (and persists it in the
+// cache), schedules phase 2 one interval at a time (across processes
+// too, through cache partials) and runs phase 3 over the collected
+// per-interval samples.
 // ---------------------------------------------------------------------
 
 /** Every phase's check of @p sp (throws std::invalid_argument). */
@@ -146,26 +135,21 @@ struct CheckpointSet
 /**
  * Phase 1: functional fast-forward to completion, capturing one
  * checkpoint per sampling interval at (k * interval - warmup).
- * @throws std::invalid_argument on inconsistent cfg.sample (same
- *         contract as runSampled).
+ * @throws std::invalid_argument on inconsistent cfg.sample
+ *         (validateParams()).
  */
 CheckpointSet captureCheckpoints(const isa::Program &prog,
                                  const cpu::CoreConfig &cfg);
 
 /**
  * The detailed configuration warmup/measure intervals run under:
- * @p cfg with its fidelity forced back to SimMode::Timing. Exposed so
- * schedulers outside this module (the exp engine's checkpoint-set
- * groups) measure under *exactly* the configuration the in-process
- * phases use.
+ * @p cfg with its fidelity forced back to SimMode::Timing.
  */
 cpu::CoreConfig detailedMeasureConfig(const cpu::CoreConfig &cfg);
 
 /**
- * The exact fallback every sampled path takes when a program is too
- * short to sample (fewer than two valid intervals): one full detailed
- * run under detailedMeasureConfig(). Exposed for the same reason —
- * the exp engine's fallback must be bit-identical to runSampledOnSet's.
+ * The exact fallback for a program too short to sample (fewer than two
+ * valid intervals): one full detailed run under detailedMeasureConfig().
  */
 SampledRun runExactDetailed(const isa::Program &prog,
                             const cpu::CoreConfig &detCfg);
@@ -180,16 +164,6 @@ IntervalSample measureInterval(const isa::Program &prog,
                                uint64_t warmup, uint64_t measure);
 
 /**
- * Phase 2 for a whole set: measure every checkpoint as a task on the
- * shared scheduler (pool::TaskPool), returning one sample per interval
- * in interval order. Consumed checkpoints have their memory pages
- * released.
- */
-std::vector<IntervalSample>
-measureIntervals(const isa::Program &prog, const cpu::CoreConfig &cfg,
-                 CheckpointSet &set);
-
-/**
  * Phase 3: ratio-estimator totals and per-interval-variance CIs over
  * @p samples, which must be ordered by interval index and cover every
  * interval exactly once (the aggregation is order-sensitive only in
@@ -202,17 +176,6 @@ bool aggregateSamples(const cpu::CoreStats &totals,
                       const cpu::ArchState &finalState,
                       const std::vector<IntervalSample> &samples,
                       SampledRun &out);
-
-/**
- * Phases 2+3 over an existing checkpoint set (captured in-process or
- * loaded from the experiment cache): fan out every checkpoint,
- * aggregate, and fall back to one exact detailed run when the set is
- * too small to sample.
- * Results are bit-identical to runSampled() with the same prog/cfg.
- */
-SampledRun runSampledOnSet(const isa::Program &prog,
-                           const cpu::CoreConfig &cfg,
-                           CheckpointSet &set);
 
 }  // namespace pbs::sampling
 

@@ -1,11 +1,11 @@
 /**
  * @file
  * The process-wide work-stealing fork-join scheduler behind every
- * fan-out site: sweep/campaign points (`exp::Engine`), per-interval
- * sampled-simulation tasks (`sampling::measureIntervals`) and bench
- * points (`bench::runBench`) all become tasks in one shared pool, so a
- * sweep whose tail is one huge sampled point decomposes into interval
- * tasks that fill otherwise-idle workers.
+ * fan-out site: sweep/campaign points and the per-interval tasks of
+ * sampled points (`exp::Engine`) and bench points (`bench::runBench`)
+ * all become tasks in one shared pool, so a sweep whose tail is one
+ * huge sampled point decomposes into interval tasks that fill
+ * otherwise-idle workers.
  *
  * Design rules:
  *
@@ -83,7 +83,7 @@ class TaskPool
     /**
      * Run body(0) .. body(n-1), each exactly once, potentially in
      * parallel, and return when all have finished. @p label names the
-     * region for obs tracks/spans ("sweep", "sample", ...). The first
+     * region for obs tracks/spans ("sweep", "intervals", ...). The first
      * exception thrown by a body is rethrown here after every other
      * task has drained (later bodies may be skipped once a failure is
      * recorded — exactly-once still holds for started tasks).

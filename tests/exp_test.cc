@@ -981,7 +981,7 @@ TEST_F(CampaignTest, EveryPointOfASetIsValidated)
 {
     // The measure length is not part of the checkpoint set, so a point
     // whose warmup + measure overruns its interval joins a valid
-    // point's group. It is refused as runSampled() refuses it alone,
+    // point's group. It is refused as computePoint() refuses it alone,
     // instead of measuring across the next interval's checkpoint.
     auto points = grid();
     points[1].sampleMeasure = 35000;  // 10000 + 35000 > 40000
@@ -999,6 +999,47 @@ TEST_F(CampaignTest, EveryPointOfASetIsValidated)
         EXPECT_THROW(engine.runAll(points), std::invalid_argument)
             << "campaign " << campaign;
     }
+}
+
+TEST_F(CampaignTest, LoneMeasurePublishesItsSetAndPartials)
+{
+    // A lone measure() runs its sampled point as a one-point group
+    // through the sweep's runner, so a campaign engine persists the
+    // set and every interval, and a later engine assembles the result
+    // from them alone.
+    const exp::ExpPoint pt = grid().front();
+    exp::EngineConfig cfg;
+    cfg.cacheDir = cacheDir();
+    cfg.campaign = true;
+    exp::Measurement first;
+    {
+        exp::Engine engine(cfg);
+        first = engine.measure(pt);
+        const exp::EngineCounters &c = engine.counters();
+        EXPECT_EQ(c.captures, 1u);
+        EXPECT_GT(c.partialStored, 0u);
+        EXPECT_EQ(c.partialStored, c.partialComputed);
+    }
+    EXPECT_EQ(first, exp::Engine::computePoint(pt));
+    const fs::path set =
+        fs::path(cacheDir()) / "ckpt" /
+        (exp::storeSetHash(exp::checkpointStoreKey(pt, exp::versionSalt())) +
+         ".pbsckpts");
+    EXPECT_TRUE(fs::exists(set));
+    EXPECT_FALSE(fs::is_empty(fs::path(cacheDir()) / "partials"));
+
+    // Drop the result: only the set and the partials remain.
+    for (const auto &e : fs::directory_iterator(cacheDir()))
+        if (e.is_regular_file())
+            fs::remove(e.path());
+    exp::Engine engine(cfg);
+    EXPECT_EQ(engine.measure(pt), first);
+    const exp::EngineCounters &c = engine.counters();
+    EXPECT_EQ(c.diskHits, 0u);
+    EXPECT_EQ(c.ckptSetLoads, 1u);
+    EXPECT_EQ(c.captures, 0u);
+    EXPECT_EQ(c.partialComputed, 0u);
+    EXPECT_GT(c.partialHits, 0u);
 }
 
 TEST_F(CampaignTest, ResumesInterruptedRunWithZeroResimulation)
@@ -1073,7 +1114,10 @@ TEST_F(CampaignTest, ShardsFillTheCacheAndTheFinalRunAssemblesIt)
         cfg.shardCount = 2;
         exp::Engine engine(cfg);
         engine.runAll(points);
-        return engine.counters();
+        const exp::EngineCounters c = engine.counters();
+        // A shard has no result to give a lone measure().
+        EXPECT_THROW(engine.measure(points.front()), std::logic_error);
+        return c;
     };
     const exp::EngineCounters s1 = shard(1);
     const exp::EngineCounters s2 = shard(2);
@@ -1360,16 +1404,25 @@ TEST_F(CheckpointSetTest, SaveLoadRoundTripsBitExactly)
     EXPECT_EQ(setBytes(loaded), setBytes(set_));
     EXPECT_TRUE(loaded.totals == set_.totals);
 
-    // A run over the loaded set is bit-identical to a direct one.
-    const isa::Program prog = program();
-    const cpu::CoreConfig cfg = sampledConfig();
-    sampling::SampledRun direct = sampling::runSampled(prog, cfg);
-    sampling::SampledRun replay =
-        sampling::runSampledOnSet(prog, cfg, loaded);
-    EXPECT_TRUE(direct.stats == replay.stats);
-    EXPECT_TRUE(direct.est == replay.est);
-    EXPECT_TRUE(
-        direct.finalState.mem.sameContents(replay.finalState.mem));
+    // A run over the loaded set is bit-identical to one that captures:
+    // a campaign engine finds it under the point's own key.
+    exp::ExpPoint pt;
+    pt.workload = "pi";
+    pt.mode = "sampled";
+    pt.seed = 5;
+    pt.scale = workloads::benchmarkByName("pi").defaultScale / 20;
+    pt.sampleInterval = 40000;
+    pt.sampleWarmup = 10000;
+    pt.sampleMeasure = 5000;
+    ASSERT_TRUE(cache().storeCheckpointSet(
+        exp::checkpointStoreKey(pt, exp::versionSalt()), loaded));
+    exp::EngineConfig cfg;
+    cfg.cacheDir = cacheDir();
+    cfg.campaign = true;
+    exp::Engine engine(cfg);
+    EXPECT_EQ(engine.measure(pt), exp::Engine::computePoint(pt));
+    EXPECT_EQ(engine.counters().ckptSetLoads, 1u);
+    EXPECT_EQ(engine.counters().captures, 0u);
 }
 
 TEST_F(CheckpointSetTest, MissingSetAndDisabledCacheMiss)

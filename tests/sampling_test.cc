@@ -2,14 +2,16 @@
  * @file
  * The sampled-simulation subsystem: checkpoint capture/restore (within
  * the functional engine, across the serialization, and into a detailed
- * core), SMARTS sampling accuracy against full detailed runs, the
- * too-short-to-sample fallback, parameter validation, and determinism
- * across fan-out thread counts.
+ * core), and, through the experiment engine's sampled runner, SMARTS
+ * sampling accuracy against full detailed runs, the too-short-to-sample
+ * fallback, parameter validation, and determinism across fan-out
+ * thread counts.
  */
 
 #include <gtest/gtest.h>
 
 #include "cpu/core.hh"
+#include "exp/engine.hh"
 #include "sampling/checkpoint.hh"
 #include "sampling/functional.hh"
 #include "sampling/sampled.hh"
@@ -30,6 +32,50 @@ buildWorkload(const char *name, uint64_t seed, unsigned divisor)
     p.seed = seed;
     p.scale = std::max<uint64_t>(1, b.defaultScale / divisor);
     return b.build(p, workloads::Variant::Marked);
+}
+
+/** A sampled point of @p name at 1/@p divisor of its default scale. */
+exp::ExpPoint
+sampledPoint(const char *name, uint64_t seed, unsigned divisor,
+             const char *predictor, uint64_t interval, uint64_t warmup,
+             uint64_t measure)
+{
+    exp::ExpPoint pt;
+    pt.workload = name;
+    pt.predictor = predictor;
+    pt.mode = "sampled";
+    pt.seed = seed;
+    pt.scale = std::max<uint64_t>(
+        1, workloads::benchmarkByName(name).defaultScale / divisor);
+    pt.sampleInterval = interval;
+    pt.sampleWarmup = warmup;
+    pt.sampleMeasure = measure;
+    return pt;
+}
+
+/** @p pt as a detailed point: the reference a sampled run estimates. */
+exp::ExpPoint
+detailedPoint(exp::ExpPoint pt)
+{
+    pt.mode = "detailed";
+    pt.sampleInterval = pt.sampleWarmup = pt.sampleMeasure = 0;
+    return pt;
+}
+
+/** Phases 2 and 3 over @p set, one interval after another. */
+sampling::SampledRun
+sampledOn(const isa::Program &prog, const cpu::CoreConfig &cfg,
+          const sampling::CheckpointSet &set)
+{
+    const cpu::CoreConfig detCfg = sampling::detailedMeasureConfig(cfg);
+    std::vector<sampling::IntervalSample> samples;
+    for (const cpu::ArchState &chk : set.checkpoints)
+        samples.push_back(sampling::measureInterval(
+            prog, detCfg, chk, cfg.sample.warmup, cfg.sample.measure));
+    sampling::SampledRun run;
+    EXPECT_TRUE(sampling::aggregateSamples(set.totals, set.finalState,
+                                           samples, run));
+    return run;
 }
 
 void
@@ -276,128 +322,98 @@ TEST(Sampled, ArtifactsByteIdenticalAcrossDispatch)
     }
     expectSameArch(superSet.finalState, steppedSet.finalState, "final");
 
-    sampling::SampledRun a = sampling::runSampledOnSet(prog, cfg,
-                                                       superSet);
-    sampling::SampledRun b = sampling::runSampledOnSet(prog, cfg,
-                                                       steppedSet);
+    sampling::SampledRun a = sampledOn(prog, cfg, superSet);
+    sampling::SampledRun b = sampledOn(prog, cfg, steppedSet);
     EXPECT_TRUE(a.stats == b.stats);
     EXPECT_TRUE(a.est == b.est);
     expectSameArch(a.finalState, b.finalState, "sampled final");
 }
 
 // --- sampled simulation ----------------------------------------------
+// Sampled points run through the experiment engine's one sampled
+// runner; Engine::computePoint runs a point alone.
 
 TEST(Sampled, EstimatesTrackDetailedRunsWithinTolerance)
 {
     for (const char *name : {"pi", "bandit"}) {
-        isa::Program prog = buildWorkload(name, 12345, 10);
+        const exp::ExpPoint pt =
+            sampledPoint(name, 12345, 10, "tage-sc-l", 50000, 20000, 10000);
+        const cpu::CoreStats det =
+            exp::Engine::computePoint(detailedPoint(pt)).stats;
+        const double detIpc = det.ipc();
+        const double detMpki = det.mpki();
 
-        cpu::CoreConfig cfg;
-        cfg.predictor = "tage-sc-l";
-        cpu::Core detailed(prog, cfg);
-        detailed.run();
-        const double detIpc = detailed.stats().ipc();
-        const double detMpki = detailed.stats().mpki();
-
-        cfg.sample.interval = 50000;
-        cfg.sample.warmup = 20000;
-        cfg.sample.measure = 10000;
         pool::TaskPool::instance().configure(2);
-        sampling::SampledRun s = sampling::runSampled(prog, cfg);
+        const exp::Measurement s = exp::Engine::computePoint(pt);
         pool::TaskPool::instance().configure(1);
 
-        EXPECT_FALSE(s.est.exact) << name;
-        EXPECT_GE(s.est.intervals, 5u) << name;
-        EXPECT_EQ(s.stats.instructions,
-                  detailed.stats().instructions) << name;
-        EXPECT_EQ(s.stats.branches, detailed.stats().branches) << name;
+        ASSERT_TRUE(s.hasSampling) << name;
+        EXPECT_FALSE(s.sampling.exact) << name;
+        EXPECT_GE(s.sampling.intervals, 5u) << name;
+        // Totals come from the full functional pass.
+        EXPECT_EQ(s.stats.instructions, det.instructions) << name;
+        EXPECT_EQ(s.stats.branches, det.branches) << name;
 
         // 5% relative tolerance at this reduced scale (the CI-level
         // accuracy bound for standard scale is checked in CI).
-        EXPECT_NEAR(s.est.ipc, detIpc, 0.05 * detIpc) << name;
-        EXPECT_NEAR(s.est.mpki, detMpki,
+        EXPECT_NEAR(s.sampling.ipc, detIpc, 0.05 * detIpc) << name;
+        EXPECT_NEAR(s.sampling.mpki, detMpki,
                     0.05 * detMpki + 0.05) << name;
-        EXPECT_GT(s.est.ipcCi95, 0.0) << name;
-        EXPECT_GT(s.est.detailedInstructions, 0u) << name;
-        EXPECT_LT(s.est.detailedInstructions,
+        EXPECT_GT(s.sampling.ipcCi95, 0.0) << name;
+        EXPECT_GT(s.sampling.detailedInstructions, 0u) << name;
+        EXPECT_LT(s.sampling.detailedInstructions,
                   s.stats.instructions) << name;
     }
 }
 
 TEST(Sampled, DeterministicAcrossFanOutThreadCounts)
 {
-    isa::Program prog = buildWorkload("pi", 5, 20);
-    cpu::CoreConfig cfg;
-    cfg.sample.interval = 40000;
-    cfg.sample.warmup = 10000;
-    cfg.sample.measure = 5000;
+    const exp::ExpPoint pt =
+        sampledPoint("pi", 5, 20, "tage-sc-l", 40000, 10000, 5000);
 
     pool::TaskPool::instance().configure(1);
-    sampling::SampledRun serial = sampling::runSampled(prog, cfg);
+    const exp::Measurement serial = exp::Engine::computePoint(pt);
     pool::TaskPool::instance().configure(4);
-    sampling::SampledRun parallel = sampling::runSampled(prog, cfg);
+    const exp::Measurement parallel = exp::Engine::computePoint(pt);
     pool::TaskPool::instance().configure(1);
 
-    EXPECT_TRUE(serial.stats == parallel.stats);
-    EXPECT_TRUE(serial.est == parallel.est);
-    EXPECT_TRUE(
-        serial.finalState.mem.sameContents(parallel.finalState.mem));
+    EXPECT_FALSE(serial.sampling.exact);
+    EXPECT_EQ(serial, parallel);
 }
 
 TEST(Sampled, ShortProgramsFallBackToExactDetailedRun)
 {
-    isa::Program prog = buildWorkload("pi", 2, 1000);
+    const exp::ExpPoint pt = sampledPoint("pi", 2, 1000, "tournament",
+                                          500000, 100000, 60000);
+    const cpu::CoreStats det =
+        exp::Engine::computePoint(detailedPoint(pt)).stats;
 
-    cpu::CoreConfig cfg;
-    cfg.predictor = "tournament";
-    cpu::Core detailed(prog, cfg);
-    detailed.run();
-
-    sampling::SampledRun s = sampling::runSampled(prog, cfg);
-    EXPECT_TRUE(s.est.exact);
-    EXPECT_EQ(s.est.intervals, 0u);
-    EXPECT_TRUE(s.stats == detailed.stats());
-    EXPECT_DOUBLE_EQ(s.est.ipc, detailed.stats().ipc());
+    const exp::Measurement s = exp::Engine::computePoint(pt);
+    EXPECT_TRUE(s.sampling.exact);
+    EXPECT_EQ(s.sampling.intervals, 0u);
+    EXPECT_TRUE(s.stats == det);
+    EXPECT_DOUBLE_EQ(s.sampling.ipc, det.ipc());
 }
 
 TEST(Sampled, RejectsInconsistentParameters)
 {
-    isa::Program prog = buildWorkload("pi", 1, 1000);
-    cpu::CoreConfig cfg;
+    cpu::SampleParams sp;
+    sp.interval = 0;
+    EXPECT_THROW(sampling::validateParams(sp), std::invalid_argument);
 
-    cfg.sample.interval = 0;
-    EXPECT_THROW(sampling::runSampled(prog, cfg),
-                 std::invalid_argument);
+    sp = cpu::SampleParams{};
+    sp.measure = 0;
+    EXPECT_THROW(sampling::validateParams(sp), std::invalid_argument);
 
-    cfg.sample = cpu::SampleParams{};
-    cfg.sample.measure = 0;
-    EXPECT_THROW(sampling::runSampled(prog, cfg),
-                 std::invalid_argument);
-
-    cfg.sample = cpu::SampleParams{};
-    cfg.sample.interval = 1000;
-    cfg.sample.warmup = 900;
-    cfg.sample.measure = 200;  // warmup + measure > interval
-    EXPECT_THROW(sampling::runSampled(prog, cfg),
-                 std::invalid_argument);
-}
-
-TEST(Sampled, MaxSamplesCapsTheFanOut)
-{
-    isa::Program prog = buildWorkload("pi", 8, 10);
-    cpu::CoreConfig cfg;
-    cfg.sample.interval = 50000;
-    cfg.sample.warmup = 10000;
-    cfg.sample.measure = 5000;
-    cfg.sample.maxSamples = 3;
-
-    sampling::SampledRun s = sampling::runSampled(prog, cfg);
-    EXPECT_FALSE(s.est.exact);
-    EXPECT_EQ(s.est.intervals, 3u);
-    // Totals still come from the full functional pass.
-    sampling::FunctionalEngine ff(prog);
-    ff.run();
-    EXPECT_EQ(s.stats.instructions, ff.stats().instructions);
+    // warmup + measure > interval, the one inconsistency a point can
+    // spell (a zero sample parameter selects the default): the runner
+    // refuses it alone and on a measuring engine.
+    const exp::ExpPoint pt =
+        sampledPoint("pi", 1, 1000, "tournament", 1000, 900, 200);
+    EXPECT_THROW(exp::Engine::computePoint(pt), std::invalid_argument);
+    exp::Engine engine;
+    EXPECT_THROW(engine.measure(pt), std::invalid_argument);
+    EXPECT_EQ(engine.counters().captures, 0u);
 }
 
 }  // namespace
