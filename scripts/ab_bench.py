@@ -67,8 +67,10 @@ def run_once(binary, args, out_path):
         doc = json.load(f)
     mips = {}
     for p in doc["points"]:
+        # A --pbs grid names its ablation settings (no-stall, ...).
         key = (p["workload"], p["predictor"],
-               "pbs" if p["pbs"] else "-", p["mode"])
+               p.get("pbs_setting", "pbs" if p["pbs"] else "-"),
+               p["mode"])
         mips[key] = p["mips"]
     return doc["content_hash"], mips
 

@@ -42,6 +42,11 @@ writePointFields(util::JsonWriter &w, const BenchResult &r)
     w.key("workload").value(r.point.workload);
     w.key("predictor").value(r.point.predictor);
     w.key("pbs").value(r.point.pbs);
+    // Only a --pbs grid has the ablation settings; the standard grid's
+    // points (and so its content hash) keep the plain on/off flag.
+    const std::string setting = exp::pbsSetting(r.point);
+    if (setting != "off" && setting != "on")
+        w.key("pbs_setting").value(setting);
     w.key("mode").value(exp::modeName(r.point));
     w.key("instructions").value(s.instructions);
     w.key("cycles").value(s.cycles);
@@ -82,8 +87,9 @@ standardSpec()
 }
 
 exp::ExpandResult
-standardGrid(exp::SweepSpec spec)
+standardGrid(exp::SweepSpec spec, bool pbsAxis)
 {
+    const std::vector<std::string> pbsModes = spec.pbsModes;
     // Expanding the spec as given validates every axis value and
     // resolves "all" and predictor aliases.
     const exp::ExpandResult selected = exp::expandSpec(spec);
@@ -105,19 +111,24 @@ standardGrid(exp::SweepSpec spec)
     exp::ExpandResult grid;
     grid.ok = true;
     auto append = [&](const std::string &workload,
-                      std::vector<std::string> preds, const char *pbs) {
+                      std::vector<std::string> preds,
+                      std::vector<std::string> pbs) {
         spec.workloads = {workload};
         spec.predictors = std::move(preds);
-        spec.pbsModes = {pbs};
+        spec.pbsModes = std::move(pbs);
         const auto part = exp::expandSpec(spec).points;
         grid.points.insert(grid.points.end(), part.begin(), part.end());
     };
     for (const auto &b : workloads::allBenchmarks()) {
         if (!picked(&exp::ExpPoint::workload, b.name))
             continue;
-        append(b.name, predictors, "off");
+        if (pbsAxis) {
+            append(b.name, predictors, pbsModes);
+            continue;
+        }
+        append(b.name, predictors, {"off"});
         if (picked(&exp::ExpPoint::predictor, "tage-sc-l"))
-            append(b.name, {"tage-sc-l"}, "on");
+            append(b.name, {"tage-sc-l"}, {"on"});
     }
     return grid;
 }

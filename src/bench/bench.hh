@@ -51,9 +51,12 @@ struct BenchConfig
  * order with PBS off, then tage-sc-l with PBS on when it is selected;
  * each crossed with the spec's modes in their given order (point-major,
  * so a pair's modes print next to each other). The spec's PBS axis is
- * ignored. Unknown names fail the result as expandSpec does.
+ * ignored unless @p pbsAxis: then each workload's points are every
+ * selected predictor crossed with the modes and then with the spec's
+ * PBS settings, in their given order. Unknown names fail the result as
+ * expandSpec does.
  */
-exp::ExpandResult standardGrid(exp::SweepSpec spec);
+exp::ExpandResult standardGrid(exp::SweepSpec spec, bool pbsAxis = false);
 
 /** One measured point: its deterministic result plus wall times. */
 struct BenchResult

@@ -7,7 +7,11 @@
  * workload x predictor pair plus tage-sc-l with PBS on), cut by
  * --workloads/--predictors and crossed with --modes (pbs_exp's spec
  * keys and vocabulary: --modes detailed,functional,sampled prints each
- * pair's detailed, functional and sampled MIPS next to each other),
+ * pair's detailed, functional and sampled MIPS next to each other);
+ * --pbs replaces the PBS rule with every selected predictor under each
+ * given PBS setting, which times the PBS engine against PBS-off on one
+ * predictor (--predictors perfect --pbs off,on leaves no predictor
+ * cost to confound it),
  * and emits the canonical `pbs-bench-v2` JSON artifact (see
  * src/bench/bench.hh for the determinism contract). With --baseline,
  * exits non-zero when any point regresses more than --max-regress
@@ -17,6 +21,7 @@
  *   ./build/pbs_bench --quick --write-baseline bench/baseline.json
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -42,7 +47,8 @@ usage(const char *msg = nullptr)
     std::fprintf(stderr,
         "usage: pbs_bench [--quick] [--jobs N] [--repeats N] [--div N]\n"
         "                 [--workloads W1,W2] [--predictors P1,P2]\n"
-        "                 [--modes M1,M2] [--sample-interval N]\n"
+        "                 [--modes M1,M2] [--pbs S1,S2]\n"
+        "                 [--sample-interval N]\n"
         "                 [--sample-warmup N] [--sample-measure N]\n"
         "                 [--seed S] [--out FILE] [--baseline FILE]\n"
         "                 [--max-regress F] [--write-baseline FILE]\n"
@@ -50,7 +56,8 @@ usage(const char *msg = nullptr)
         "                 [--manifest FILE] [--telemetry FILE]\n"
         "                 [--telemetry-interval MS] [--list]\n"
         "modes: detailed (default; timing is an alias), functional,\n"
-        "       sampled, mpki\n");
+        "       sampled, mpki\n"
+        "pbs settings: off, on, no-stall, no-context, no-guard\n");
     return msg ? 2 : 0;
 }
 
@@ -75,6 +82,7 @@ main(int argc, char **argv)
     bool quick = false;
     bool list = false;
     bool divisorSet = false;
+    bool pbsSet = false;
     bool maxRegressSet = false;
     // Flags that only shape a measuring run, in command-line order.
     std::vector<std::string> runFlags;
@@ -85,6 +93,7 @@ main(int argc, char **argv)
         {"--predictors", "predictor"},
         {"--modes", "mode"},
         {"--mode", "mode"},
+        {"--pbs", "pbs"},
         {"--div", "div"},
         {"--seed", "seed"},
         {"--sample-interval", "sample-interval"},
@@ -145,6 +154,7 @@ main(int argc, char **argv)
             if (!err.empty())
                 return usage((flag + ": " + err).c_str());
             divisorSet = divisorSet || flag == "--div";
+            pbsSet = pbsSet || flag == "--pbs";
         }
         for (const auto &[name, file] : fileFlags) {
             if (matched || !(r = take(name, *file)))
@@ -181,14 +191,28 @@ main(int argc, char **argv)
     if (quick && !divisorSet)
         cfg.spec.divisor = 50;
 
-    const exp::ExpandResult grid = bench::standardGrid(cfg.spec);
+    if (pbsSet) {
+        const auto &modes = cfg.spec.modes;
+        for (const auto &setting : cfg.spec.pbsModes) {
+            if (setting != "off" &&
+                std::find(modes.begin(), modes.end(), "functional") !=
+                    modes.end())
+                return usage(("--pbs: '" + setting + "' has no effect in "
+                              "functional mode (architectural execution, "
+                              "PBS-off semantics); use mpki, detailed or "
+                              "sampled").c_str());
+        }
+    }
+
+    const exp::ExpandResult grid = bench::standardGrid(cfg.spec, pbsSet);
     if (!grid.ok)
         return usage(grid.error.c_str());
     const std::vector<exp::ExpPoint> &points = grid.points;
     if (list) {
         for (const auto &p : points)
-            std::printf("%s %s pbs=%d %s\n", p.workload.c_str(),
-                        p.predictor.c_str(), p.pbs ? 1 : 0,
+            std::printf("%s %s pbs=%s %s\n", p.workload.c_str(),
+                        p.predictor.c_str(),
+                        pbsSet ? exp::pbsSetting(p) : p.pbs ? "1" : "0",
                         exp::modeName(p).c_str());
         return 0;
     }
@@ -202,13 +226,14 @@ main(int argc, char **argv)
     const auto results = bench::runBench(points, cfg);
 
     // Human-readable summary on stdout.
-    std::printf("%-10s %-16s %-4s %-10s %14s %10s %10s\n", "workload",
+    std::printf("%-10s %-16s %-10s %-10s %14s %10s %10s\n", "workload",
                 "predictor", "pbs", "mode", "instructions", "wall_ms",
                 "mips");
     for (const auto &r : results) {
-        std::printf("%-10s %-16s %-4d %-10s %14llu %10.2f %10.2f\n",
+        std::printf("%-10s %-16s %-10s %-10s %14llu %10.2f %10.2f\n",
                     r.point.workload.c_str(), r.point.predictor.c_str(),
-                    r.point.pbs ? 1 : 0, exp::modeName(r.point).c_str(),
+                    exp::pbsSetting(r.point),
+                    exp::modeName(r.point).c_str(),
                     static_cast<unsigned long long>(
                         r.run.result.stats.instructions),
                     r.run.bestMs, r.run.mips());

@@ -1,32 +1,17 @@
 #include "core/context_table.hh"
 
-#include <algorithm>
-
 namespace pbs::core {
 
-ContextTable::ContextTable(const PbsConfig &cfg)
-    : cfg_(cfg), entries_(cfg.contextEntries)
-{
-}
+ContextTable::ContextTable(const PbsConfig &cfg) : cfg_(cfg) {}
 
 int
-ContextTable::findLoop(uint64_t loopPc) const
-{
-    for (size_t i = 0; i < entries_.size(); i++) {
-        if (entries_[i].valid && entries_[i].loopPc == loopPc)
-            return static_cast<int>(i);
-    }
-    return -1;
-}
-
-int
-ContextTable::activeSlot() const
+ContextTable::newestSlot() const
 {
     int best = -1;
-    for (size_t i = 0; i < entries_.size(); i++) {
+    for (unsigned i = 0; i < cfg_.contextEntries; i++) {
         if (entries_[i].valid &&
             (best < 0 || entries_[i].stamp > entries_[best].stamp)) {
-            best = static_cast<int>(i);
+            best = int(i);
         }
     }
     return best;
@@ -36,127 +21,13 @@ int
 ContextTable::oldestSlot() const
 {
     int best = -1;
-    for (size_t i = 0; i < entries_.size(); i++) {
+    for (unsigned i = 0; i < cfg_.contextEntries; i++) {
         if (!entries_[i].valid)
-            return static_cast<int>(i);
+            return int(i);
         if (best < 0 || entries_[i].stamp < entries_[best].stamp)
-            best = static_cast<int>(i);
+            best = int(i);
     }
     return best;
-}
-
-void
-ContextTable::clearEntry(int slot)
-{
-    Entry &e = entries_[slot];
-    if (!e.valid)
-        return;
-    if (clearHook_)
-        clearHook_(slot, e.loopPc);
-    e = Entry{};
-    clears_++;
-}
-
-void
-ContextTable::noteBranch(uint64_t pc, uint64_t target, bool taken)
-{
-    if (target > pc)
-        return;  // forward branch: not loop-relevant
-
-    int slot = findLoop(target);
-    if (slot < 0) {
-        // New loop: allocate only when it actually iterates.
-        if (!taken)
-            return;
-        slot = oldestSlot();
-        clearEntry(slot);
-        Entry &e = entries_[slot];
-        e.valid = true;
-        e.loopPc = target;
-        e.lastPc = pc;
-        e.stamp = ++stampClock_;
-        return;
-    }
-
-    Entry &e = entries_[slot];
-    e.lastPc = std::max(e.lastPc, pc);
-    if (taken) {
-        e.stamp = ++stampClock_;
-        return;
-    }
-
-    // Not-taken backward branch at the loop's furthest extent: the loop
-    // terminated. Clear it, and also clear any loop allocated after it
-    // (an inner loop cannot outlive its enclosing loop).
-    if (pc >= e.lastPc) {
-        uint64_t stamp = e.stamp;
-        clearEntry(slot);
-        for (size_t i = 0; i < entries_.size(); i++) {
-            if (entries_[i].valid && entries_[i].stamp > stamp)
-                clearEntry(static_cast<int>(i));
-        }
-    }
-}
-
-void
-ContextTable::noteCall(uint64_t pc)
-{
-    int slot = activeSlot();
-    if (slot >= 0) {
-        Entry &e = entries_[slot];
-        unsigned max_depth = (1u << cfg_.callDepthBits) - 1;
-        if (e.callDepth < max_depth)
-            e.callDepth++;
-        if (e.callDepth == 1)
-            e.funcPc = pc;
-    } else {
-        globalCallDepth_++;
-        if (globalCallDepth_ == 1)
-            globalFuncPc_ = pc;
-    }
-}
-
-void
-ContextTable::noteReturn()
-{
-    int slot = activeSlot();
-    if (slot >= 0 && entries_[slot].callDepth > 0) {
-        Entry &e = entries_[slot];
-        e.callDepth--;
-        if (e.callDepth == 0)
-            e.funcPc = 0;
-        return;
-    }
-    if (globalCallDepth_ > 0) {
-        globalCallDepth_--;
-        if (globalCallDepth_ == 0)
-            globalFuncPc_ = 0;
-    }
-}
-
-ContextKey
-ContextTable::currentContext(bool &supported) const
-{
-    supported = true;
-    ContextKey key;
-    int slot = activeSlot();
-    if (slot >= 0) {
-        const Entry &e = entries_[slot];
-        if (e.callDepth > 1) {
-            supported = false;
-            return key;
-        }
-        key.loopSlot = slot;
-        key.loopPc = e.loopPc;
-        key.funcPc = e.callDepth == 1 ? e.funcPc : 0;
-    } else {
-        if (globalCallDepth_ > 1) {
-            supported = false;
-            return key;
-        }
-        key.funcPc = globalCallDepth_ == 1 ? globalFuncPc_ : 0;
-    }
-    return key;
 }
 
 size_t

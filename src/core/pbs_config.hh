@@ -19,6 +19,12 @@ namespace pbs::core {
  */
 struct PbsConfig
 {
+    /** Largest tables the engine holds (its arrays are fixed-size);
+     *  PbsEngine rejects a config past them, or with a zero count. */
+    static constexpr unsigned kMaxBranches = 16;
+    static constexpr unsigned kMaxInFlight = 16;
+    static constexpr unsigned kMaxContextEntries = 8;
+
     unsigned numBranches = 4;       ///< Prob-BTB entries
     unsigned valuesPerBranch = 2;   ///< 1 in Prob-BTB + rest in SwapTable
     unsigned inFlightLimit = 4;     ///< outstanding branch instances

@@ -1,114 +1,37 @@
 #include "core/pbs_engine.hh"
 
 #include <stdexcept>
+#include <string>
 
 namespace pbs::core {
 
-PbsEngine::LiveTable::LiveTable()
+namespace {
+
+/** @p cfg itself, if every table fits the engine's fixed arrays;
+ *  otherwise std::invalid_argument naming the field. */
+const PbsConfig &
+validated(const PbsConfig &cfg)
 {
-    slots_.resize(64);
-    mask_ = slots_.size() - 1;
+    auto check = [](const char *field, unsigned v, unsigned max) {
+        if (v == 0 || v > max)
+            throw std::invalid_argument(std::string("PbsConfig.") + field +
+                                        " = " + std::to_string(v) +
+                                        " is invalid");
+    };
+    check("numBranches", cfg.numBranches, PbsConfig::kMaxBranches);
+    check("valuesPerBranch", cfg.valuesPerBranch, ~0u);
+    check("inFlightLimit", cfg.inFlightLimit, PbsConfig::kMaxInFlight);
+    check("contextEntries", cfg.contextEntries,
+          PbsConfig::kMaxContextEntries);
+    return cfg;
 }
 
-PbsEngine::LiveInstance *
-PbsEngine::LiveTable::find(uint64_t token)
-{
-    for (size_t i = token & mask_;; i = (i + 1) & mask_) {
-        if (slots_[i].token == token)
-            return &slots_[i].inst;
-        if (slots_[i].token == 0)
-            return nullptr;
-    }
-}
-
-const PbsEngine::LiveInstance *
-PbsEngine::LiveTable::find(uint64_t token) const
-{
-    return const_cast<LiveTable *>(this)->find(token);
-}
-
-void
-PbsEngine::LiveTable::insert(uint64_t token, const LiveInstance &inst)
-{
-    if (2 * (count_ + 1) > slots_.size())
-        grow();
-    size_t i = token & mask_;
-    while (slots_[i].token != 0)
-        i = (i + 1) & mask_;
-    slots_[i].token = token;
-    slots_[i].inst = inst;
-    count_++;
-}
-
-void
-PbsEngine::LiveTable::erase(uint64_t token)
-{
-    size_t i = token & mask_;
-    while (slots_[i].token != token) {
-        if (slots_[i].token == 0)
-            return;
-        i = (i + 1) & mask_;
-    }
-    // Backward-shift deletion keeps every probe chain contiguous.
-    size_t hole = i;
-    for (size_t j = (hole + 1) & mask_; slots_[j].token != 0;
-         j = (j + 1) & mask_) {
-        size_t home = slots_[j].token & mask_;
-        // Move j into the hole unless j still lies on its own probe
-        // path starting at `home` without passing the hole.
-        bool between = hole <= j ? (hole < home && home <= j)
-                                 : (home <= j || hole < home);
-        if (!between) {
-            slots_[hole] = slots_[j];
-            hole = j;
-        }
-    }
-    slots_[hole].token = 0;
-    slots_[hole].inst = LiveInstance{};
-    count_--;
-}
-
-void
-PbsEngine::LiveTable::grow()
-{
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.size() * 2, Slot{});
-    mask_ = slots_.size() - 1;
-    count_ = 0;
-    for (auto &s : old) {
-        if (s.token != 0)
-            insert(s.token, s.inst);
-    }
-}
+}  // namespace
 
 PbsEngine::PbsEngine(const PbsConfig &cfg)
-    : cfg_(cfg), btb_(cfg), swapTable_(cfg), inFlight_(cfg),
-      ctxTable_(cfg)
+    : cfg_(validated(cfg)), tracking_(cfg.contextSupport), btb_(cfg),
+      swapTable_(cfg), inFlight_(cfg), ctxTable_(cfg)
 {
-    ctxTable_.setClearHook([this](int slot, uint64_t loop_pc) {
-        onContextClear(slot, loop_pc);
-    });
-}
-
-void
-PbsEngine::noteBranch(uint64_t pc, uint64_t target, bool taken)
-{
-    if (enabled_ && cfg_.contextSupport)
-        ctxTable_.noteBranch(pc, target, taken);
-}
-
-void
-PbsEngine::noteCall(uint64_t pc)
-{
-    if (enabled_ && cfg_.contextSupport)
-        ctxTable_.noteCall(pc);
-}
-
-void
-PbsEngine::noteReturn()
-{
-    if (enabled_ && cfg_.contextSupport)
-        ctxTable_.noteReturn();
 }
 
 void
@@ -128,164 +51,140 @@ PbsEngine::onContextClear(int loopSlot, uint64_t loopPc)
     }
 }
 
-PbsInstance
-PbsEngine::onProbCmpFetch(uint64_t branchPc, uint64_t cycle)
+void
+PbsEngine::onProbCmpFetch(PbsInstance &inst, uint64_t branchPc,
+                          uint64_t cycle)
 {
-    LiveInstance inst;
-    inst.pub.token = nextToken_++;
+    // Field by field: a whole-object reset compiles to a `rep stos`,
+    // whose startup and store forwarding cost more than the rest of
+    // the fetch. Fields the instance's state does not reach (old
+    // unless steered, the new values until set) keep stale contents.
+    inst.steered = false;
+    inst.fallback = FallbackReason::None;
+    inst.stallCycles = 0;
+    inst.recording = false;
+    inst.hasNewValue2 = false;
+    inst.hasPendingConstVal = false;
+    inst.btbIndex = -1;
     inst.branchPc = branchPc;
+    inst.ctx = ContextKey{};
 
     if (!enabled_) {
-        inst.pub.fallback = FallbackReason::Disabled;
-        live_.insert(inst.pub.token, inst);
-        return inst.pub;
+        inst.fallback = FallbackReason::Disabled;
+        return;
     }
-
-    if (cfg_.constValGuard && constValDisabled_.count(branchPc)) {
-        inst.pub.fallback = FallbackReason::ConstValViolation;
-        live_.insert(inst.pub.token, inst);
-        return inst.pub;
+    if (cfg_.constValGuard && constValDisabled(branchPc)) {
+        inst.fallback = FallbackReason::ConstValViolation;
+        return;
     }
-
-    bool ctx_supported = true;
     if (cfg_.contextSupport) {
-        inst.ctx = ctxTable_.currentContext(ctx_supported);
-    }
-    if (!ctx_supported) {
-        stats_.fetchDepthLimited++;
-        inst.pub.fallback = FallbackReason::DepthLimit;
-        live_.insert(inst.pub.token, inst);
-        return inst.pub;
+        bool supported;
+        inst.ctx = ctxTable_.currentContext(supported);
+        if (!supported) {
+            stats_.fetchDepthLimited++;
+            inst.fallback = FallbackReason::DepthLimit;
+            return;
+        }
     }
 
     inst.recording = true;
-    int idx = btb_.find(branchPc, inst.ctx);
-    inst.btbIndex = idx;
-
-    if (idx >= 0) {
-        auto &e = btb_.entry(idx);
-        if (!e.hasPayload) {
-            if (auto rec = inFlight_.pull(idx, cycle)) {
-                e.payload = *rec;
-                e.hasPayload = true;
-            } else if (cfg_.stallOnBusy) {
-                // A record exists but is still executing: stall fetch
-                // until it completes rather than risking a squash.
-                if (auto ready = inFlight_.earliestReady(idx)) {
-                    uint64_t eff = std::max(cycle, *ready);
-                    if (auto rec2 = inFlight_.pull(idx, eff)) {
-                        e.payload = *rec2;
-                        e.hasPayload = true;
-                        inst.pub.stallCycles = eff - cycle;
-                        stats_.fetchStalled++;
-                        stats_.stallCycles += inst.pub.stallCycles;
-                    }
-                }
-            }
-        }
-        if (e.hasPayload) {
-            inst.pub.steered = true;
-            inst.pub.old = e.payload;
-            e.hasPayload = false;
-            // Refill for the next fetch if a record is already visible.
-            if (auto rec = inFlight_.pull(
-                    idx, cycle + inst.pub.stallCycles)) {
-                e.payload = *rec;
-                e.hasPayload = true;
-            }
-            stats_.fetchSteered++;
-        } else {
-            inst.pub.fallback = FallbackReason::Bootstrap;
-            stats_.fetchBootstrap++;
-        }
-    } else {
-        inst.pub.fallback = FallbackReason::Bootstrap;
+    inst.btbIndex = btb_.find(branchPc, inst.ctx);
+    if (inst.btbIndex < 0 || !steer(inst, inst.btbIndex, cycle)) {
+        inst.fallback = FallbackReason::Bootstrap;
         stats_.fetchBootstrap++;
     }
-
-    live_.insert(inst.pub.token, inst);
-    return inst.pub;
-}
-
-const PbsInstance &
-PbsEngine::instance(uint64_t token) const
-{
-    const LiveInstance *inst = live_.find(token);
-    if (!inst)
-        throw std::logic_error("PbsEngine: unknown instance token");
-    return inst->pub;
 }
 
 bool
-PbsEngine::onProbCmpExec(uint64_t token, uint64_t newValue1,
-                         uint64_t cmpOperand, uint64_t execCycle)
+PbsEngine::steer(PbsInstance &inst, int idx, uint64_t cycle)
 {
-    LiveInstance *found = live_.find(token);
-    if (!found)
-        throw std::logic_error("PbsEngine: unknown instance token");
-    LiveInstance &inst = *found;
-    inst.newValue1 = newValue1;
-    inst.cmpExecCycle = execCycle;
+    ProbBtb::Entry &e = btb_.entry(idx);
+    // The refill below looks for the oldest record visible at
+    // `visibleAt`, from queue position `from` on.
+    unsigned from = 0;
+    uint64_t visibleAt = cycle;
+    if (e.hasPayload) {
+        inst.old = e.payload;
+    } else {
+        const unsigned queued = inFlight_.queued(idx);
+        const unsigned pos = inFlight_.firstReady(idx, cycle);
+        if (pos < queued) {
+            inFlight_.take(idx, pos, inst.old);
+            from = pos;  // the records before it are not visible yet
+        } else if (cfg_.stallOnBusy && queued > 0) {
+            // Records exist but are all still executing: stall fetch
+            // until the oldest completes rather than risking a squash.
+            visibleAt = inFlight_.readyCycle(idx, 0);
+            inst.stallCycles = visibleAt - cycle;
+            stats_.fetchStalled++;
+            stats_.stallCycles += inst.stallCycles;
+            inFlight_.take(idx, 0, inst.old);
+        } else {
+            return false;
+        }
+    }
+    inst.steered = true;
+    stats_.fetchSteered++;
+    // Refill for the next fetch if a record is already visible.
+    const unsigned refill = inFlight_.firstReady(idx, visibleAt, from);
+    e.hasPayload = refill < inFlight_.queued(idx);
+    if (e.hasPayload)
+        inFlight_.take(idx, refill, e.payload);
+    return true;
+}
 
+bool
+PbsEngine::onProbCmpExec(PbsInstance &inst, uint64_t newValue1,
+                         uint64_t cmpOperand)
+{
+    inst.newValue1 = newValue1;
     if (!inst.recording)
         return false;
 
-    if (inst.btbIndex >= 0) {
-        auto &e = btb_.entry(inst.btbIndex);
-        if (!e.valid || e.branchPc != inst.branchPc) {
-            // The entry was flushed (context clear) underneath us.
-            inst.btbIndex = -1;
-        } else if (cfg_.constValGuard) {
-            if (e.hasConstVal && e.constVal != cmpOperand) {
-                // Comparison value changed within the context: unsafe.
-                // Flush and stick the branch to regular treatment.
-                inFlight_.clearIndex(inst.btbIndex);
-                btb_.clear(inst.btbIndex);
-                constValDisabled_.insert(inst.branchPc);
-                stats_.constValFlushes++;
-                inst.recording = false;
-                inst.btbIndex = -1;
-                return false;
-            }
-            if (!e.hasConstVal) {
-                e.hasConstVal = true;
-                e.constVal = cmpOperand;
-            }
-        }
-    } else {
+    if (inst.btbIndex < 0) {
         // First execution in this context: remember the comparison
         // operand for registration at allocation time.
         inst.pendingConstVal = cmpOperand;
+        inst.hasPendingConstVal = true;
+        return true;
+    }
+    auto &e = btb_.entry(inst.btbIndex);
+    if (!e.valid || e.branchPc != inst.branchPc) {
+        // The entry was flushed (context clear) underneath us.
+        inst.btbIndex = -1;
+    } else if (cfg_.constValGuard) {
+        if (e.hasConstVal && e.constVal != cmpOperand) {
+            // Comparison value changed within the context: unsafe.
+            // Flush and stick the branch to regular treatment.
+            inFlight_.clearIndex(inst.btbIndex);
+            btb_.clear(inst.btbIndex);
+            if (constValDisabled_.size() <= inst.branchPc)
+                constValDisabled_.resize(inst.branchPc + 1);
+            constValDisabled_[inst.branchPc] = true;
+            stats_.constValFlushes++;
+            inst.recording = false;
+            inst.btbIndex = -1;
+            return false;
+        }
+        if (!e.hasConstVal) {
+            e.hasConstVal = true;
+            e.constVal = cmpOperand;
+        }
     }
     return true;
 }
 
 void
-PbsEngine::onCarrierExec(uint64_t token, uint64_t newValue2)
-{
-    LiveInstance *found = live_.find(token);
-    if (!found)
-        throw std::logic_error("PbsEngine: unknown instance token");
-    found->newValue2 = newValue2;
-}
-
-void
-PbsEngine::onProbJmpExec(uint64_t token, bool outcome,
+PbsEngine::onProbJmpExec(PbsInstance &inst, bool outcome,
                          std::optional<uint64_t> newValue2,
                          uint64_t targetPc, uint64_t execCycle,
                          uint64_t genSeq)
 {
-    const LiveInstance *found = live_.find(token);
-    if (!found)
-        throw std::logic_error("PbsEngine: unknown instance token");
-    LiveInstance inst = *found;
-    live_.erase(token);
-
     if (!inst.recording)
         return;
-
+    inst.recording = false;
     if (newValue2)
-        inst.newValue2 = newValue2;
+        onCarrierExec(inst, *newValue2);
 
     int idx = inst.btbIndex;
     if (idx >= 0) {
@@ -293,68 +192,72 @@ PbsEngine::onProbJmpExec(uint64_t token, bool outcome,
         if (!e.valid || e.branchPc != inst.branchPc)
             idx = -1;  // flushed while in flight
     }
-    if (idx < 0) {
-        idx = btb_.find(inst.branchPc, inst.ctx);
-    }
-    if (idx < 0) {
-        idx = btb_.allocate(inst.branchPc, inst.ctx);
-        if (idx < 0) {
-            // Capacity heuristic (paper Sec. V-C2): prefer evicting
-            // entries whose loop context is gone, then entries from
-            // outer loop levels, so the hot innermost branches win.
-            int victim = -1;
-            for (unsigned i = 0; i < btb_.numEntries(); i++) {
-                const auto &e = btb_.entry(i);
-                bool stale = e.ctx.loopSlot >= 0
-                    ? !ctxTable_.isLive(e.ctx.loopSlot, e.ctx.loopPc)
-                    : (cfg_.contextSupport && ctxTable_.anyLoopActive());
-                if (stale) {
-                    victim = static_cast<int>(i);
-                    break;
-                }
-            }
-            if (victim < 0 && cfg_.contextSupport) {
-                int active = ctxTable_.activeLoop();
-                if (active >= 0 && inst.ctx.loopSlot == active) {
-                    for (unsigned i = 0; i < btb_.numEntries(); i++) {
-                        if (btb_.entry(i).ctx.loopSlot != active) {
-                            victim = static_cast<int>(i);
-                            break;
-                        }
-                    }
-                }
-            }
-            if (victim < 0) {
-                stats_.fetchUnsupported++;
-                return;  // no capacity: branch stays regular
-            }
-            inFlight_.clearIndex(victim);
-            btb_.clear(victim);
-            stats_.entriesEvicted++;
-            idx = btb_.allocate(inst.branchPc, inst.ctx);
-        }
-        stats_.entriesAllocated++;
-        auto &e = btb_.entry(idx);
-        e.targetPc = targetPc;
-        if (cfg_.constValGuard && inst.pendingConstVal) {
-            e.hasConstVal = true;
-            e.constVal = *inst.pendingConstVal;
-        }
-    }
+    if (idx < 0 && (idx = publishEntry(inst, targetPc)) < 0)
+        return;  // no capacity: branch stays regular
 
     BranchRecord rec;
     rec.taken = outcome;
     rec.genSeq = genSeq;
     rec.value1 = inst.newValue1;
-    if (inst.newValue2) {
-        rec.value2 = *inst.newValue2;
-        rec.hasValue2 = true;
-    }
+    rec.value2 = inst.hasNewValue2 ? inst.newValue2 : 0;
+    rec.hasValue2 = inst.hasNewValue2;
 
     if (inFlight_.push(idx, rec, execCycle))
         stats_.recordsPushed++;
     else
         stats_.recordsDropped++;
+}
+
+int
+PbsEngine::publishEntry(const PbsInstance &inst, uint64_t targetPc)
+{
+    int idx = btb_.find(inst.branchPc, inst.ctx);
+    if (idx >= 0)
+        return idx;
+    idx = btb_.allocate(inst.branchPc, inst.ctx);
+    if (idx < 0) {
+        // Capacity heuristic (paper Sec. V-C2): prefer evicting
+        // entries whose loop context is gone, then entries from
+        // outer loop levels, so the hot innermost branches win.
+        int victim = -1;
+        for (unsigned i = 0; i < btb_.numEntries(); i++) {
+            const auto &e = btb_.entry(i);
+            bool stale = e.ctx.loopSlot >= 0
+                ? !ctxTable_.isLive(e.ctx.loopSlot, e.ctx.loopPc)
+                : (cfg_.contextSupport && ctxTable_.anyLoopActive());
+            if (stale) {
+                victim = static_cast<int>(i);
+                break;
+            }
+        }
+        if (victim < 0 && cfg_.contextSupport) {
+            int active = ctxTable_.activeLoop();
+            if (active >= 0 && inst.ctx.loopSlot == active) {
+                for (unsigned i = 0; i < btb_.numEntries(); i++) {
+                    if (btb_.entry(i).ctx.loopSlot != active) {
+                        victim = static_cast<int>(i);
+                        break;
+                    }
+                }
+            }
+        }
+        if (victim < 0) {
+            stats_.fetchUnsupported++;
+            return -1;
+        }
+        inFlight_.clearIndex(victim);
+        btb_.clear(victim);
+        stats_.entriesEvicted++;
+        idx = btb_.allocate(inst.branchPc, inst.ctx);
+    }
+    stats_.entriesAllocated++;
+    auto &e = btb_.entry(idx);
+    e.targetPc = targetPc;
+    if (cfg_.constValGuard && inst.hasPendingConstVal) {
+        e.hasConstVal = true;
+        e.constVal = inst.pendingConstVal;
+    }
+    return idx;
 }
 
 size_t

@@ -15,10 +15,16 @@
  * Instance lifecycle (one dynamic execution of a probabilistic branch):
  *  1. onProbCmpFetch  -> steered or bootstrap decision; swap values
  *                        captured from the Prob-BTB payload
- *  2. onProbJmpFetch  -> fetch direction (stored outcome when steered)
+ *  2. (PROB_JMP fetch -> the caller takes the stored outcome,
+ *                        inst.old.taken, when steered)
  *  3. onProbCmpExec   -> new value recorded; Const-Val guard
  *  4. (optional carrier PROB_JMP exec -> second value recorded)
  *  5. onProbJmpExec   -> record completed and pushed to Prob-in-Flight
+ *
+ * The caller owns each instance's state (a PbsInstance, passed to every
+ * event of the instance); cpu::Core keeps one per static probabilistic
+ * branch. The engine holds only the hardware tables, so an event is a
+ * few table reads and writes: no instance map, no allocation.
  *
  * Functional semantics of a *steered* instance: the condition register
  * receives the stored outcome, the probabilistic registers receive the
@@ -32,7 +38,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "core/context_table.hh"
@@ -51,66 +56,115 @@ enum class FallbackReason {
     ConstValViolation,  ///< branch demoted by the Const-Val guard
 };
 
-/** Per-instance state exposed to the simulator. */
+/**
+ * One dynamic instance of a probabilistic branch, from its PROB_CMP's
+ * fetch to its closing PROB_JMP's execution. The caller owns it;
+ * onProbCmpFetch (re)initializes it. @ref old is meaningful only when
+ * @ref steered.
+ */
 struct PbsInstance
 {
     bool steered = false;
     FallbackReason fallback = FallbackReason::None;
     BranchRecord old;       ///< payload captured at fetch (if steered)
-    uint64_t token = 0;
 
     /**
      * Cycles the fetch unit must stall before the steering record is
      * available (stallOnBusy policy); 0 when the record was ready.
      */
     uint64_t stallCycles = 0;
+
+    // The engine's bookkeeping between the instance's events.
+    bool recording = false;   ///< will publish a record at jmp exec
+    bool hasNewValue2 = false;
+    bool hasPendingConstVal = false;
+    int btbIndex = -1;
+    uint64_t branchPc = 0;
+    ContextKey ctx;
+    uint64_t newValue1 = 0;
+    uint64_t newValue2 = 0;
+    uint64_t pendingConstVal = 0;  ///< operand seen before allocation
 };
 
 /** The PBS hardware engine. */
 class PbsEngine
 {
   public:
+    /**
+     * @throws std::invalid_argument naming the field if @p cfg has a
+     *         zero numBranches, valuesPerBranch, inFlightLimit or
+     *         contextEntries, or a table past its PbsConfig::kMax*
+     *         capacity.
+     */
     explicit PbsEngine(const PbsConfig &cfg = {});
 
     /** Master switch; when disabled every fetch falls back. */
-    void setEnabled(bool on) { enabled_ = on; }
+    void
+    setEnabled(bool on)
+    {
+        enabled_ = on;
+        tracking_ = on && cfg_.contextSupport;
+    }
     bool enabled() const { return enabled_; }
 
     // --- context tracking (call at fetch, for every such event) ---
-    void noteBranch(uint64_t pc, uint64_t target, bool taken);
-    void noteCall(uint64_t pc);
-    void noteReturn();
+    [[gnu::always_inline]] void
+    noteBranch(uint64_t pc, uint64_t target, bool taken)
+    {
+        if (tracking_) {
+            ctxTable_.noteBranch(pc, target, taken,
+                                 [this](int slot, uint64_t loopPc) {
+                                     onContextClear(slot, loopPc);
+                                 });
+        }
+    }
+
+    void
+    noteCall(uint64_t pc)
+    {
+        if (tracking_)
+            ctxTable_.noteCall(pc);
+    }
+
+    void
+    noteReturn()
+    {
+        if (tracking_)
+            ctxTable_.noteReturn();
+    }
 
     // --- instance lifecycle ---
 
     /**
-     * Fetch of a PROB_CMP opening an instance of the branch whose
-     * closing PROB_JMP is at @p branchPc.
+     * Fetch of a PROB_CMP opening instance @p inst of the branch whose
+     * closing PROB_JMP is at @p branchPc: decides steering, and takes
+     * the payload a steered instance consumes into inst.old.
      * @param cycle current fetch cycle
-     * @return instance token and steering decision
      */
-    PbsInstance onProbCmpFetch(uint64_t branchPc, uint64_t cycle);
-
-    /** @return the instance state for @p token. */
-    const PbsInstance &instance(uint64_t token) const;
+    void onProbCmpFetch(PbsInstance &inst, uint64_t branchPc,
+                        uint64_t cycle);
 
     /**
      * Execution of the instance's PROB_CMP.
      * @param newValue1 newly generated probabilistic value (raw bits)
      * @param cmpOperand the comparison operand (Const-Val guard)
-     * @param execCycle completion cycle of the compare
      * @return true if the instance is still PBS-managed (false after a
      *         Const-Val flush: the caller must treat it as regular)
      */
-    bool onProbCmpExec(uint64_t token, uint64_t newValue1,
-                       uint64_t cmpOperand, uint64_t execCycle);
+    bool onProbCmpExec(PbsInstance &inst, uint64_t newValue1,
+                       uint64_t cmpOperand);
 
     /** Execution of a carrier PROB_JMP (second value). */
-    void onCarrierExec(uint64_t token, uint64_t newValue2);
+    void
+    onCarrierExec(PbsInstance &inst, uint64_t newValue2)
+    {
+        inst.newValue2 = newValue2;
+        inst.hasNewValue2 = true;
+    }
 
     /**
      * Execution of the closing PROB_JMP: completes and publishes the
-     * instance's record.
+     * instance's record (at most once per instance).
      * @param outcome the branch direction computed from the new values
      * @param newValue2 second value if the closing jump carries one
      * @param targetPc branch target (stored in the Prob-BTB)
@@ -118,7 +172,7 @@ class PbsEngine
      * @param genSeq dynamic instance index (trace support, see
      *        BranchRecord::genSeq)
      */
-    void onProbJmpExec(uint64_t token, bool outcome,
+    void onProbJmpExec(PbsInstance &inst, bool outcome,
                        std::optional<uint64_t> newValue2,
                        uint64_t targetPc, uint64_t execCycle,
                        uint64_t genSeq = 0);
@@ -136,75 +190,40 @@ class PbsEngine
     const ContextTable &contextTable() const { return ctxTable_; }
 
   private:
-    struct LiveInstance
-    {
-        PbsInstance pub;
-        uint64_t branchPc = 0;
-        ContextKey ctx;
-        int btbIndex = -1;
-        bool recording = false;   ///< will publish a record at jmp exec
-        uint64_t newValue1 = 0;
-        std::optional<uint64_t> newValue2;
-        std::optional<uint64_t> pendingConstVal;
-        uint64_t cmpExecCycle = 0;
-    };
+    /** Steer @p inst from entry @p idx's payload or queued records,
+     *  refilling the payload; @return false if nothing is available. */
+    bool steer(PbsInstance &inst, int idx, uint64_t cycle);
 
-    /**
-     * Fixed-footprint token -> LiveInstance map. Instances live only
-     * from PROB_CMP fetch to PROB_JMP execute, so occupancy is tiny
-     * (bounded by the group-window depth); open addressing with linear
-     * probing keeps the steady-state hot path allocation-free. The
-     * table only reallocates if occupancy ever crosses half capacity,
-     * which validated programs cannot reach.
-     */
-    class LiveTable
-    {
-      public:
-        LiveTable();
-
-        /** @return the instance for @p token, or nullptr. */
-        LiveInstance *find(uint64_t token);
-        const LiveInstance *find(uint64_t token) const;
-
-        /** Insert @p inst under @p token (token must be unused). */
-        void insert(uint64_t token, const LiveInstance &inst);
-
-        /** Remove @p token (backward-shift deletion). */
-        void erase(uint64_t token);
-
-      private:
-        struct Slot
-        {
-            uint64_t token = 0;  ///< 0 = empty (tokens start at 1)
-            LiveInstance inst;
-        };
-
-        void grow();
-
-        std::vector<Slot> slots_;
-        size_t mask_ = 0;
-        size_t count_ = 0;
-    };
+    /** Find or allocate the entry @p inst publishes into (the capacity
+     *  heuristic may evict one); @return -1 when none can be had. */
+    int publishEntry(const PbsInstance &inst, uint64_t targetPc);
 
     void onContextClear(int loopSlot, uint64_t loopPc);
 
+    /** Whether the Const-Val guard demoted the branch at @p pc. */
+    bool
+    constValDisabled(uint64_t pc) const
+    {
+        return pc < constValDisabled_.size() && constValDisabled_[pc];
+    }
+
     PbsConfig cfg_;
     bool enabled_ = true;
+    bool tracking_;  ///< enabled_ && cfg_.contextSupport
     ProbBtb btb_;
     SwapTable swapTable_;
     ProbInFlight inFlight_;
     ContextTable ctxTable_;
     PbsStats stats_;
-    LiveTable live_;
-    uint64_t nextToken_ = 1;
 
     /**
      * Branches demoted to regular by the Const-Val guard (their
-     * comparison value changed within a context). Modeled as a sticky
-     * per-branch disable bit (paper Sec. V-C1: "the branch is treated
-     * as a regular branch").
+     * comparison value changed within a context), one flag per branch
+     * PC (an instruction index), grown on the first demotion. Modeled
+     * as a sticky per-branch disable bit (paper Sec. V-C1: "the branch
+     * is treated as a regular branch").
      */
-    std::unordered_set<uint64_t> constValDisabled_;
+    std::vector<bool> constValDisabled_;
 };
 
 }  // namespace pbs::core

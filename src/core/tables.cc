@@ -3,25 +3,14 @@
 namespace pbs::core {
 
 ProbBtb::ProbBtb(const PbsConfig &cfg)
-    : cfg_(cfg), entries_(cfg.numBranches)
+    : cfg_(cfg), numEntries_(cfg.numBranches)
 {
-}
-
-int
-ProbBtb::find(uint64_t branchPc, const ContextKey &ctx) const
-{
-    for (size_t i = 0; i < entries_.size(); i++) {
-        const Entry &e = entries_[i];
-        if (e.valid && e.branchPc == branchPc && e.ctx == ctx)
-            return static_cast<int>(i);
-    }
-    return -1;
 }
 
 int
 ProbBtb::allocate(uint64_t branchPc, const ContextKey &ctx)
 {
-    for (size_t i = 0; i < entries_.size(); i++) {
+    for (unsigned i = 0; i < numEntries_; i++) {
         if (!entries_[i].valid) {
             entries_[i] = Entry{};
             entries_[i].valid = true;
@@ -37,7 +26,8 @@ unsigned
 ProbBtb::clearContext(int loopSlot, uint64_t loopPc)
 {
     unsigned cleared = 0;
-    for (auto &e : entries_) {
+    for (unsigned i = 0; i < numEntries_; i++) {
+        Entry &e = entries_[i];
         if (e.valid && e.ctx.loopSlot == loopSlot &&
             e.ctx.loopPc == loopPc) {
             e = Entry{};
@@ -74,77 +64,24 @@ SwapTable::storageBits() const
 }
 
 ProbInFlight::ProbInFlight(const PbsConfig &cfg)
-    : cfg_(cfg), slots_(cfg.inFlightLimit)
+    : cfg_(cfg),
+      free_((1u << cfg.inFlightLimit) - 1)
 {
-}
-
-bool
-ProbInFlight::push(int btbIndex, const BranchRecord &rec,
-                   uint64_t readyCycle)
-{
-    for (auto &slot : slots_) {
-        if (!slot.valid) {
-            slot.valid = true;
-            slot.btbIndex = btbIndex;
-            slot.rec = rec;
-            slot.readyCycle = readyCycle;
-            slot.seq = ++seqClock_;
-            return true;
-        }
-    }
-    return false;
-}
-
-std::optional<BranchRecord>
-ProbInFlight::pull(int btbIndex, uint64_t nowCycle)
-{
-    Slot *best = nullptr;
-    for (auto &slot : slots_) {
-        if (slot.valid && slot.btbIndex == btbIndex &&
-            slot.readyCycle <= nowCycle &&
-            (!best || slot.seq < best->seq)) {
-            best = &slot;
-        }
-    }
-    if (!best)
-        return std::nullopt;
-    BranchRecord rec = best->rec;
-    best->valid = false;
-    return rec;
-}
-
-std::optional<uint64_t>
-ProbInFlight::earliestReady(int btbIndex) const
-{
-    const Slot *best = nullptr;
-    for (const auto &slot : slots_) {
-        if (slot.valid && slot.btbIndex == btbIndex &&
-            (!best || slot.seq < best->seq)) {
-            best = &slot;
-        }
-    }
-    if (!best)
-        return std::nullopt;
-    return best->readyCycle;
 }
 
 void
 ProbInFlight::clearIndex(int btbIndex)
 {
-    for (auto &slot : slots_) {
-        if (slot.valid && slot.btbIndex == btbIndex)
-            slot.valid = false;
-    }
+    Queue &q = queues_[btbIndex];
+    for (unsigned pos = 0; pos < q.size; pos++)
+        free_ |= 1u << q.slot[pos];
+    q.size = 0;
 }
 
 unsigned
 ProbInFlight::occupancy() const
 {
-    unsigned n = 0;
-    for (const auto &slot : slots_)
-        if (slot.valid)
-            n++;
-    return n;
+    return cfg_.inFlightLimit - unsigned(std::popcount(free_));
 }
 
 size_t

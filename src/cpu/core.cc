@@ -317,9 +317,6 @@ struct Core::Hooks
     const unsigned mispredictPenalty;
     const unsigned l1iHit;
 
-    /** The PBS steering decision of a PROB_CMP, taken at fetch. */
-    core::PbsInstance probFetch;
-
     [[no_unique_address]]
     std::conditional_t<kTiming, NoRecorder, DirectionRecorder> recorder;
 
@@ -453,9 +450,10 @@ struct Core::Hooks
         // before the timing pass so a stallOnBusy delay is charged to
         // this instruction's fetch cycle.
         if (kPbs && op.op == Opcode::PROB_CMP) {
-            probFetch = c.pbs_.onProbCmpFetch(op.probJmpPc, f);
-            if (kTiming && probFetch.stallCycles > 0) {
-                f += probFetch.stallCycles;
+            core::PbsInstance &inst = c.probGroups_[op.probId].inst;
+            c.pbs_.onProbCmpFetch(inst, op.probJmpPc, f);
+            if (kTiming && inst.stallCycles > 0) {
+                f += inst.stallCycles;
                 if (sb.fetchCycle < f) {
                     sb.fetchCycle = f;
                     sb.fetchedInCycle = 1;
@@ -486,20 +484,16 @@ struct Core::Hooks
     {
         // Only the PBS hooks read the group state back.
         if constexpr (kPbs) {
+            // onIssue opened the instance at fetch.
             ProbGroup &grp = c.probGroups_[op.probId];
-            grp = ProbGroup{};
             grp.open = true;
             grp.condNew = cond;
-            grp.token = probFetch.token;
-            grp.steered = probFetch.steered;
-            grp.old = probFetch.old;
-            grp.managed = c.pbs_.onProbCmpExec(probFetch.token, vNew,
-                                               operand, done);
-            if (grp.steered) {
+            c.pbs_.onProbCmpExec(grp.inst, vNew, operand);
+            if (grp.inst.steered) {
                 // The value swap: condition and probabilistic value
                 // come from the recorded previous execution.
-                c.writeReg(op.rd, grp.old.taken ? 1 : 0);
-                c.writeReg(op.rs1, grp.old.value1);
+                c.writeReg(op.rd, grp.inst.old.taken ? 1 : 0);
+                c.writeReg(op.rs1, grp.inst.old.value1);
                 // Guarded so regReady[REG_ZERO] stays 0 (the
                 // dependence maxes rely on that invariant); a zero prob
                 // register was never read back anyway.
@@ -554,12 +548,12 @@ struct Core::Hooks
     {
         // Value carrier: participates in the swap, never branches.
         if constexpr (kPbs) {
-            const ProbGroup &grp = c.probGroups_[op.probId];
+            ProbGroup &grp = c.probGroups_[op.probId];
             if (!grp.open)
                 return;
-            c.pbs_.onCarrierExec(grp.token, c.regs_[op.rd]);
-            if (grp.steered && grp.old.hasValue2)
-                c.writeReg(op.rd, grp.old.value2);
+            c.pbs_.onCarrierExec(grp.inst, c.regs_[op.rd]);
+            if (grp.inst.steered && grp.inst.old.hasValue2)
+                c.writeReg(op.rd, grp.inst.old.value2);
         }
     }
 
@@ -579,15 +573,16 @@ struct Core::Hooks
                 std::optional<uint64_t> v2;
                 if (op.rd != isa::REG_ZERO)
                     v2 = c.regs_[op.rd];
-                c.pbs_.onProbJmpExec(grp.token, grp.condNew, v2,
-                                     op.target, done, selfSeq);
-                if (grp.steered) {
+                c.pbs_.onProbJmpExec(grp.inst, grp.condNew, v2, op.target,
+                                     done, selfSeq);
+                const core::PbsInstance &inst = grp.inst;
+                if (inst.steered) {
                     steered = true;
                     predict = false;
-                    taken = grp.old.taken;
-                    consumedSeq = grp.old.genSeq;
-                    if (op.rd != isa::REG_ZERO && grp.old.hasValue2)
-                        c.writeReg(op.rd, grp.old.value2);
+                    taken = inst.old.taken;
+                    consumedSeq = inst.old.genSeq;
+                    if (op.rd != isa::REG_ZERO && inst.old.hasValue2)
+                        c.writeReg(op.rd, inst.old.value2);
                     c.stats_.steeredBranches++;
                     // Direction known at fetch: no prediction, no
                     // penalty.
@@ -743,25 +738,149 @@ Core::replay(const DirectionStream &stream)
     });
 }
 
+namespace {
+
+/** What the replay walk does at a node of the control-op graph. */
+enum class WalkKind : uint8_t
+{
+    Cond,    ///< JZ / JNZ: a direction bit, predicted
+    Cfd,     ///< CFD_JNZ: a direction bit, never predicted
+    Prob,    ///< branching PROB_JMP: a steered bit (PBS on), a direction
+    Call,    ///< CALL: edge 1 enters the callee; RET follows edge 0
+    Ret,     ///< RET: edge 0 of the innermost open CALL
+    Jmp,     ///< a JMP at the end of a chain too long to fold
+    Halt,
+    RunOff,  ///< the path runs off the end of the image
+};
+
+/**
+ * One node of the replay walk's control-op graph: a control op that
+ * reads a direction bit or the return stack. Edge d leads to node
+ * next[d] and retires insts[d] instructions, from the op after this
+ * one through the next node's op. The edges that reach a JMP follow it
+ * to its target (up to 16 JMPs in a row), so the walk steps on a JMP
+ * node only at the end of a longer chain.
+ */
+struct WalkNode
+{
+    uint32_t next[2];   ///< [0] fall-through (a call's return), [1] target
+                        ///< (a JMP has only edge 1)
+    uint64_t insts[2];
+    uint32_t pc;        ///< the op's PC (RunOff: where the path starts)
+    WalkKind kind;
+};
+
+/** The control-op graph of @p image: one node per control op that
+ *  redirects (a carrier PROB_JMP never does), in PC order, then a
+ *  RunOff node for each edge that runs off the image. */
+struct WalkGraph
+{
+    std::vector<WalkNode> nodes;
+    uint32_t entry = 0;        ///< the node the walk starts at
+    uint64_t entryInsts = 0;   ///< instructions up to and including it
+
+    WalkGraph(const isa::DecodedImage &image, uint64_t entryPc)
+    {
+        const DecodedOp *const ops = image.ops().data();
+        const uint64_t size = image.size();
+        // nextControl[pc]: the first control op at or after pc; size
+        // when none follows. nodeOf maps a control op to its node.
+        std::vector<uint32_t> nextControl(size + 1), nodeOf(size);
+        nextControl[size] = uint32_t(size);
+        for (uint64_t pc = size; pc-- > 0;) {
+            const bool control =
+                ops[pc].isControl() && !ops[pc].isCarrierProbJmp();
+            nextControl[pc] = control ? uint32_t(pc) : nextControl[pc + 1];
+        }
+        for (uint64_t pc = 0; pc < size; pc++) {
+            if (nextControl[pc] != pc)
+                continue;
+            nodeOf[pc] = uint32_t(nodes.size());
+            nodes.push_back({{0, 0}, {0, 0}, uint32_t(pc), kindOf(ops[pc])});
+        }
+
+        // The edge that enters the path at `pc`, following JMPs.
+        constexpr unsigned kMaxFold = 16;
+        auto edge = [&](uint64_t pc, uint32_t &next, uint64_t &insts) {
+            insts = 0;
+            for (unsigned hops = 0;; hops++) {
+                const uint64_t at = nextControl[pc];
+                if (at == size) {
+                    next = uint32_t(nodes.size());
+                    nodes.push_back({{0, 0}, {0, 0}, uint32_t(pc),
+                                     WalkKind::RunOff});
+                    return;
+                }
+                insts += at - pc + 1;
+                if (ops[at].op != Opcode::JMP || hops == kMaxFold) {
+                    next = nodeOf[at];
+                    return;
+                }
+                pc = ops[at].target;
+            }
+        };
+        const size_t controlNodes = nodes.size();
+        for (size_t i = 0; i < controlNodes; i++) {
+            const uint64_t pc = nodes[i].pc;
+            const uint64_t target = ops[pc].target;
+            WalkNode n = nodes[i];
+            switch (n.kind) {
+              case WalkKind::Ret:
+              case WalkKind::Halt:
+              case WalkKind::RunOff:
+                break;
+              case WalkKind::Jmp:
+                edge(target, n.next[1], n.insts[1]);
+                break;
+              default:
+                edge(pc + 1, n.next[0], n.insts[0]);
+                edge(target, n.next[1], n.insts[1]);
+            }
+            nodes[i] = n;
+        }
+        // pc <= size: branch targets are checked at predecode, and a
+        // return goes to the op after its call.
+        edge(entryPc, entry, entryInsts);
+    }
+
+    static WalkKind
+    kindOf(const DecodedOp &op)
+    {
+        switch (op.op) {
+          case Opcode::JZ:
+          case Opcode::JNZ:
+            return WalkKind::Cond;
+          case Opcode::CFD_JNZ:
+            return WalkKind::Cfd;
+          case Opcode::PROB_JMP:
+            return WalkKind::Prob;
+          case Opcode::CALL:
+            return WalkKind::Call;
+          case Opcode::RET:
+            return WalkKind::Ret;
+          case Opcode::JMP:
+            return WalkKind::Jmp;
+          case Opcode::HALT:
+            return WalkKind::Halt;
+          default:
+            throw std::logic_error("replay: unknown control op");
+        }
+    }
+};
+
+}  // namespace
+
 template <bool kFilter, class Pred>
 void
 Core::replayWalk(const DirectionStream &stream, Pred &pred)
 {
     // The walk follows the recorded path from one control op to the
-    // next: the instructions in between are counted, not executed.
+    // next on the image's control-op graph: the instructions in
+    // between are counted, not executed, and each step loads one node
+    // and takes the edge the recorded direction picks.
     const bool pbsOn = cfg_.pbsEnabled;
-    const DecodedOp *const ops = image_.ops().data();
-    const uint64_t size = image_.size();
-
-    // nextControl[pc]: the first op at or after pc that can redirect
-    // (a carrier PROB_JMP never does); size when none follows.
-    std::vector<uint32_t> nextControl(size + 1);
-    nextControl[size] = uint32_t(size);
-    for (uint64_t pc = size; pc-- > 0;) {
-        const bool control =
-            ops[pc].isControl() && !ops[pc].isCarrierProbJmp();
-        nextControl[pc] = control ? uint32_t(pc) : nextControl[pc + 1];
-    }
+    const WalkGraph graph(image_, pc_);
+    const WalkNode *const nodes = graph.nodes.data();
 
     const uint64_t *const words = stream.words();
     const uint64_t nbits = stream.size();
@@ -791,81 +910,74 @@ Core::replayWalk(const DirectionStream &stream, Pred &pred)
         (isProb ? probMisses : regularMisses) += predicted != taken;
     };
 
-    std::vector<uint64_t> returns;
-    uint64_t insts = 0;
-    uint64_t pc = pc_;
+    std::vector<uint32_t> calls;  ///< the CALL nodes of open calls
+    uint32_t node = graph.entry;
+    uint64_t insts = graph.entryInsts;
     for (;;) {
-        // pc <= size: branch targets are checked at predecode, and a
-        // return goes to the op after its call.
-        const uint64_t at = nextControl[pc];
-        if (at == size)
-            throwStreamMismatch("path runs off the image", pc);
-        const DecodedOp &op = ops[at];
-        insts += at - pc + 1;
-        pc = at + 1;
-        switch (op.op) {
-          case Opcode::JMP:
-            pc = op.target;
-            break;
-          case Opcode::CALL:
-            returns.push_back(at + 1);
-            pc = op.target;
-            break;
-          case Opcode::RET:
-            if (returns.empty())
-                throwStreamMismatch("RET without a CALL", at);
-            pc = returns.back();
-            returns.pop_back();
-            break;
-          case Opcode::JZ:
-          case Opcode::JNZ: {
-            const bool taken = nextBit(at);
+        const WalkNode &n = nodes[node];
+        unsigned edge;
+        // Branches first, as host branches the host predicts well
+        // where a switch's indirect jump would not be.
+        if (n.kind == WalkKind::Cond) [[likely]] {
+            edge = nextBit(n.pc);
             branches++;
-            resolve(at, taken, false);
-            if (taken)
-                pc = op.target;
-            break;
-          }
-          case Opcode::CFD_JNZ:
-            branches++;
-            if (nextBit(at))
-                pc = op.target;
-            break;
-          case Opcode::PROB_JMP: {
+            resolve(n.pc, edge, false);
+        } else if (n.kind == WalkKind::Prob) {
             branches++;
             probBranches++;
             // With PBS on, a steered bit comes first; a steered
             // branch is never predicted (as in the hooks' onProbJmp).
-            const bool isSteered = pbsOn && nextBit(at);
-            const bool taken = nextBit(at);
+            const bool isSteered = pbsOn && nextBit(n.pc);
+            edge = nextBit(n.pc);
             if (isSteered)
                 steered++;
             else
-                resolve(at, taken, true);
-            if (taken)
-                pc = op.target;
-            break;
-          }
-          case Opcode::HALT:
-            if (bit != nbits)
-                throwStreamMismatch("bits left at HALT", at);
-            if (cfg_.maxInstructions && insts > cfg_.maxInstructions)
-                throwStreamMismatch("path longer than maxInstructions",
-                                    at);
-            stats_.instructions = insts;
-            stats_.cycles = insts;  // off-timing, a cycle is an instruction
-            stats_.branches = branches;
-            stats_.probBranches = probBranches;
-            stats_.steeredBranches = steered;
-            stats_.mispredicts = regularMisses + probMisses;
-            stats_.regularMispredicts = regularMisses;
-            stats_.probMispredicts = probMisses;
-            pc_ = pc;
-            halted_ = true;
-            return;
-          default:
-            throwStreamMismatch("not a control op", at);
+                resolve(n.pc, edge, true);
+        } else {
+            switch (n.kind) {
+              case WalkKind::Cfd:
+                edge = nextBit(n.pc);
+                branches++;
+                break;
+              case WalkKind::Call:
+                calls.push_back(node);
+                edge = 1;
+                break;
+              case WalkKind::Ret: {
+                if (calls.empty())
+                    throwStreamMismatch("RET without a CALL", n.pc);
+                // Leave along the open call's return edge.
+                const WalkNode &call = nodes[calls.back()];
+                calls.pop_back();
+                insts += call.insts[0];
+                node = call.next[0];
+                continue;
+              }
+              case WalkKind::Halt:
+                if (bit != nbits)
+                    throwStreamMismatch("bits left at HALT", n.pc);
+                if (cfg_.maxInstructions && insts > cfg_.maxInstructions)
+                    throwStreamMismatch("path longer than maxInstructions",
+                                        n.pc);
+                stats_.instructions = insts;
+                stats_.cycles = insts;  // off-timing, a cycle is an inst
+                stats_.branches = branches;
+                stats_.probBranches = probBranches;
+                stats_.steeredBranches = steered;
+                stats_.mispredicts = regularMisses + probMisses;
+                stats_.regularMispredicts = regularMisses;
+                stats_.probMispredicts = probMisses;
+                pc_ = n.pc + 1;
+                halted_ = true;
+                return;
+              case WalkKind::RunOff:
+                throwStreamMismatch("path runs off the image", n.pc);
+              default:  // Jmp: edge 1 leads to its target
+                edge = 1;
+            }
         }
+        insts += n.insts[edge];
+        node = n.next[edge];
     }
 }
 

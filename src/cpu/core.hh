@@ -302,13 +302,13 @@ class Core
     // PBS state.
     core::PbsEngine pbs_;
 
+    /** The open instance of one static probabilistic branch: the
+     *  engine's per-instance state lives here, from the PROB_CMP's
+     *  fetch to the closing PROB_JMP. */
     struct ProbGroup
     {
-        uint64_t token = 0;
-        bool steered = false;
-        bool managed = false;   ///< still PBS-managed after exec checks
+        core::PbsInstance inst;
         bool condNew = false;   ///< comparison on the new values
-        core::BranchRecord old;
         bool open = false;
     };
 

@@ -30,21 +30,6 @@ writeEntry(util::JsonWriter &w, const ExpPoint &pt, const Measurement &m)
     w.endObject();
 }
 
-/** The `pbs` spec-axis value a point was expanded from. */
-const char *
-pbsSetting(const ExpPoint &pt)
-{
-    if (!pt.pbs)
-        return "off";
-    if (!pt.stallOnBusy)
-        return "no-stall";
-    if (!pt.contextSupport)
-        return "no-context";
-    if (!pt.constValGuard)
-        return "no-guard";
-    return "on";
-}
-
 /** The title line of one configuration's table in sweepTable(). */
 std::string
 configTitle(const ExpPoint &pt)

@@ -8,6 +8,20 @@
 
 namespace pbs::exp {
 
+const char *
+pbsSetting(const ExpPoint &pt)
+{
+    if (!pt.pbs)
+        return "off";
+    if (!pt.stallOnBusy)
+        return "no-stall";
+    if (!pt.contextSupport)
+        return "no-context";
+    if (!pt.constValGuard)
+        return "no-guard";
+    return "on";
+}
+
 std::string
 modeName(const ExpPoint &pt)
 {

@@ -90,6 +90,10 @@ struct ExpPoint
  */
 std::string modeName(const ExpPoint &pt);
 
+/** The `pbs` spec-axis value a point was expanded from: off, on,
+ *  no-stall, no-context or no-guard. */
+const char *pbsSetting(const ExpPoint &pt);
+
 /** Resolve a workload's effective scale at a divisor. */
 uint64_t resolvedScale(const workloads::BenchmarkDesc &b,
                        unsigned divisor);

@@ -51,10 +51,10 @@ TEST(ContextTableTest, NotTakenBackwardBranchAtExtentTerminates)
 {
     auto t = makeTable();
     unsigned cleared = 0;
-    t.setClearHook([&](int, uint64_t) { cleared++; });
-    t.noteBranch(100, 50, true);
-    t.noteBranch(100, 50, true);
-    t.noteBranch(100, 50, false);  // loop exit
+    auto count = [&](int, uint64_t) { cleared++; };
+    t.noteBranch(100, 50, true, count);
+    t.noteBranch(100, 50, true, count);
+    t.noteBranch(100, 50, false, count);  // loop exit
     EXPECT_EQ(cleared, 1u);
     bool ok = false;
     EXPECT_EQ(t.currentContext(ok).loopSlot, -1);
@@ -64,10 +64,10 @@ TEST(ContextTableTest, InnerNotTakenBackwardBranchDoesNotTerminate)
 {
     auto t = makeTable();
     unsigned cleared = 0;
-    t.setClearHook([&](int, uint64_t) { cleared++; });
+    auto count = [&](int, uint64_t) { cleared++; };
     // continue-style backward branch at 80, loop-closing branch at 100.
-    t.noteBranch(100, 50, true);   // establishes Last-PC = 100
-    t.noteBranch(80, 50, false);   // inner not-taken: loop is still live
+    t.noteBranch(100, 50, true, count);   // establishes Last-PC = 100
+    t.noteBranch(80, 50, false, count);   // inner not-taken: loop is still live
     EXPECT_EQ(cleared, 0u);
     bool ok = false;
     EXPECT_EQ(t.currentContext(ok).loopPc, 50u);
@@ -92,10 +92,10 @@ TEST(ContextTableTest, OuterTerminationClearsInnerToo)
 {
     auto t = makeTable();
     unsigned cleared = 0;
-    t.setClearHook([&](int, uint64_t) { cleared++; });
-    t.noteBranch(200, 10, true);   // outer
-    t.noteBranch(100, 50, true);   // inner (allocated after)
-    t.noteBranch(200, 10, false);  // outer exits first
+    auto count = [&](int, uint64_t) { cleared++; };
+    t.noteBranch(200, 10, true, count);   // outer
+    t.noteBranch(100, 50, true, count);   // inner (allocated after)
+    t.noteBranch(200, 10, false, count);  // outer exits first
     EXPECT_EQ(cleared, 2u);        // both erased (paper Sec. V-C1)
 }
 
@@ -103,10 +103,10 @@ TEST(ContextTableTest, ThirdLoopEvictsOldest)
 {
     auto t = makeTable();
     unsigned cleared = 0;
-    t.setClearHook([&](int, uint64_t) { cleared++; });
-    t.noteBranch(100, 10, true);
-    t.noteBranch(200, 20, true);
-    t.noteBranch(300, 30, true);   // evicts loop@10
+    auto count = [&](int, uint64_t) { cleared++; };
+    t.noteBranch(100, 10, true, count);
+    t.noteBranch(200, 20, true, count);
+    t.noteBranch(300, 30, true, count);   // evicts loop@10
     EXPECT_EQ(cleared, 1u);
     bool ok = false;
     EXPECT_EQ(t.currentContext(ok).loopPc, 30u);

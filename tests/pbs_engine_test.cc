@@ -5,6 +5,9 @@
  * limits, and the paper's 193-byte storage arithmetic.
  */
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/pbs_engine.hh"
@@ -13,16 +16,25 @@ namespace {
 
 using namespace pbs::core;
 
+/** Open an instance at fetch. */
+PbsInstance
+fetch(PbsEngine &engine, uint64_t pc, uint64_t fetchCycle)
+{
+    PbsInstance inst;
+    engine.onProbCmpFetch(inst, pc, fetchCycle);
+    return inst;
+}
+
 /** Drive one full instance through the engine. */
 PbsInstance
 runInstance(PbsEngine &engine, uint64_t pc, uint64_t fetchCycle,
             uint64_t execCycle, uint64_t v1, uint64_t operand,
             bool outcome, uint64_t genSeq = 0)
 {
-    PbsInstance inst = engine.onProbCmpFetch(pc, fetchCycle);
-    engine.onProbCmpExec(inst.token, v1, operand, execCycle);
-    engine.onProbJmpExec(inst.token, outcome, std::nullopt, pc + 1,
-                         execCycle, genSeq);
+    PbsInstance inst = fetch(engine, pc, fetchCycle);
+    engine.onProbCmpExec(inst, v1, operand);
+    engine.onProbJmpExec(inst, outcome, std::nullopt, pc + 1, execCycle,
+                         genSeq);
     return inst;
 }
 
@@ -49,7 +61,7 @@ TEST(PbsStorage, ScalesWithConfig)
 TEST(PbsEngineTest, FirstFetchIsBootstrap)
 {
     PbsEngine engine;
-    PbsInstance inst = engine.onProbCmpFetch(0x100, 0);
+    PbsInstance inst = fetch(engine, 0x100, 0);
     EXPECT_FALSE(inst.steered);
     EXPECT_EQ(inst.fallback, FallbackReason::Bootstrap);
     EXPECT_EQ(engine.stats().fetchBootstrap, 1u);
@@ -65,22 +77,22 @@ TEST(PbsEngineTest, SteersAfterFirstExecution)
                 /*v1*/ 111, /*op*/ 7, /*taken*/ true);
 
     // Fetch before the record's exec cycle: still bootstrap.
-    PbsInstance early = engine.onProbCmpFetch(0x100, 20);
+    PbsInstance early = fetch(engine, 0x100, 20);
     EXPECT_FALSE(early.steered);
-    engine.onProbCmpExec(early.token, 222, 7, 70);
-    engine.onProbJmpExec(early.token, false, std::nullopt, 0x101, 70, 1);
+    engine.onProbCmpExec(early, 222, 7);
+    engine.onProbJmpExec(early, false, std::nullopt, 0x101, 70, 1);
 
     // Fetch after both records are visible: steered with the first
     // instance's outcome and value.
-    PbsInstance late = engine.onProbCmpFetch(0x100, 100);
+    PbsInstance late = fetch(engine, 0x100, 100);
     EXPECT_TRUE(late.steered);
     EXPECT_TRUE(late.old.taken);
     EXPECT_EQ(late.old.value1, 111u);
-    engine.onProbCmpExec(late.token, 333, 7, 150);
-    engine.onProbJmpExec(late.token, true, std::nullopt, 0x101, 150, 2);
+    engine.onProbCmpExec(late, 333, 7);
+    engine.onProbJmpExec(late, true, std::nullopt, 0x101, 150, 2);
 
     // Next steered fetch consumes the second record, in order.
-    PbsInstance next = engine.onProbCmpFetch(0x100, 200);
+    PbsInstance next = fetch(engine, 0x100, 200);
     EXPECT_TRUE(next.steered);
     EXPECT_FALSE(next.old.taken);
     EXPECT_EQ(next.old.value1, 222u);
@@ -90,11 +102,11 @@ TEST(PbsEngineTest, SteersAfterFirstExecution)
 TEST(PbsEngineTest, SecondValueTravelsThroughSwap)
 {
     PbsEngine engine;
-    PbsInstance a = engine.onProbCmpFetch(0x200, 0);
-    engine.onProbCmpExec(a.token, 10, 3, 40);
-    engine.onProbJmpExec(a.token, true, 99u, 0x201, 40, 0);
+    PbsInstance a = fetch(engine, 0x200, 0);
+    engine.onProbCmpExec(a, 10, 3);
+    engine.onProbJmpExec(a, true, 99u, 0x201, 40, 0);
 
-    PbsInstance b = engine.onProbCmpFetch(0x200, 100);
+    PbsInstance b = fetch(engine, 0x200, 100);
     ASSERT_TRUE(b.steered);
     EXPECT_TRUE(b.old.hasValue2);
     EXPECT_EQ(b.old.value2, 99u);
@@ -103,12 +115,12 @@ TEST(PbsEngineTest, SecondValueTravelsThroughSwap)
 TEST(PbsEngineTest, CarrierValueRecorded)
 {
     PbsEngine engine;
-    PbsInstance a = engine.onProbCmpFetch(0x200, 0);
-    engine.onProbCmpExec(a.token, 10, 3, 40);
-    engine.onCarrierExec(a.token, 77);
-    engine.onProbJmpExec(a.token, true, std::nullopt, 0x201, 40, 0);
+    PbsInstance a = fetch(engine, 0x200, 0);
+    engine.onProbCmpExec(a, 10, 3);
+    engine.onCarrierExec(a, 77);
+    engine.onProbJmpExec(a, true, std::nullopt, 0x201, 40, 0);
 
-    PbsInstance b = engine.onProbCmpFetch(0x200, 100);
+    PbsInstance b = fetch(engine, 0x200, 100);
     ASSERT_TRUE(b.steered);
     EXPECT_TRUE(b.old.hasValue2);
     EXPECT_EQ(b.old.value2, 77u);
@@ -120,31 +132,31 @@ TEST(PbsEngineTest, ConstValMismatchFlushes)
     runInstance(engine, 0x300, 0, 10, 1, /*operand*/ 42, true);
 
     // Same operand: fine, becomes steered.
-    PbsInstance b = engine.onProbCmpFetch(0x300, 50);
+    PbsInstance b = fetch(engine, 0x300, 50);
     EXPECT_TRUE(b.steered);
-    EXPECT_TRUE(engine.onProbCmpExec(b.token, 2, 42, 60));
-    engine.onProbJmpExec(b.token, true, std::nullopt, 0x301, 60, 1);
+    EXPECT_TRUE(engine.onProbCmpExec(b, 2, 42));
+    engine.onProbJmpExec(b, true, std::nullopt, 0x301, 60, 1);
 
     // Changed operand: Const-Val guard flushes the branch state.
-    PbsInstance c = engine.onProbCmpFetch(0x300, 100);
-    EXPECT_FALSE(engine.onProbCmpExec(c.token, 3, 43, 110));
-    engine.onProbJmpExec(c.token, true, std::nullopt, 0x301, 110, 2);
+    PbsInstance c = fetch(engine, 0x300, 100);
+    EXPECT_FALSE(engine.onProbCmpExec(c, 3, 43));
+    engine.onProbJmpExec(c, true, std::nullopt, 0x301, 110, 2);
     EXPECT_EQ(engine.stats().constValFlushes, 1u);
 
     // The branch is demoted to regular for good (sticky disable):
     // later instances never steer and never re-allocate.
-    PbsInstance d = engine.onProbCmpFetch(0x300, 200);
+    PbsInstance d = fetch(engine, 0x300, 200);
     EXPECT_FALSE(d.steered);
     EXPECT_EQ(d.fallback, FallbackReason::ConstValViolation);
-    engine.onProbCmpExec(d.token, 5, 42, 210);
-    engine.onProbJmpExec(d.token, true, std::nullopt, 0x301, 210, 3);
-    PbsInstance e = engine.onProbCmpFetch(0x300, 300);
+    engine.onProbCmpExec(d, 5, 42);
+    engine.onProbJmpExec(d, true, std::nullopt, 0x301, 210, 3);
+    PbsInstance e = fetch(engine, 0x300, 300);
     EXPECT_FALSE(e.steered);
     EXPECT_EQ(e.fallback, FallbackReason::ConstValViolation);
 
     // Other branches are unaffected by the demotion.
     runInstance(engine, 0x400, 400, 410, 1, 9, false);
-    EXPECT_TRUE(engine.onProbCmpFetch(0x400, 500).steered);
+    EXPECT_TRUE(fetch(engine, 0x400, 500).steered);
 }
 
 TEST(PbsEngineTest, ConstValGuardCanBeDisabled)
@@ -153,9 +165,9 @@ TEST(PbsEngineTest, ConstValGuardCanBeDisabled)
     cfg.constValGuard = false;
     PbsEngine engine(cfg);
     runInstance(engine, 0x300, 0, 10, 1, 42, true);
-    PbsInstance b = engine.onProbCmpFetch(0x300, 50);
+    PbsInstance b = fetch(engine, 0x300, 50);
     EXPECT_TRUE(b.steered);
-    EXPECT_TRUE(engine.onProbCmpExec(b.token, 2, 43, 60));
+    EXPECT_TRUE(engine.onProbCmpExec(b, 2, 43));
     EXPECT_EQ(engine.stats().constValFlushes, 0u);
 }
 
@@ -171,9 +183,9 @@ TEST(PbsEngineTest, CapacityLimitLeavesExtraBranchesRegular)
     EXPECT_EQ(engine.stats().fetchUnsupported, 1u);
 
     // The two allocated branches steer; the third cannot.
-    EXPECT_TRUE(engine.onProbCmpFetch(0x10, 100).steered);
-    EXPECT_TRUE(engine.onProbCmpFetch(0x20, 100).steered);
-    EXPECT_FALSE(engine.onProbCmpFetch(0x30, 100).steered);
+    EXPECT_TRUE(fetch(engine, 0x10, 100).steered);
+    EXPECT_TRUE(fetch(engine, 0x20, 100).steered);
+    EXPECT_FALSE(fetch(engine, 0x30, 100).steered);
 }
 
 TEST(PbsEngineTest, StallOnBusySteersWithDelay)
@@ -184,7 +196,7 @@ TEST(PbsEngineTest, StallOnBusySteersWithDelay)
 
     // Fetch at cycle 20, record completes at 50: fetch stalls 30
     // cycles and steers instead of risking a misprediction.
-    PbsInstance early = engine.onProbCmpFetch(0x100, 20);
+    PbsInstance early = fetch(engine, 0x100, 20);
     EXPECT_TRUE(early.steered);
     EXPECT_EQ(early.stallCycles, 30u);
     EXPECT_EQ(early.old.value1, 111u);
@@ -207,11 +219,11 @@ TEST(PbsEngineTest, InFlightTableDropsWhenFull)
     EXPECT_EQ(engine.stats().recordsDropped, 2u);
 
     // A consuming fetch drains one slot; the next record is accepted.
-    PbsInstance b = engine.onProbCmpFetch(0x40, 100);
+    PbsInstance b = fetch(engine, 0x40, 100);
     EXPECT_TRUE(b.steered);
     EXPECT_EQ(b.old.value1, 0u);  // oldest record first
-    engine.onProbCmpExec(b.token, 9, 2, 150);
-    engine.onProbJmpExec(b.token, true, std::nullopt, 0x41, 150, 4);
+    engine.onProbCmpExec(b, 9, 2);
+    engine.onProbJmpExec(b, true, std::nullopt, 0x41, 150, 4);
     EXPECT_EQ(engine.stats().recordsPushed, 3u);
 }
 
@@ -220,7 +232,7 @@ TEST(PbsEngineTest, DisabledEngineNeverSteers)
     PbsEngine engine;
     engine.setEnabled(false);
     runInstance(engine, 0x50, 0, 10, 1, 2, true);
-    PbsInstance b = engine.onProbCmpFetch(0x50, 100);
+    PbsInstance b = fetch(engine, 0x50, 100);
     EXPECT_FALSE(b.steered);
     EXPECT_EQ(b.fallback, FallbackReason::Disabled);
 }
@@ -232,24 +244,108 @@ TEST(PbsEngineTest, DeterministicReplay)
         PbsEngine engine;
         std::vector<uint64_t> consumed;
         for (int i = 0; i < 32; i++) {
-            uint64_t fetch = 10 * i;
-            PbsInstance inst = engine.onProbCmpFetch(0x60, fetch);
+            uint64_t at = 10 * i;
+            PbsInstance inst = fetch(engine, 0x60, at);
             consumed.push_back(inst.steered ? inst.old.value1
                                             : uint64_t(1000 + i));
-            engine.onProbCmpExec(inst.token, 1000 + i, 5, fetch + 35);
-            engine.onProbJmpExec(inst.token, i % 3 == 0, std::nullopt,
-                                 0x61, fetch + 35, i);
+            engine.onProbCmpExec(inst, 1000 + i, 5);
+            engine.onProbJmpExec(inst, i % 3 == 0, std::nullopt,
+                                 0x61, at + 35, i);
         }
         return consumed;
     };
     EXPECT_EQ(run(), run());
 }
 
-TEST(PbsEngineTest, UnknownTokenThrows)
+TEST(PbsEngineTest, InstancePublishesOnce)
 {
     PbsEngine engine;
-    EXPECT_THROW(engine.onProbCmpExec(999, 0, 0, 0), std::logic_error);
-    EXPECT_THROW(engine.instance(999), std::logic_error);
+    PbsInstance inst = fetch(engine, 0x70, 0);
+    engine.onProbCmpExec(inst, 1, 2);
+    engine.onProbJmpExec(inst, true, std::nullopt, 0x71, 10, 0);
+    engine.onProbJmpExec(inst, true, std::nullopt, 0x71, 10, 0);
+    EXPECT_EQ(engine.stats().recordsPushed, 1u);
+}
+
+TEST(PbsEngineTest, CallerOwnedInstancesInterleave)
+{
+    // Two static branches with open instances at once: each event
+    // acts on the instance it is given.
+    PbsEngine engine;
+    runInstance(engine, 0x80, 0, 5, /*v1*/ 8, 1, true);
+    runInstance(engine, 0x90, 0, 5, /*v1*/ 9, 1, false);
+    PbsInstance a = fetch(engine, 0x80, 10);
+    PbsInstance b = fetch(engine, 0x90, 10);
+    ASSERT_TRUE(a.steered);
+    ASSERT_TRUE(b.steered);
+    EXPECT_EQ(a.old.value1, 8u);
+    EXPECT_EQ(b.old.value1, 9u);
+    engine.onProbCmpExec(b, 90, 1);
+    engine.onProbCmpExec(a, 80, 1);
+    engine.onProbJmpExec(b, true, std::nullopt, 0x91, 20, 1);
+    engine.onProbJmpExec(a, false, std::nullopt, 0x81, 20, 1);
+    EXPECT_EQ(fetch(engine, 0x80, 30).old.value1, 80u);
+    EXPECT_EQ(fetch(engine, 0x90, 30).old.value1, 90u);
+}
+
+/** PbsEngine's constructor check on one field. */
+void
+expectRejected(const PbsConfig &cfg, const std::string &field)
+{
+    try {
+        PbsEngine engine(cfg);
+        ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("PbsConfig." + field),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(PbsConfigCheck, ZeroCountsAreRejected)
+{
+    expectRejected(PbsConfig{.numBranches = 0}, "numBranches");
+    expectRejected(PbsConfig{.valuesPerBranch = 0}, "valuesPerBranch");
+    expectRejected(PbsConfig{.inFlightLimit = 0}, "inFlightLimit");
+    expectRejected(PbsConfig{.contextEntries = 0}, "contextEntries");
+}
+
+TEST(PbsConfigCheck, TablesPastCapacityAreRejected)
+{
+    expectRejected(PbsConfig{.numBranches = PbsConfig::kMaxBranches + 1},
+                   "numBranches");
+    expectRejected(
+        PbsConfig{.inFlightLimit = PbsConfig::kMaxInFlight + 1},
+        "inFlightLimit");
+    expectRejected(
+        PbsConfig{.contextEntries = PbsConfig::kMaxContextEntries + 1},
+        "contextEntries");
+}
+
+TEST(PbsConfigCheck, LargestTablesWork)
+{
+    PbsConfig cfg;
+    cfg.numBranches = PbsConfig::kMaxBranches;
+    cfg.inFlightLimit = PbsConfig::kMaxInFlight;
+    cfg.contextEntries = PbsConfig::kMaxContextEntries;
+    cfg.stallOnBusy = false;
+    PbsEngine engine(cfg);
+    // Every in-flight slot holds a record of the same branch; none
+    // is dropped until the table is full.
+    for (unsigned i = 0; i <= PbsConfig::kMaxInFlight; i++)
+        runInstance(engine, 0x10, 0, 10, i, 2, true, i);
+    EXPECT_EQ(engine.stats().recordsPushed, PbsConfig::kMaxInFlight);
+    EXPECT_EQ(engine.stats().recordsDropped, 1u);
+    EXPECT_EQ(engine.inFlight().occupancy(), PbsConfig::kMaxInFlight);
+
+    // Distinct branches fill every Prob-BTB entry; one more finds no
+    // room (no loop is tracked, so no entry is stale).
+    PbsEngine wide(cfg);
+    for (uint64_t pc = 0x100; pc <= 0x100 + PbsConfig::kMaxBranches; pc++)
+        runInstance(wide, pc, 0, 10, 1, 2, true);
+    EXPECT_EQ(wide.stats().entriesAllocated, PbsConfig::kMaxBranches);
+    EXPECT_EQ(wide.stats().fetchUnsupported, 1u);
+    EXPECT_EQ(wide.stats().recordsPushed, PbsConfig::kMaxBranches);
 }
 
 }  // namespace

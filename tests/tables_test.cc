@@ -51,6 +51,19 @@ TEST(ProbBtbTest, ClearContextOnlyTouchesMatchingLoop)
     EXPECT_GE(btb.find(0x20, other), 0);
 }
 
+/** The value1 of the oldest record of @p idx visible at @p now, taken
+ *  out of @p fifo; -1 if none is visible. */
+int64_t
+pull(ProbInFlight &fifo, int idx, uint64_t now)
+{
+    const unsigned pos = fifo.firstReady(idx, now);
+    if (pos == fifo.queued(idx))
+        return -1;
+    BranchRecord rec;
+    fifo.take(idx, pos, rec);
+    return int64_t(rec.value1);
+}
+
 TEST(ProbInFlightTest, FifoOrderWithinIndex)
 {
     ProbInFlight fifo{PbsConfig{}};
@@ -60,10 +73,11 @@ TEST(ProbInFlightTest, FifoOrderWithinIndex)
         EXPECT_TRUE(fifo.push(0, rec, /*ready*/ 10 * i));
     }
     EXPECT_EQ(fifo.occupancy(), 3u);
-    EXPECT_EQ(fifo.pull(0, 100)->value1, 100u);
-    EXPECT_EQ(fifo.pull(0, 100)->value1, 101u);
-    EXPECT_EQ(fifo.pull(0, 100)->value1, 102u);
-    EXPECT_FALSE(fifo.pull(0, 100).has_value());
+    EXPECT_EQ(pull(fifo, 0, 100), 100);
+    EXPECT_EQ(pull(fifo, 0, 100), 101);
+    EXPECT_EQ(pull(fifo, 0, 100), 102);
+    EXPECT_EQ(pull(fifo, 0, 100), -1);
+    EXPECT_EQ(fifo.occupancy(), 0u);
 }
 
 TEST(ProbInFlightTest, VisibilityRespectsReadyCycle)
@@ -72,10 +86,41 @@ TEST(ProbInFlightTest, VisibilityRespectsReadyCycle)
     BranchRecord rec;
     rec.value1 = 7;
     fifo.push(2, rec, /*ready*/ 50);
-    EXPECT_FALSE(fifo.pull(2, 49).has_value());
-    EXPECT_EQ(fifo.earliestReady(2).value(), 50u);
-    EXPECT_FALSE(fifo.earliestReady(1).has_value());
-    EXPECT_TRUE(fifo.pull(2, 50).has_value());
+    EXPECT_EQ(pull(fifo, 2, 49), -1);
+    ASSERT_EQ(fifo.queued(2), 1u);
+    EXPECT_EQ(fifo.readyCycle(2, 0), 50u);
+    EXPECT_EQ(fifo.queued(1), 0u);
+    EXPECT_EQ(pull(fifo, 2, 50), 7);
+}
+
+TEST(ProbInFlightTest, OldestVisibleRecordFirst)
+{
+    // Records of one entry can become visible out of push order (the
+    // timing model's completion cycles): a fetch takes the oldest one
+    // already visible, and the rest keep their order.
+    ProbInFlight fifo{PbsConfig{}};
+    for (uint64_t i = 0; i < 3; i++) {
+        BranchRecord rec;
+        rec.value1 = i;
+        fifo.push(0, rec, /*ready*/ i == 0 ? 90 : 10 * i);
+    }
+    EXPECT_EQ(pull(fifo, 0, 30), 1);
+    EXPECT_EQ(pull(fifo, 0, 100), 0);
+    EXPECT_EQ(pull(fifo, 0, 100), 2);
+}
+
+TEST(ProbInFlightTest, FullTableDropsAndClearFreesSlots)
+{
+    PbsConfig cfg;
+    cfg.inFlightLimit = 2;
+    ProbInFlight fifo{cfg};
+    BranchRecord rec;
+    EXPECT_TRUE(fifo.push(0, rec, 0));
+    EXPECT_TRUE(fifo.push(1, rec, 0));
+    EXPECT_FALSE(fifo.push(1, rec, 0));
+    fifo.clearIndex(1);
+    EXPECT_EQ(fifo.occupancy(), 1u);
+    EXPECT_TRUE(fifo.push(1, rec, 0));
 }
 
 TEST(ProbInFlightTest, IndexesAreIndependent)
@@ -87,8 +132,8 @@ TEST(ProbInFlightTest, IndexesAreIndependent)
     fifo.push(0, a, 0);
     fifo.push(1, b, 0);
     fifo.clearIndex(0);
-    EXPECT_FALSE(fifo.pull(0, 10).has_value());
-    EXPECT_EQ(fifo.pull(1, 10)->value1, 2u);
+    EXPECT_EQ(pull(fifo, 0, 10), -1);
+    EXPECT_EQ(pull(fifo, 1, 10), 2);
 }
 
 TEST(SwapTableTest, EntriesScaleWithValuesPerBranch)
